@@ -413,37 +413,43 @@ def ensure_lifecycle(strategy) -> SelectionStrategy:
 class FIRALStrategy(SelectionStrategy):
     """Adapter exposing ``ExactFIRAL`` / ``ApproxFIRAL`` as a strategy.
 
-    The adapter is lifecycle-aware and carries two kinds of cross-round
-    state under the session engine:
+    The adapter is lifecycle-aware and reads its configuration once, from
+    the :class:`SessionInfo` handed to :meth:`begin_session`; a bare
+    ``select`` call outside any session runs serially with neither mechanism
+    below.  It carries two kinds of cross-round state:
 
-    * **RELAX warm start** (``relax_warm_start`` on the session, or
-      ``warm_start=True`` here): each round's mirror descent is initialized
-      from the previous round's relaxed weights ``z*`` restricted to the
-      surviving pool points — the cross-round analogue of the PR 2
-      ``cg_warm_start`` knob, and like it opt-in with the measurement
-      documented either way (see ``benchmarks/bench_active_rounds.py``).
-    * **η reuse** (``reuse_eta`` on the session, or ``reuse_eta=True``
-      here): the § IV-A grid search re-runs the ROUND solver for every
-      candidate η *every round*, yet the winning η is a property of the
-      problem scale and is stable across rounds; after the first round's
-      full search, subsequent rounds reuse the winner (one ROUND solve
-      instead of ``len(eta_grid)``).
+    * **RELAX warm start** (``SessionInfo.relax_warm_start``): each round's
+      mirror descent is initialized from the previous round's relaxed
+      weights ``z*`` restricted to the surviving pool points — the
+      cross-round analogue of ``RelaxConfig.cg_warm_start``, and like it
+      opt-in with the measurement documented either way (see
+      ``benchmarks/bench_active_rounds.py``).  It requires stable ids
+      (``SelectionContext.pool_ids``), so it stays cold without them.
+    * **η reuse** (``SessionInfo.reuse_eta``): the § IV-A grid search
+      re-runs the ROUND solver for every candidate η *every round*, yet the
+      winning η is a property of the problem scale and is stable across
+      rounds; after the first round's full search, subsequent rounds reuse
+      the winner (one ROUND solve instead of ``len(eta_grid)``).
 
-    Warm starting requires stable ids (``SelectionContext.pool_ids``), so it
-    silently stays cold under the id-less legacy driver; η reuse has no such
-    requirement but only engages when the session (or constructor) asks.
-
-    A third session request is **multi-rank execution**
-    (``parallel_ranks`` on the session, or ``parallel_ranks=N`` here): when
-    the wrapped selector is an :class:`~repro.core.firal.ApproxFIRAL`, its
+    **Multi-rank execution** (``SessionInfo.parallel_ranks``): when the
+    wrapped selector is an :class:`~repro.core.firal.ApproxFIRAL`, its
     RELAX + ROUND solves are routed through
-    :class:`~repro.parallel.firal.DistributedApproxFIRAL` over ``N`` ranks of
-    the requested transport — threads (``"simulated"``) or real spawned OS
-    processes (``"shared_memory"``).  The distributed RELAX solver runs its
-    fixed iteration budget without objective tracking, so the wrapped
-    selector's ``relax_config`` is normalized to ``track_objective="none"``
-    (see :mod:`repro.parallel.firal`); Exact-FIRAL has no distributed
-    formulation and rejects the request.
+    :class:`~repro.parallel.firal.DistributedApproxFIRAL` over that many
+    ranks of ``SessionInfo.parallel_transport`` — threads (``"simulated"``)
+    or real spawned OS processes (``"shared_memory"``), with
+    ``SessionInfo.fault_plan`` injected into every launch.  The distributed
+    RELAX solver runs its fixed iteration budget without objective
+    tracking, so the wrapped selector's ``relax_config`` is normalized to
+    ``track_objective="none"`` (see :mod:`repro.parallel.firal`);
+    Exact-FIRAL has no distributed formulation and is rejected at
+    :meth:`begin_session`.  Under ``on_rank_failure="repartition_retry"`` a
+    multi-rank round that loses a rank is re-run over the survivors: the
+    pool is re-partitioned with the balanced split (the same fallback a
+    dried-up shard takes) and the round replays deterministically — FIRAL's
+    selection consumes no session RNG and is rank-count invariant, so the
+    recovered round selects exactly what the failed one would have.
+    Subsequent rounds stay at the reduced rank count (the dead rank does not
+    come back); each recovery is appended to :attr:`recovery_events`.
 
     Under a **prefiltered session** (``SessionConfig.prefilter``) the round's
     :attr:`SelectionContext.candidate_ids` restricts the Fisher dataset to
@@ -459,75 +465,21 @@ class FIRALStrategy(SelectionStrategy):
     selector:
         An object with a ``select(dataset, budget) -> SelectionResult``
         method and a ``name`` attribute (both FIRAL classes qualify).
-    warm_start:
-        Force cross-round RELAX warm starting on (``True``) or off
-        (``False``); ``None`` (default) defers to the session's
-        ``SessionInfo.relax_warm_start``.
-    reuse_eta:
-        Force cross-round η reuse on/off; ``None`` (default) defers to the
-        session's ``SessionInfo.reuse_eta``.
-    parallel_ranks:
-        Force multi-rank selection with this many ranks; ``None`` (default)
-        defers to the session's ``SessionInfo.parallel_ranks``.
-    parallel_transport:
-        Transport used when multi-rank selection is active; ``None``
-        (default) defers to the session's ``SessionInfo.parallel_transport``.
-    on_rank_failure:
-        Force the rank-failure policy (``"abort"`` / ``"repartition_retry"``);
-        ``None`` (default) defers to the session's
-        ``SessionInfo.on_rank_failure``.  Under ``"repartition_retry"`` a
-        multi-rank round that loses a rank is re-run over the survivors: the
-        pool is re-partitioned with the balanced split (the same fallback a
-        dried-up shard takes) and the round replays deterministically —
-        FIRAL's selection consumes no session RNG and is rank-count
-        invariant, so the recovered round selects exactly what the failed
-        one would have.  Subsequent rounds stay at the reduced rank count
-        (the dead rank does not come back); each recovery is appended to
-        :attr:`recovery_events`.
-    fault_plan:
-        Force a :class:`~repro.parallel.faults.FaultPlan` into every
-        multi-rank launch; ``None`` (default) defers to the session's
-        ``SessionInfo.fault_plan``.
     """
 
     is_stochastic = False
     consumes_fisher = True
 
-    def __init__(
-        self,
-        selector,
-        *,
-        warm_start: Optional[bool] = None,
-        reuse_eta: Optional[bool] = None,
-        parallel_ranks: Optional[int] = None,
-        parallel_transport: Optional[str] = None,
-        on_rank_failure: Optional[str] = None,
-        fault_plan=None,
-    ):
+    def __init__(self, selector):
         require(hasattr(selector, "select"), "selector must expose a select() method")
-        require(
-            on_rank_failure in (None, "abort", "repartition_retry"),
-            "on_rank_failure must be 'abort' or 'repartition_retry'",
-        )
         self.selector = selector
         self.name = getattr(selector, "name", "firal")
-        self.warm_start = warm_start
-        self.reuse_eta = reuse_eta
-        self.parallel_ranks = parallel_ranks
-        self.parallel_transport = parallel_transport
-        self.on_rank_failure = on_rank_failure
-        self.fault_plan = fault_plan
         self.last_result = None
         #: One dict per recovered rank failure (round-robin diagnostics):
         #: ``{"error", "failed_rank", "collective", "retry_ranks"}``.
         self.recovery_events: list = []
-        self._session_warm_start = False
-        self._session_reuse_eta = False
-        self._session_parallel_ranks: Optional[int] = None
-        self._session_parallel_transport = "simulated"
-        self._session_on_rank_failure = "abort"
-        self._session_fault_plan = None
-        self._recovered_ranks: Optional[int] = None
+        self._info: Optional[SessionInfo] = None
+        #: The multi-rank twin of ``selector``; ``None`` when selection is serial.
         self._distributed_selector = None
         self._previous: Optional[tuple] = None  # (pool_ids, relaxed weights)
         self._previous_eta: Optional[float] = None
@@ -536,59 +488,18 @@ class FIRALStrategy(SelectionStrategy):
     # lifecycle
     # ------------------------------------------------------------------ #
     def begin_session(self, info: SessionInfo) -> None:
-        self._session_warm_start = bool(info.relax_warm_start)
-        self._session_reuse_eta = bool(info.reuse_eta)
-        self._session_parallel_ranks = info.parallel_ranks
-        self._session_parallel_transport = info.parallel_transport
-        self._session_on_rank_failure = info.on_rank_failure
-        self._session_fault_plan = info.fault_plan
-        self._recovered_ranks = None
-        self._distributed_selector = None
+        self._info = info
         self._previous = None
         self._previous_eta = None
         self.last_result = None
         self.recovery_events = []
-        if self._parallel_ranks_active is not None:
-            # Fail at session start, not round N, if the selector cannot run
-            # distributed — and build the distributed selector eagerly so the
-            # first round already executes multi-rank.
-            self._effective_selector()
-
-    @property
-    def _warm_start_active(self) -> bool:
-        if self.warm_start is not None:
-            return self.warm_start
-        return self._session_warm_start
-
-    @property
-    def _reuse_eta_active(self) -> bool:
-        if self.reuse_eta is not None:
-            return self.reuse_eta
-        return self._session_reuse_eta
-
-    @property
-    def _parallel_ranks_active(self) -> Optional[int]:
-        if self.parallel_ranks is not None:
-            return self.parallel_ranks
-        return self._session_parallel_ranks
-
-    @property
-    def _parallel_transport_active(self) -> str:
-        if self.parallel_transport is not None:
-            return self.parallel_transport
-        return self._session_parallel_transport
-
-    @property
-    def _on_rank_failure_active(self) -> str:
-        if self.on_rank_failure is not None:
-            return self.on_rank_failure
-        return self._session_on_rank_failure
-
-    @property
-    def _fault_plan_active(self):
-        if self.fault_plan is not None:
-            return self.fault_plan
-        return self._session_fault_plan
+        # Built here, so a selector that cannot run distributed fails at
+        # session start rather than in round N.
+        self._distributed_selector = (
+            None
+            if info.parallel_ranks is None
+            else self._build_distributed_selector(info.parallel_ranks)
+        )
 
     def _build_distributed_selector(self, ranks: int):
         from repro.core.firal import ApproxFIRAL
@@ -603,27 +514,15 @@ class FIRALStrategy(SelectionStrategy):
             self.selector.relax_config,
             self.selector.round_config,
             num_ranks=int(ranks),
-            transport=self._parallel_transport_active,
-            fault_plan=self._fault_plan_active,
+            transport=self._info.parallel_transport,
+            fault_plan=self._info.fault_plan,
         )
 
     def _effective_selector(self):
-        """The wrapped selector, or its distributed twin when ranks are requested."""
+        """The distributed selector when the session runs multi-rank, else the wrapped one."""
 
-        ranks = self._parallel_ranks_active
-        if ranks is None:
+        if self._distributed_selector is None:
             return self.selector
-        if self._recovered_ranks is not None:
-            # A previous round lost ranks; the session keeps running degraded
-            # on the survivors rather than resurrecting the dead rank.
-            ranks = self._recovered_ranks
-        if (
-            self._distributed_selector is None
-            or self._distributed_selector.num_ranks != int(ranks)
-            or self._distributed_selector.transport != self._parallel_transport_active
-            or self._distributed_selector.fault_plan is not self._fault_plan_active
-        ):
-            self._distributed_selector = self._build_distributed_selector(int(ranks))
         return self._distributed_selector
 
     @staticmethod
@@ -642,7 +541,7 @@ class FIRALStrategy(SelectionStrategy):
         """Previous round's ``z*`` restricted to the surviving scored rows, or ``None``."""
 
         scored_ids = self._scored_ids(context)
-        if not self._warm_start_active or self._previous is None or scored_ids is None:
+        if self._previous is None or scored_ids is None:
             return None
         prev_ids, prev_weights = self._previous
         # Scored ids are sorted (the session engine keeps pool ids sorted and
@@ -678,22 +577,17 @@ class FIRALStrategy(SelectionStrategy):
         try:
             return selector.select(dataset, context.budget, **kwargs)
         except CommError as exc:
-            if (
-                self._on_rank_failure_active != "repartition_retry"
-                or not hasattr(selector, "num_ranks")
-            ):
+            if self._distributed_selector is None or self._info.on_rank_failure != "repartition_retry":
                 raise
             last_error: CommError = exc
-            ranks = int(selector.num_ranks)
+            ranks = self._distributed_selector.num_ranks
             while ranks > 1:
                 ranks -= 1
+                # A fresh selector carries no shard boundaries or device
+                # pins: the failed launch's assumed the old rank count, and
+                # the survivors take the balanced re-split (the same fallback
+                # an empty shard takes).
                 recovery = self._build_distributed_selector(ranks)
-                # The failed launch's shard boundaries assumed the old rank
-                # count; the survivors take the balanced re-split (the same
-                # fallback an empty shard takes).
-                recovery.partition_offsets = None
-                if hasattr(recovery, "rank_devices"):
-                    recovery.rank_devices = None
                 try:
                     result = recovery.select(dataset, context.budget, **kwargs)
                 except CommError as retry_error:
@@ -708,7 +602,7 @@ class FIRALStrategy(SelectionStrategy):
                         "retry_ranks": ranks,
                     }
                 )
-                self._recovered_ranks = ranks
+                # The session continues degraded on the survivors.
                 self._distributed_selector = recovery
                 return result
             raise last_error
@@ -717,14 +611,16 @@ class FIRALStrategy(SelectionStrategy):
     def select(self, context: SelectionContext) -> np.ndarray:
         dataset = context.fisher_dataset()
         candidate_positions = context.candidate_positions()
+        warm_start = self._info is not None and self._info.relax_warm_start
+        reuse_eta = self._info is not None and self._info.reuse_eta
         kwargs = {}
-        initial_weights = self._warm_start_weights(context)
+        initial_weights = self._warm_start_weights(context) if warm_start else None
         if initial_weights is not None:
             kwargs["initial_weights"] = initial_weights
-        if self._reuse_eta_active and self._previous_eta is not None:
+        if reuse_eta and self._previous_eta is not None:
             kwargs["eta"] = self._previous_eta
         selector = self._effective_selector()
-        if hasattr(selector, "partition_offsets"):
+        if self._distributed_selector is not None:
             # Shard-aware scatter: a sharded store's session publishes the
             # round's ownership boundaries; the distributed selector splits
             # along them (None restores the balanced default).  Refreshed
@@ -742,26 +638,25 @@ class FIRALStrategy(SelectionStrategy):
             if offsets is not None and bool(np.any(np.diff(offsets) == 0)):
                 offsets = None
             selector.partition_offsets = offsets
-            if hasattr(selector, "rank_devices"):
-                # Device-pinned sharded store: each rank promotes its shard
-                # on the shard's own device.  The device map only makes sense
-                # together with the matching ownership scatter — when the
-                # offsets fell back to the balanced split, so does placement.
-                selector.rank_devices = context.shard_devices if offsets is not None else None
+            # Device-pinned sharded store: each rank promotes its shard on
+            # the shard's own device.  The device map only makes sense
+            # together with the matching ownership scatter — when the
+            # offsets fell back to the balanced split, so does placement.
+            selector.rank_devices = context.shard_devices if offsets is not None else None
         result = self._select_with_recovery(selector, dataset, context, kwargs)
         self.last_result = result
         relax = getattr(result, "relax", None)
         scored_ids = self._scored_ids(context)
         # Only materialize warm-start state when it will be read: to_numpy on
         # the relaxed weights forces a device sync under the torch backend.
-        if self._warm_start_active and scored_ids is not None and relax is not None:
+        if warm_start and scored_ids is not None and relax is not None:
             from repro.backend import get_backend
 
             self._previous = (
                 scored_ids.copy(),
                 np.asarray(get_backend().to_numpy(relax.weights), dtype=np.float64),
             )
-        if self._reuse_eta_active:
+        if reuse_eta:
             round_result = getattr(result, "round", None)
             if round_result is not None and getattr(round_result, "eta", None) is not None:
                 self._previous_eta = float(round_result.eta)

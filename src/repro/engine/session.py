@@ -44,15 +44,24 @@ default, or with externally supplied ones — and completes the round.
 :meth:`ActiveSession.step` is kept as the bit-identical composition of the
 two (``propose(); observe()``), so synchronous drivers are untouched while
 a serving layer (:mod:`repro.serve`) can hold a proposal open for as long
-as a remote labeler needs.  While a proposal is pending the session is
-frozen at the pre-proposal boundary for checkpointing purposes: a
-:meth:`ActiveSession.checkpoint` taken mid-proposal records the state *as
-of* :meth:`propose` entry plus a ``pending_proposal`` marker, and
-:meth:`ActiveSession.resume` surfaces that marker as
-:attr:`ActiveSession.invalidated_proposal` — the proposal is invalidated,
-never silently dropped, and re-calling :meth:`propose` on the restored
-session replays it bit-identically (unless the pool was extended first, in
-which case the replay legitimately sees the new points).
+as a remote labeler needs.
+
+The round state
+---------------
+What :meth:`ActiveSession.propose` changes before a round commits is one
+immutable :class:`RoundState`: the RNG bit-generator state (the prefilter
+and stochastic strategies draw from it), the strategy's ``state_dict()``
+and, under ``incremental_fisher``, the frozen labeled probabilities plus
+the accumulator's running ``B(H_o)``.  ``propose()`` captures it on entry
+and keeps it with the pending proposal.  A ``propose()`` that raises
+restores it, so a retry — synchronous or eager — selects what an
+uninterrupted run selects.  :meth:`ActiveSession.invalidate_proposal`
+restores it.  A checkpoint writes it (plus a ``pending_proposal`` marker
+while a proposal is open) and :meth:`ActiveSession.resume` restores it,
+surfacing the marker as :attr:`ActiveSession.invalidated_proposal` — the
+proposal is invalidated, never silently dropped, and re-calling
+:meth:`propose` replays it bit-identically (unless the pool was extended
+first, in which case the replay legitimately sees the new points).
 
 Eager proposal pipelining
 -------------------------
@@ -66,20 +75,17 @@ latency: called at a round boundary with an executor, it kicks off the
 :meth:`propose` call joins and **adopts** the precomputed
 :class:`QueryProposal` instead of recomputing — near-zero client-observed
 latency once the background selection has landed.  Because the background
-job runs the same code from the same state (the boundary snapshot
-machinery above guarantees rollback), the adopted proposal is
-**bit-identical** to what a synchronous ``propose()`` would have returned
-(test-pinned for every strategy in ``tests/test_engine_prefetch.py``).
+job *is* the synchronous ``propose()`` body, run from the same round state
+(and restoring it on failure), the adopted proposal is **bit-identical** to
+what a synchronous ``propose()`` would have returned (test-pinned for every
+strategy in ``tests/test_engine_prefetch.py``).
 
 The prefetch is speculative, so every state change that could invalidate
 it cancels it transparently rather than serving a stale proposal:
-:meth:`extend_pool` joins the in-flight job, rolls its result back to the
-round boundary, and only then grows the pool (the next ``propose``
-recomputes over the new points); :meth:`invalidate_proposal` claims the
-prefetched proposal and discards it; :meth:`checkpoint` quiesces the job
-first and then records the pre-proposal boundary plus the
-``pending_proposal`` marker, so an eager proposal captured in a crash
-snapshot restores *invalidated-and-surfaced*, never silently dropped.
+:meth:`extend_pool` joins the job and restores its round state before
+growing the pool; :meth:`invalidate_proposal` claims and discards the
+prefetched proposal; :meth:`checkpoint` quiesces the job and writes it like
+any open proposal, so it restores *invalidated-and-surfaced*.
 An unclaimed prefetch is invisible to the protocol: ``pending_proposal``
 stays ``None`` and ``observe()`` still demands a surfaced proposal.  The
 session remains externally single-threaded — callers (the serving layer's
@@ -110,6 +116,7 @@ from __future__ import annotations
 import copy
 import pathlib
 import time
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -117,6 +124,7 @@ import numpy as np
 
 from repro.active.problem import ActiveLearningProblem
 from repro.active.results import ExperimentResult, RoundRecord
+from repro.backend import get_backend
 from repro.baselines.base import LabelObservation, SelectionContext, SessionInfo, ensure_lifecycle
 from repro.engine.pool import DensePointStore, PoolStore
 from repro.engine.prefilter import CandidateFilter
@@ -372,6 +380,95 @@ class SessionConfig:
         return self
 
 
+def _json_safe(value):
+    """``value`` with NumPy arrays turned into lists, through nested dicts."""
+
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@dataclass(frozen=True)
+class RoundState:
+    """What :meth:`ActiveSession.propose` changes before the round commits.
+
+    See the module docstring's *round state* section for where it is
+    captured and restored.  The fields have the layout of the checkpoint
+    sections :meth:`to_json` writes; :meth:`capture` keeps NumPy copies in
+    them and leaves the conversion to lists to :meth:`to_json`.
+    """
+
+    rng_state: dict
+    strategy_state: dict
+    #: ``{"frozen_probs", "accumulator": {"blocks", "num_points"}}`` under
+    #: ``incremental_fisher``, else ``None``.
+    fisher: Optional[dict] = None
+
+    @classmethod
+    def capture(cls, session: "ActiveSession") -> "RoundState":
+        state_hook = getattr(session.strategy, "state_dict", None)
+        fisher = None
+        accumulator = session._accumulator
+        if accumulator is not None:
+            fisher = {
+                "frozen_probs": session._frozen_probs.copy(),
+                "accumulator": {
+                    "blocks": get_backend().to_numpy(accumulator.blocks).copy(),
+                    "num_points": accumulator.num_points,
+                },
+            }
+        return cls(
+            rng_state=copy.deepcopy(session.rng.bit_generator.state),
+            strategy_state=state_hook() if callable(state_hook) else {},
+            fisher=fisher,
+        )
+
+    def restore(self, session: "ActiveSession") -> None:
+        """Put ``session`` back into this state.
+
+        The RNG state is set in place, so a caller-supplied ``Generator``
+        follows the session; only a state saved from a different
+        bit-generator type gets a fresh generator of that type.
+        """
+
+        bit_generator = session.rng.bit_generator
+        if type(bit_generator).__name__ != self.rng_state["bit_generator"]:
+            bit_generator = getattr(np.random, self.rng_state["bit_generator"])()
+            session.rng = np.random.Generator(bit_generator)
+        bit_generator.state = self.rng_state
+        load_hook = getattr(session.strategy, "load_state_dict", None)
+        if callable(load_hook):
+            load_hook(self.strategy_state)
+        if session._accumulator is not None:
+            require(
+                self.fisher is not None,
+                "checkpoint carries no Fisher state but incremental_fisher is enabled",
+            )
+            # Copies, so the live session never aliases this immutable value.
+            accumulator = self.fisher["accumulator"]
+            session._frozen_probs = np.array(self.fisher["frozen_probs"])
+            session._accumulator.load_state_dict(
+                {**accumulator, "blocks": np.array(accumulator["blocks"])}
+            )
+
+    def to_json(self) -> dict:
+        return {
+            "rng_state": _json_safe(self.rng_state),
+            "fisher": _json_safe(self.fisher),
+            "strategy": {"state": self.strategy_state},
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "RoundState":
+        """Read the :meth:`to_json` sections back out of a checkpoint payload."""
+
+        return cls(
+            rng_state=payload["rng_state"],
+            strategy_state=payload.get("strategy", {}).get("state", {}),
+            fisher=payload.get("fisher"),
+        )
+
+
 class ActiveSession:
     """One active-learning run with state persisted across rounds.
 
@@ -439,9 +536,9 @@ class ActiveSession:
         self._accumulator: Optional[LabeledFisherAccumulator] = None
         self._frozen_probs: Optional[np.ndarray] = None
         self._pending: Optional[dict] = None
-        #: In-flight eager prefetch record (``{"future"}``) — see
+        #: The in-flight eager prefetch's ``Future`` — see
         #: :meth:`prefetch_proposal` and the module docstring.
-        self._prefetch: Optional[dict] = None
+        self._prefetch = None
         #: Monotonic eager-pipeline counters (surfaced by the serving layer).
         self.prefetch_stats: dict = {"scheduled": 0, "adopted": 0, "discarded": 0}
         #: Whether the most recent :meth:`propose` adopted a prefetched
@@ -498,14 +595,10 @@ class ActiveSession:
             # Freeze the initial points' probabilities under the classifier
             # trained on them — identical to what the legacy driver computes
             # for round 1, so the first round stays exact.
-            self._frozen_probs = self.classifier.predict_proba(self.store.labeled_features_host())
             self._accumulator = LabeledFisherAccumulator(
                 self.store.dimension, problem.num_classes - 1
             )
-            self._accumulator.add(
-                self.store.labeled_features_host(),
-                reduced_probabilities(self._frozen_probs),
-            )
+            self._refresh_fisher_accumulator()
 
     # ------------------------------------------------------------------ #
     # internals
@@ -593,7 +686,8 @@ class ActiveSession:
         )
 
     def _refresh_fisher_accumulator(self) -> None:
-        """Bounded-staleness rebuild: re-freeze ``B(H_o)`` under the current classifier.
+        """(Re-)freeze ``B(H_o)`` under the current classifier: at session start,
+        and every ``fisher_refresh_every`` rounds (bounded staleness).
 
         Identical in value to what a non-incremental session computes this
         round — every labeled point's contribution is re-evaluated with
@@ -689,74 +783,55 @@ class ActiveSession:
 
         A serving layer can *wait* on this (e.g. from an event loop)
         instead of dispatching :meth:`propose` to a worker that would
-        block inside :meth:`_sync_prefetch` — joining from outside keeps
-        worker slots free under saturation.  Waiting is observation only:
-        the prefetch stays unclaimed (and any failure stays stashed)
-        until :meth:`propose` adopts it.
+        block joining it — joining from outside keeps worker slots free
+        under saturation.  Waiting is observation only: the prefetch stays
+        unclaimed (and any failure stays stashed) until :meth:`propose`
+        adopts it.
         """
 
-        return None if self._prefetch is None else self._prefetch["future"]
+        return self._prefetch
 
-    def _capture_boundary(self) -> dict:
-        """Snapshot the pre-proposal round boundary.
+    def _join_prefetch(self) -> bool:
+        """Wait for the in-flight prefetch; keep it only if it landed a proposal.
 
-        Everything :meth:`propose` mutates before the round completes — the
-        RNG stream (prefilter + stochastic strategies draw from it), the
-        strategy's cross-round state, and under ``incremental_fisher`` the
-        accumulator it may refresh.  A checkpoint taken while the proposal
-        is open writes *this* state, so the restored session replays the
-        proposal bit-identically instead of double-drawing.
+        A failed job restored the round state itself and a cancelled one
+        never ran, so a dropped prefetch leaves the session at the boundary.
         """
 
-        state_hook = getattr(self.strategy, "state_dict", None)
-        boundary = {
-            "rng_state": copy.deepcopy(self.rng.bit_generator.state),
-            "strategy_state": state_hook() if callable(state_hook) else {},
-        }
-        if self.config.incremental_fisher:
-            assert self._accumulator is not None and self._frozen_probs is not None
-            boundary["fisher"] = (
-                self._frozen_probs.copy(),
-                self._accumulator.state_dict(),
-            )
-        return boundary
+        future = self._prefetch
+        if future is not None:
+            futures.wait([future])
+            if future.cancelled() or future.exception() is not None:
+                self._prefetch = None
+        return self._prefetch is not None
 
-    def _restore_boundary(self, boundary: dict) -> None:
-        """Roll live session state back to a :meth:`_capture_boundary` snapshot."""
+    def _claim_prefetch(self) -> bool:
+        """Join the in-flight prefetch and clear it; whether it landed a proposal."""
 
-        self.rng.bit_generator.state = copy.deepcopy(boundary["rng_state"])
-        load_hook = getattr(self.strategy, "load_state_dict", None)
-        if callable(load_hook):
-            load_hook(boundary["strategy_state"])
-        if self.config.incremental_fisher:
-            assert self._accumulator is not None
-            frozen_probs, accumulator_state = boundary["fisher"]
-            self._frozen_probs = frozen_probs.copy()
-            self._accumulator.load_state_dict(accumulator_state)
+        landed = self._join_prefetch()
+        self._prefetch = None
+        return landed
 
     def invalidate_proposal(self) -> QueryProposal:
         """Discard the pending proposal and roll back to the round boundary.
 
         The serving layer's escape hatch: a labeler that disappears
-        mid-round must not wedge the session.  The RNG stream, strategy
-        state and Fisher accumulator return to their pre-:meth:`propose`
-        values, so the next :meth:`propose` replays the round bit-identically
-        (or legitimately differently, if :meth:`extend_pool` ran in
-        between).  Returns the discarded proposal so callers can log it —
-        an invalidation is always explicit, never a silent drop.
+        mid-round must not wedge the session.  The proposal's
+        :class:`RoundState` is restored, so the next :meth:`propose` replays
+        the round bit-identically (or legitimately differently, if
+        :meth:`extend_pool` ran in between).  Returns the discarded proposal
+        so callers can log it — an invalidation is always explicit, never a
+        silent drop.
 
         An in-flight eager prefetch counts: the call joins it, claims its
         proposal and discards that — the "cancel the speculative work"
         path of the pipelining contract.
         """
 
-        if self._prefetch is not None:
-            self._sync_prefetch()
-            self._prefetch = None
+        self._claim_prefetch()
         require(self._pending is not None, "no pending proposal to invalidate")
-        pending = self._pending
-        self._restore_boundary(pending["boundary"])
-        self._pending = None
+        pending, self._pending = self._pending, None
+        pending["round_state"].restore(self)
         return pending["proposal"]
 
     def propose(self) -> QueryProposal:
@@ -767,6 +842,8 @@ class ActiveSession:
         discards it; proposing again while one is open is an error, as is
         extending the pool.  Exactly the pre-selection half of the historic
         ``step()`` — :meth:`step` is now literally ``propose(); observe()``.
+        If selection raises, the round state is restored before the error
+        propagates, so the session stays at the round boundary.
 
         When an eager prefetch is in flight (:meth:`prefetch_proposal`),
         this call joins it and **adopts** its precomputed proposal —
@@ -777,14 +854,10 @@ class ActiveSession:
         error the caller would have seen in sync mode.
         """
 
-        self.last_propose_prefetched = False
-        if self._prefetch is not None:
-            self._sync_prefetch()
-            self._prefetch = None
-            if self._pending is not None:
-                self.prefetch_stats["adopted"] += 1
-                self.last_propose_prefetched = True
-                return self._pending["proposal"]
+        self.last_propose_prefetched = self._claim_prefetch()
+        if self.last_propose_prefetched:
+            self.prefetch_stats["adopted"] += 1
+            return self._pending["proposal"]
         return self._propose_now()
 
     def prefetch_proposal(self, executor) -> bool:
@@ -798,11 +871,11 @@ class ActiveSession:
         planned round count is complete) — prefetching then would only
         manufacture a doomed proposal.
 
-        The background job mutates the live session exactly as a
-        synchronous ``propose()`` would; on failure it rolls the session
-        back to the boundary snapshot and stays claimable, so the eventual
-        ``propose()`` re-raises deterministically.  All other session
-        methods join the job before touching state (see the module
+        The background job is the synchronous ``propose()`` body: it
+        mutates the live session exactly as ``propose()`` would, and on
+        failure restores the round state and stays claimable, so the
+        eventual ``propose()`` re-raises deterministically.  All other
+        session methods join the job before touching state (see the module
         docstring) — callers must still serialize session access
         externally.
         """
@@ -821,63 +894,26 @@ class ActiveSession:
             return False
         if self.planned_rounds is not None and self.round_index >= self.planned_rounds:
             return False
-
-        def job() -> QueryProposal:
-            boundary = self._capture_boundary()
-            try:
-                return self._propose_now()
-            except BaseException:
-                # Leave the session at the round boundary so the adopting
-                # propose() can recompute (and re-raise) synchronously.
-                self._restore_boundary(boundary)
-                raise
-
         self.prefetch_stats["scheduled"] += 1
-        self._prefetch = {"future": executor.submit(job)}
+        self._prefetch = executor.submit(self._propose_now)
         return True
 
-    def _sync_prefetch(self) -> None:
-        """Block until the in-flight prefetch lands (session state quiesced).
-
-        On background failure the record is dropped (the job already rolled
-        the session back to the boundary); on success ``self._prefetch``
-        stays claimable and ``self._pending`` holds the eager proposal.
-        """
-
-        pf = self._prefetch
-        if pf is None:
-            return
-        try:
-            pf["future"].result()
-        except BaseException:
-            self._prefetch = None
-
-    def _discard_prefetch(self) -> Optional[QueryProposal]:
+    def _discard_prefetch(self) -> None:
         """Cancel an eager prefetch: join it, roll back to the round boundary.
 
         The transparent-invalidation half of the pipelining contract —
         :meth:`extend_pool` (and anything else that changes what the next
         round should see) calls this first, so a stale eager proposal is
-        never served.  Returns the discarded proposal, or ``None`` when no
-        prefetch was in flight (or it failed).
+        never served.
         """
 
-        if self._prefetch is None:
-            return None
-        self._sync_prefetch()
-        self._prefetch = None
-        if self._pending is None:
-            return None
-        pending = self._pending
-        self._restore_boundary(pending["boundary"])
-        self._pending = None
-        self.prefetch_stats["discarded"] += 1
-        return pending["proposal"]
+        if self._claim_prefetch():
+            self.prefetch_stats["discarded"] += 1
+            self.invalidate_proposal()
 
     def _propose_now(self) -> QueryProposal:
         """The synchronous :meth:`propose` body (also the prefetch job)."""
 
-        cfg = self.config
         require(
             self._pending is None,
             "a proposal is already pending — observe() or invalidate_proposal() first",
@@ -886,8 +922,27 @@ class ActiveSession:
             self.budget_per_round <= self.store.pool_size,
             "budget exceeds the remaining pool",
         )
-        boundary = self._capture_boundary()
+        round_state = RoundState.capture(self)
+        try:
+            proposal, selected_probabilities = self._select_round()
+        except BaseException:
+            round_state.restore(self)
+            raise
+        self._pending = {
+            "proposal": proposal,
+            # The classifier probabilities of the proposed rows, captured at
+            # proposal time — observe() needs them for the incremental-Fisher
+            # update and must not recompute them (the classifier only
+            # retrains *after* the labels land).
+            "selected_probabilities": selected_probabilities,
+            "round_state": round_state,
+        }
+        return proposal
 
+    def _select_round(self) -> tuple:
+        """Assemble the round view and select: ``(proposal, its rows' probabilities)``."""
+
+        cfg = self.config
         setup_start = time.perf_counter()
         if (
             cfg.incremental_fisher
@@ -998,16 +1053,7 @@ class ActiveSession:
             setup_seconds=setup_seconds,
             selection_seconds=selection_seconds,
         )
-        self._pending = {
-            "proposal": proposal,
-            # The classifier probabilities of the proposed rows, captured at
-            # proposal time — observe() needs them for the incremental-Fisher
-            # update and must not recompute them (the classifier only
-            # retrains *after* the labels land).
-            "selected_probabilities": pool_probabilities[selected],
-            "boundary": boundary,
-        }
-        return proposal
+        return proposal, pool_probabilities[selected]
 
     def observe(self, labels=None) -> RoundRecord:
         """Complete the pending round: reveal labels, retrain, record.
@@ -1133,13 +1179,13 @@ class ActiveSession:
         *without* holding the session (or an event loop) hostage.
 
         An **in-flight eager prefetch is quiesced first** (joined, left
-        claimable): the payload then carries the pre-proposal boundary plus
+        claimable): the payload then carries the proposal's round state plus
         the ``pending_proposal`` marker, exactly like a checkpoint taken
         while a client holds a proposal open — on :meth:`resume` the eager
         proposal restores invalidated-and-surfaced, never silently dropped.
         """
 
-        self._sync_prefetch()
+        self._join_prefetch()
         store_section = {
             "kind": self.store.kind,
             "total_points": int(self.store.total_points),
@@ -1152,49 +1198,23 @@ class ActiveSession:
             extension = np.arange(self._base_total, self.store.total_points, dtype=np.int64)
             store_section["extension_features"] = self.store.features_host(extension).tolist()
             store_section["extension_labels"] = self.store.labels_host(extension).tolist()
-        # While a proposal is open, the checkpoint must describe the
-        # *pre-proposal* round boundary (the RNG, strategy state and Fisher
-        # accumulator have already advanced past it inside propose()); the
-        # proposal itself is recorded as a marker, not as resumable state —
-        # resume() invalidates it and the caller re-proposes.
+        # An open proposal is written as the round state it was proposed
+        # from plus a marker, not as resumable state: resume() invalidates it
+        # and the caller re-proposes.
         pending = self._pending
-        if pending is not None:
-            boundary = pending["boundary"]
-            rng_state = copy.deepcopy(boundary["rng_state"])
-            strategy_state = boundary["strategy_state"]
-            frozen_probs, accumulator_state = boundary.get("fisher", (None, None))
-        else:
-            state_hook = getattr(self.strategy, "state_dict", None)
-            rng_state = self.rng.bit_generator.state
-            strategy_state = state_hook() if callable(state_hook) else {}
-            if self.config.incremental_fisher:
-                assert self._accumulator is not None and self._frozen_probs is not None
-                frozen_probs = self._frozen_probs
-                accumulator_state = self._accumulator.state_dict()
-            else:
-                frozen_probs, accumulator_state = None, None
-        fisher_section = None
-        if self.config.incremental_fisher:
-            fisher_section = {
-                "frozen_probs": np.asarray(frozen_probs, dtype=np.float64).tolist(),
-                "accumulator": accumulator_state,
-            }
+        round_state = RoundState.capture(self) if pending is None else pending["round_state"]
         payload = {
             "format_version": self.CHECKPOINT_FORMAT_VERSION,
             "round_index": int(self.round_index),
             "budget_per_round": int(self.budget_per_round),
             "planned_rounds": self.planned_rounds,
             "initial_recorded": bool(self._initial_recorded),
-            "rng_state": rng_state,
             "result": self.result.to_dict(),
             "config": self._config_fingerprint(),
             "store": store_section,
-            "fisher": fisher_section,
-            "strategy": {
-                "name": self.strategy.name,
-                "state": strategy_state,
-            },
+            **round_state.to_json(),
         }
+        payload["strategy"]["name"] = self.strategy.name
         if pending is not None:
             proposal: QueryProposal = pending["proposal"]
             payload["pending_proposal"] = {
@@ -1219,23 +1239,19 @@ class ActiveSession:
         """Write the full mid-run session state to ``path`` atomically.
 
         The checkpoint captures everything :meth:`resume` needs to continue
-        the run **bit-identically**: the round index, the RNG bit-generator
-        state, the accuracy curve so far, the labeled-id acquisition history
-        (plus any streamed pool extension rows), the incremental-Fisher
-        accumulator and frozen probabilities, and the strategy's own
-        selection-affecting state (``SelectionStrategy.state_dict``).  Floats
-        survive the JSON round trip exactly (``repr`` shortest round-trip),
-        and the write goes through a temp file + ``os.replace``, so a crash
-        mid-write leaves the previous checkpoint intact rather than a
-        truncated file.
+        the run **bit-identically**: the round index, the accuracy curve so
+        far, the labeled-id acquisition history (plus any streamed pool
+        extension rows) and the :class:`RoundState`.  Floats survive the
+        JSON round trip exactly (``repr`` shortest round-trip), and the write
+        goes through a temp file + ``os.replace``, so a crash mid-write
+        leaves the previous checkpoint intact rather than a truncated file.
 
         Checkpointing **while a proposal is pending** is allowed: the
-        payload then describes the pre-proposal round boundary plus a
+        payload then carries the proposal's round state plus a
         ``pending_proposal`` marker, which :meth:`resume` surfaces as
-        :attr:`invalidated_proposal` (see the module docstring's half-round
-        protocol section).  Composed as :meth:`checkpoint_payload` (capture)
-        + :meth:`write_checkpoint` (I/O) so callers with latency budgets can
-        run the two halves on different threads.
+        :attr:`invalidated_proposal`.  Composed as :meth:`checkpoint_payload`
+        (capture) + :meth:`write_checkpoint` (I/O) so callers with latency
+        budgets can run the two halves on different threads.
         """
 
         target = path if path is not None else self.config.checkpoint_path
@@ -1314,21 +1330,6 @@ class ActiveSession:
         session.round_index = int(payload["round_index"])
         session._initial_recorded = bool(payload["initial_recorded"])
         session.result = ExperimentResult.from_dict(payload["result"])
-        rng_state = payload["rng_state"]
-        bit_generator = getattr(np.random, rng_state["bit_generator"])()
-        bit_generator.state = rng_state
-        session.rng = np.random.Generator(bit_generator)
-        if session.config.incremental_fisher:
-            fisher_section = payload.get("fisher")
-            require(
-                fisher_section is not None,
-                "checkpoint carries no Fisher state but incremental_fisher is enabled",
-            )
-            assert session._accumulator is not None
-            session._frozen_probs = np.asarray(
-                fisher_section["frozen_probs"], dtype=np.float64
-            )
-            session._accumulator.load_state_dict(fisher_section["accumulator"])
         session._fit()
         strategy_section = payload.get("strategy", {})
         require(
@@ -1336,13 +1337,11 @@ class ActiveSession:
             f"checkpoint was written by strategy {strategy_section.get('name')!r}, "
             f"but this session runs {session.strategy.name!r}",
         )
-        load_hook = getattr(session.strategy, "load_state_dict", None)
-        if callable(load_hook):
-            load_hook(strategy_section.get("state", {}))
+        RoundState.from_json(payload).restore(session)
         pending_section = payload.get("pending_proposal")
         if pending_section is not None:
             # The checkpoint was taken mid-proposal.  The checkpointed state
-            # is the pre-proposal boundary, so the proposal is *invalidated*
+            # is the proposal's round state, so the proposal is *invalidated*
             # — surfaced here, never silently dropped — and the caller
             # re-proposes: bit-identical to the original when the pool is
             # unchanged, legitimately different after extend_pool.

@@ -27,7 +27,7 @@ import pytest
 
 from repro.backend import get_backend, round_robin_device_map, use_backend
 from repro.backend.torch_backend import torch_available
-from repro.baselines.base import FIRALStrategy, SelectionContext
+from repro.baselines.base import FIRALStrategy, SelectionContext, SessionInfo
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
 from repro.engine import ActiveSession, SessionConfig
@@ -234,8 +234,12 @@ class TestShardDevicePlumbing:
             ApproxFIRAL(
                 RelaxConfig(max_iterations=2, track_objective="none", seed=0),
                 RoundConfig(eta=1.0),
-            ),
-            parallel_ranks=2,
+            )
+        )
+        strategy.begin_session(
+            SessionInfo(
+                num_classes=2, dimension=3, budget_per_round=2, pool_size=8, parallel_ranks=2
+            )
         )
         rng = np.random.default_rng(0)
         n = 8

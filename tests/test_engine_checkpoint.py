@@ -9,8 +9,14 @@ The acceptance pins of the fault-tolerance layer:
   ``on_rank_failure="repartition_retry"`` selects the same points as a clean
   serial session, on both transports;
 * corrupt or truncated checkpoints fail loudly instead of resuming from
-  garbage.
+  garbage;
+* a checkpoint written by the pre-``RoundState`` writer (committed under
+  ``tests/data/``) still resumes bit-identically, and today's writer emits
+  the same layout.
 """
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -185,6 +191,101 @@ class TestCheckpointValidation:
         ckpt.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format version"):
             ActiveSession.resume(ckpt, problem, STRATEGY_FACTORIES["random"]())
+
+
+#: Written by the checkpoint code as it stood before ``RoundState``
+#: (format version 1) with :func:`_drive_to_fixture_point`, then
+#: ``session.checkpoint(FIXTURE)``.
+FIXTURE = pathlib.Path(__file__).parent / "data" / "checkpoint_v1_pending.json"
+
+
+def _fixture_strategy():
+    return FIRALStrategy(
+        ApproxFIRAL(RelaxConfig(max_iterations=6, seed=0), RoundConfig(eta_grid=(0.5, 1.0, 2.0)))
+    )
+
+
+def _fixture_session(problem):
+    """Warm start, η reuse, incremental Fisher and a streaming store: every
+    checkpoint section is non-trivial."""
+
+    return ActiveSession(
+        problem,
+        _fixture_strategy(),
+        budget_per_round=4,
+        num_rounds=5,
+        seed=7,
+        config=_fixture_config(),
+    )
+
+
+def _fixture_config():
+    return SessionConfig(
+        store=StreamingPointStore.from_problem,
+        incremental_fisher=True,
+        relax_warm_start=True,
+        reuse_eta=True,
+    )
+
+
+def _drive_to_fixture_point(session, problem):
+    """Two rounds, a pool extension, then a proposal left open."""
+
+    session.run(2)
+    extra = np.random.default_rng(11)
+    session.extend_pool(
+        extra.standard_normal((6, problem.dimension)),
+        extra.integers(0, problem.num_classes, size=6),
+    )
+    return session.propose()
+
+
+def _layout(value):
+    """The key structure of a JSON payload, with leaves reduced to their type."""
+
+    if isinstance(value, dict):
+        return {key: _layout(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_layout(value[0])] if value else []
+    return type(value).__name__
+
+
+class TestCheckpointCompatibility:
+    def test_old_checkpoint_resumes_bit_identically(self, problem):
+        # Every section the round state writes is non-trivial in the fixture.
+        payload = json.loads(FIXTURE.read_text())
+        assert payload["format_version"] == ActiveSession.CHECKPOINT_FORMAT_VERSION == 1
+        assert {"previous_ids", "previous_weights", "previous_eta"} <= set(
+            payload["strategy"]["state"]
+        )
+        assert payload["fisher"]["accumulator"]["num_points"] > 0
+        assert len(payload["store"]["extension_labels"]) == 6
+        assert payload["pending_proposal"]["round_index"] == 2
+
+        reference = _fixture_session(problem)
+        pending = _drive_to_fixture_point(reference, problem)
+        reference.observe()
+        reference.run(2, record_initial=False)
+
+        resumed = ActiveSession.resume(
+            FIXTURE, problem, _fixture_strategy(), config=_fixture_config()
+        )
+        np.testing.assert_array_equal(
+            resumed.invalidated_proposal["global_ids"], pending.global_ids
+        )
+        replayed = resumed.propose()
+        np.testing.assert_array_equal(replayed.global_ids, pending.global_ids)
+        resumed.observe()
+        resumed.run(2, record_initial=False)
+
+        _assert_curves_identical(reference.result, resumed.result)
+        np.testing.assert_array_equal(reference.store.labeled_ids, resumed.store.labeled_ids)
+
+    def test_writer_keeps_the_layout(self, problem):
+        session = _fixture_session(problem)
+        _drive_to_fixture_point(session, problem)
+        written = json.loads(json.dumps(session.checkpoint_payload()))
+        assert _layout(written) == _layout(json.loads(FIXTURE.read_text()))
 
 
 def _parallel_firal():

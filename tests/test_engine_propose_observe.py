@@ -17,6 +17,8 @@ service can hold a proposal open while a remote labeler works.  The pins:
 * ``invalidate_proposal()`` rolls the RNG stream, strategy state and Fisher
   accumulator back to the pre-proposal boundary, so the replayed proposal is
   bit-identical — never a double draw, never a silent drop;
+* a ``propose()`` that raises leaves the session at the round boundary, so
+  a retry — synchronous or eager — selects what a clean session selects;
 * a checkpoint written **mid-proposal** resumes at the boundary with the
   pending proposal surfaced via ``ActiveSession.invalidated_proposal``; the
   replayed round and everything after it match the uninterrupted run, and
@@ -27,11 +29,13 @@ service can hold a proposal open while a remote labeler works.  The pins:
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.engine import ActiveSession, QueryProposal, SessionConfig
+from repro.baselines.entropy import EntropyStrategy
+from repro.engine import ActiveSession, QueryProposal, SessionConfig, make_prefilter
 from repro.engine.stores import ShardedPointStore, StreamingPointStore
 
 from test_engine_session import (
@@ -259,6 +263,53 @@ class TestInvalidateProposal:
         interrupted.step()
 
         _assert_curves_identical(reference.result, interrupted.result)
+
+
+class _FailingFirstSelect(EntropyStrategy):
+    """Entropy selection whose first ``select`` raises — a transient fault."""
+
+    def __init__(self, fail: bool = True):
+        self.fail = fail
+
+    def select(self, context):
+        if self.fail:
+            self.fail = False
+            raise RuntimeError("transient selection failure")
+        return super().select(context)
+
+
+class TestFailedPropose:
+    @pytest.mark.parametrize("mode", ["sync", "eager"])
+    def test_retry_selects_what_a_clean_session_selects(self, problem, mode):
+        """The random prefilter draws from the session RNG before the
+        strategy fails; the failed ``propose()`` must give those draws back,
+        or the retry filters (and selects) from a different candidate set."""
+
+        def session(strategy):
+            return ActiveSession(
+                problem,
+                strategy,
+                budget_per_round=4,
+                num_rounds=3,
+                seed=7,
+                config=SessionConfig(prefilter=make_prefilter("random", 0.5)),
+            )
+
+        clean = session(_FailingFirstSelect(fail=False))
+        expected = clean.propose().global_ids
+
+        failing = session(_FailingFirstSelect())
+        if mode == "sync":
+            with pytest.raises(RuntimeError, match="transient selection failure"):
+                failing.propose()
+            retried = failing.propose()
+        else:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                assert failing.prefetch_proposal(pool)
+                # The background job fails; the adopting propose() recomputes.
+                retried = failing.propose()
+            assert not failing.last_propose_prefetched
+        np.testing.assert_array_equal(retried.global_ids, expected)
 
 
 # --------------------------------------------------------------------- #

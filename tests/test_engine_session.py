@@ -382,27 +382,20 @@ class TestRelaxWarmStart:
         """Under the id-less legacy context the strategy must not warm-start."""
 
         strategy = FIRALStrategy(
-            ApproxFIRAL(RelaxConfig(max_iterations=6, seed=0), RoundConfig(eta=1.0)),
-            warm_start=True,
+            ApproxFIRAL(RelaxConfig(max_iterations=6, seed=0), RoundConfig(eta=1.0))
+        )
+        strategy.begin_session(
+            SessionInfo(
+                num_classes=problem.num_classes,
+                dimension=problem.dimension,
+                budget_per_round=4,
+                pool_size=problem.pool_size,
+                relax_warm_start=True,
+            )
         )
         legacy_result, _ = _legacy_run(problem, strategy, num_rounds=2, budget_per_round=4, seed=0)
         assert strategy._previous is None  # never armed without ids
         assert len(legacy_result.records) == 3
-
-    def test_explicit_flag_overrides_session(self, problem):
-        strategy = FIRALStrategy(
-            ApproxFIRAL(RelaxConfig(max_iterations=6, seed=0), RoundConfig(eta=1.0)),
-            warm_start=False,
-        )
-        ActiveSession(
-            problem,
-            strategy,
-            budget_per_round=4,
-            num_rounds=2,
-            seed=0,
-            config=SessionConfig(relax_warm_start=True),
-        ).run(2)
-        assert not strategy._warm_start_active
 
 
 class TestEtaReuse:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.backend import get_backend
-from repro.baselines.base import FIRALStrategy, SelectionContext, SelectionStrategy
+from repro.baselines.base import FIRALStrategy, SelectionContext, SelectionStrategy, SessionInfo
 from repro.baselines.random_sampling import RandomStrategy
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.eta_selection import select_eta
@@ -256,8 +256,16 @@ class TestShardedPointStore:
             ApproxFIRAL(
                 RelaxConfig(max_iterations=2, track_objective="none", seed=0),
                 RoundConfig(eta=1.0),
-            ),
-            parallel_ranks=2,
+            )
+        )
+        strategy.begin_session(
+            SessionInfo(
+                num_classes=problem.num_classes,
+                dimension=problem.dimension,
+                budget_per_round=2,
+                pool_size=8,
+                parallel_ranks=2,
+            )
         )
         rng = np.random.default_rng(0)
         n = 8
@@ -428,8 +436,12 @@ class TestStreamingPointStore:
         """FIRAL's previous-z* restriction bails out when the pool gained ids."""
 
         strategy = FIRALStrategy(
-            ApproxFIRAL(RelaxConfig(max_iterations=2, seed=0), RoundConfig(eta=1.0)),
-            warm_start=True,
+            ApproxFIRAL(RelaxConfig(max_iterations=2, seed=0), RoundConfig(eta=1.0))
+        )
+        strategy.begin_session(
+            SessionInfo(
+                num_classes=3, dimension=3, budget_per_round=1, pool_size=4, relax_warm_start=True
+            )
         )
         prev_ids = np.array([3, 4, 5, 6], dtype=np.int64)
         strategy._previous = (prev_ids, np.full(4, 0.25))
