@@ -14,8 +14,8 @@ FIRAL rounds and measure what each round costs under
   round's winning η (one ROUND solve per round after the first).
 
 ``relax_warm_start`` and ``incremental_fisher`` were measured too and stay
-out of ``fast()`` — see ``SessionConfig.fast`` for the measured reasons (the
-``cg_warm_start`` precedent: documented either way, default off).  Because
+out of ``fast()`` — see ``SessionConfig.fast`` for the measured reasons
+(documented either way, default off).  Because
 the end-to-end shape is CG-dominated with a small labeled set, the payload
 additionally carries a ``fisher_maintenance`` series that isolates the
 incremental accumulator's own per-round cost against the from-scratch
@@ -48,8 +48,7 @@ The payload records per-round ``setup_seconds`` / ``selection_seconds``
 (see :class:`repro.active.results.RoundRecord`), the accuracy curve and the
 selected global ids, so a diff shows not just *how fast* but also how much
 the opt-in approximations (documented in ``repro.engine.session``) moved the
-selections — the ``cg_warm_start`` precedent of reporting the measurement
-either way.  ``--tiny`` switches to a seconds-scale shape for CI smoke runs.
+selections.  ``--tiny`` switches to a seconds-scale shape for CI smoke runs.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def make_strategy(relax_iterations: int = 20) -> FIRALStrategy:
 
     return FIRALStrategy(
         ApproxFIRAL(
-            RelaxConfig(max_iterations=relax_iterations, seed=0, reuse_buffers=True),
+            RelaxConfig(max_iterations=relax_iterations, seed=0),
             RoundConfig(),
         )
     )

@@ -62,7 +62,7 @@ def make_strategy() -> FIRALStrategy:
     # schedule, so clean and recovered runs select identical points.
     return FIRALStrategy(
         ApproxFIRAL(
-            RelaxConfig(max_iterations=20, seed=0, reuse_buffers=True, track_objective="none"),
+            RelaxConfig(max_iterations=20, seed=0, track_objective="none"),
             RoundConfig(),
         )
     )

@@ -2,8 +2,8 @@
 
 The ISSUE-9 acceptance benchmark.  ``repro.serve`` puts the session engine
 behind an asyncio service — per-session locks, a bounded worker pool for the
-CPU-heavy η-search/ROUND halves, admission control, request batching — and
-this benchmark measures what that costs and buys under load:
+CPU-heavy η-search/ROUND halves, admission control — and this benchmark
+measures what that costs and buys under load:
 
 * **per-level load test** — at each concurrency level (1 / 8 / 32 tenant
   sessions by default) every tenant runs its full lifecycle (open, then
@@ -15,8 +15,8 @@ this benchmark measures what that costs and buys under load:
   the same session driven without the service (also recorded, as
   ``direct_baseline``), so the async/locking/executor tax is a number, not a
   guess;
-* the ``stats`` counters (batches, admission rejections, checkpoints,
-  eager scheduling/hits) are carried so a payload documents *how* the
+* the ``stats`` counters (admission rejections, checkpoints, eager
+  scheduling/hits) are carried so a payload documents *how* the
   service ran, not just how fast;
 * **labeler think-time** (``--think-time``, PR 10) — each tenant idles that
   long before requesting the next proposal, modeling the post-commit gap
@@ -27,9 +27,6 @@ this benchmark measures what that costs and buys under load:
   think-time × {sync, eager} and writes the eager-vs-sync frontier payload
   (``BENCH_serving_pipeline.json``).  Every level also records the
   queue depth sampled at each propose dispatch (``manager.inflight``).
-
-The batching window is a knob (``--batch-window``): CI runs the tiny shape
-with and without it and lands the ``compare.py`` table in the step summary.
 
 Run as a script:
 
@@ -70,7 +67,7 @@ TINY_LEVELS = (1, 4)
 def make_strategy() -> FIRALStrategy:
     return FIRALStrategy(
         ApproxFIRAL(
-            RelaxConfig(max_iterations=10, seed=0, reuse_buffers=True), RoundConfig()
+            RelaxConfig(max_iterations=10, seed=0), RoundConfig()
         )
     )
 
@@ -190,16 +187,11 @@ def run(
     levels,
     *,
     workers: int,
-    batch_window: float,
     think_time: float = 0.0,
     pipeline: str = "sync",
 ) -> dict:
     problem = build_problem(shape["dataset"], scale=shape["scale"], seed=0)
-    serve_config = ServeConfig(
-        max_sessions=max(levels) + 1,
-        max_workers=workers,
-        batch_window_seconds=batch_window,
-    )
+    serve_config = ServeConfig(max_sessions=max(levels) + 1, max_workers=workers)
     direct = run_direct_baseline(problem, shape)
     level_results = [
         asyncio.run(
@@ -219,7 +211,6 @@ def run(
         "shape": dict(shape),
         "pool_size": problem.pool_size,
         "workers": workers,
-        "batch_window_seconds": batch_window,
         "think_time_seconds": float(think_time),
         "pipeline": pipeline,
         "direct_baseline": direct,
@@ -327,12 +318,6 @@ def main() -> None:
     parser.add_argument("--label", default=None, help="suffix for the BENCH json filename")
     parser.add_argument("--workers", type=int, default=4, help="worker-pool size")
     parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        help="request-batching window in seconds (0 dispatches immediately)",
-    )
-    parser.add_argument(
         "--levels",
         type=int,
         nargs="+",
@@ -376,7 +361,6 @@ def main() -> None:
             shape,
             levels,
             workers=args.workers,
-            batch_window=args.batch_window,
             think_time=args.think_time,
             pipeline=args.pipeline,
         )

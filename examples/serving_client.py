@@ -112,7 +112,6 @@ async def main() -> None:
     config = ServeConfig(
         max_sessions=8,
         max_workers=2,
-        batch_window_seconds=0.002,   # coalesce bursty dispatches
         checkpoint_dir=checkpoint_dir,
         restore_on_open=True,
     )

@@ -123,12 +123,6 @@ class ArrayBackend:
     #: NumPy-compatible namespace used by the algorithm layers.
     xp: Any = None
 
-    #: Whether :meth:`einsum` writes into its ``out=`` buffer.  Callers that
-    #: preallocate einsum result buffers (the Workspace reuse path) should
-    #: skip the allocation entirely when this is false — the backend would
-    #: ignore the buffer and the memory would sit dead.
-    supports_einsum_out: bool = True
-
     # ------------------------------------------------------------------ #
     # identity / dtypes
     # ------------------------------------------------------------------ #
@@ -299,16 +293,13 @@ class ArrayBackend:
     # ------------------------------------------------------------------ #
     # einsum (the workhorse contraction of §III-C)
     # ------------------------------------------------------------------ #
-    def einsum(self, subscripts: str, *operands, out: Optional[Array] = None,
-               optimize: bool = False) -> Array:
-        """Backend einsum with optional output buffer reuse.
+    def einsum(self, subscripts: str, *operands, optimize: bool = False) -> Array:
+        """Backend einsum.
 
         ``optimize`` mirrors ``numpy.einsum``'s contraction-path search and is
         forwarded verbatim on NumPy (contraction order affects floating-point
         rounding, so call sites choose it explicitly); other backends are free
-        to ignore it.  ``out``, when supported, avoids reallocating the result
-        each call — the Algorithm-2 inner loop reuses per-iteration buffers
-        through this hook.
+        to ignore it.
         """
 
         raise NotImplementedError
@@ -377,20 +368,16 @@ class ArrayBackend:
     # ------------------------------------------------------------------ #
     # RNG bridge (host-side draws for cross-backend determinism)
     # ------------------------------------------------------------------ #
-    def rademacher(self, shape, rng: np.random.Generator, dtype=None,
-                   out: Optional[Array] = None) -> Array:
-        """Draw ±1 Rademacher probes into a (possibly preallocated) array.
+    def rademacher(self, shape, rng: np.random.Generator, dtype=None) -> Array:
+        """Draw ±1 Rademacher probes.
 
         The integers are always drawn from the host generator so the probe
         sequence — and hence every Hutchinson estimate and FIRAL selection —
-        is identical across backends for a fixed seed.  When ``out`` is
-        given, the draw is written into it in place (the Algorithm-2 loop
-        reuses one probe buffer across mirror-descent iterations).
+        is identical across backends for a fixed seed.
         """
 
         draw = rng.integers(0, 2, size=shape)
-        if out is None:
-            out = self.empty(shape, dtype=COMPUTE_DTYPE if dtype is None else dtype)
+        out = self.empty(shape, dtype=COMPUTE_DTYPE if dtype is None else dtype)
         out[...] = self.from_host(draw)
         out *= 2
         out -= 1

@@ -8,8 +8,6 @@ pre-dispatch implementation to guarantee it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.backend.base import Array, ArrayBackend
@@ -57,9 +55,8 @@ class NumpyBackend(ArrayBackend):
         return int(np.asarray(a).nbytes)
 
     # ------------------------------------------------------------------ #
-    def einsum(self, subscripts: str, *operands, out: Optional[np.ndarray] = None,
-               optimize: bool = False) -> np.ndarray:
-        return np.einsum(subscripts, *operands, out=out, optimize=optimize)
+    def einsum(self, subscripts: str, *operands, optimize: bool = False) -> np.ndarray:
+        return np.einsum(subscripts, *operands, optimize=optimize)
 
     def eigh_generalized(self, a: Array, b: Array) -> np.ndarray:
         a64 = self.ascompute(a)

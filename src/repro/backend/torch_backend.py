@@ -304,8 +304,6 @@ class TorchBackend(ArrayBackend):
     """Array backend backed by PyTorch tensors on ``device``."""
 
     name = "torch"
-    # torch.einsum has no native out=; see ArrayBackend.supports_einsum_out.
-    supports_einsum_out = False
 
     def __init__(self, device: str = "cpu"):
         torch = _require_torch()
@@ -396,11 +394,7 @@ class TorchBackend(ArrayBackend):
         return int(t.numel() * t.element_size())
 
     # ------------------------------------------------------------------ #
-    def einsum(self, subscripts: str, *operands, out: Optional[Array] = None,
-               optimize: bool = False) -> Array:
-        # torch chooses its own contraction path, and torch.einsum has no
-        # native out=; copying into the buffer would only add work, so the
-        # buffer is ignored (the ArrayBackend.einsum contract allows this —
-        # call sites consume the return value, never the buffer).
-        del optimize, out
+    def einsum(self, subscripts: str, *operands, optimize: bool = False) -> Array:
+        # torch chooses its own contraction path.
+        del optimize
         return self.xp.einsum(subscripts, *operands)

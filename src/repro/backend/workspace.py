@@ -1,18 +1,17 @@
 """Reusable scratch buffers for the iterative hot loops.
 
-The inner loop of Algorithm 2 evaluates the same einsum contractions with
-the same shapes every mirror-descent iteration (probes ``(dc, s)``, the
-``(n, c, s)`` projection tensor of Lemma 2, the CG residual block).  A
-:class:`Workspace` hands out named, shape/dtype-keyed buffers allocated once
-through the active backend and reused across iterations, so the loop stops
-paying an allocator round-trip per einsum — the CPU analogue of the
+The ROUND step (Algorithm 3) evaluates the same contractions with the same
+shapes at every greedy step and every η grid trial (the candidate scores,
+the fused Proposition-4 intermediates, the ``(c, d, d)`` block accumulators).
+A :class:`Workspace` hands out named, shape/dtype-keyed buffers allocated
+once through the active backend and reused across steps, so the loop stops
+paying an allocator round-trip per contraction — the CPU analogue of the
 memory-pool reuse CuPy performs on the GPU.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.backend.base import Array, ArrayBackend
 
@@ -27,33 +26,17 @@ class Workspace:
     """Named scratch-buffer pool bound to one backend.
 
     ``get(name, shape, dtype)`` returns the same buffer object for the same
-    key, allocating on first use.  Shapes are part of the key, so a workspace
-    shared between the pool-sized and labeled-sized matvecs of
-    :class:`~repro.fisher.operators.FisherDataset` keeps the two buffers
-    apart.  Buffer contents are *not* zeroed on reuse — callers own the
+    key, allocating on first use.  Shapes are part of the key, so buffers of
+    different sizes requested under one name never alias.  Buffer contents
+    are *not* zeroed on reuse unless asked (``zero=True``) — callers own the
     overwrite (every use in the library writes via ``out=`` or full-slice
-    assignment).
-
-    **Thread affinity.**  A workspace has none: buffers are plain backend
-    arrays, so a solve may legally run on a different thread each round
-    (the eager-proposal pipeline computes selections on executor threads).
-    What a workspace must never see is two solves *concurrently* — buffer
-    contents are per-solve scratch, and interleaved writers would silently
-    corrupt each other.  The ownership rule is one workspace per strategy
-    instance per session (never shared across sessions), and
-    :meth:`check_out` / :meth:`check_in` turn a violation into a loud
-    ``RuntimeError`` instead of wrong numerics: solvers check the workspace
-    out for the duration of a solve, and a second concurrent check-out —
-    e.g. a strategy instance erroneously shared by two served sessions
-    whose eager proposals overlap — fails immediately.
+    assignment).  A workspace holds per-solve scratch, so it must never be
+    shared by two solves running concurrently.
     """
 
     def __init__(self, backend: ArrayBackend):
         self.backend = backend
         self._buffers: Dict[Tuple[str, Tuple[int, ...], str], Array] = {}
-        self._touched: set = set()
-        self._guard = threading.Lock()
-        self._owner: Optional[str] = None
 
     def get(self, name: str, shape, dtype, *, zero: bool = False) -> Array:
         """Return the (possibly newly allocated) buffer for ``name``/``shape``.
@@ -69,57 +52,12 @@ class Workspace:
         if buf is None:
             buf = self.backend.empty(key[1], dtype=dtype)
             self._buffers[key] = buf
-        self._touched.add(key)
         if zero:
             buf[...] = 0
         return buf
-
-    def check_out(self, owner: str = "solver") -> "Workspace":
-        """Claim exclusive use of the scratch pool for one solve.
-
-        Raises ``RuntimeError`` if another solve currently holds the
-        workspace — the sharing bug this guard exists to catch (see the
-        class docstring).  Returns ``self`` so call sites can chain.
-        """
-
-        if not self._guard.acquire(blocking=False):
-            raise RuntimeError(
-                f"Workspace is already checked out by {self._owner!r}: scratch "
-                "buffers must never be shared by concurrent solves — use one "
-                "workspace (one strategy instance) per session"
-            )
-        self._owner = owner
-        return self
-
-    def check_in(self) -> None:
-        """Release the claim taken by :meth:`check_out`."""
-
-        if self._owner is None:
-            return
-        self._owner = None
-        self._guard.release()
-
-    def prune(self) -> int:
-        """Drop buffers not requested since the previous :meth:`prune`.
-
-        A workspace held across active-learning rounds sees the pool-sized
-        buffer shapes shrink as points are labeled; each new pool size mints
-        new ``(name, shape)`` keys while the previous round's buffers go
-        dead.  Calling ``prune()`` once per round keeps only the keys the
-        round actually used (the shape-stable probe/CG buffers survive,
-        stale pool-sized ones are released).  Returns how many buffers were
-        dropped.
-        """
-
-        stale = [key for key in self._buffers if key not in self._touched]
-        for key in stale:
-            del self._buffers[key]
-        self._touched = set()
-        return len(stale)
 
     def __len__(self) -> int:
         return len(self._buffers)
 
     def clear(self) -> None:
         self._buffers.clear()
-        self._touched = set()

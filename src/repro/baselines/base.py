@@ -420,9 +420,8 @@ class FIRALStrategy(SelectionStrategy):
 
     * **RELAX warm start** (``SessionInfo.relax_warm_start``): each round's
       mirror descent is initialized from the previous round's relaxed
-      weights ``z*`` restricted to the surviving pool points — the
-      cross-round analogue of ``RelaxConfig.cg_warm_start``, and like it
-      opt-in with the measurement documented either way (see
+      weights ``z*`` restricted to the surviving pool points — opt-in, with
+      the measurement documented either way (see
       ``benchmarks/bench_active_rounds.py``).  It requires stable ids
       (``SelectionContext.pool_ids``), so it stays cold without them.
     * **η reuse** (``SessionInfo.reuse_eta``): the § IV-A grid search

@@ -15,27 +15,14 @@ The per-iteration cost is ``O(n c d (d + n_CG s) / p + c d^3)`` (Table IV);
 the timing breakdown records the same components plotted in Fig. 5(A)/(B) and
 Fig. 6.
 
-All array math dispatches through the active backend.  With
-``RelaxConfig.reuse_buffers`` one :class:`~repro.backend.Workspace` is shared
-across iterations: the probe buffer and every Lemma-2 einsum intermediate
-have iteration-independent shapes, so the inner loop reuses them instead of
-reallocating per iteration (results equal up to fp reduction order; see the
-config docstring).
-
-Two amortizations across mirror-descent iterations (both configurable, see
-:class:`~repro.core.config.RelaxConfig`): the block-diagonal preconditioner
-can be refreshed only every ``precond_refresh_every`` iterations instead of
-reassembled + inverted per iteration (stale factors only slow CG, never move
-its fixed point), and the Line-6/8 CG solves can warm-start from the previous
-iteration's solutions (opt-in — fresh per-iteration probes make consecutive
-right-hand sides uncorrelated, see the config docstring).
+All array math dispatches through the active backend.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import COMPUTE_DTYPE, Workspace, get_backend
+from repro.backend import COMPUTE_DTYPE, Array, get_backend
 from repro.core.config import RelaxConfig
 from repro.core.result import RelaxResult
 from repro.core.warm_start import initial_simplex_iterate
@@ -56,7 +43,6 @@ def approx_relax(
     config: Optional[RelaxConfig] = None,
     *,
     initial_weights: Optional[Array] = None,
-    workspace: Optional[Workspace] = None,
 ) -> RelaxResult:
     """Run the fast RELAX solver and return the relaxed weights ``z*``.
 
@@ -79,15 +65,7 @@ def approx_relax(
         stationary points, but with a finite iteration budget /
         objective-change stopping rule the iterate path (and hence the
         returned ``z*``) differs from a cold start — which is why the session
-        engine keeps it opt-in (``SessionConfig.relax_warm_start``),
-        mirroring the ``cg_warm_start`` precedent.
-    workspace:
-        Optional externally owned scratch-buffer pool.  When the caller runs
-        many solves (one per active-learning round), passing the same
-        workspace lets shape-stable buffers (probes, einsum intermediates)
-        survive across rounds instead of being reallocated per solve.  Only
-        consulted when ``config.reuse_buffers`` is enabled; when omitted, a
-        per-solve workspace is created as before.
+        engine keeps it opt-in (``SessionConfig.relax_warm_start``).
     """
 
     require(budget > 0, "budget must be positive")
@@ -98,11 +76,6 @@ def approx_relax(
     n = dataset.num_pool
     dc = dataset.joint_dimension
     timings = TimingBreakdown()
-    # Optional preallocated scratch buffers (see RelaxConfig.reuse_buffers).
-    if cfg.reuse_buffers:
-        workspace = workspace if workspace is not None else Workspace(backend)
-    else:
-        workspace = None
 
     z = initial_simplex_iterate(n, initial_weights)
     objective_trace = []
@@ -111,52 +84,24 @@ def approx_relax(
     total_cg_iterations = 0
     converged = False
 
-    # Warm-start state: previous iteration's CG solutions (Lines 6 and 8) and
-    # the preconditioner reused between refreshes.
-    prev_first_solution = None
-    prev_second_solution = None
-    preconditioner = None
-
     iterations = 0
     for t in range(1, cfg.max_iterations + 1):
         iterations = t
-        # Line 4: fresh Rademacher probes each iteration, drawn into the
-        # iteration-invariant workspace buffer.
+        # Line 4: fresh Rademacher probes each iteration.
         with timings.region("other"):
-            probes = backend.rademacher(
-                (dc, cfg.num_probes),
-                rng=rng,
-                dtype=COMPUTE_DTYPE,
-                out=(
-                    workspace.get("probes", (dc, cfg.num_probes), COMPUTE_DTYPE)
-                    if workspace is not None
-                    else None
-                ),
-            )
+            probes = backend.rademacher((dc, cfg.num_probes), rng=rng, dtype=COMPUTE_DTYPE)
 
-        # Line 5: block-diagonal preconditioner for the current Sigma_z,
-        # refreshed every `precond_refresh_every` iterations (stale factors
-        # only affect CG convergence speed, never the solve's fixed point).
-        refresh = preconditioner is None or (t - 1) % cfg.precond_refresh_every == 0
+        # Line 5: block-diagonal preconditioner for the current Sigma_z.
         with timings.region("setup_preconditioner"):
-            operator = SigmaOperator(
-                dataset,
-                budget * z,
-                regularization=cfg.regularization,
-                build_preconditioner=refresh,
-                workspace=workspace,
-            )
-            if refresh:
-                preconditioner = operator.block_diagonal_inverse
+            operator = SigmaOperator(dataset, budget * z, regularization=cfg.regularization)
 
-        # Lines 6-8: W = Sigma^{-1} H_p Sigma^{-1} V via two PCG solves,
-        # warm-started from the previous iteration's solutions.
+        # Lines 6-8: W = Sigma^{-1} H_p Sigma^{-1} V via two PCG solves, each
+        # started from zero.
         with timings.region("cg"):
             first_solve = conjugate_gradient(
                 operator.matvec,
                 probes,
-                preconditioner=preconditioner.matvec,
-                x0=prev_first_solution if cfg.cg_warm_start else None,
+                preconditioner=operator.block_diagonal_inverse.matvec,
                 rtol=cfg.cg_tolerance,
                 max_iterations=cfg.cg_max_iterations,
                 record_history=(t == 1),
@@ -165,24 +110,18 @@ def approx_relax(
             if t == 1:
                 first_cg_history = list(first_solve.residual_history)
         with timings.region("other"):
-            pool_applied = dataset.pool_hessian_matvec(
-                first_solve.solution, workspace=workspace, tag="pool_apply"
-            )
+            pool_applied = dataset.pool_hessian_matvec(first_solve.solution)
         with timings.region("cg"):
             second_solve = conjugate_gradient(
                 operator.matvec,
                 pool_applied,
-                preconditioner=preconditioner.matvec,
-                x0=prev_second_solution if cfg.cg_warm_start else None,
+                preconditioner=operator.block_diagonal_inverse.matvec,
                 rtol=cfg.cg_tolerance,
                 max_iterations=cfg.cg_max_iterations,
                 record_history=False,
             )
             total_cg_iterations += second_solve.iterations
             cg_iteration_history.append(first_solve.iterations + second_solve.iterations)
-            if cfg.cg_warm_start:
-                prev_first_solution = first_solve.solution
-                prev_second_solution = second_solve.solution
 
         # Line 9: gradient estimate for every pool point.
         with timings.region("gradient"):
@@ -191,7 +130,6 @@ def approx_relax(
                 dataset.pool_probabilities,
                 probes,
                 second_solve.solution,
-                workspace=workspace,
             )
 
         # Lines 10-11: exponentiated-gradient update on the simplex.

@@ -54,34 +54,6 @@ class RelaxConfig:
         the labeled set is tiny (the first rounds have one point per class).
     seed:
         RNG seed for the Rademacher probes.
-    cg_warm_start:
-        Warm-start the Line-6 and Line-8 CG solves from the previous
-        mirror-descent iteration's solutions.  Off by default: Line 4 draws
-        *fresh* Rademacher probes every iteration, so consecutive right-hand
-        sides are uncorrelated and the previous solution inflates the initial
-        residual by ~sqrt(2) instead of shrinking it (measured: ~10–35% more
-        CG iterations at the reference shapes).  The knob exists for solve
-        sequences whose right-hand sides *are* correlated across iterations
-        (frozen probes, externally supplied RHS); results always satisfy the
-        same residual tolerance either way.
-    precond_refresh_every:
-        Rebuild the block-diagonal preconditioner ``B(Sigma_z)^{-1}`` only
-        every ``k`` mirror-descent iterations, reusing the previous factor in
-        between.  The preconditioner only steers CG convergence — the fixed
-        point of the solves is unchanged — so a slightly stale preconditioner
-        trades a few extra CG iterations for skipping the ``O(n c d^2)``
-        assembly + ``O(c d^3)`` inversion.  The default ``1`` (refresh every
-        iteration) preserves bit-identical results.
-    reuse_buffers:
-        When true, the Algorithm-2 inner loop draws probes into and runs its
-        Lemma-2 einsums through a preallocated
-        :class:`~repro.backend.Workspace`, eliminating the per-iteration
-        allocator churn (the CPU analogue of CuPy's memory-pool reuse).
-        Results are equal up to floating-point reduction order — reusing
-        buffers changes memory layout, which perturbs SIMD/BLAS summation at
-        the ULP level — so the default is off to keep runs bit-reproducible
-        against the allocation-free path (selections are unaffected either
-        way).
     """
 
     max_iterations: int = 100
@@ -95,13 +67,9 @@ class RelaxConfig:
     track_objective: str = "estimate"
     regularization: float = 1e-6
     seed: Optional[int] = 0
-    cg_warm_start: bool = False
-    precond_refresh_every: int = 1
-    reuse_buffers: bool = False
 
     def __post_init__(self) -> None:
         require(self.max_iterations > 0, "max_iterations must be positive")
-        require(self.precond_refresh_every >= 1, "precond_refresh_every must be at least 1")
         require(self.learning_rate > 0, "learning_rate must be positive")
         require(
             self.learning_rate_schedule in ("sqrt", "constant"),

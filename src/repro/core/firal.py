@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import Array, Workspace, get_backend
+from repro.backend import Array, get_backend
 from repro.core.approx_relax import approx_relax
 from repro.core.approx_round import approx_round
 from repro.core.config import RelaxConfig, RoundConfig
@@ -44,41 +44,13 @@ class _FIRALBase:
     ):
         self.relax_config = relax_config or RelaxConfig()
         self.round_config = round_config or RoundConfig()
-        # Cross-call scratch-buffer pool (only engaged with reuse_buffers):
-        # a selector reused across active-learning rounds keeps its
-        # shape-stable RELAX buffers alive instead of reallocating per round.
-        self._workspace: Optional[Workspace] = None
 
     def _relax(self, dataset: FisherDataset, budget: int, initial_weights: Optional[Array]):
-        """Run the bound RELAX solver, threading warm start / workspace."""
+        """Run the bound RELAX solver, threading the optional warm start."""
 
-        solver = type(self)._relax_solver
-        kwargs = {}
-        if initial_weights is not None:
-            kwargs["initial_weights"] = initial_weights
-        if solver is approx_relax:
-            workspace = None
-            if self.relax_config.reuse_buffers:
-                backend = get_backend()
-                if self._workspace is None or self._workspace.backend is not backend:
-                    self._workspace = Workspace(backend)
-                # Claim the scratch pool for the solve: proposals may compute
-                # on executor threads (the eager pipeline), and a selector
-                # erroneously shared by two concurrent sessions must fail
-                # loudly here rather than corrupt each other's buffers.
-                workspace = self._workspace.check_out(f"{self.name} RELAX")
-                kwargs["workspace"] = workspace
-            try:
-                result = solver(dataset, budget, self.relax_config, **kwargs)
-            finally:
-                if workspace is not None:
-                    workspace.check_in()
-            if self._workspace is not None:
-                # Pool-sized buffer shapes shrink as rounds label points;
-                # drop the stale shapes, keep what this round touched.
-                self._workspace.prune()
-            return result
-        return solver(dataset, budget, self.relax_config, **kwargs)
+        return type(self)._relax_solver(
+            dataset, budget, self.relax_config, initial_weights=initial_weights
+        )
 
     def _round(self, dataset: FisherDataset, weights: Array, budget: int, eta: float):
         """Run the bound ROUND solver at one fixed η (subclass hook)."""

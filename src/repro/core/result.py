@@ -34,9 +34,8 @@ class RelaxResult:
     cg_iterations:
         Total CG iterations summed over the solve (Approx only).
     cg_iteration_history:
-        CG iterations per mirror-descent iteration (both solves summed) —
-        with warm starts enabled this is the series that decays as the solve
-        sequence progresses (empty for the exact solver).
+        CG iterations per mirror-descent iteration (both solves summed;
+        empty for the exact solver).
     first_iteration_cg_history:
         Relative-residual trace of the first CG solve — the series shown in
         Fig. 1 (empty for the exact solver).

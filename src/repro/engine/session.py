@@ -107,8 +107,7 @@ is exact and later rounds drift as the classifier evolves.
 ``relax_warm_start`` moves the mirror-descent starting point, which under a
 finite iteration / objective-tolerance budget changes the iterate path.  All
 non-value-exact modes are off by default, with the measurement documented in
-``benchmarks/bench_active_rounds.py`` either way (the ``cg_warm_start``
-precedent).
+``benchmarks/bench_active_rounds.py`` either way.
 """
 
 from __future__ import annotations
@@ -258,8 +257,8 @@ class SessionConfig:
         keep-everything settings (``keep_ratio=1.0``) no draws are consumed
         and the session is bit-identical to an unfiltered one (test-pinned).
         Any ``keep_ratio < 1`` is an approximation — the frontier is measured
-        in ``benchmarks/bench_prefilter.py``, the ``cg_warm_start``
-        documentation precedent.  ``None`` (default) scores the whole pool.
+        in ``benchmarks/bench_prefilter.py``.  ``None`` (default) scores the
+        whole pool.
     on_rank_failure:
         What a multi-rank selection should do when a rank dies mid-round
         (a :class:`~repro.parallel.comm.CommError` escapes the launcher).
@@ -311,8 +310,8 @@ class SessionConfig:
         ``Sigma_z`` conditioning in some rounds; acquisition-time
         probabilities are diffuser than fresh ones, putting more
         off-block-diagonal mass in ``H_o`` than the block-diagonal
-        preconditioner can capture — both inflate CG iterations), exactly
-        like the PR 2 ``cg_warm_start`` precedent.  ``incremental_fisher``'s
+        preconditioner can capture — both inflate CG iterations).
+        ``incremental_fisher``'s
         payoff regime is large labeled sets, where the ``O(m c d^2)``
         reassembly it avoids dominates and per-round classifier drift is
         small; the benchmark's ``fisher_maintenance`` series measures that

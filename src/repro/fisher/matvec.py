@@ -11,20 +11,13 @@ computed in ``O(dc)`` time and ``O(c)`` extra storage per point instead of the
 two einsum contractions over the whole point set (Eq. 13), which is what the
 paper's CuPy implementation evaluates on the GPU.  All contractions route
 through the active array backend.
-
-The big per-call intermediates (the ``(n, c, s)`` projection tensor and the
-``(c, d, s)`` result) can be reused across calls by passing a
-:class:`~repro.backend.Workspace`: the inner loop of Algorithm 2 evaluates
-these kernels with identical shapes every mirror-descent iteration, and the
-workspace removes the per-iteration allocator churn.  ``tag`` namespaces the
-buffers so distinct call sites (labeled vs pool sums) never alias.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import Array, COMPUTE_DTYPE, Workspace, get_backend
+from repro.backend import Array, get_backend
 from repro.utils.validation import check_features, check_probabilities, require
 
 __all__ = [
@@ -69,15 +62,7 @@ def single_point_hessian_matvec(x: Array, h: Array, v: Array) -> Array:
     return out[:, 0] if single else out
 
 
-def hessian_sum_matvec(
-    X: Array,
-    H: Array,
-    V: Array,
-    weights: Optional[Array] = None,
-    *,
-    workspace: Optional[Workspace] = None,
-    tag: str = "hsm",
-) -> Array:
+def hessian_sum_matvec(X: Array, H: Array, V: Array, weights: Optional[Array] = None) -> Array:
     """Evaluate ``(sum_i w_i H_i) V`` matrix-free for one or more probes.
 
     Parameters
@@ -91,15 +76,6 @@ def hessian_sum_matvec(
     weights:
         Optional per-point weights ``w`` (e.g. the relaxed ``z``); ``None``
         means all ones (giving ``H_p V`` or ``H_o V``).
-    workspace:
-        Optional scratch-buffer pool; when given, the ``(n, c, s)``
-        projection tensor and the ``(c, d, s)`` result are written into
-        reused buffers instead of fresh allocations.  **The returned array
-        aliases workspace storage** and is only valid until the next call
-        with the same ``workspace`` and ``tag``.
-    tag:
-        Namespace for the workspace buffers (callers evaluating several
-        distinct sums per step pass distinct tags).
 
     Returns
     -------
@@ -115,21 +91,18 @@ def hessian_sum_matvec(
     n, d = int(X.shape[0]), int(X.shape[1])
     c = int(H.shape[1])
     Vr, single = _reshape_probe(V, d, c)
-    s = int(Vr.shape[2])
     v_dtype = backend.xp.asarray(V).dtype
 
     X64 = backend.ascompute(X)
     H64 = backend.ascompute(H)
     Vr = backend.ascompute(Vr)
 
-    use_ws = workspace is not None and backend.supports_einsum_out
-    t_out = workspace.get(f"{tag}.t", (n, c, s), COMPUTE_DTYPE) if use_ws else None
     # t[i, k, s] = x_i^T v_k^{(s)}
-    t = backend.einsum("id,kds->iks", X64, Vr, optimize=True, out=t_out)
+    t = backend.einsum("id,kds->iks", X64, Vr, optimize=True)
     # a[i, s] = x_i^T V^{(s)} h_i
     a = backend.einsum("iks,ik->is", t, H64, optimize=True)
     # gamma = (t - a) ⊙ h, computed in place on t (the projection tensor is
-    # not needed afterwards, so the workspace buffer doubles as gamma).
+    # not needed afterwards).
     gamma = t
     gamma -= a[:, None, :]
     gamma *= H64[:, :, None]
@@ -137,21 +110,12 @@ def hessian_sum_matvec(
         w = backend.ascompute(weights).ravel()
         require(tuple(w.shape) == (n,), "weights must have shape (n,)")
         gamma *= w[:, None, None]
-    out_buf = workspace.get(f"{tag}.out", (c, d, s), COMPUTE_DTYPE) if use_ws else None
-    out = backend.einsum("iks,id->kds", gamma, X64, optimize=True, out=out_buf)
+    out = backend.einsum("iks,id->kds", gamma, X64, optimize=True)
     out = backend.astype(out.reshape(d * c, -1), v_dtype)
     return out[:, 0] if single else out
 
 
-def probe_hessian_quadratic_forms(
-    X: Array,
-    H: Array,
-    V: Array,
-    W: Array,
-    *,
-    workspace: Optional[Workspace] = None,
-    tag: str = "phqf",
-) -> Array:
+def probe_hessian_quadratic_forms(X: Array, H: Array, V: Array, W: Array) -> Array:
     """Per-point quadratic forms ``v_j^T H_i w_j`` averaged over probes.
 
     Line 9 of Algorithm 2 estimates every gradient entry as
@@ -171,7 +135,7 @@ def probe_hessian_quadratic_forms(
     backend = get_backend()
     X = check_features(X)
     H = check_probabilities(H)
-    n, d = int(X.shape[0]), int(X.shape[1])
+    d = int(X.shape[1])
     c = int(H.shape[1])
     Vr, _ = _reshape_probe(V, d, c)
     Wr, _ = _reshape_probe(W, d, c)
@@ -180,11 +144,8 @@ def probe_hessian_quadratic_forms(
 
     X64 = backend.ascompute(X)
     H64 = backend.ascompute(H)
-    use_ws = workspace is not None and backend.supports_einsum_out
-    tv_out = workspace.get(f"{tag}.tv", (n, c, s), COMPUTE_DTYPE) if use_ws else None
-    tw_out = workspace.get(f"{tag}.tw", (n, c, s), COMPUTE_DTYPE) if use_ws else None
-    tv = backend.einsum("id,kds->iks", X64, backend.ascompute(Vr), optimize=True, out=tv_out)
-    tw = backend.einsum("id,kds->iks", X64, backend.ascompute(Wr), optimize=True, out=tw_out)
+    tv = backend.einsum("id,kds->iks", X64, backend.ascompute(Vr), optimize=True)
+    tw = backend.einsum("id,kds->iks", X64, backend.ascompute(Wr), optimize=True)
     # sum_k h_k (x^T v_k)(x^T w_k)
     term1 = backend.einsum("ik,iks,iks->is", H64, tv, tw, optimize=True)
     # (x^T V h)(x^T W h)

@@ -7,9 +7,7 @@ and exposes both dense (Exact-FIRAL) and matrix-free (Approx-FIRAL) views of
 
 :class:`SigmaOperator` freezes a particular weight vector ``z`` and provides
 the matvec + block-diagonal preconditioner pair that the preconditioned CG
-solves of Algorithm 2 require.  An optional :class:`~repro.backend.Workspace`
-lets the operator reuse the Lemma-2 einsum buffers across CG iterations and
-mirror-descent steps.
+solves of Algorithm 2 require.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.backend import Array, Workspace, get_backend
+from repro.backend import Array, get_backend
 from repro.fisher.hessian import block_diagonal_of_sum, sum_hessian_dense
 from repro.fisher.matvec import hessian_sum_matvec
 from repro.linalg.block_diag import BlockDiagonalMatrix
@@ -110,35 +108,20 @@ class FisherDataset:
     # ------------------------------------------------------------------ #
     # matrix-free matvecs
     # ------------------------------------------------------------------ #
-    def labeled_hessian_matvec(self, V: Array, *, workspace: Optional[Workspace] = None) -> Array:
+    def labeled_hessian_matvec(self, V: Array) -> Array:
         """``H_o V`` via Lemma 2."""
 
-        return hessian_sum_matvec(
-            self.labeled_features, self.labeled_probabilities, V,
-            workspace=workspace, tag="labeled",
-        )
+        return hessian_sum_matvec(self.labeled_features, self.labeled_probabilities, V)
 
-    def pool_hessian_matvec(
-        self,
-        V: Array,
-        weights: Optional[Array] = None,
-        *,
-        workspace: Optional[Workspace] = None,
-        tag: str = "pool",
-    ) -> Array:
+    def pool_hessian_matvec(self, V: Array, weights: Optional[Array] = None) -> Array:
         """``H_p V`` (``weights=None``) or ``H_z V`` (``weights=z``) via Lemma 2."""
 
-        return hessian_sum_matvec(
-            self.pool_features, self.pool_probabilities, V, weights=weights,
-            workspace=workspace, tag=tag,
-        )
+        return hessian_sum_matvec(self.pool_features, self.pool_probabilities, V, weights=weights)
 
-    def sigma_matvec(self, V: Array, z: Array, *, workspace: Optional[Workspace] = None) -> Array:
+    def sigma_matvec(self, V: Array, z: Array) -> Array:
         """``Sigma_z V = H_o V + H_z V``."""
 
-        return self.labeled_hessian_matvec(V, workspace=workspace) + self.pool_hessian_matvec(
-            V, weights=z, workspace=workspace, tag="sigma_pool"
-        )
+        return self.labeled_hessian_matvec(V) + self.pool_hessian_matvec(V, weights=z)
 
     # ------------------------------------------------------------------ #
     # block diagonals
@@ -186,19 +169,10 @@ class SigmaOperator:
     Algorithm 2 (Lines 6 and 8) tidy: ``Sigma_z`` changes every mirror-descent
     iteration because ``z`` changes, so the operator is rebuilt per iteration
     (the preconditioner assembly cost is the ``O(n c d^2 / p + c d^3)`` term
-    of Table IV).  Passing the same ``workspace`` to successive operators
-    lets the rebuilt operator reuse the previous iteration's einsum buffers.
+    of Table IV).
     """
 
-    def __init__(
-        self,
-        dataset: FisherDataset,
-        z: Array,
-        *,
-        regularization: float = 0.0,
-        build_preconditioner: bool = True,
-        workspace: Optional[Workspace] = None,
-    ):
+    def __init__(self, dataset: FisherDataset, z: Array, *, regularization: float = 0.0):
         backend = get_backend()
         xp = backend.xp
         z = backend.ascompute(z).ravel()
@@ -208,15 +182,11 @@ class SigmaOperator:
         self.dataset = dataset
         self.z = z
         self.regularization = float(regularization)
-        self.workspace = workspace
-        self.block_diagonal: Optional[BlockDiagonalMatrix] = None
-        self.block_diagonal_inverse: Optional[BlockDiagonalMatrix] = None
-        if build_preconditioner:
-            bd = dataset.sigma_block_diagonal(z)
-            if self.regularization > 0.0:
-                bd = bd.add_identity(self.regularization)
-            self.block_diagonal = bd
-            self.block_diagonal_inverse = bd.inverse()
+        bd = dataset.sigma_block_diagonal(z)
+        if self.regularization > 0.0:
+            bd = bd.add_identity(self.regularization)
+        self.block_diagonal = bd
+        self.block_diagonal_inverse = bd.inverse()
 
     @property
     def shape(self) -> tuple:
@@ -226,7 +196,7 @@ class SigmaOperator:
     def matvec(self, V: Array) -> Array:
         """``Sigma_z V`` (plus ``reg * V`` if a Tikhonov term is configured)."""
 
-        out = self.dataset.sigma_matvec(V, self.z, workspace=self.workspace)
+        out = self.dataset.sigma_matvec(V, self.z)
         if self.regularization > 0.0:
             out = out + self.regularization * get_backend().xp.asarray(V)
         return out
@@ -234,10 +204,8 @@ class SigmaOperator:
     __call__ = matvec
 
     def precondition(self, V: Array) -> Array:
-        """Apply ``B(Sigma_z)^{-1}`` to ``V`` (identity if not built)."""
+        """Apply ``B(Sigma_z)^{-1}`` to ``V``."""
 
-        if self.block_diagonal_inverse is None:
-            return get_backend().copy(V)
         return self.block_diagonal_inverse.matvec(V)
 
     def dense(self) -> Array:

@@ -63,7 +63,6 @@ def conjugate_gradient(
     rhs: Array,
     *,
     preconditioner: Optional[MatVec] = None,
-    x0: Optional[Array] = None,
     rtol: float = 0.1,
     atol: float = 0.0,
     max_iterations: int = 1000,
@@ -82,8 +81,6 @@ def conjugate_gradient(
     preconditioner:
         Optional callable applying ``M^{-1}`` (e.g. the block-diagonal
         ``B(Sigma_z)^{-1}`` solve).  If omitted, plain CG is used.
-    x0:
-        Optional initial guess (defaults to zero).
     rtol:
         Relative residual tolerance; the paper's default is 0.1 for the
         RELAX solves (§ IV-A) and Fig. 4 studies values from 0.5 to 1e-3.
@@ -116,18 +113,9 @@ def conjugate_gradient(
     # Iterate in the compute dtype (float64); cast the solution back at the end.
     b64 = backend.ascompute(b)
 
-    if x0 is None:
-        x = xp.zeros_like(b64)
-        r = backend.copy(b64)
-    else:
-        x0a = xp.asarray(x0)
-        if x0a.ndim == 1:
-            x0a = x0a[:, None]
-        require(tuple(x0a.shape) == tuple(b.shape), "x0 must match rhs shape")
-        x = backend.copy(backend.ascompute(x0a))
-        r = b64 - backend.ascompute(
-            xp.asarray(matvec(backend.astype(x, rhs_dtype))).reshape(dim, num_rhs)
-        )
+    # The iteration starts from x = 0, so the initial residual is b.
+    x = xp.zeros_like(b64)
+    r = backend.copy(b64)
 
     def apply_precond(res: Array) -> Array:
         if preconditioner is None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.backend import COMPUTE_DTYPE, get_backend
+from repro.backend import COMPUTE_DTYPE, Array, get_backend
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.fisher.operators import FisherDataset
 from repro.parallel.distributed_relax import distributed_relax
@@ -124,7 +124,7 @@ class SimulatedCluster:
     def measure_round_step(
         self,
         dataset: FisherDataset,
-        z_relaxed: np.ndarray,
+        z_relaxed: Array,
         *,
         eta: float,
         num_ranks: int,

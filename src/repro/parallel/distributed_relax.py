@@ -174,9 +174,6 @@ def _relax_rank_body(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
 
     total_cg_iterations = 0
     iterations = 0
-    prev_first_solution = None
-    prev_second_solution = None
-    preconditioner = None
     for t in range(1, cfg.max_iterations + 1):
         iterations = t
 
@@ -185,23 +182,19 @@ def _relax_rank_body(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
             probes = backend.rademacher((dc, cfg.num_probes), rng=rng, dtype=COMPUTE_DTYPE)
         probes = comm.bcast(probes, root=0)
 
-        # Line 5: per-rank partial block diagonals of H_z, allreduced, plus
-        # H_o — skipped entirely between preconditioner refreshes (the stale
-        # factor only affects CG convergence, not the solves' fixed point).
-        refresh = preconditioner is None or (t - 1) % cfg.precond_refresh_every == 0
-        if refresh:
-            with timers.timed("setup_preconditioner"):
-                partial = block_diagonal_of_sum(
-                    shard.pool_features, shard.pool_probabilities, weights=budget * local_z
-                )
-            summed = comm.allreduce(partial.blocks)
-            with timers.timed("setup_preconditioner"):
-                # Replicated on every rank, exactly as in the real code (the
-                # labeled set and the allreduced pool blocks are replicated).
-                sigma_blocks = BlockDiagonalMatrix(summed, copy=False) + shard.labeled_block_diagonal()
-                if cfg.regularization > 0.0:
-                    sigma_blocks = sigma_blocks.add_identity(cfg.regularization)
-                preconditioner = sigma_blocks.inverse()
+        # Line 5: per-rank partial block diagonals of H_z, allreduced, plus H_o.
+        with timers.timed("setup_preconditioner"):
+            partial = block_diagonal_of_sum(
+                shard.pool_features, shard.pool_probabilities, weights=budget * local_z
+            )
+        summed = comm.allreduce(partial.blocks)
+        with timers.timed("setup_preconditioner"):
+            # Replicated on every rank, exactly as in the real code (the
+            # labeled set and the allreduced pool blocks are replicated).
+            sigma_blocks = BlockDiagonalMatrix(summed, copy=False) + shard.labeled_block_diagonal()
+            if cfg.regularization > 0.0:
+                sigma_blocks = sigma_blocks.add_identity(cfg.regularization)
+            preconditioner = sigma_blocks.inverse()
 
         def sigma_matvec(V: Array) -> Array:
             """Distributed Sigma_z matvec: local partial + allreduce + H_o."""
@@ -224,15 +217,14 @@ def _relax_rank_body(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
                 partial = hessian_sum_matvec(shard.pool_features, shard.pool_probabilities, V)
             return comm.allreduce(partial)
 
-        # Lines 6-8: two preconditioned CG solves around an H_p application,
-        # warm-started from the previous iteration's solutions.  The CG state
-        # is replicated: every rank runs the same iteration over allreduced
-        # matvecs, so the per-rank trajectories coincide.
+        # Lines 6-8: two preconditioned CG solves, each started from zero,
+        # around an H_p application.  The CG state is replicated: every rank
+        # runs the same iteration over allreduced matvecs, so the per-rank
+        # trajectories coincide.
         first = conjugate_gradient(
             sigma_matvec,
             probes,
             preconditioner=preconditioner.matvec,
-            x0=prev_first_solution if cfg.cg_warm_start else None,
             rtol=cfg.cg_tolerance,
             max_iterations=cfg.cg_max_iterations,
             record_history=False,
@@ -243,15 +235,11 @@ def _relax_rank_body(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
             sigma_matvec,
             applied,
             preconditioner=preconditioner.matvec,
-            x0=prev_second_solution if cfg.cg_warm_start else None,
             rtol=cfg.cg_tolerance,
             max_iterations=cfg.cg_max_iterations,
             record_history=False,
         )
         total_cg_iterations += second.iterations
-        if cfg.cg_warm_start:
-            prev_first_solution = first.solution
-            prev_second_solution = second.solution
 
         # Line 9: local gradient estimate over the shard.
         with timers.timed("gradient"):

@@ -1,7 +1,7 @@
 """Serving layer: asyncio multi-tenant session service over propose/observe.
 
 See :mod:`repro.serve.service` for the service itself (admission control,
-request batching, worker pool, checkpoint policies) and
+worker pool, checkpoint policies, eager pipelining) and
 :mod:`repro.serve.http` for the optional stdlib-only HTTP front.
 """
 

@@ -13,9 +13,6 @@ wrap the PR 7 crash-safety machinery:
 * **admission control** — at most ``max_sessions`` live sessions and
   (optionally) ``max_pending_requests`` in-flight requests; excess traffic
   is rejected with :class:`AdmissionError` instead of queueing unboundedly;
-* **request batching** — dispatches within ``batch_window_seconds`` are
-  coalesced and submitted to the worker pool together, so a burst of
-  proposals costs one wakeup sweep instead of one per request;
 * **checkpoint/restore** — ``checkpoint_policy`` writes each session's
   crash-safe snapshot after every round (``"round"``) or once the session
   goes idle (``"idle"``), and ``restore_on_open`` resumes a session from
@@ -120,13 +117,6 @@ class ServeConfig:
         Optional admission ceiling on in-flight propose/observe/open
         requests across all sessions (queued + running).  ``None`` (default)
         admits everything the per-session locks can order.
-    batch_window_seconds:
-        When positive, worker dispatches arriving within this window are
-        coalesced and submitted to the pool together (see the module
-        docstring).  ``0.0`` (default) dispatches immediately.
-    batch_max_size:
-        A batching window flushes early once this many dispatches are
-        queued, bounding the latency a full window adds.
     checkpoint_policy:
         ``"never"`` (default): sessions are only checkpointed explicitly or
         at close.  ``"round"``: after every completed round.  ``"idle"``:
@@ -159,8 +149,6 @@ class ServeConfig:
     max_sessions: int = 64
     max_workers: int = 4
     max_pending_requests: Optional[int] = None
-    batch_window_seconds: float = 0.0
-    batch_max_size: int = 16
     checkpoint_policy: str = "never"
     idle_grace_seconds: float = 0.05
     checkpoint_dir: Optional[Union[str, pathlib.Path]] = None
@@ -184,15 +172,6 @@ class ServeConfig:
                 "ServeConfig.max_pending_requests must be positive "
                 f"(got {self.max_pending_requests!r})",
             )
-        require(
-            float(self.batch_window_seconds) >= 0.0,
-            "ServeConfig.batch_window_seconds must be non-negative "
-            f"(got {self.batch_window_seconds!r})",
-        )
-        require(
-            int(self.batch_max_size) > 0,
-            f"ServeConfig.batch_max_size must be positive (got {self.batch_max_size!r})",
-        )
         require(
             self.checkpoint_policy in CHECKPOINT_POLICIES,
             f"ServeConfig.checkpoint_policy must be one of {CHECKPOINT_POLICIES} "
@@ -279,66 +258,6 @@ class _Slot:
         self.eager = eager
 
 
-class _BatchGate:
-    """Coalesce worker-pool dispatches inside a short window.
-
-    With a zero window this is a transparent ``run_in_executor``.  With a
-    positive one, jobs arriving within the window are submitted to the pool
-    in one sweep — under bursty multi-tenant traffic the event loop wakes
-    once per batch instead of once per request, and the pool's queue is fed
-    in arrival order so per-session latency stays fair.  A full batch
-    (``batch_max_size``) flushes early.
-    """
-
-    def __init__(self, loop, executor, window: float, max_size: int, stats: Dict[str, int]):
-        self._loop = loop
-        self._executor = executor
-        self._window = float(window)
-        self._max_size = int(max_size)
-        self._stats = stats
-        self._pending: List[tuple] = []
-        self._handle = None
-
-    async def run(self, fn):
-        if self._window <= 0.0:
-            return await self._loop.run_in_executor(self._executor, fn)
-        fut = self._loop.create_future()
-        self._pending.append((fn, fut))
-        if len(self._pending) >= self._max_size:
-            self._flush()
-        elif self._handle is None:
-            self._handle = self._loop.call_later(self._window, self._flush)
-        return await fut
-
-    def _flush(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-        batch, self._pending = self._pending, []
-        if not batch:
-            return
-        self._stats["batches"] += 1
-        self._stats["batched_jobs"] += len(batch)
-        for fn, fut in batch:
-            task = self._loop.run_in_executor(self._executor, fn)
-            task.add_done_callback(lambda done, fut=fut: self._transfer(done, fut))
-
-    @staticmethod
-    def _transfer(done, fut) -> None:
-        if fut.cancelled():
-            return
-        exc = done.exception()
-        if exc is not None:
-            fut.set_exception(exc)
-        else:
-            fut.set_result(done.result())
-
-    def drain(self) -> None:
-        """Submit anything still queued (used at shutdown)."""
-
-        self._flush()
-
-
 class SessionManager:
     """The multi-tenant session service (see the module docstring).
 
@@ -353,7 +272,6 @@ class SessionManager:
         self.config = (config or ServeConfig()).validate()
         self._slots: Dict[str, _Slot] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._gate: Optional[_BatchGate] = None
         self._loop = None
         self._inflight = 0
         self._idle_tasks: set = set()
@@ -366,8 +284,6 @@ class SessionManager:
         self.stats: Dict[str, int] = {
             "proposals": 0,
             "observations": 0,
-            "batches": 0,
-            "batched_jobs": 0,
             "admission_rejections": 0,
             "restored_sessions": 0,
             "invalidated_proposals": 0,
@@ -386,13 +302,6 @@ class SessionManager:
             self._executor = ThreadPoolExecutor(
                 max_workers=self.config.max_workers,
                 thread_name_prefix="repro-serve",
-            )
-            self._gate = _BatchGate(
-                loop,
-                self._executor,
-                self.config.batch_window_seconds,
-                self.config.batch_max_size,
-                self.stats,
             )
             self._io = ThreadPoolExecutor(
                 max_workers=1,
@@ -471,7 +380,7 @@ class SessionManager:
             )
         self._inflight += 1
         try:
-            return await self._gate.run(fn)
+            return await self._loop.run_in_executor(self._executor, fn)
         finally:
             self._inflight -= 1
 
@@ -520,11 +429,11 @@ class SessionManager:
         """Kick off the slot session's next proposal in the background.
 
         The eager-pipeline hook: submitted **directly** to the compute pool,
-        bypassing the batch gate and admission control — the prefetch is the
-        service's own speculative work, not client traffic, and direct
-        submission guarantees the job is enqueued ahead of any later
-        ``propose()`` that will join it, so a FIFO pool cannot deadlock even
-        at ``max_workers=1``.
+        bypassing admission control — the prefetch is the service's own
+        speculative work, not client traffic, and direct submission
+        guarantees the job is enqueued ahead of any later ``propose()`` that
+        will join it, so a FIFO pool cannot deadlock even at
+        ``max_workers=1``.
         """
 
         session = slot.session
@@ -749,12 +658,9 @@ class SessionManager:
         for task in list(self._idle_tasks):
             task.cancel()
         await self.flush_checkpoints()
-        if self._gate is not None:
-            self._gate.drain()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-            self._gate = None
             self._loop = None
         if self._io is not None:
             self._io.shutdown(wait=True)

@@ -1,7 +1,7 @@
 """Tests for the pluggable array-backend dispatch layer.
 
 Covers the registry (selection by name/spec/env), the NumPy backend's
-promoted-linalg policy, the workspace buffer reuse, a guard that keeps the
+promoted-linalg policy, the workspace buffer pool, a guard that keeps the
 algorithm layers free of direct ``numpy`` imports, and solver-level dispatch
 parametrized over every backend available in the environment.  The optional
 PyTorch backend has an opt-in smoke test (``pytest -m torch_backend``) that
@@ -33,7 +33,6 @@ from repro.backend import (
 )
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
-from repro.fisher.matvec import hessian_sum_matvec
 from repro.linalg.cg import conjugate_gradient
 from tests.conftest import make_fisher_dataset
 
@@ -185,12 +184,6 @@ class TestRngBridge:
         np.testing.assert_array_equal(a, b)
         assert set(np.unique(a)) <= {-1.0, 1.0}
 
-    def test_rademacher_out_buffer_is_reused(self):
-        backend = get_backend()
-        buf = backend.empty((6, 2), dtype=COMPUTE_DTYPE)
-        out = backend.rademacher((6, 2), rng=np.random.default_rng(0), out=buf)
-        assert out is buf
-
 
 class TestWorkspace:
     def test_same_key_returns_same_buffer(self):
@@ -209,42 +202,6 @@ class TestWorkspace:
         assert len(ws) == 3
         ws.clear()
         assert len(ws) == 0
-
-    def test_hessian_matvec_with_workspace_matches_fresh(self, small_dataset, rng):
-        ws = Workspace(get_backend())
-        V = rng.standard_normal((small_dataset.joint_dimension, 4))
-        w = rng.random(small_dataset.num_pool)
-        fresh = hessian_sum_matvec(
-            small_dataset.pool_features, small_dataset.pool_probabilities, V, weights=w
-        )
-        cold = hessian_sum_matvec(
-            small_dataset.pool_features, small_dataset.pool_probabilities, V, weights=w,
-            workspace=ws, tag="x",
-        )
-        # An empty Workspace is falsy (__len__), so this also guards against
-        # `if workspace` truthiness bugs silently disabling the reuse path.
-        assert len(ws) == 2, "workspace buffers were not engaged"
-        # Equal up to fp reduction order: writing through reused buffers can
-        # shift SIMD/BLAS summation by ~1 ULP (see RelaxConfig.reuse_buffers).
-        np.testing.assert_allclose(np.asarray(cold), fresh, rtol=1e-12, atol=1e-12)
-        warm = hessian_sum_matvec(
-            small_dataset.pool_features, small_dataset.pool_probabilities, V, weights=w,
-            workspace=ws, tag="x",
-        )
-        assert len(ws) == 2, "warm call should reuse, not grow, the workspace"
-        np.testing.assert_allclose(np.asarray(warm), fresh, rtol=1e-12, atol=1e-12)
-
-    def test_relax_buffer_reuse_preserves_selection(self, small_dataset):
-        baseline = ApproxFIRAL(
-            RelaxConfig(max_iterations=10, seed=0),
-            RoundConfig(eta=1.0),
-        ).select(small_dataset, 4)
-        reused = ApproxFIRAL(
-            RelaxConfig(max_iterations=10, seed=0, reuse_buffers=True),
-            RoundConfig(eta=1.0),
-        ).select(small_dataset, 4)
-        np.testing.assert_array_equal(reused.selected_indices, baseline.selected_indices)
-
 
 def _backend_params():
     return [pytest.param(name, id=name) for name in available_backends()]

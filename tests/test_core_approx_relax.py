@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.config import RelaxConfig
 from repro.core.approx_relax import approx_relax
-from repro.core.exact_relax import exact_relax
+from repro.core.exact_relax import exact_relax, exact_relax_gradient
+from repro.parallel.distributed_relax import distributed_relax
 from tests.conftest import make_fisher_dataset
 
 
@@ -46,6 +47,8 @@ class TestApproxRelax:
             dataset, budget=5, config=RelaxConfig(max_iterations=3, track_objective="none")
         )
         assert result.cg_iterations > 0
+        assert len(result.cg_iteration_history) == result.iterations
+        assert sum(result.cg_iteration_history) == result.cg_iterations
 
     def test_first_iteration_cg_history_recorded(self, dataset):
         result = approx_relax(
@@ -97,6 +100,61 @@ class TestApproxRelax:
     def test_invalid_budget_rejected(self, dataset):
         with pytest.raises(ValueError):
             approx_relax(dataset, budget=-1)
+
+
+def _centered(values):
+    values = np.asarray(values, dtype=np.float64)
+    return values - values.mean()
+
+
+class TestGradientOracle:
+    """Algorithm 2's Line-9 gradient against the dense exact gradient.
+
+    One mirror-descent step from the uniform point with ``beta = 1`` and no
+    gradient normalization gives ``z_i ∝ exp(-g_i)``, so the centered
+    ``-log z`` is the centered Hutchinson + CG gradient estimate.  It must
+    approach :func:`exact_relax_gradient` (dense solves) as the probe count
+    ``s`` grows, at the ``1/sqrt(s)`` Monte Carlo rate, on the serial solver
+    and on the distributed one alike.
+    """
+
+    BUDGET = 5
+
+    def _relative_error(self, solver, num_probes):
+        dataset = make_fisher_dataset(seed=0)
+        config = RelaxConfig(
+            max_iterations=1,
+            normalize_gradient=False,
+            learning_rate=1.0,
+            cg_tolerance=1e-10,
+            track_objective="none",
+            num_probes=num_probes,
+        )
+        weights = np.asarray(solver(dataset, self.BUDGET, config).weights)
+        uniform = np.full(dataset.num_pool, self.BUDGET / dataset.num_pool)
+        exact = _centered(
+            exact_relax_gradient(dataset, uniform, regularization=config.regularization)
+        )
+        estimate = _centered(-np.log(weights))
+        return np.linalg.norm(estimate - exact) / np.linalg.norm(exact)
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            pytest.param(approx_relax, id="serial"),
+            pytest.param(
+                lambda ds, b, cfg: distributed_relax(ds, b, num_ranks=1, config=cfg), id="1-rank"
+            ),
+            pytest.param(
+                lambda ds, b, cfg: distributed_relax(ds, b, num_ranks=2, config=cfg), id="2-ranks"
+            ),
+        ],
+    )
+    def test_estimate_converges_to_exact_gradient(self, solver):
+        few = self._relative_error(solver, num_probes=10)
+        many = self._relative_error(solver, num_probes=1000)
+        assert many < 0.08
+        assert many < few / 4
 
 
 class TestRelaxConfig:

@@ -94,12 +94,6 @@ class TestSigmaOperator:
             op.precondition(op.block_diagonal.matvec(v)), v, rtol=1e-4, atol=1e-5
         )
 
-    def test_without_preconditioner_is_identity(self, dataset):
-        z = np.ones(dataset.num_pool) * 0.1
-        op = SigmaOperator(dataset, z, build_preconditioner=False)
-        v = np.ones(dataset.joint_dimension)
-        np.testing.assert_array_equal(op.precondition(v), v)
-
     def test_negative_weights_rejected(self, dataset):
         with pytest.raises(ValueError):
             SigmaOperator(dataset, -np.ones(dataset.num_pool))

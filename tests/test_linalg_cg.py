@@ -46,14 +46,6 @@ class TestBasicSolves:
         np.testing.assert_array_equal(result.solution, np.zeros(5))
         assert result.converged
 
-    def test_initial_guess_exact_solution(self, rng):
-        A = random_spd(rng, 8)
-        x = rng.standard_normal(8)
-        b = A @ x
-        result = conjugate_gradient(lambda v: A @ v, b, x0=x, rtol=1e-8)
-        assert result.iterations == 0
-        np.testing.assert_allclose(result.solution, x)
-
     def test_max_iterations_respected(self, rng):
         A = random_spd(rng, 30, condition=1e4)
         b = rng.standard_normal(30)
@@ -77,10 +69,6 @@ class TestBasicSolves:
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValueError):
             conjugate_gradient(lambda v: v, np.ones(3), rtol=-1.0)
-
-    def test_mismatched_x0_rejected(self, rng):
-        with pytest.raises(ValueError):
-            conjugate_gradient(lambda v: v, np.ones(3), x0=np.ones(4))
 
 
 class TestPreconditioning:

@@ -100,25 +100,6 @@ class TestServedEquivalence:
         _assert_curves_identical(direct.result, result)
         np.testing.assert_array_equal(direct.store.labeled_ids, labeled_ids)
 
-    def test_batched_dispatch_matches_direct(self, problem):
-        """Request batching amortizes wakeups without changing selections."""
-
-        direct = _direct_run(problem, "entropy")
-
-        async def serve():
-            manager = SessionManager(
-                ServeConfig(max_workers=2, batch_window_seconds=0.005, batch_max_size=4)
-            )
-            try:
-                await manager.open_session("t", _spec(problem, "entropy"))
-                await _serve_rounds(manager, "t", 3)
-                assert manager.stats["batches"] > 0
-                return manager._slots["t"].session.result
-            finally:
-                await manager.aclose(checkpoint=False)
-
-        _assert_curves_identical(direct.result, asyncio.run(serve()))
-
 
 # --------------------------------------------------------------------- #
 # the satellite pin: concurrent-session isolation
@@ -272,8 +253,6 @@ class TestAdmissionAndErrors:
             (dict(max_sessions=0), r"ServeConfig\.max_sessions"),
             (dict(max_workers=0), r"ServeConfig\.max_workers"),
             (dict(max_pending_requests=0), r"ServeConfig\.max_pending_requests"),
-            (dict(batch_window_seconds=-0.1), r"ServeConfig\.batch_window_seconds"),
-            (dict(batch_max_size=0), r"ServeConfig\.batch_max_size"),
             (dict(checkpoint_policy="hourly"), r"ServeConfig\.checkpoint_policy"),
             (dict(idle_grace_seconds=-1.0), r"ServeConfig\.idle_grace_seconds"),
             (dict(checkpoint_policy="round"), r"ServeConfig\.checkpoint_dir"),

@@ -16,24 +16,19 @@ What must hold for the pipeline to be safe behind traffic:
 * **slow disks stall nobody** (PR 10 satellite) — checkpoint file writes
   run on a dedicated I/O executor, so an artificially slow store path
   never extends ``observe()`` latency or another tenant's requests;
-* **scratch is never shared** (PR 10 satellite) — two same-process eager
-  sessions with buffer-reusing FIRAL strategies own distinct ``Workspace``
-  pools, and a concurrent double check-out fails loudly.
+* **concurrent tenants** — two same-process eager Approx-FIRAL sessions
+  racing through one worker pool each match their direct runs.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.backend import Workspace, get_backend
-from repro.baselines import FIRALStrategy
-from repro.core import ApproxFIRAL, RelaxConfig, RoundConfig
 from repro.engine import ActiveSession, SessionConfig
 from repro.serve import ServeConfig, SessionManager, SessionSpec
 
@@ -51,11 +46,10 @@ def problem():
     return _small_problem(seed=0)
 
 
-def _spec(problem, name="random", *, seed=7, rounds=3, config=None, pipeline=None,
-          strategy_factory=None):
+def _spec(problem, name="random", *, seed=7, rounds=3, config=None, pipeline=None):
     return SessionSpec(
         problem=problem,
-        strategy_factory=strategy_factory or STRATEGY_FACTORIES[name],
+        strategy_factory=STRATEGY_FACTORIES[name],
         budget_per_round=4,
         num_rounds=rounds,
         seed=seed,
@@ -64,11 +58,10 @@ def _spec(problem, name="random", *, seed=7, rounds=3, config=None, pipeline=Non
     )
 
 
-def _direct_run(problem, name="random", *, seed=7, rounds=3, config=None,
-                strategy_factory=None):
+def _direct_run(problem, name="random", *, seed=7, rounds=3, config=None):
     session = ActiveSession(
         problem,
-        (strategy_factory or STRATEGY_FACTORIES[name])(),
+        STRATEGY_FACTORIES[name](),
         budget_per_round=4,
         num_rounds=rounds,
         seed=seed,
@@ -382,75 +375,25 @@ class TestSlowDiskIsolation:
 
 
 # --------------------------------------------------------------------- #
-# satellite: scratch buffers are never shared across sessions
+# concurrent eager tenants
 # --------------------------------------------------------------------- #
-def _reusing_firal_factory():
-    return FIRALStrategy(
-        ApproxFIRAL(
-            RelaxConfig(max_iterations=6, seed=0, reuse_buffers=True),
-            RoundConfig(eta=1.0),
-        )
-    )
+class TestConcurrentEagerTenants:
+    def test_two_eager_tenants_match_direct_runs(self, problem):
+        """Two same-process eager Approx-FIRAL sessions, rounds racing
+        through one pool, each bit-identical to its direct run."""
 
-
-class TestWorkspaceIsolation:
-    def test_concurrent_checkout_fails_loudly(self):
-        workspace = Workspace(get_backend())
-        workspace.check_out("session-a solve")
-        with pytest.raises(RuntimeError, match="already checked out by 'session-a solve'"):
-            workspace.check_out("session-b solve")
-        workspace.check_in()
-        workspace.check_out("session-b solve")  # released → claimable again
-        workspace.check_in()
-
-    def test_checkout_is_exclusive_across_threads(self):
-        workspace = Workspace(get_backend())
-        workspace.check_out("eager proposal")
-        failures = []
-
-        def contender():
-            try:
-                workspace.check_out("concurrent session")
-            except RuntimeError as exc:
-                failures.append(str(exc))
-
-        thread = threading.Thread(target=contender)
-        thread.start()
-        thread.join()
-        assert failures and "eager proposal" in failures[0]
-        workspace.check_in()
-
-    def test_concurrent_eager_sessions_own_distinct_workspaces(self, problem):
-        """Two same-process eager sessions with buffer-reusing FIRAL
-        strategies, rounds racing through one pool: distinct ``Workspace``
-        objects, bit-identical results."""
-
-        direct = {
-            seed: _direct_run(
-                problem, "approx-firal", seed=seed,
-                strategy_factory=_reusing_firal_factory,
-            )
-            for seed in (1, 2)
-        }
+        direct = {seed: _direct_run(problem, "approx-firal", seed=seed) for seed in (1, 2)}
 
         async def serve():
             manager = SessionManager(ServeConfig(max_workers=2, pipeline="eager"))
 
             async def tenant(sid, seed):
-                await manager.open_session(
-                    sid,
-                    _spec(problem, seed=seed, strategy_factory=_reusing_firal_factory),
-                )
+                await manager.open_session(sid, _spec(problem, "approx-firal", seed=seed))
                 await _serve_rounds(manager, sid, 3)
                 return manager._slots[sid].session
 
             try:
                 sessions = await asyncio.gather(tenant("a", 1), tenant("b", 2))
-                workspaces = [s.strategy.selector._workspace for s in sessions]
-                assert workspaces[0] is not None and workspaces[1] is not None
-                assert workspaces[0] is not workspaces[1]
-                # Nobody is left holding a claim after the rounds complete.
-                assert all(w._owner is None for w in workspaces)
                 return {
                     sid: (s.result, s.store.labeled_ids.copy())
                     for sid, s in zip(("a", "b"), sessions)
