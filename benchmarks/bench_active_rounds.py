@@ -25,11 +25,12 @@ bounded-staleness variant (``SessionConfig.fisher_refresh_every``) that pays
 one full reassembly every K rounds to cap classifier drift while keeping the
 amortized cost near the pure accumulator's.
 
-``--store`` swaps the session's pool store: ``dense`` (default),
-``streaming`` (a fraction of the pool is held back and streamed in between
-rounds via ``ActiveSession.extend_pool`` — the pool-replenishment scenario),
-or ``sharded`` (a ``ShardedPointStore`` with 2-rank multi-rank selection
-scattered along shard ownership).
+``--store`` picks the session's pool store or scenario: ``dense`` (default),
+``streaming`` (the pool-replenishment scenario on a dense store: a fraction
+of the pool is held back and streamed in between rounds via
+``ActiveSession.extend_pool``), ``sharded`` (a ``ShardedPointStore`` with
+2-rank multi-rank selection scattered along shard ownership) or ``mmap``
+(an out-of-core ``MmapPointStore``).
 
 ``--prefilter {none,random,diversity,topk}`` + ``--prefilter-keep`` put a
 candidate prefilter (``SessionConfig.prefilter``) in front of every round's
@@ -65,7 +66,7 @@ from repro.core.firal import ApproxFIRAL
 from repro.datasets.registry import build_problem
 from repro.engine.prefilter import PREFILTER_KINDS, make_prefilter
 from repro.engine.session import ActiveSession, SessionConfig
-from repro.engine.stores import MmapPointStore, ShardedPointStore, StreamingPointStore
+from repro.engine.stores import MmapPointStore, ShardedPointStore
 from repro.fisher.accumulator import LabeledFisherAccumulator
 from repro.fisher.hessian import block_diagonal_of_sum
 from repro.parallel import FaultPlan
@@ -206,7 +207,6 @@ def run(
         extra["prefilter"] = {"kind": prefilter, "keep_ratio": prefilter_keep}
     if store == "streaming":
         problem, chunks = _streaming_split(problem, shape["rounds"])
-        config.store = StreamingPointStore.from_problem
         extra["streaming"] = {
             "initial_pool": problem.pool_size,
             "replenished": int(sum(c[0].shape[0] for c in chunks)),
@@ -302,7 +302,7 @@ def main() -> None:
         "--store",
         choices=("dense", "streaming", "sharded", "mmap"),
         default="dense",
-        help="pool store backing the session (streaming replenishes between rounds; "
+        help="pool store backing the session (streaming replenishes a dense pool between rounds; "
         "sharded scatters 2-rank selection along shard ownership; mmap keeps the "
         "feature master on disk)",
     )

@@ -1,15 +1,14 @@
 """Active learning over a pool replenished between rounds.
 
 The paper's protocol selects from one fixed pool, but production feeds are
-streams: new unlabeled points arrive while the labeling loop runs.  The
-session engine expresses this with a :class:`repro.engine.StreamingPointStore`
-— a pool store whose master array grows between rounds:
+streams: new unlabeled points arrive while the labeling loop runs.  Any
+unsharded pool store can grow between rounds; this example uses the
+default in-memory :class:`repro.engine.DensePointStore`:
 
-* ``SessionConfig(store=StreamingPointStore.from_problem)`` makes the
-  session's pool growable;
 * ``session.extend_pool(features, labels)`` appends a replenishment batch at
   a round boundary under fresh stable ids (the labels stay hidden until the
-  oracle reveals them);
+  oracle reveals them; malformed batches are rejected before they reach
+  the pool);
 * ids assigned earlier never move, so the recorded curve, the labeled
   history and FIRAL's cross-round state all remain valid — the RELAX warm
   start simply falls back to a cold start on the first round whose pool
@@ -29,7 +28,7 @@ import numpy as np
 
 from repro import ApproxFIRAL, RelaxConfig, RoundConfig, build_problem
 from repro.baselines import FIRALStrategy
-from repro.engine import ActiveSession, SessionConfig, StreamingPointStore
+from repro.engine import ActiveSession, SessionConfig
 
 
 def main() -> None:
@@ -49,7 +48,7 @@ def main() -> None:
         strategy,
         budget_per_round=10,
         seed=0,
-        config=SessionConfig(store=StreamingPointStore.from_problem, reuse_eta=True),
+        config=SessionConfig(reuse_eta=True),
     )
     session.record_initial()
 

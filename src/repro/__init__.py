@@ -54,16 +54,14 @@ from repro.engine import (
     QueryProposal,
     SessionConfig,
     ShardedPointStore,
-    StreamingPointStore,
 )
 
 __version__ = "1.0.0"
 
-#: The curated top-level surface.  Two groups resolve lazily through
-#: ``__getattr__`` below: the serving layer (``SessionManager`` /
-#: ``AsyncSessionClient`` / ``ServeConfig`` / ``SessionSpec`` — kept out of
-#: the eager import so ``import repro`` stays cheap for batch scripts), and
-#: the deprecated ``PointStore`` alias (touching it warns).
+#: The curated top-level surface.  The serving layer (``SessionManager`` /
+#: ``AsyncSessionClient`` / ``ServeConfig`` / ``SessionSpec``) resolves lazily
+#: through ``__getattr__`` below, kept out of the eager import so
+#: ``import repro`` stays cheap for batch scripts.
 _SERVE_EXPORTS = ("SessionManager", "AsyncSessionClient", "ServeConfig", "SessionSpec")
 
 __all__ = [
@@ -102,9 +100,7 @@ __all__ = [
     "PoolStore",
     "DensePointStore",
     "MmapPointStore",
-    "PointStore",
     "ShardedPointStore",
-    "StreamingPointStore",
     "SessionManager",
     "AsyncSessionClient",
     "ServeConfig",
@@ -117,8 +113,4 @@ def __getattr__(name: str):
         from repro import serve
 
         return getattr(serve, name)
-    if name == "PointStore":
-        from repro.engine import pool
-
-        return pool.PointStore  # deprecated alias — pool warns on access
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

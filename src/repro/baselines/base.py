@@ -76,16 +76,6 @@ class SessionInfo:
     parallel_transport:
         Transport for ``parallel_ranks``: ``"simulated"`` (threads) or
         ``"shared_memory"`` (real spawned OS processes).
-    store_kind:
-        Which :class:`~repro.engine.PoolStore` flavor backs the session
-        (``"dense"`` / ``"sharded"`` / ``"streaming"``).  Strategies need no
-        store-specific code — the store contract is uniform — but stateful
-        ones may use this to anticipate e.g. pool growth under a streaming
-        store.
-    num_store_shards:
-        Shard count of a sharded store (``None`` otherwise).  When set
-        together with ``parallel_ranks``, each rank's scatter follows the
-        store's shard ownership (``SelectionContext.shard_offsets``).
     prefilter:
         Kind name of the session's candidate prefilter
         (:class:`~repro.engine.prefilter.CandidateFilter`), or ``None`` when
@@ -113,8 +103,6 @@ class SessionInfo:
     reuse_eta: bool = False
     parallel_ranks: Optional[int] = None
     parallel_transport: str = "simulated"
-    store_kind: str = "dense"
-    num_store_shards: Optional[int] = None
     prefilter: Optional[str] = None
     on_rank_failure: str = "abort"
     fault_plan: Optional[object] = None
@@ -133,7 +121,7 @@ class LabelObservation:
         pool view that round's :class:`SelectionContext` exposed.
     global_ids:
         Stable point ids of the same selection (ids never shift as the pool
-        shrinks; see :class:`repro.engine.PointStore`).  Empty when the
+        shrinks; see :class:`repro.engine.PoolStore`).  Empty when the
         driver does not track global ids.
     labels:
         The revealed labels, aligned with ``pool_indices``.

@@ -3,7 +3,7 @@
 The paper's experiments run FIRAL for many consecutive rounds over the same
 pool; this package makes the *round loop* a first-class object instead of a
 cold-start-per-round script.  :class:`ActiveSession` owns the run's state —
-stable point ids with mask-based pool membership (:class:`PointStore`), an
+stable point ids with mask-based pool membership (:class:`PoolStore`), an
 incrementally maintained labeled-Fisher accumulator, and cross-round RELAX
 warm starts — and threads it to strategies through the lifecycle protocol of
 :mod:`repro.baselines.base`.  The legacy
@@ -12,13 +12,12 @@ session and reproduces its historical results bit-identically on the NumPy
 backend.
 
 Point storage is **pluggable** behind the :class:`PoolStore` protocol
-(stable global ids, mask membership, host/compute views, ``label()``):
+(stable global ids, mask membership, host/compute views, ``label()``, and
+``extend()`` for pool-replenishment workloads):
 :class:`DensePointStore` is the monolithic in-memory store (the historical
-``PointStore``, bit-identical and test-pinned),
+single-array behavior, bit-identical and test-pinned),
 :class:`ShardedPointStore` partitions the pool id range into per-rank
 contiguous shards feeding the distributed solvers' shard-aware scatter, and
-:class:`StreamingPointStore` grows the master between rounds
-(``extend()``) for pool-replenishment workloads, and
 :class:`MmapPointStore` keeps the master on disk (chunked gathers, budgeted
 promotion, streamed scoring) for pools larger than host RAM — none of which
 require strategy or solver changes (``SessionConfig.store`` selects the
@@ -41,21 +40,17 @@ from repro.engine.prefilter import (
     make_prefilter,
 )
 from repro.engine.session import ActiveSession, QueryProposal, SessionConfig
-from repro.engine.stores import MmapPointStore, ShardedPointStore, StreamingPointStore
+from repro.engine.stores import MmapPointStore, ShardedPointStore
 
-#: The curated public surface of the engine layer.  ``PointStore`` stays
-#: listed but resolves lazily through ``__getattr__`` below — touching the
-#: legacy name emits a ``DeprecationWarning`` without taxing ``import repro``.
+#: The curated public surface of the engine layer.
 __all__ = [
     "ActiveSession",
     "SessionConfig",
     "QueryProposal",
     "PoolStore",
     "DensePointStore",
-    "PointStore",
     "MmapPointStore",
     "ShardedPointStore",
-    "StreamingPointStore",
     "CandidateFilter",
     "RandomSubsampleFilter",
     "DiversityFilter",
@@ -63,10 +58,3 @@ __all__ = [
     "make_prefilter",
 ]
 
-
-def __getattr__(name: str):
-    if name == "PointStore":
-        from repro.engine import pool
-
-        return pool.PointStore  # deprecated alias — pool warns on access
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

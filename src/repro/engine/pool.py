@@ -14,27 +14,28 @@ ids**:
   legacy concatenation order bit-for-bit;
 * an optional backend-resident promoted copy of the master array serves the
   Fisher solvers: per-round pool views become device-side gathers, so under
-  the torch backend the pool stays device-resident across rounds.
+  the torch backend the pool stays device-resident across rounds;
+* :meth:`PoolStore.extend` grows the pool between rounds under fresh ids
+  (the pool-refresh setting of Pinsler et al.) and promotes only the
+  appended rows onto a cached compute master.
 
 :class:`PoolStore` is the protocol the session engine programs against —
-stable ids, mask membership, host/compute views, :meth:`~PoolStore.label` —
+stable ids, mask membership, host/compute views, :meth:`~PoolStore.label`,
+growth, and the shard/budget members a session queries without probing —
 with all of the shared bookkeeping implemented once.  Three implementations
 ship with the engine:
 
-* :class:`DensePointStore` (this module; also exported under its historical
-  name ``PointStore``) — one monolithic host master array, the pre-refactor
-  behavior bit-for-bit;
+* :class:`DensePointStore` (this module) — one monolithic host master
+  array, the pre-refactor behavior bit-for-bit;
 * :class:`~repro.engine.stores.ShardedPointStore` — the pool id range is
   partitioned into per-rank contiguous shards with per-shard masks and
   per-shard compute-master copies, feeding the distributed solvers'
   shard-aware scatter;
-* :class:`~repro.engine.stores.StreamingPointStore` — the master array is
-  growable: :meth:`~repro.engine.stores.StreamingPointStore.extend` appends
-  replenishment points between rounds under fresh ids.
+* :class:`~repro.engine.stores.MmapPointStore` — the master lives on disk.
 
 Host views are materialized on demand (a gather per round — the classifier
 is a host-side model), but the master array is allocated once per growth
-epoch of the store (exactly once for the dense store).
+of the store (exactly once for a fixed pool).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from repro.backend import Array, get_backend
 from repro.utils.validation import require
 
-__all__ = ["PoolStore", "DensePointStore", "PointStore", "gather_region_compute"]
+__all__ = ["PoolStore", "DensePointStore", "gather_region_compute"]
 
 
 def _to_host(a) -> np.ndarray:
@@ -60,9 +61,9 @@ def _to_host(a) -> np.ndarray:
 def gather_region_compute(backend, region_bounds: np.ndarray, ids: np.ndarray, region_gather):
     """Gather promoted features for ``ids`` from contiguous per-region masters.
 
-    Shared routing core for stores whose compute master is split into
-    contiguous global-id regions (per-shard masters, streaming growth
-    segments): each id is routed to its owning region via one
+    Routing core for a compute master split into contiguous global-id
+    regions (:class:`~repro.engine.stores.ShardedPointStore`'s per-shard
+    masters): each id is routed to its owning region via one
     ``searchsorted`` over the ascending ``region_bounds`` (length
     ``R + 1``), ``region_gather(region, local_ids)`` produces that region's
     promoted rows **already on the backend's primary device**, and the
@@ -96,11 +97,11 @@ class PoolStore:
 
     This base class implements the full store contract — subclasses
     specialize *where* the points live (one dense block, per-rank shards, a
-    growable master), not *what* the session engine can ask of them.  The
+    file on disk), not *what* the session engine can ask of them.  The
     contract every implementation preserves:
 
     * **Stable global ids** — a point's id never changes once assigned, no
-      matter how the pool shrinks (labeling) or grows (streaming).
+      matter how the pool shrinks (labeling) or grows (:meth:`extend`).
     * **Mask membership** — :attr:`in_pool` is a boolean mask over ids;
       :meth:`label` flips bits and appends to the acquisition-ordered
       labeled id list.
@@ -109,6 +110,9 @@ class PoolStore:
     * **Compute views** — :meth:`compute_features` gathers promoted
       (compute-dtype, device-resident under torch) features from a cached
       master copy; promotion is value-exact.
+    * **Session queries** — :attr:`num_shards`, :meth:`pool_shard_offsets`,
+      :meth:`shard_devices` and :meth:`check_promotion_budget` answer
+      ``None`` / no-op here; the stores they concern override them.
 
     Parameters
     ----------
@@ -121,8 +125,10 @@ class PoolStore:
         :meth:`label`.
     """
 
-    #: Store flavor advertised to strategies via ``SessionInfo.store_kind``.
+    #: Store flavor, written into checkpoints and checked on resume.
     kind: str = "dense"
+    #: Pool shard count of a sharded store; ``None`` for an unsharded pool.
+    num_shards: Optional[int] = None
 
     def __init__(self, initial_features, initial_labels, pool_features, pool_labels):
         init_f = _to_host(initial_features)
@@ -166,6 +172,9 @@ class PoolStore:
         # Backend-resident promoted master copy (built on demand).
         self._compute_master: Optional[Array] = None
         self._compute_backend = None
+        #: Cumulative count of master rows promoted to compute storage
+        #: (re-promotion after a backend switch counts again).
+        self.promoted_rows = 0
 
     @classmethod
     def from_problem(cls, problem, **kwargs) -> "PoolStore":
@@ -190,7 +199,6 @@ class PoolStore:
         def build(problem) -> "PoolStore":
             return cls.from_problem(problem, **kwargs)
 
-        build.store_cls = cls
         return build
 
     # ------------------------------------------------------------------ #
@@ -253,24 +261,79 @@ class PoolStore:
     def compute_features(self, ids: np.ndarray) -> Array:
         """Promoted (compute-dtype) features for ``ids``, gathered backend-side.
 
-        The master array is promoted/uploaded **once per growth epoch** (per
-        backend); each call is then a device-side gather instead of a fresh
-        host conversion of the round's pool — float promotion is value-exact,
-        so views carry bit-identical values to promoting the host view.
+        The master array is promoted/uploaded **once** per backend
+        (:meth:`extend` appends only the new rows to it); each call is then a
+        device-side gather instead of a fresh host conversion of the round's
+        pool — float promotion is value-exact, so views carry bit-identical
+        values to promoting the host view.
         """
 
         backend = get_backend()
         if self._compute_master is None or self._compute_backend is not backend:
             self._compute_master = backend.ascompute(self.features)
             self._compute_backend = backend
+            self.promoted_rows += self.total_points
         return self._compute_master[backend.from_host(np.asarray(ids, dtype=np.int64))]
 
-    def _invalidate_compute(self) -> None:
-        """Drop cached derived state after the master array changed shape."""
+    # ------------------------------------------------------------------ #
+    # session queries (answered by the stores they concern)
+    # ------------------------------------------------------------------ #
+    def pool_shard_offsets(self) -> Optional[np.ndarray]:
+        """Pool-view partition by owning shard; ``None`` for an unsharded pool."""
 
+        return None
+
+    def shard_devices(self, backend=None) -> Optional[tuple]:
+        """Per-shard device placement; ``None`` when no shard is pinned."""
+
+        return None
+
+    def check_promotion_budget(self, num_rows: int, what: str) -> None:
+        """Raise ``ValueError`` if promoting ``num_rows`` rows exceeds a budget.
+
+        ``what`` names the caller in the message.  In-RAM stores have no
+        budget, so this is a no-op here.
+        """
+
+    # ------------------------------------------------------------------ #
+    # growth
+    # ------------------------------------------------------------------ #
+    def _check_extension(self, features, labels) -> tuple:
+        """Validate an :meth:`extend` batch; return it as host ``(features, labels)``."""
+
+        new_f = _to_host(features)
+        new_y = np.asarray(_to_host(labels), dtype=np.int64).ravel()
+        require(new_f.ndim == 2, "features must be 2-D")
+        require(new_f.shape[0] > 0, "extend requires at least one point")
+        require(int(new_f.shape[1]) == self.dimension, "feature dimensions must match")
+        require(int(new_f.shape[0]) == int(new_y.shape[0]), "features and labels must align")
+        return new_f, new_y
+
+    def extend(self, features, labels) -> np.ndarray:
+        """Append new unlabeled points to the pool; return their global ids.
+
+        The new points get fresh ids past the current range; ids assigned
+        before never change, so selections, labeled history and any per-id
+        strategy state stay valid.  ``labels`` join the hidden oracle side
+        of the store — they are only revealed when :meth:`label` selects the
+        points.  A cached compute master is kept and only the appended rows
+        are promoted onto it (:attr:`promoted_rows` counts them).
+        """
+
+        new_f, new_y = self._check_extension(features, labels)
+        old_total = self.total_points
+        self.features = np.concatenate([self.features, new_f], axis=0)
+        self.labels = np.concatenate([self.labels, new_y], axis=0)
+        self.total_points = int(self.features.shape[0])
+        self.in_pool = np.concatenate([self.in_pool, np.ones(int(new_f.shape[0]), dtype=bool)])
         self._pool_ids_cache = None
-        self._compute_master = None
-        self._compute_backend = None
+        if self._compute_master is not None:
+            backend = self._compute_backend
+            self._compute_master = backend.xp.concatenate(
+                [self._compute_master, backend.ascompute(new_f)], axis=0
+            )
+            self.promoted_rows += int(new_f.shape[0])
+        return np.arange(old_total, self.total_points, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # labeling
@@ -326,7 +389,7 @@ class PoolStore:
         begins); all other ids return to the pool.  Used by
         ``ActiveSession.resume`` — membership is pure bookkeeping over the
         master arrays, so restoring it is exact regardless of store flavor
-        (sharded masks are views into :attr:`in_pool`, streaming growth is
+        (sharded masks are views into :attr:`in_pool`, pool growth is
         replayed before this call).
         """
 
@@ -355,29 +418,12 @@ class PoolStore:
 class DensePointStore(PoolStore):
     """The monolithic in-memory store: one dense host master array.
 
-    This is the pre-refactor ``PointStore`` behavior bit-for-bit (the
+    This is the pre-refactor single-array behavior bit-for-bit (the
     legacy-equivalence suite pins it against the frozen pre-session driver
-    for every strategy); the base class implements everything, this subclass
-    only fixes the ``kind`` tag.
+    for every strategy), and it grows in RAM through :meth:`extend`; the
+    base class implements everything, this subclass only fixes the ``kind``
+    tag.
     """
 
     kind = "dense"
 
-
-def __getattr__(name: str):
-    # Historical name of the dense store.  Still a true alias (isinstance
-    # checks and pickles keep working — the object *is* DensePointStore),
-    # but the import path is deprecated: resolving it lazily through PEP 562
-    # lets us warn exactly when legacy code touches the old name without
-    # taxing `import repro` itself.
-    if name == "PointStore":
-        import warnings
-
-        warnings.warn(
-            "repro.engine.pool.PointStore is a deprecated alias of "
-            "DensePointStore; import DensePointStore instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return DensePointStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

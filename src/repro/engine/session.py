@@ -12,9 +12,9 @@ of the legacy driver removed:
   ``SessionConfig.store`` swaps in a
   :class:`~repro.engine.stores.ShardedPointStore` (per-rank id shards
   feeding the multi-rank scatter) or a
-  :class:`~repro.engine.stores.StreamingPointStore` (pool replenished
-  between rounds via :meth:`ActiveSession.extend_pool`) without touching
-  strategies or solvers;
+  :class:`~repro.engine.stores.MmapPointStore` (master on disk) without
+  touching strategies or solvers, and :meth:`ActiveSession.extend_pool`
+  replenishes an unsharded pool between rounds;
 * the labeled-Fisher block diagonal ``B(H_o)`` can be maintained
   *incrementally* (newly labeled points add their rank-one class
   contributions instead of the full sum being recomputed every
@@ -135,7 +135,7 @@ from repro.models.metrics import accuracy, class_balanced_accuracy
 from repro.models.softmax import reduced_probabilities
 from repro.utils.io import atomic_write_json, read_json
 from repro.utils.random import as_generator
-from repro.utils.validation import require
+from repro.utils.validation import check_features, check_labels, require
 
 __all__ = ["SessionConfig", "ActiveSession", "QueryProposal"]
 
@@ -241,11 +241,11 @@ class SessionConfig:
         :class:`~repro.engine.DensePointStore` — the historical, test-pinned
         behavior.  Otherwise a factory ``problem -> PoolStore`` (e.g.
         ``ShardedPointStore.factory(num_shards=4)`` or
-        ``StreamingPointStore.from_problem``) or an already-built store
-        instance matching the problem.  Strategies and solvers are
+        ``MmapPointStore.factory(chunk_rows=4096)``) or an already-built
+        store instance matching the problem.  Strategies and solvers are
         store-agnostic; a sharded store additionally routes the
-        ``parallel_ranks`` scatter along its shard ownership, and a
-        streaming store enables :meth:`ActiveSession.extend_pool`.
+        ``parallel_ranks`` scatter along its shard ownership, and cannot
+        grow through :meth:`ActiveSession.extend_pool`.
     prefilter:
         Optional :class:`~repro.engine.prefilter.CandidateFilter` evaluated
         once per round *before* the strategy: the pool view is restricted to
@@ -548,23 +548,19 @@ class ActiveSession:
         #: proposal itself is invalidated — call :meth:`propose` to replay it.
         self.invalidated_proposal: Optional[dict] = None
 
-        num_shards = getattr(self.store, "num_shards", None)
+        num_shards = self.store.num_shards
         if num_shards is not None and self.config.parallel_ranks is not None:
             require(
                 int(num_shards) == int(self.config.parallel_ranks),
                 "a sharded store must have one shard per parallel rank",
             )
-        promotion_budget = getattr(self.store, "promotion_budget_bytes", None)
-        if promotion_budget is not None and (self.config.resident_pool or num_shards is not None):
-            # resident_pool (and per-shard master promotion) would densify the
-            # out-of-core master into compute memory every round — fail at
-            # construction with the store's own descriptive ValueError
-            # instead of silently defeating the mmap store's purpose.
-            self.store._check_promotion_budget(
-                self.store.total_points,
-                "SessionConfig(resident_pool=True)"
-                if self.config.resident_pool
-                else "a sharded/resident session",
+        if self.config.resident_pool:
+            # resident_pool would densify an out-of-core master into compute
+            # memory every round — fail at construction with the store's own
+            # descriptive ValueError instead of silently defeating the mmap
+            # store's purpose.
+            self.store.check_promotion_budget(
+                self.store.total_points, "SessionConfig(resident_pool=True)"
             )
         self.strategy.begin_session(
             SessionInfo(
@@ -577,8 +573,6 @@ class ActiveSession:
                 reuse_eta=self.config.reuse_eta,
                 parallel_ranks=self.config.parallel_ranks,
                 parallel_transport=self.config.parallel_transport,
-                store_kind=self.store.kind,
-                num_store_shards=None if num_shards is None else int(num_shards),
                 prefilter=(
                     None
                     if self.config.prefilter is None
@@ -725,32 +719,34 @@ class ActiveSession:
         return record
 
     def extend_pool(self, features, labels) -> np.ndarray:
-        """Replenish the pool between rounds (streaming stores only).
+        """Replenish the pool between rounds.
 
         Appends new unlabeled points to the session's store under fresh
-        stable ids — the pool-refresh round boundary of streaming active
-        learning.  Existing ids never move, so the labeled history, the
-        recorded curve and any per-id strategy state stay valid; FIRAL's
-        RELAX warm start simply falls back to a cold start on the first
-        round whose pool contains ids the previous solve never weighted.
-        Returns the new points' global ids.
+        stable ids (:meth:`PoolStore.extend`) — the pool-refresh round
+        boundary of streaming active learning.  Existing ids never move, so
+        the labeled history, the recorded curve and any per-id strategy
+        state stay valid; FIRAL's RELAX warm start simply falls back to a
+        cold start on the first round whose pool contains ids the previous
+        solve never weighted.  Returns the new points' global ids.
 
-        An in-flight eager prefetch is **cancelled first** (joined and
-        rolled back to the round boundary): the precomputed proposal never
-        saw the new points, so serving it would be stale — the next
-        :meth:`propose` recomputes over the grown pool.
+        The batch is validated first — finite floating features and labels
+        in ``[0, num_classes)`` — because a point that enters the pool stays
+        there until it is labeled: a bad row would fail every later round.
+        A sharded store refuses to grow.
+
+        An in-flight eager prefetch is **cancelled** (joined and rolled back
+        to the round boundary): the precomputed proposal never saw the new
+        points, so serving it would be stale — the next :meth:`propose`
+        recomputes over the grown pool.
         """
 
+        check_features(features, "extend_pool features")
+        check_labels(labels, self.problem.num_classes, "extend_pool labels")
         self._discard_prefetch()
         require(
             self._pending is None,
             "cannot extend the pool while a proposal is pending — "
             "observe() or invalidate_proposal() first",
-        )
-        require(
-            hasattr(self.store, "extend"),
-            f"the session's '{self.store.kind}' store cannot grow; "
-            "configure SessionConfig(store=StreamingPointStore.from_problem)",
         )
         return self.store.extend(features, labels)
 
@@ -959,18 +955,12 @@ class ActiveSession:
             labeled_probabilities = self._frozen_probs
         else:
             labeled_probabilities = self.classifier.predict_proba(labeled_features)
-        shard_offsets = None
-        shard_devices = None
-        if hasattr(self.store, "pool_shard_offsets"):
-            # A sharded store publishes the round's ownership boundaries so
-            # multi-rank selection scatters along them — and, when its
-            # masters are device-pinned, the per-shard devices so each rank's
-            # compute view stays on its own accelerator.
-            shard_offsets = self.store.pool_shard_offsets()
-            if hasattr(self.store, "shard_devices"):
-                devices = self.store.shard_devices()
-                if devices is not None:
-                    shard_devices = tuple(devices)
+        # A sharded store publishes the round's ownership boundaries so
+        # multi-rank selection scatters along them — and, when its masters
+        # are device-pinned, the per-shard devices so each rank's compute
+        # view stays on its own accelerator.  Other stores answer None.
+        shard_offsets = self.store.pool_shard_offsets()
+        shard_devices = self.store.shard_devices()
         candidate_ids = None
         candidate_positions = None
         if cfg.prefilter is not None:
@@ -1192,7 +1182,7 @@ class ActiveSession:
             "labeled_ids": [int(i) for i in self.store.labeled_ids],
         }
         if self.store.total_points > self._base_total:
-            # Streamed pool growth: save the appended rows so resume can
+            # Pool growth: save the appended rows so resume can
             # replay them under the same ids before restoring membership.
             extension = np.arange(self._base_total, self.store.total_points, dtype=np.int64)
             store_section["extension_features"] = self.store.features_host(extension).tolist()
@@ -1305,9 +1295,12 @@ class ActiveSession:
                 f"but this session has {key}={value!r}",
             )
         store_section = payload["store"]
+        # Format-1 checkpoints of a grown in-RAM pool may say "streaming";
+        # that pool is held by the dense store.
+        saved_kind = "dense" if store_section["kind"] == "streaming" else store_section["kind"]
         require(
-            session.store.kind == store_section["kind"],
-            f"checkpoint was written with a '{store_section['kind']}' store, "
+            session.store.kind == saved_kind,
+            f"checkpoint was written with a '{saved_kind}' store, "
             f"but this session has a '{session.store.kind}' store",
         )
         if int(store_section["total_points"]) > session.store.total_points:

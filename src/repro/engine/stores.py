@@ -1,7 +1,7 @@
-"""Sharded, streaming and out-of-core pool stores.
+"""Sharded and out-of-core pool stores.
 
-Three :class:`~repro.engine.pool.PoolStore` implementations for the scenario
-classes the dense store cannot express:
+Two :class:`~repro.engine.pool.PoolStore` implementations for the layouts
+the dense store cannot express:
 
 * :class:`ShardedPointStore` — the pool's global id range is partitioned
   into ``num_shards`` **contiguous per-rank shards** (the § III-C layout:
@@ -17,16 +17,7 @@ classes the dense store cannot express:
   device** (``device_map="auto"`` round-robins over the local accelerators;
   an explicit per-shard device list is also accepted), so gathers and
   reorders run device-side and only selected rows are shipped to the host.
-* :class:`StreamingPointStore` — the master array is **growable**:
-  :meth:`StreamingPointStore.extend` appends replenishment points between
-  rounds (the pool-refresh setting of Pinsler et al.'s batch-construction
-  experiments).  New points get fresh ids past the current range; existing
-  ids never move, so cross-round strategy state keyed by id stays valid, and
-  FIRAL's RELAX warm start falls back to a cold start when it meets ids the
-  previous solve never weighted (``FIRALStrategy._warm_start_weights``).
-  Promotion is **incremental**: each growth epoch becomes a new compute
-  segment, so an extend promotes only the appended rows instead of
-  re-copying the whole pool to the backend.
+  Shard ownership is fixed at construction, so a sharded pool cannot grow.
 * :class:`MmapPointStore` — the master lives **on disk** as an
   ``np.memmap``: host views gather chunk-wise, compute promotion is chunked
   and bounded by an explicit ``promotion_budget_bytes``, and
@@ -34,11 +25,12 @@ classes the dense store cannot express:
   ``fused_round_scores`` one block at a time so peak resident memory is
   O(chunk) instead of O(pool).  The file is self-describing (``.npy``
   format plus label/meta sidecars), so :meth:`MmapPointStore.from_file`
-  reopens it after a process restart.
+  reopens it after a process restart; :meth:`MmapPointStore.extend` grows
+  it through an atomic spill of the master file.
 
-All preserve the full base-class contract, so strategies and solvers run
-unchanged on top of them; on a fixed pool (no extends) every store selects
-identically to :class:`~repro.engine.pool.DensePointStore` (test-pinned).
+Both preserve the base-class contract, so strategies and solvers run
+unchanged on top of them; every store selects identically to
+:class:`~repro.engine.pool.DensePointStore` on the same pool (test-pinned).
 """
 
 from __future__ import annotations
@@ -60,7 +52,6 @@ __all__ = [
     "DEFAULT_PROMOTION_BUDGET_BYTES",
     "MmapPointStore",
     "ShardedPointStore",
-    "StreamingPointStore",
 ]
 
 #: Default cap on how many bytes :meth:`MmapPointStore.compute_features` may
@@ -228,19 +219,6 @@ class ShardedPointStore(PoolStore):
             )
         return self._region_masters[region]
 
-    def shard_compute_features(self, shard: int) -> Array:
-        """Promoted features of ``shard``'s current pool, from its own master.
-
-        With a ``device_map`` the result lives on the shard's pinned device —
-        the per-rank compute view the distributed solvers consume.
-        """
-
-        backend = get_backend()
-        lo, _ = self.shard_id_range(shard)
-        local = self.shard_pool_ids(shard) - lo
-        region_backend = self._region_backend(shard + 1, backend)
-        return self._region_master(shard + 1, backend)[region_backend.from_host(local)]
-
     def compute_features(self, ids: np.ndarray) -> Array:
         """Promoted features for ``ids``, gathered from the per-shard masters.
 
@@ -268,101 +246,14 @@ class ShardedPointStore(PoolStore):
             return backend.ascompute(self.features[:0])
         return out
 
-    def _invalidate_compute(self) -> None:
-        super()._invalidate_compute()
-        self._region_masters = [None] * len(self._region_masters)
-
-
-class StreamingPointStore(PoolStore):
-    """Pool store whose master array grows between rounds.
-
-    :meth:`extend` appends replenishment points under fresh global ids.  Ids
-    assigned before an extend never change, so selections, labeled history
-    and any per-id strategy state remain valid across replenishment.
-
-    Promotion is **segmented**: every growth epoch (the initial pool, then
-    each extend) is its own compute segment, promoted lazily and exactly
-    once per backend.  An extend therefore promotes only the appended rows —
-    the :attr:`promoted_rows` counter (total rows promoted so far) lets the
-    regression suite pin that growth no longer re-copies the whole pool.
-    """
-
-    kind = "streaming"
-
-    def __init__(self, initial_features, initial_labels, pool_features, pool_labels):
-        super().__init__(initial_features, initial_labels, pool_features, pool_labels)
-        self._segment_bounds: List[int] = [0, self.total_points]
-        self._segment_masters: List[Optional[Array]] = [None]
-        #: Cumulative count of master rows promoted to compute storage
-        #: (re-promotion after a backend switch counts again).
-        self.promoted_rows = 0
-
-    # ------------------------------------------------------------------ #
-    # compute views: per-epoch segments
-    # ------------------------------------------------------------------ #
-    def _segment_master(self, segment: int, backend) -> Array:
-        if self._compute_backend is not backend:
-            self._segment_masters = [None] * len(self._segment_masters)
-            self._compute_backend = backend
-        if self._segment_masters[segment] is None:
-            lo = self._segment_bounds[segment]
-            hi = self._segment_bounds[segment + 1]
-            self._segment_masters[segment] = backend.ascompute(self.features[lo:hi])
-            self.promoted_rows += hi - lo
-        return self._segment_masters[segment]
-
-    def compute_features(self, ids: np.ndarray) -> Array:
-        backend = get_backend()
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        require(
-            bool(ids.size == 0 or (ids.min() >= 0 and ids.max() < self.total_points)),
-            "id out of range",
-        )
-        bounds = np.asarray(self._segment_bounds, dtype=np.int64)
-        out = gather_region_compute(
-            backend,
-            bounds,
-            ids,
-            lambda seg, local: self._segment_master(seg, backend)[backend.from_host(local)],
-        )
-        if out is None:
-            return backend.ascompute(self.features[:0])
-        return out
-
-    def _invalidate_compute(self) -> None:
-        super()._invalidate_compute()
-        self._segment_masters = [None] * len(self._segment_masters)
-
-    # ------------------------------------------------------------------ #
-    # growth
-    # ------------------------------------------------------------------ #
     def extend(self, features, labels) -> np.ndarray:
-        """Append new unlabeled points to the pool; return their global ids.
+        """Refuse growth: shard ownership is fixed at construction.
 
-        ``labels`` join the hidden oracle side of the store — they are only
-        revealed when :meth:`~repro.engine.pool.PoolStore.label` selects the
-        points.  Already-promoted segments stay valid (their rows are
-        unchanged); only the new epoch is promoted on the next compute view.
+        Appended ids would fall outside every shard's id range, so the
+        per-shard masks, masters and scatter offsets could not cover them.
         """
 
-        new_f = _to_host(features)
-        new_y = np.asarray(_to_host(labels), dtype=np.int64).ravel()
-        require(new_f.ndim == 2, "features must be 2-D")
-        require(new_f.shape[0] > 0, "extend requires at least one point")
-        require(int(new_f.shape[1]) == self.dimension, "feature dimensions must match")
-        require(int(new_f.shape[0]) == int(new_y.shape[0]), "features and labels must align")
-
-        old_total = self.total_points
-        self.features = np.concatenate([self.features, new_f], axis=0)
-        self.labels = np.concatenate([self.labels, new_y], axis=0)
-        self.total_points = int(self.features.shape[0])
-        self.in_pool = np.concatenate(
-            [self.in_pool, np.ones(int(new_f.shape[0]), dtype=bool)]
-        )
-        self._pool_ids_cache = None
-        self._segment_bounds.append(self.total_points)
-        self._segment_masters.append(None)
-        return np.arange(old_total, self.total_points, dtype=np.int64)
+        raise ValueError("a sharded store cannot grow: shard ownership is fixed at construction")
 
 
 def _unlink_quiet(paths) -> None:
@@ -679,7 +570,9 @@ class MmapPointStore(PoolStore):
 
         return int(num_rows) * self.dimension * np.dtype(COMPUTE_DTYPE).itemsize
 
-    def _check_promotion_budget(self, num_rows: int, what: str) -> None:
+    def check_promotion_budget(self, num_rows: int, what: str) -> None:
+        """Raise ``ValueError`` if promoting ``num_rows`` rows exceeds the budget."""
+
         if self.promotion_budget_bytes is None:
             return
         needed = self.promotion_cost_bytes(num_rows)
@@ -705,7 +598,7 @@ class MmapPointStore(PoolStore):
 
         backend = get_backend()
         ids_arr = np.asarray(ids, dtype=np.int64).ravel()
-        self._check_promotion_budget(int(ids_arr.size), "compute_features")
+        self.check_promotion_budget(int(ids_arr.size), "compute_features")
         host = np.empty((int(ids_arr.size), self.dimension), dtype=COMPUTE_DTYPE)
         for lo in range(0, int(ids_arr.size), self._chunk_rows):
             hi = min(lo + self._chunk_rows, int(ids_arr.size))
@@ -823,13 +716,7 @@ class MmapPointStore(PoolStore):
         Returns the appended points' global ids.
         """
 
-        new_f = _to_host(features)
-        new_y = np.asarray(_to_host(labels), dtype=np.int64).ravel()
-        require(new_f.ndim == 2, "features must be 2-D")
-        require(new_f.shape[0] > 0, "extend requires at least one point")
-        require(int(new_f.shape[1]) == self.dimension, "feature dimensions must match")
-        require(int(new_f.shape[0]) == int(new_y.shape[0]), "features and labels must align")
-
+        new_f, new_y = self._check_extension(features, labels)
         old_total = self.total_points
         added = int(new_f.shape[0])
         tmp = self._path + ".grow.tmp"
@@ -854,7 +741,9 @@ class MmapPointStore(PoolStore):
         return np.arange(old_total, self.total_points, dtype=np.int64)
 
     def _invalidate_compute(self) -> None:
-        super()._invalidate_compute()
+        """Drop the pool-id cache and the compute-dtype sidecar after growth."""
+
+        self._pool_ids_cache = None
         self._mapped_compute = None
         if self.features.dtype != np.dtype(COMPUTE_DTYPE):
             try:

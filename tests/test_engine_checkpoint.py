@@ -24,8 +24,9 @@ import pytest
 from repro.baselines import FIRALStrategy
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
+from repro.engine.pool import DensePointStore
 from repro.engine.session import ActiveSession, SessionConfig
-from repro.engine.stores import StreamingPointStore
+from repro.engine.stores import ShardedPointStore
 from repro.parallel import FaultPlan
 from repro.parallel.comm import CommError
 from tests.test_engine_session import (
@@ -89,7 +90,7 @@ class TestCheckpointResume:
         extra = np.random.default_rng(9)
         new_f = extra.standard_normal((6, problem.dimension))
         new_y = extra.integers(0, problem.num_classes, size=6)
-        make_config = lambda: SessionConfig(store=StreamingPointStore.from_problem)  # noqa: E731
+        make_config = lambda: SessionConfig(store=DensePointStore.from_problem)  # noqa: E731
         factory = STRATEGY_FACTORIES["entropy"]
 
         full = ActiveSession(
@@ -177,6 +178,16 @@ class TestCheckpointValidation:
                 config=SessionConfig(reuse_eta=True),
             )
 
+    def test_store_kind_mismatch_rejected(self, problem, tmp_path):
+        ckpt = self._checkpoint(problem, tmp_path)
+        with pytest.raises(ValueError, match="'dense' store.*'sharded' store"):
+            ActiveSession.resume(
+                ckpt,
+                problem,
+                STRATEGY_FACTORIES["random"](),
+                config=SessionConfig(store=ShardedPointStore.factory(num_shards=2)),
+            )
+
     def test_strategy_mismatch_rejected(self, problem, tmp_path):
         ckpt = self._checkpoint(problem, tmp_path)
         with pytest.raises(ValueError, match="strategy"):
@@ -206,7 +217,7 @@ def _fixture_strategy():
 
 
 def _fixture_session(problem):
-    """Warm start, η reuse, incremental Fisher and a streaming store: every
+    """Warm start, η reuse, incremental Fisher and a grown pool: every
     checkpoint section is non-trivial."""
 
     return ActiveSession(
@@ -221,7 +232,7 @@ def _fixture_session(problem):
 
 def _fixture_config():
     return SessionConfig(
-        store=StreamingPointStore.from_problem,
+        store=DensePointStore.from_problem,
         incremental_fisher=True,
         relax_warm_start=True,
         reuse_eta=True,
@@ -260,6 +271,9 @@ class TestCheckpointCompatibility:
         )
         assert payload["fisher"]["accumulator"]["num_points"] > 0
         assert len(payload["store"]["extension_labels"]) == 6
+        # Written by a growable in-RAM store of kind "streaming"; resume reads
+        # it as the dense store that now holds such a pool.
+        assert payload["store"]["kind"] == "streaming"
         assert payload["pending_proposal"]["round_index"] == 2
 
         reference = _fixture_session(problem)

@@ -28,8 +28,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.base import SelectionStrategy
-from repro.engine import ActiveSession, SessionConfig
-from repro.engine.stores import StreamingPointStore
+from repro.engine import ActiveSession, DensePointStore, SessionConfig
 
 from test_engine_propose_observe import PARALLEL_STRATEGIES, _parallel_config
 from test_engine_session import (
@@ -278,12 +277,12 @@ class TestPrefetchRaces:
     def test_extend_pool_during_in_flight_prefetch(self, problem, config_factory):
         base = config_factory()
         if base is not None:
-            pytest.skip("streaming store and sharded store are exclusive")
+            pytest.skip("a sharded store cannot grow")
         rng = np.random.default_rng(3)
         new_f = rng.standard_normal((6, problem.dimension))
         new_y = rng.integers(0, problem.num_classes, size=6)
 
-        config = lambda: SessionConfig(store=StreamingPointStore.from_problem)  # noqa: E731
+        config = lambda: SessionConfig(store=DensePointStore.from_problem)  # noqa: E731
         reference = _session(problem, "approx-firal", config=config())
         reference.extend_pool(new_f, new_y)
         for _ in range(3):

@@ -35,8 +35,14 @@ import numpy as np
 import pytest
 
 from repro.baselines.entropy import EntropyStrategy
-from repro.engine import ActiveSession, QueryProposal, SessionConfig, make_prefilter
-from repro.engine.stores import ShardedPointStore, StreamingPointStore
+from repro.engine import (
+    ActiveSession,
+    DensePointStore,
+    QueryProposal,
+    SessionConfig,
+    make_prefilter,
+)
+from repro.engine.stores import ShardedPointStore
 
 from test_engine_session import (
     STRATEGY_FACTORIES,
@@ -191,7 +197,7 @@ class TestProtocolErrors:
             STRATEGY_FACTORIES["random"](),
             budget_per_round=4,
             seed=7,
-            config=SessionConfig(store=StreamingPointStore.from_problem),
+            config=SessionConfig(store=DensePointStore.from_problem),
         )
         session.propose()
         rng = np.random.default_rng(3)
@@ -362,7 +368,7 @@ class TestMidProposalCheckpoint:
         proposal is already invalidated, so growing the pool *before*
         re-proposing is legal — and the replay then legitimately differs."""
 
-        make_config = lambda: SessionConfig(store=StreamingPointStore.from_problem)  # noqa: E731
+        make_config = lambda: SessionConfig(store=DensePointStore.from_problem)  # noqa: E731
         session = ActiveSession(
             problem,
             STRATEGY_FACTORIES["random"](),

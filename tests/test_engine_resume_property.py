@@ -1,8 +1,8 @@
 """Property: resume == uninterrupted, over random protocol interleavings.
 
 A hypothesis state machine drives one session through random sequences of
-``propose``, ``observe``, ``invalidate_proposal``, ``extend_pool`` (streaming
-store), ``prefetch_proposal`` and checkpoint → ``resume``.  A reference
+``propose``, ``observe``, ``invalidate_proposal``, ``extend_pool``,
+``prefetch_proposal`` and checkpoint → ``resume``.  A reference
 session replays only what committed — one ``step()`` per observed round, and
 the same pool extensions — and after every committed round the two must
 agree on the round records and the labeled ids.  At every round boundary
@@ -37,9 +37,8 @@ from hypothesis.stateful import (
 from repro.baselines.base import FIRALStrategy
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
-from repro.engine import ActiveSession, SessionConfig, make_prefilter
+from repro.engine import ActiveSession, DensePointStore, SessionConfig, make_prefilter
 from repro.engine.session import RoundState
-from repro.engine.stores import StreamingPointStore
 
 from test_engine_session import _assert_curves_identical, _small_problem
 
@@ -49,7 +48,7 @@ BUDGET = 2
 
 def _config():
     return SessionConfig(
-        store=StreamingPointStore.from_problem,
+        store=DensePointStore.from_problem,
         prefilter=make_prefilter("random", 0.5),
         relax_warm_start=True,
         reuse_eta=True,

@@ -9,7 +9,7 @@ only to track stable global ids) and is the reference the session is pinned
 against.
 
 Also covered here: the strategy lifecycle protocol (``begin_session`` /
-``observe_labels``, the stateless adapter), the ``PointStore`` bookkeeping,
+``observe_labels``, the stateless adapter), the ``DensePointStore`` bookkeeping,
 the value-exact ``resident_pool`` mode, the round-1 exactness of
 ``incremental_fisher``, and the FIRAL RELAX warm start.
 """
@@ -37,7 +37,7 @@ from repro.baselines.random_sampling import RandomStrategy
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL, ExactFIRAL
 from repro.datasets.registry import build_problem
-from repro.engine.pool import DensePointStore as PointStore
+from repro.engine.pool import DensePointStore
 from repro.engine.session import ActiveSession, SessionConfig
 from repro.models.logistic_regression import LogisticRegressionClassifier
 from repro.models.metrics import accuracy, class_balanced_accuracy
@@ -444,7 +444,7 @@ class TestEtaReuse:
 
 class TestPointStore:
     def test_ids_and_views(self):
-        store = PointStore(
+        store = DensePointStore(
             np.arange(6, dtype=np.float64).reshape(3, 2),
             np.array([0, 1, 2]),
             np.arange(8, dtype=np.float64).reshape(4, 2) + 100,
@@ -457,7 +457,7 @@ class TestPointStore:
         np.testing.assert_array_equal(store.pool_features_host()[0], [100, 101])
 
     def test_label_moves_points_in_selection_order(self):
-        store = PointStore(
+        store = DensePointStore(
             np.zeros((2, 2)),
             np.array([0, 1]),
             np.arange(10, dtype=np.float64).reshape(5, 2),
@@ -472,7 +472,7 @@ class TestPointStore:
         np.testing.assert_array_equal(store.pool_features_host()[:, 0], [2, 4, 8])
 
     def test_label_rejects_bad_indices(self):
-        store = PointStore(
+        store = DensePointStore(
             np.zeros((1, 2)), np.array([0]), np.ones((3, 2)), np.array([0, 0, 0])
         )
         with pytest.raises(ValueError):
@@ -481,7 +481,7 @@ class TestPointStore:
             store.label(np.array([0, 0]))
 
     def test_compute_features_matches_host_values(self):
-        store = PointStore(
+        store = DensePointStore(
             np.zeros((1, 3)),
             np.array([0]),
             np.random.default_rng(0).standard_normal((4, 3)).astype(np.float32),

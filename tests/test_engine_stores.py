@@ -2,17 +2,18 @@
 
 The contract of the store refactor:
 
-* ``DensePointStore`` **is** the historical ``PointStore`` (true alias) and
-  a session configured with it explicitly selects bit-identically to the
-  default session for every strategy (the default session itself is pinned
-  against the frozen pre-refactor driver in ``test_engine_session.py``);
+* a session configured with ``DensePointStore`` explicitly selects
+  bit-identically to the default session for every strategy (the default
+  session itself is pinned against the frozen pre-refactor loop in
+  ``test_engine_session.py``);
 * a ``ShardedPointStore`` session with ``parallel_ranks`` selects
   identically to the dense serial run — the scatter follows shard ownership
-  but the algorithm is partition-invariant;
-* a ``StreamingPointStore`` session runs end-to-end with between-round
-  replenishment: ids stay stable across ``extend()``, replenished points
-  are selectable, and FIRAL's RELAX warm start falls back to a cold start
-  when unseen ids appear;
+  but the algorithm is partition-invariant — and refuses to grow;
+* a session whose pool is replenished between rounds (``extend_pool``) runs
+  end-to-end: ids stay stable across ``extend()``, replenished points are
+  selectable, malformed batches are rejected before they reach the pool,
+  and FIRAL's RELAX warm start falls back to a cold start when unseen ids
+  appear;
 * the in-rank η grid search (``distributed_round_search``) matches the
   serial ``select_eta`` winner inside a single SPMD launch.
 """
@@ -31,8 +32,8 @@ from repro.core.approx_round import approx_round
 from repro.core.approx_relax import approx_relax
 from repro.core.firal import ApproxFIRAL
 from repro.engine import ActiveSession, SessionConfig
-from repro.engine.pool import DensePointStore, PoolStore
-from repro.engine.stores import ShardedPointStore, StreamingPointStore
+from repro.engine.pool import DensePointStore
+from repro.engine.stores import ShardedPointStore
 from repro.fisher.hessian import block_diagonal_of_sum
 from repro.models.softmax import reduced_probabilities
 from repro.parallel.distributed_round import distributed_round_search
@@ -78,15 +79,6 @@ def _run(problem, strategy, config=None, num_rounds=3, seed=0):
 # protocol / dense store
 # --------------------------------------------------------------------- #
 class TestPoolStoreProtocol:
-    def test_point_store_is_deprecated_dense_alias(self):
-        with pytest.warns(DeprecationWarning, match="DensePointStore"):
-            from repro.engine.pool import PointStore
-        assert PointStore is DensePointStore
-        assert issubclass(DensePointStore, PoolStore)
-        assert DensePointStore.kind == "dense"
-        assert ShardedPointStore.kind == "sharded"
-        assert StreamingPointStore.kind == "streaming"
-
     def test_factory_binds_kwargs(self, problem):
         build = ShardedPointStore.factory(num_shards=3)
         store = build(problem)
@@ -101,9 +93,9 @@ class TestPoolStoreProtocol:
             budget_per_round=4,
             num_rounds=1,
             seed=0,
-            config=SessionConfig(store=StreamingPointStore.from_problem),
+            config=SessionConfig(store=ShardedPointStore.factory(num_shards=2)),
         )
-        assert isinstance(by_factory.store, StreamingPointStore)
+        assert isinstance(by_factory.store, ShardedPointStore)
         instance = DensePointStore.from_problem(problem)
         by_instance = ActiveSession(
             problem,
@@ -187,16 +179,6 @@ class TestShardedPointStore:
             view = backend.to_numpy(store.compute_features(ids))
             np.testing.assert_array_equal(view, store.features[ids].astype(np.float64))
 
-    def test_shard_compute_features_matches_host(self):
-        store = self._store(num_shards=2)
-        store.label(np.array([2]))
-        backend = get_backend()
-        for shard in range(2):
-            view = backend.to_numpy(store.shard_compute_features(shard))
-            np.testing.assert_array_equal(
-                view, store.features[store.shard_pool_ids(shard)].astype(np.float64)
-            )
-
     def test_too_many_shards_rejected(self):
         with pytest.raises(ValueError):
             self._store(num_shards=11)
@@ -213,6 +195,17 @@ class TestShardedPointStore:
                     store=ShardedPointStore.factory(num_shards=3), parallel_ranks=2
                 ),
             )
+
+    def test_sharded_store_cannot_grow(self, problem):
+        session = ActiveSession(
+            problem,
+            RandomStrategy(),
+            budget_per_round=4,
+            seed=0,
+            config=SessionConfig(store=ShardedPointStore.factory(num_shards=2)),
+        )
+        with pytest.raises(ValueError, match="cannot grow"):
+            session.extend_pool(np.ones((2, problem.dimension)), np.array([0, 1]))
 
     def test_sharded_parallel_session_matches_dense_serial(self, problem):
         """The acceptance pin: shard-aware scatter changes nothing selected."""
@@ -307,11 +300,11 @@ class TestShardedPointStore:
 
 
 # --------------------------------------------------------------------- #
-# streaming store
+# pool replenishment (the streaming scenario)
 # --------------------------------------------------------------------- #
 class _TailStrategy(SelectionStrategy):
-    """Deterministically selects the *last* rows of the pool view — under a
-    streaming store these are the most recently replenished points."""
+    """Deterministically selects the *last* rows of the pool view — in a
+    replenished pool these are the most recently appended points."""
 
     name = "tail"
 
@@ -323,7 +316,7 @@ class _TailStrategy(SelectionStrategy):
 class TestStreamingPointStore:
     def _store(self):
         rng = np.random.default_rng(3)
-        return StreamingPointStore(
+        return DensePointStore(
             rng.standard_normal((2, 5)),
             np.array([0, 1]),
             rng.standard_normal((6, 5)),
@@ -364,35 +357,37 @@ class TestStreamingPointStore:
         with pytest.raises(ValueError):
             store.extend(np.ones((2, 5)), np.array([0]))
 
-    def test_extend_pool_requires_streaming_store(self, problem):
+    @pytest.mark.parametrize("bad", ["nan", "inf", "label_c", "label_negative"])
+    def test_extend_pool_rejects_bad_input(self, problem, bad):
+        """A bad row never enters the pool, so the session keeps stepping."""
+
         session = ActiveSession(problem, RandomStrategy(), budget_per_round=4, seed=0)
-        with pytest.raises(ValueError, match="cannot grow"):
-            session.extend_pool(np.ones((2, problem.dimension)), np.array([0, 1]))
-
-    def test_streaming_without_extend_matches_dense(self, problem):
-        """On a fixed pool the streaming store is just a dense store."""
-
-        for factory in (RandomStrategy, _approx_firal_strategy):
-            dense_session, dense_curve = _run(problem, factory(), num_rounds=2)
-            streaming_session, streaming_curve = _run(
-                problem,
-                factory(),
-                config=SessionConfig(store=StreamingPointStore.from_problem),
-                num_rounds=2,
-            )
-            assert streaming_curve == dense_curve
-            np.testing.assert_array_equal(
-                streaming_session.store.labeled_ids, dense_session.store.labeled_ids
-            )
+        session.step()
+        total_before = session.store.total_points
+        rng = np.random.default_rng(5)
+        new_f = rng.standard_normal((3, problem.dimension))
+        new_y = np.array([0, 1, 2])
+        c = problem.num_classes
+        if bad == "nan":
+            new_f[1, 0] = np.nan
+            message = "extend_pool features contains NaN or Inf values"
+        elif bad == "inf":
+            new_f[2, 1] = np.inf
+            message = "extend_pool features contains NaN or Inf values"
+        elif bad == "label_c":
+            new_y[0] = c
+            message = f"extend_pool labels contains class index {c} >= num_classes={c}"
+        else:
+            new_y[2] = -1
+            message = "extend_pool labels contains negative class indices"
+        with pytest.raises(ValueError, match=message):
+            session.extend_pool(new_f, new_y)
+        assert session.store.total_points == total_before
+        session.step()
+        session.step()
 
     def test_replenished_points_are_selectable(self, problem):
-        session = ActiveSession(
-            problem,
-            _TailStrategy(),
-            budget_per_round=4,
-            seed=0,
-            config=SessionConfig(store=StreamingPointStore.from_problem),
-        )
+        session = ActiveSession(problem, _TailStrategy(), budget_per_round=4, seed=0)
         session.step()
         rng = np.random.default_rng(11)
         new_f = rng.standard_normal((6, problem.dimension))
@@ -417,9 +412,7 @@ class TestStreamingPointStore:
             strategy,
             budget_per_round=4,
             seed=0,
-            config=SessionConfig(
-                store=StreamingPointStore.from_problem, relax_warm_start=True
-            ),
+            config=SessionConfig(relax_warm_start=True),
         )
         rng = np.random.default_rng(13)
         for _ in range(3):

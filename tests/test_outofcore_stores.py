@@ -13,8 +13,8 @@ The ISSUE-8 contract of :class:`repro.engine.MmapPointStore`:
   instead of silently densifying the out-of-core pool;
 * :meth:`stream_round_scores` equals one resident ``fused_round_scores``
   pass bit-for-bit;
-* ``StreamingPointStore.extend`` promotes **only** the appended rows
-  (the incremental-promotion regression guard).
+* ``DensePointStore.extend`` promotes **only** the appended rows onto a
+  cached compute master (the incremental-promotion regression guard).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.baselines.base import FIRALStrategy
 from repro.engine import ActiveSession, SessionConfig
 from repro.engine.pool import DensePointStore
 from repro.engine.prefilter import make_prefilter
-from repro.engine.stores import MmapPointStore, StreamingPointStore
+from repro.engine.stores import MmapPointStore
 from repro.fisher.hessian import block_diagonal_of_sum, point_block_coefficients
 from repro.linalg.sherman_morrison import fused_round_scores
 
@@ -330,13 +330,13 @@ class TestStreamRoundScores:
 
 
 # --------------------------------------------------------------------- #
-# streaming store incremental promotion (satellite regression guard)
+# in-RAM growth: incremental promotion (regression guard)
 # --------------------------------------------------------------------- #
 class TestStreamingIncrementalPromotion:
     def test_extend_promotes_only_appended_rows(self):
         rng = np.random.default_rng(4)
         n, d = 30, 5
-        store = StreamingPointStore(
+        store = DensePointStore(
             rng.standard_normal((4, d)),
             np.zeros(4, dtype=np.int64),
             rng.standard_normal((n - 4, d)),
@@ -354,7 +354,7 @@ class TestStreamingIncrementalPromotion:
 
     def test_incremental_segments_match_full_view(self):
         rng = np.random.default_rng(6)
-        store = StreamingPointStore(
+        store = DensePointStore(
             rng.standard_normal((3, 4)),
             np.zeros(3, dtype=np.int64),
             rng.standard_normal((17, 4)),

@@ -1,11 +1,10 @@
 """The curated public surface: explicit ``__all__``, lazy serve exports,
-deprecated ``PointStore`` alias, resolvable annotations.
+warning-free store imports, resolvable annotations.
 
 Every name a user is told to import must resolve; the serving layer loads
 lazily (so ``import repro`` stays cheap for batch scripts) but lands in the
-same namespace; the legacy ``PointStore`` alias keeps working on every
-historical import path — warning, not breaking; and every annotation in the
-package names something its module can resolve.
+same namespace; the store classes import without a ``DeprecationWarning``;
+and every annotation in the package names something its module can resolve.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import pkgutil
 import subprocess
 import sys
 import typing
-
-import pytest
 
 import repro
 import repro.engine
@@ -62,17 +59,6 @@ class TestAllResolves:
 
 
 class TestPointStoreDeprecation:
-    @pytest.mark.parametrize(
-        "module", ["repro", "repro.engine", "repro.engine.pool"]
-    )
-    def test_alias_warns_and_resolves(self, module):
-        import importlib
-
-        mod = importlib.import_module(module)
-        with pytest.warns(DeprecationWarning, match="deprecated alias of DensePointStore"):
-            alias = getattr(mod, "PointStore")
-        assert alias is repro.DensePointStore
-
     def test_dense_point_store_does_not_warn(self, recwarn):
         assert repro.DensePointStore is repro.engine.DensePointStore
         deprecations = [w for w in recwarn.list if w.category is DeprecationWarning]
