@@ -11,6 +11,9 @@ Per mirror-descent iteration:
    (Line 9, Hutchinson / Lemma 2),
 7. exponentiated-gradient update and renormalization (Lines 10–11).
 
+The objective for the stopping rule is read off steps 3–4:
+``f(z) = Tr(Sigma_z^{-1} H_p) ≈ (1/s) sum_j v_j^T (H_p W)_j`` (Eq. 12).
+
 The per-iteration cost is ``O(n c d (d + n_CG s) / p + c d^3)`` (Table IV);
 the timing breakdown records the same components plotted in Fig. 5(A)/(B) and
 Fig. 6.
@@ -27,7 +30,7 @@ from repro.core.config import RelaxConfig
 from repro.core.result import RelaxResult
 from repro.core.warm_start import initial_simplex_iterate
 from repro.fisher.matvec import probe_hessian_quadratic_forms
-from repro.fisher.objective import fisher_ratio_objective, fisher_ratio_objective_estimate
+from repro.fisher.objective import fisher_ratio_objective
 from repro.fisher.operators import FisherDataset, SigmaOperator
 from repro.linalg.cg import conjugate_gradient
 from repro.utils.random import as_generator
@@ -86,7 +89,6 @@ def approx_relax(
 
     iterations = 0
     for t in range(1, cfg.max_iterations + 1):
-        iterations = t
         # Line 4: fresh Rademacher probes each iteration.
         with timings.region("other"):
             probes = backend.rademacher((dc, cfg.num_probes), rng=rng, dtype=COMPUTE_DTYPE)
@@ -95,8 +97,7 @@ def approx_relax(
         with timings.region("setup_preconditioner"):
             operator = SigmaOperator(dataset, budget * z, regularization=cfg.regularization)
 
-        # Lines 6-8: W = Sigma^{-1} H_p Sigma^{-1} V via two PCG solves, each
-        # started from zero.
+        # Line 6: W = Sigma^{-1} V by PCG started from zero.
         with timings.region("cg"):
             first_solve = conjugate_gradient(
                 operator.matvec,
@@ -109,8 +110,21 @@ def approx_relax(
             total_cg_iterations += first_solve.iterations
             if t == 1:
                 first_cg_history = list(first_solve.residual_history)
+        # Line 7: H_p W.
         with timings.region("other"):
             pool_applied = dataset.pool_hessian_matvec(first_solve.solution)
+
+        # Hutchinson estimate of f(z) for the stopping rule, from Lines 6-7.
+        if cfg.track_objective == "estimate":
+            with timings.region("objective"):
+                objective_trace.append(float(xp.sum(probes * pool_applied)) / cfg.num_probes)
+            if cfg.objective_stalled(objective_trace):
+                cg_iteration_history.append(first_solve.iterations)
+                converged = True
+                break
+
+        iterations = t
+        # Line 8: W' = Sigma^{-1} H_p W by PCG started from zero.
         with timings.region("cg"):
             second_solve = conjugate_gradient(
                 operator.matvec,
@@ -141,29 +155,18 @@ def approx_relax(
             z = xp.exp(log_z)
             z /= z.sum()
 
-        # Optional objective tracking (Fig. 4) and stopping criterion.
-        if cfg.track_objective != "none":
+        if cfg.track_objective == "estimate":
+            # Discard s probes: each seed keeps the probe stream its pinned selections use.
+            rng.integers(0, 2, size=(dc, cfg.num_probes))
+        elif cfg.track_objective == "exact":
+            # Dense objective after the update, aligned with exact_relax (Fig. 4).
             with timings.region("objective"):
-                if cfg.track_objective == "exact":
-                    value = fisher_ratio_objective(
-                        dataset, budget * z, regularization=cfg.regularization
-                    )
-                else:
-                    value = fisher_ratio_objective_estimate(
-                        dataset,
-                        budget * z,
-                        num_probes=cfg.num_probes,
-                        cg_tolerance=cfg.cg_tolerance,
-                        max_cg_iterations=cfg.cg_max_iterations,
-                        regularization=cfg.regularization,
-                        rng=rng,
-                    )
-                objective_trace.append(value)
-            if len(objective_trace) >= 2:
-                prev, curr = objective_trace[-2], objective_trace[-1]
-                if abs(prev - curr) <= cfg.objective_tolerance * max(abs(prev), 1e-30):
-                    converged = True
-                    break
+                objective_trace.append(
+                    fisher_ratio_objective(dataset, budget * z, regularization=cfg.regularization)
+                )
+            if cfg.objective_stalled(objective_trace):
+                converged = True
+                break
 
     return RelaxResult(
         weights=budget * z,

@@ -10,6 +10,7 @@ Defaults follow the experimental setup of § IV-A of the paper:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -46,9 +47,12 @@ class RelaxConfig:
     cg_max_iterations:
         CG iteration cap.
     track_objective:
-        ``"exact"`` evaluates the dense objective each iteration (small
-        problems / Fig. 4), ``"estimate"`` uses Hutchinson + CG, ``"none"``
-        skips objective tracking (fastest; relies on max_iterations).
+        ``"estimate"`` reads a Hutchinson estimate of the objective off the
+        Line-6/7 solve every step already makes, so it costs no solve.
+        ``"exact"`` evaluates the dense objective after each update (small
+        problems / Fig. 4).  ``"none"`` skips objective tracking and runs all
+        ``max_iterations``; it is no faster than ``"estimate"`` and draws a
+        different probe stream, so it returns different weights for a seed.
     regularization:
         Optional Tikhonov term added to ``Sigma_z`` for numerical safety when
         the labeled set is tiny (the first rounds have one point per class).
@@ -69,16 +73,19 @@ class RelaxConfig:
     seed: Optional[int] = 0
 
     def __post_init__(self) -> None:
-        require(self.max_iterations > 0, "max_iterations must be positive")
+        for name in ("max_iterations", "num_probes", "cg_max_iterations"):
+            value = getattr(self, name)
+            require(
+                isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0,
+                f"{name} must be a positive integer, got {value!r}",
+            )
         require(self.learning_rate > 0, "learning_rate must be positive")
         require(
             self.learning_rate_schedule in ("sqrt", "constant"),
             "learning_rate_schedule must be 'sqrt' or 'constant'",
         )
         require(self.objective_tolerance >= 0, "objective_tolerance must be non-negative")
-        require(self.num_probes > 0, "num_probes must be positive")
         require(self.cg_tolerance > 0, "cg_tolerance must be positive")
-        require(self.cg_max_iterations > 0, "cg_max_iterations must be positive")
         require(
             self.track_objective in ("exact", "estimate", "none"),
             "track_objective must be 'exact', 'estimate' or 'none'",
@@ -99,6 +106,15 @@ class RelaxConfig:
         if self.normalize_gradient and gradient_scale > 0:
             beta = beta / gradient_scale
         return beta
+
+    def objective_stalled(self, trace: Sequence[float]) -> bool:
+        """The stopping rule: the last two ``trace`` values differ by at most
+        ``objective_tolerance`` relative to the earlier one."""
+
+        if len(trace) < 2:
+            return False
+        prev, curr = trace[-2], trace[-1]
+        return abs(prev - curr) <= self.objective_tolerance * max(abs(prev), 1e-30)
 
 
 @dataclass

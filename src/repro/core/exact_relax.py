@@ -124,11 +124,9 @@ def exact_relax(
         with timings.region("objective"):
             value = fisher_ratio_objective(dataset, budget * z, regularization=cfg.regularization)
             objective_trace.append(value)
-        if len(objective_trace) >= 2:
-            prev, curr = objective_trace[-2], objective_trace[-1]
-            if abs(prev - curr) <= cfg.objective_tolerance * max(abs(prev), 1e-30):
-                converged = True
-                break
+        if cfg.objective_stalled(objective_trace):
+            converged = True
+            break
 
     return RelaxResult(
         weights=budget * z,

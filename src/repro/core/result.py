@@ -27,15 +27,19 @@ class RelaxResult:
         The relaxed solution ``z* in R^n`` with ``z >= 0`` and ``sum z = b``.
     objective_trace:
         ``f(z)`` per mirror-descent iteration (empty if tracking disabled).
+        Under ``track_objective="estimate"`` entry ``t`` estimates ``f`` at
+        the iterate entering step ``t``; under ``"exact"`` it is ``f`` after
+        step ``t``'s update.
     iterations:
-        Number of mirror-descent iterations performed.
+        Number of mirror-descent updates the returned weights carry.
     converged:
         Whether the relative-objective-change criterion fired before the cap.
     cg_iterations:
         Total CG iterations summed over the solve (Approx only).
     cg_iteration_history:
-        CG iterations per mirror-descent iteration (both solves summed;
-        empty for the exact solver).
+        CG iterations per mirror-descent iteration (both solves summed; the
+        step the stopping rule ends adds its one solve; empty for the exact
+        solver).
     first_iteration_cg_history:
         Relative-residual trace of the first CG solve — the series shown in
         Fig. 1 (empty for the exact solver).

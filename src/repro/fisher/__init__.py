@@ -29,7 +29,7 @@ from repro.fisher.matvec import (
 )
 from repro.fisher.operators import FisherDataset, SigmaOperator
 from repro.fisher.accumulator import LabeledFisherAccumulator
-from repro.fisher.objective import fisher_ratio_objective, fisher_ratio_objective_estimate
+from repro.fisher.objective import fisher_ratio_objective
 
 __all__ = [
     "LabeledFisherAccumulator",
@@ -43,5 +43,4 @@ __all__ = [
     "FisherDataset",
     "SigmaOperator",
     "fisher_ratio_objective",
-    "fisher_ratio_objective_estimate",
 ]

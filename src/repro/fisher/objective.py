@@ -6,22 +6,16 @@ FIRAL selects points by (approximately) minimizing
 
 over the scaled simplex ``{z >= 0, sum z = b}`` (RELAX) and then over binary
 ``z`` (ROUND).  The exact evaluation below is used by Exact-FIRAL and by the
-Fig. 4 sensitivity study, which tracks ``f`` across mirror-descent iterations;
-the estimated variant uses the same Hutchinson + CG machinery as the fast
-RELAX solver so that large instances can still report an objective trace.
+Fig. 4 sensitivity study, which tracks ``f`` across mirror-descent iterations.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.backend import Array, get_backend
-from repro.fisher.operators import FisherDataset, SigmaOperator
-from repro.linalg.cg import conjugate_gradient
-from repro.utils.random import as_generator
+from repro.fisher.operators import FisherDataset
 from repro.utils.validation import require
 
-__all__ = ["fisher_ratio_objective", "fisher_ratio_objective_estimate"]
+__all__ = ["fisher_ratio_objective"]
 
 
 def fisher_ratio_objective(
@@ -48,45 +42,3 @@ def fisher_ratio_objective(
     solved = backend.solve(sigma, pool)
     return float(xp.trace(solved))
 
-
-def fisher_ratio_objective_estimate(
-    dataset: FisherDataset,
-    z: Array,
-    *,
-    num_probes: int = 10,
-    cg_tolerance: float = 0.01,
-    max_cg_iterations: int = 500,
-    regularization: float = 0.0,
-    rng=None,
-    probes: Optional[Array] = None,
-) -> float:
-    """Estimate ``f(z)`` with Hutchinson probes and preconditioned CG.
-
-    ``Trace(Sigma_z^{-1} H_p) ≈ (1/s) sum_j v_j^T Sigma_z^{-1} H_p v_j`` where
-    the solve uses the same block-diagonal preconditioner as Algorithm 2.
-    """
-
-    require(num_probes > 0, "num_probes must be positive")
-    backend = get_backend()
-    z = backend.ascompute(z).ravel()
-    require(tuple(z.shape) == (dataset.num_pool,), "z must have one weight per pool point")
-
-    dim = dataset.joint_dimension
-    if probes is None:
-        probes = backend.rademacher((dim, num_probes), rng=as_generator(rng))
-    else:
-        probes = backend.ascompute(probes)
-        require(tuple(probes.shape) == (dim, num_probes), "probes must have shape (dc, s)")
-
-    operator = SigmaOperator(dataset, z, regularization=regularization)
-    hp_probes = dataset.pool_hessian_matvec(probes)
-    result = conjugate_gradient(
-        operator.matvec,
-        hp_probes,
-        preconditioner=operator.precondition,
-        rtol=cg_tolerance,
-        max_iterations=max_cg_iterations,
-        record_history=False,
-    )
-    per_probe = backend.einsum("ij,ij->j", probes, backend.ascompute(result.solution))
-    return float(per_probe.mean())

@@ -6,6 +6,8 @@ import pytest
 from repro.core.config import RelaxConfig
 from repro.core.approx_relax import approx_relax
 from repro.core.exact_relax import exact_relax, exact_relax_gradient
+from repro.fisher.objective import fisher_ratio_objective
+from repro.fisher.operators import FisherDataset
 from repro.parallel.distributed_relax import distributed_relax
 from tests.conftest import make_fisher_dataset
 
@@ -101,6 +103,38 @@ class TestApproxRelax:
         with pytest.raises(ValueError):
             approx_relax(dataset, budget=-1)
 
+    def test_estimate_runs_no_extra_solve(self, dataset, monkeypatch):
+        """The estimate is read off Lines 6-7: every Sigma_z matvec is a counted CG step."""
+
+        calls = []
+        sigma_matvec = FisherDataset.sigma_matvec
+
+        def counting(self, V, z):
+            calls.append(1)
+            return sigma_matvec(self, V, z)
+
+        monkeypatch.setattr(FisherDataset, "sigma_matvec", counting)
+        result = approx_relax(
+            dataset, budget=5, config=RelaxConfig(max_iterations=4, objective_tolerance=0.0)
+        )
+        assert len(calls) == result.cg_iterations
+        assert len(result.objective_trace) == 4
+
+    def test_stopping_rule_returns_the_stalled_iterate(self, dataset):
+        """A stop at step t returns z_t, before its update, and counts t - 1 updates."""
+
+        stopped = approx_relax(
+            dataset, budget=5, config=RelaxConfig(max_iterations=10, objective_tolerance=1.0, seed=0)
+        )
+        one_step = approx_relax(
+            dataset, budget=5, config=RelaxConfig(max_iterations=1, track_objective="none", seed=0)
+        )
+        assert stopped.converged
+        assert stopped.iterations == 1
+        assert len(stopped.objective_trace) == 2
+        assert sum(stopped.cg_iteration_history) == stopped.cg_iterations
+        np.testing.assert_array_equal(stopped.weights, one_step.weights)
+
 
 def _centered(values):
     values = np.asarray(values, dtype=np.float64)
@@ -157,7 +191,44 @@ class TestGradientOracle:
         assert many < few / 4
 
 
+class TestObjectiveOracle:
+    """The in-loop Hutchinson objective against the dense ``Tr(Sigma_z^{-1} H_p)``.
+
+    With one step, ``objective_trace[0]`` is the estimate at the uniform
+    start; its RMS relative error over seeds must fall with the probe count
+    ``s`` at the ``1/sqrt(s)`` Monte Carlo rate.
+    """
+
+    BUDGET = 5
+
+    def _rms_relative_error(self, num_probes):
+        dataset = make_fisher_dataset(seed=0)
+        uniform = np.full(dataset.num_pool, self.BUDGET / dataset.num_pool)
+        exact = fisher_ratio_objective(dataset, uniform, regularization=RelaxConfig().regularization)
+        errors = []
+        for seed in range(8):
+            config = RelaxConfig(
+                max_iterations=1, cg_tolerance=1e-10, num_probes=num_probes, seed=seed
+            )
+            estimate = approx_relax(dataset, self.BUDGET, config).objective_trace[0]
+            errors.append((estimate - exact) / exact)
+        return float(np.sqrt(np.mean(np.square(errors))))
+
+    def test_estimate_converges_to_exact_objective(self):
+        few = self._rms_relative_error(num_probes=10)
+        many = self._rms_relative_error(num_probes=1000)
+        assert many < 0.02
+        assert many < few / 4
+
+
 class TestRelaxConfig:
+    @pytest.mark.parametrize("field", ["max_iterations", "num_probes", "cg_max_iterations"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RelaxConfig(**{field: value})
+        RelaxConfig(**{field: np.int64(3)})
+
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError):
             RelaxConfig(learning_rate_schedule="linear")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fisher.objective import fisher_ratio_objective, fisher_ratio_objective_estimate
+from repro.fisher.objective import fisher_ratio_objective
 from tests.conftest import make_fisher_dataset
 
 
@@ -36,32 +36,6 @@ def test_objective_positive(dataset):
     assert fisher_ratio_objective(dataset, z, regularization=1e-6) > 0
 
 
-def test_estimate_close_to_exact_with_many_probes(dataset):
-    rng = np.random.default_rng(1)
-    z = rng.uniform(0.2, 1.0, size=dataset.num_pool)
-    exact = fisher_ratio_objective(dataset, z, regularization=1e-4)
-    estimate = fisher_ratio_objective_estimate(
-        dataset,
-        z,
-        num_probes=200,
-        cg_tolerance=1e-8,
-        regularization=1e-4,
-        rng=0,
-    )
-    assert estimate == pytest.approx(exact, rel=0.1)
-
-
-def test_estimate_deterministic_given_probes(dataset):
-    z = np.full(dataset.num_pool, 0.5)
-    rng = np.random.default_rng(2)
-    probes = rng.choice([-1.0, 1.0], size=(dataset.joint_dimension, 10))
-    a = fisher_ratio_objective_estimate(dataset, z, num_probes=10, probes=probes, regularization=1e-4)
-    b = fisher_ratio_objective_estimate(dataset, z, num_probes=10, probes=probes, regularization=1e-4)
-    assert a == pytest.approx(b, rel=1e-10)
-
-
 def test_wrong_weight_length_rejected(dataset):
     with pytest.raises(ValueError):
         fisher_ratio_objective(dataset, np.ones(3))
-    with pytest.raises(ValueError):
-        fisher_ratio_objective_estimate(dataset, np.ones(3))
