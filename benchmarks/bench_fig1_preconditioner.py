@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.registry import DatasetSpec, build_problem
-from repro.fisher.operators import FisherDataset, SigmaOperator
+from repro.fisher.operators import FisherDataset
 from repro.linalg.cg import conjugate_gradient
 from repro.models.logistic_regression import LogisticRegressionClassifier
 from repro.models.softmax import reduced_probabilities
@@ -27,10 +27,15 @@ CONFIGS = {
 
 CG_TOLERANCE = 1e-3
 NUM_PROBES = 5
+REGULARIZATION = 1e-6
 
 
 def _first_iteration_system(spec: DatasetSpec, seed: int = 0):
-    """Reproduce the linear system of Line 6, Algorithm 2 at mirror-descent t=1."""
+    """Reproduce the linear system of Line 6, Algorithm 2 at mirror-descent t=1.
+
+    Returns the ``Sigma_z`` matvec, the ``B(Sigma_z)^{-1}`` preconditioner and
+    the probe block.
+    """
 
     problem = build_problem(spec, seed=seed)
     clf = LogisticRegressionClassifier(problem.num_classes)
@@ -43,20 +48,24 @@ def _first_iteration_system(spec: DatasetSpec, seed: int = 0):
     )
     budget = spec.budget_per_round
     z = np.full(dataset.num_pool, budget / dataset.num_pool)
-    operator = SigmaOperator(dataset, z, regularization=1e-6)
+
+    def matvec(V):
+        return dataset.sigma_matvec(V, z) + REGULARIZATION * V
+
+    inverse = dataset.sigma_block_diagonal(z).add_identity(REGULARIZATION).inverse()
     probes = rademacher((dataset.joint_dimension, NUM_PROBES), rng=0, dtype=np.float64)
-    return operator, probes
+    return matvec, inverse.matvec, probes
 
 
 def _run_case(name: str, spec: DatasetSpec):
-    operator, probes = _first_iteration_system(spec)
+    matvec, precondition, probes = _first_iteration_system(spec)
     plain = conjugate_gradient(
-        operator.matvec, probes, rtol=CG_TOLERANCE, max_iterations=3000, record_history=True
+        matvec, probes, rtol=CG_TOLERANCE, max_iterations=3000, record_history=True
     )
     preconditioned = conjugate_gradient(
-        operator.matvec,
+        matvec,
         probes,
-        preconditioner=operator.precondition,
+        preconditioner=precondition,
         rtol=CG_TOLERANCE,
         max_iterations=3000,
         record_history=True,
@@ -100,12 +109,12 @@ def test_fig1_preconditioner_effect(benchmark, results_writer):
     assert cases[1]["plain_iterations"] >= cases[0]["plain_iterations"]
 
     # Benchmark the preconditioned solve on the harder configuration.
-    operator, probes = _first_iteration_system(CONFIGS["imagenet-1k-scaled"])
+    matvec, precondition, probes = _first_iteration_system(CONFIGS["imagenet-1k-scaled"])
     benchmark.pedantic(
         lambda: conjugate_gradient(
-            operator.matvec,
+            matvec,
             probes,
-            preconditioner=operator.precondition,
+            preconditioner=precondition,
             rtol=CG_TOLERANCE,
             max_iterations=3000,
             record_history=False,

@@ -424,12 +424,13 @@ class FIRALStrategy(SelectionStrategy):
     :class:`~repro.parallel.firal.DistributedApproxFIRAL` over that many
     ranks of ``SessionInfo.parallel_transport`` — threads (``"simulated"``)
     or real spawned OS processes (``"shared_memory"``), with
-    ``SessionInfo.fault_plan`` injected into every launch.  The distributed
-    RELAX solver runs its fixed iteration budget without objective
-    tracking, so the wrapped selector's ``relax_config`` is normalized to
-    ``track_objective="none"`` (see :mod:`repro.parallel.firal`);
-    Exact-FIRAL has no distributed formulation and is rejected at
-    :meth:`begin_session`.  Under ``on_rank_failure="repartition_retry"`` a
+    ``SessionInfo.fault_plan`` injected into every launch.  Each rank runs
+    the serial solvers' own loops over its pool shard, so one rank selects
+    exactly what the serial selector does.  The wrapped selector's
+    ``relax_config`` is normalized to ``track_objective="none"``, a fixed
+    iteration budget, to keep the parallel sessions' probe stream (see
+    :mod:`repro.parallel.firal`); Exact-FIRAL has no distributed
+    formulation and is rejected at :meth:`begin_session`.  Under ``on_rank_failure="repartition_retry"`` a
     multi-rank round that loses a rank is re-run over the survivors: the
     pool is re-partitioned with the balanced split (the same fallback a
     dried-up shard takes) and the round replays deterministically — FIRAL's

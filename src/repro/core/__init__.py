@@ -9,6 +9,9 @@
   the Sherman–Morrison-like update (Lemma 3) and Proposition 4's objective.
 * :mod:`repro.core.eta_selection` — the η grid-search rule shared by both
   variants (§ IV-A).
+* :mod:`repro.core.spmd` — the one-rank communicator: Algorithm 2's and 3's
+  loops and the η grid loop are SPMD programs, and the serial solvers run
+  them as the one-rank case (:mod:`repro.parallel` runs them on ranks).
 * :mod:`repro.core.firal` — the user-facing ``ExactFIRAL`` / ``ApproxFIRAL``
   selector classes plugging RELAX + ROUND together.
 """

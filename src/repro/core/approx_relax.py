@@ -1,4 +1,4 @@
-"""Fast RELAX solver (Algorithm 2 of the paper).
+"""Fast RELAX solver (Algorithm 2 of the paper), one SPMD loop for any rank count.
 
 Per mirror-descent iteration:
 
@@ -14,9 +14,18 @@ Per mirror-descent iteration:
 The objective for the stopping rule is read off steps 3–4:
 ``f(z) = Tr(Sigma_z^{-1} H_p) ≈ (1/s) sum_j v_j^T (H_p W)_j`` (Eq. 12).
 
+:func:`relax_loop` is the § III-C SPMD program for one rank holding a pool
+shard: probes are broadcast from rank 0, ``B(Sigma_z)``, every ``Sigma_z``
+matvec and ``H_p W`` are a local partial plus an allreduce, the update
+allreduces three scalars.  Probes, CG state and ``H_p W`` are replicated, so
+the estimate and the stopping rule run on every rank alike.
+:func:`approx_relax` is the one-rank case (:data:`~repro.core.spmd.ONE_RANK`,
+whose collectives return their input); ``track_objective="exact"`` needs
+the whole pool, so it runs at one rank only.
+
 The per-iteration cost is ``O(n c d (d + n_CG s) / p + c d^3)`` (Table IV);
-the timing breakdown records the same components plotted in Fig. 5(A)/(B) and
-Fig. 6.
+the timing breakdown records the components of Fig. 5(A)/(B) and Fig. 6,
+collectives excluded.
 
 All array math dispatches through the active backend.
 """
@@ -28,16 +37,19 @@ from typing import Optional
 from repro.backend import COMPUTE_DTYPE, Array, get_backend
 from repro.core.config import RelaxConfig
 from repro.core.result import RelaxResult
+from repro.core.spmd import ONE_RANK
 from repro.core.warm_start import initial_simplex_iterate
-from repro.fisher.matvec import probe_hessian_quadratic_forms
+from repro.fisher.hessian import block_diagonal_of_sum
+from repro.fisher.matvec import hessian_sum_matvec, probe_hessian_quadratic_forms
 from repro.fisher.objective import fisher_ratio_objective
-from repro.fisher.operators import FisherDataset, SigmaOperator
+from repro.fisher.operators import FisherDataset
+from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.linalg.cg import conjugate_gradient
 from repro.utils.random import as_generator
 from repro.utils.timing import TimingBreakdown
 from repro.utils.validation import require
 
-__all__ = ["approx_relax"]
+__all__ = ["approx_relax", "relax_loop"]
 
 
 def approx_relax(
@@ -71,38 +83,87 @@ def approx_relax(
         engine keeps it opt-in (``SessionConfig.relax_warm_start``).
     """
 
+    z0 = initial_simplex_iterate(dataset.num_pool, initial_weights)
+    return relax_loop(ONE_RANK, dataset, z0, budget, config or RelaxConfig())
+
+
+def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxConfig) -> RelaxResult:
+    """Algorithm 2 on one rank of ``comm``, over its pool shard ``dataset``.
+
+    ``comm`` is :data:`~repro.core.spmd.ONE_RANK` or a
+    :class:`~repro.parallel.comm.Comm`; ``z0`` is this rank's slice of the
+    starting iterate.  Replicated state (probes, CG iterates, the
+    preconditioner, the objective trace) is bit-identical across ranks: each
+    rank computes it from the same reduced inputs with the same arithmetic.
+    Returns the whole pool's weights, allgathered.
+    """
+
     require(budget > 0, "budget must be positive")
-    cfg = config or RelaxConfig()
+    require(
+        cfg.track_objective != "exact" or comm.size == 1,
+        "track_objective='exact' needs the whole pool on one rank",
+    )
     backend = get_backend()
     xp = backend.xp
-    rng = as_generator(cfg.seed)
-    n = dataset.num_pool
     dc = dataset.joint_dimension
     timings = TimingBreakdown()
+    local_z = backend.ascompute(z0).ravel()
+    require(int(local_z.shape[0]) == dataset.num_pool, "z0 slice must match the shard size")
 
-    z = initial_simplex_iterate(n, initial_weights)
+    # Rank 0 owns the probe RNG stream (Line 4); peers receive via bcast.
+    rng = as_generator(cfg.seed) if comm.rank == 0 else None
     objective_trace = []
     first_cg_history: list = []
     cg_iteration_history: list = []
     total_cg_iterations = 0
     converged = False
 
+    def allreduce_scalar(value: float, op: str) -> float:
+        with timings.excluded():
+            return float(comm.allreduce(backend.ascompute(xp.asarray([value])), op=op)[0])
+
     iterations = 0
     for t in range(1, cfg.max_iterations + 1):
         # Line 4: fresh Rademacher probes each iteration.
         with timings.region("other"):
-            probes = backend.rademacher((dc, cfg.num_probes), rng=rng, dtype=COMPUTE_DTYPE)
+            probes = None
+            if comm.rank == 0:
+                probes = backend.rademacher((dc, cfg.num_probes), rng=rng, dtype=COMPUTE_DTYPE)
+            with timings.excluded():
+                probes = comm.bcast(probes, root=0)
 
-        # Line 5: block-diagonal preconditioner for the current Sigma_z.
+        # Line 5: B(Sigma_z) from per-rank partial sums, plus B(H_o), inverted.
         with timings.region("setup_preconditioner"):
-            operator = SigmaOperator(dataset, budget * z, regularization=cfg.regularization)
+            weights = budget * local_z
+            partial = block_diagonal_of_sum(
+                dataset.pool_features, dataset.pool_probabilities, weights=weights
+            )
+            with timings.excluded():
+                summed = comm.allreduce(partial.blocks)
+            sigma_blocks = BlockDiagonalMatrix(summed, copy=False) + dataset.labeled_block_diagonal()
+            if cfg.regularization > 0.0:
+                sigma_blocks = sigma_blocks.add_identity(cfg.regularization)
+            preconditioner = sigma_blocks.inverse()
+
+        def sigma_matvec(V: Array) -> Array:
+            """``Sigma_z V``: local ``H_z`` partial, allreduced, plus ``H_o V``."""
+
+            partial = hessian_sum_matvec(
+                dataset.pool_features, dataset.pool_probabilities, V, weights=weights
+            )
+            with timings.excluded():
+                reduced = comm.allreduce(partial)
+            out = reduced + dataset.labeled_hessian_matvec(V)
+            if cfg.regularization > 0.0:
+                out = out + cfg.regularization * xp.asarray(V)
+            return out
 
         # Line 6: W = Sigma^{-1} V by PCG started from zero.
         with timings.region("cg"):
             first_solve = conjugate_gradient(
-                operator.matvec,
+                sigma_matvec,
                 probes,
-                preconditioner=operator.block_diagonal_inverse.matvec,
+                preconditioner=preconditioner.matvec,
                 rtol=cfg.cg_tolerance,
                 max_iterations=cfg.cg_max_iterations,
                 record_history=(t == 1),
@@ -112,7 +173,11 @@ def approx_relax(
                 first_cg_history = list(first_solve.residual_history)
         # Line 7: H_p W.
         with timings.region("other"):
-            pool_applied = dataset.pool_hessian_matvec(first_solve.solution)
+            partial = hessian_sum_matvec(
+                dataset.pool_features, dataset.pool_probabilities, first_solve.solution
+            )
+            with timings.excluded():
+                pool_applied = comm.allreduce(partial)
 
         # Hutchinson estimate of f(z) for the stopping rule, from Lines 6-7.
         if cfg.track_objective == "estimate":
@@ -127,9 +192,9 @@ def approx_relax(
         # Line 8: W' = Sigma^{-1} H_p W by PCG started from zero.
         with timings.region("cg"):
             second_solve = conjugate_gradient(
-                operator.matvec,
+                sigma_matvec,
                 pool_applied,
-                preconditioner=operator.block_diagonal_inverse.matvec,
+                preconditioner=preconditioner.matvec,
                 rtol=cfg.cg_tolerance,
                 max_iterations=cfg.cg_max_iterations,
                 record_history=False,
@@ -137,7 +202,7 @@ def approx_relax(
             total_cg_iterations += second_solve.iterations
             cg_iteration_history.append(first_solve.iterations + second_solve.iterations)
 
-        # Line 9: gradient estimate for every pool point.
+        # Line 9: gradient estimate for every point of the shard.
         with timings.region("gradient"):
             grad = -probe_hessian_quadratic_forms(
                 dataset.pool_features,
@@ -146,30 +211,36 @@ def approx_relax(
                 second_solve.solution,
             )
 
-        # Lines 10-11: exponentiated-gradient update on the simplex.
+        # Lines 10-11: exponentiated-gradient update, normalized over all ranks.
         with timings.region("other"):
-            scale = float(xp.abs(grad).max()) if cfg.normalize_gradient else 1.0
+            scale = 1.0
+            if cfg.normalize_gradient:
+                local_max = float(xp.abs(grad).max()) if int(grad.shape[0]) else 0.0
+                scale = allreduce_scalar(local_max, "max")
             beta = cfg.step_size(t, scale)
-            log_z = xp.log(xp.clip(z, 1e-300, None)) - beta * grad
-            log_z -= log_z.max()
-            z = xp.exp(log_z)
-            z /= z.sum()
+            log_z = xp.log(xp.clip(local_z, 1e-300, None)) - beta * grad
+            local_log_max = float(log_z.max()) if int(log_z.shape[0]) else -float("inf")
+            expd = xp.exp(log_z - allreduce_scalar(local_log_max, "max"))
+            local_z = expd / allreduce_scalar(float(expd.sum()), "sum")
 
         if cfg.track_objective == "estimate":
-            # Discard s probes: each seed keeps the probe stream its pinned selections use.
-            rng.integers(0, 2, size=(dc, cfg.num_probes))
+            if comm.rank == 0:
+                # Discard s probes: each seed keeps the probe stream its pinned selections use.
+                rng.integers(0, 2, size=(dc, cfg.num_probes))
         elif cfg.track_objective == "exact":
             # Dense objective after the update, aligned with exact_relax (Fig. 4).
             with timings.region("objective"):
                 objective_trace.append(
-                    fisher_ratio_objective(dataset, budget * z, regularization=cfg.regularization)
+                    fisher_ratio_objective(dataset, budget * local_z, regularization=cfg.regularization)
                 )
             if cfg.objective_stalled(objective_trace):
                 converged = True
                 break
 
+    with timings.excluded():
+        weights = comm.allgather(budget * local_z)
     return RelaxResult(
-        weights=budget * z,
+        weights=weights,
         objective_trace=objective_trace,
         iterations=iterations,
         converged=converged,

@@ -1,4 +1,4 @@
-"""Block-diagonal ROUND solver (Algorithm 3 of the paper).
+"""Block-diagonal ROUND solver (Algorithm 3 of the paper), one SPMD loop.
 
 Under the approximation that every Fisher matrix keeps only its ``d x d``
 class-diagonal blocks (Eq. 14), the FTRL round of Algorithm 1 collapses to
@@ -15,27 +15,32 @@ Total cost ``O(b c d^2 (n/p + d))`` — the ROUND column of Table IV.  The
 generalized eigensolve and the batched inverses run through the active
 backend's promoted (float64) linear algebra.
 
-Hot-path layout: all η-independent state (``Sigma_*`` block diagonal, labeled
-blocks, the promoted pool features and rank-one coefficients, scoring
-scratch) lives in a :class:`RoundPrecompute` that is assembled **once** —
-per solve, or once per η *grid* when the caller (``select_eta``) threads the
-same instance through every trial.  The selection loop scores candidates with
-the fused shared-contraction kernel
-(:func:`repro.linalg.sherman_morrison.fused_round_scores`), optionally
-streaming the pool in chunks (``RoundConfig.score_chunk_size``), and
-accumulates the ``B_{t+1}`` update in place through the precompute's
-:class:`~repro.backend.Workspace`.
+One loop serves every rank count (§ III-C).  A :class:`RoundPrecompute`
+holds one rank's η-independent state: ``Sigma_*`` summed over ranks, the
+promoted shard rows, scoring scratch, the communicator and the global shard
+offsets; built without a communicator it is the one-rank case
+(:data:`~repro.core.spmd.ONE_RANK`).  Per step :func:`approx_round` scores
+its shard with the fused kernel
+(:func:`repro.linalg.sherman_morrison.fused_round_scores`, optionally in
+chunks of ``RoundConfig.score_chunk_size``), takes the global winner from
+``argmax_allreduce`` (ties to the lowest rank), has the owner broadcast its
+``(x, γ)``, accumulates ``B_{t+1}`` in place through the precompute's
+:class:`~repro.backend.Workspace`, and allgathers the eigenvalues of each
+rank's share of the class blocks.  ``select_eta`` threads one precompute
+through every grid trial and scores each batch with
+:meth:`RoundPrecompute.score`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from repro.backend import Array, COMPUTE_DTYPE, Workspace, get_backend
 from repro.core.config import RoundConfig
 from repro.core.result import RoundResult
+from repro.core.spmd import ONE_RANK, block_partition
 from repro.fisher.hessian import point_block_coefficients
 from repro.fisher.operators import FisherDataset
 from repro.linalg.bisection import find_ftrl_nu
@@ -52,9 +57,15 @@ __all__ = [
 ]
 
 
+def _batch_blocks(X: Array, gammas: Array) -> Array:
+    """``B(sum_i H_i)`` over a batch, from its promoted rows: ``(c, d, d)``."""
+
+    return get_backend().einsum("ik,id,ie->kde", gammas, X, X, optimize=True)
+
+
 @dataclass
 class RoundPrecompute:
-    """η-independent state of a block-diagonal ROUND solve.
+    """η-independent state of a block-diagonal ROUND solve on one rank.
 
     Everything here depends only on ``(dataset, z_relaxed, regularization)``
     — not on the FTRL learning rate η — so the § IV-A grid search assembles
@@ -66,13 +77,14 @@ class RoundPrecompute:
     Attributes
     ----------
     sigma_star:
-        ``B(Sigma_*)`` with the configured Tikhonov term already added.
+        ``B(Sigma_*)`` over the whole pool, with the configured Tikhonov
+        term already added.
     labeled_blocks:
         ``B(H_o)``.
     labeled_blocks64:
         ``B(H_o)`` blocks promoted to the compute dtype.
     X:
-        Pool features promoted to the compute dtype, shape ``(n, d)``.
+        The shard's pool features promoted to the compute dtype, ``(n, d)``.
     gammas:
         Rank-one coefficients ``h_i^k (1 - h_i^k)`` promoted to the compute
         dtype, shape ``(n, c)``.
@@ -80,9 +92,17 @@ class RoundPrecompute:
         The promoted relaxed weights this context was built from; the solver
         validates its ``z_relaxed`` argument against it so a stale context
         (same pool, different RELAX output) cannot be threaded in silently.
+    offsets, comm:
+        The global shard table — rank ``r`` owns pool indices
+        ``offsets[r]:offsets[r + 1]`` — and the communicator
+        (:data:`~repro.core.spmd.ONE_RANK` by default).
     workspace:
         Scratch-buffer pool shared by the scoring kernel and the in-place
         ``B_{t+1}`` accumulation across selection steps and η trials.
+    timings:
+        Compute seconds spent through this context, collectives excluded:
+        its build (``"setup"``), every :func:`approx_round` that used it and
+        every batch it scored (``"eta_scoring"``).
     """
 
     sigma_star: BlockDiagonalMatrix
@@ -91,7 +111,10 @@ class RoundPrecompute:
     X: Array
     gammas: Array
     z: Array
+    offsets: Tuple[int, ...]
+    comm: object = ONE_RANK
     workspace: Workspace = field(default_factory=lambda: Workspace(get_backend()))
+    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
 
     @classmethod
     def build(
@@ -99,8 +122,17 @@ class RoundPrecompute:
         dataset: FisherDataset,
         z_relaxed: Array,
         config: Optional[RoundConfig] = None,
+        *,
+        comm=ONE_RANK,
+        offsets: Optional[Sequence[int]] = None,
     ) -> "RoundPrecompute":
-        """Assemble the η-independent state (Line 3 of Algorithm 3 + promotions)."""
+        """Assemble the η-independent state (Line 3 of Algorithm 3 + promotions).
+
+        ``dataset`` and ``z_relaxed`` are this rank's shard and its slice of
+        ``z*``; ``offsets`` is the global shard table (default: one rank
+        owning the whole pool).  ``Sigma_*`` is the allreduce of the ranks'
+        partial block diagonals plus the replicated ``B(H_o)``.
+        """
 
         backend = get_backend()
         cfg = config or RoundConfig(eta=1.0)
@@ -109,22 +141,55 @@ class RoundPrecompute:
             tuple(z.shape) == (dataset.num_pool,),
             "z_relaxed must have one weight per pool point",
         )
-        sigma_star = dataset.sigma_block_diagonal(z)
-        if cfg.regularization > 0.0:
-            sigma_star = sigma_star.add_identity(cfg.regularization)
-        labeled_blocks = dataset.labeled_block_diagonal()
-        return cls(
-            sigma_star=sigma_star,
-            labeled_blocks=labeled_blocks,
-            labeled_blocks64=backend.ascompute(labeled_blocks.blocks),
-            X=backend.ascompute(dataset.pool_features),
-            gammas=point_block_coefficients(dataset.pool_probabilities),
-            z=z,
+        offsets = (0, dataset.num_pool) if offsets is None else tuple(int(o) for o in offsets)
+        require(
+            len(offsets) == comm.size + 1
+            and offsets[comm.rank + 1] - offsets[comm.rank] == dataset.num_pool,
+            "offsets must give this rank's shard size",
         )
+        timings = TimingBreakdown()
+        with timings.region("setup"):
+            partial = dataset.pool_block_diagonal(weights=z)
+            with timings.excluded():
+                summed = comm.allreduce(partial.blocks)
+            labeled_blocks = dataset.labeled_block_diagonal()
+            sigma_star = BlockDiagonalMatrix(summed, copy=False) + labeled_blocks
+            if cfg.regularization > 0.0:
+                sigma_star = sigma_star.add_identity(cfg.regularization)
+            precompute = cls(
+                sigma_star=sigma_star,
+                labeled_blocks=labeled_blocks,
+                labeled_blocks64=backend.ascompute(labeled_blocks.blocks),
+                X=backend.ascompute(dataset.pool_features),
+                gammas=point_block_coefficients(dataset.pool_probabilities),
+                z=z,
+                offsets=offsets,
+                comm=comm,
+                timings=timings,
+            )
+        return precompute
 
     @property
     def num_pool(self) -> int:
         return int(self.X.shape[0])
+
+    def score(self, selected_indices: Array) -> float:
+        """``min_k lambda_min(H_k)`` of a selected batch (global pool indices).
+
+        The § IV-A η rule.  Each rank contributes the block-Hessian partial
+        of the selected points it owns; the partials are allreduced.
+        """
+
+        backend = get_backend()
+        selected = backend.index_array(selected_indices)
+        require(selected.size > 0, "selection must not be empty")
+        first, stop = self.offsets[self.comm.rank], self.offsets[self.comm.rank + 1]
+        with self.timings.region("eta_scoring"):
+            owned = selected[(selected >= first) & (selected < stop)] - first
+            blocks = _batch_blocks(self.X[owned], self.gammas[owned])
+            with self.timings.excluded():
+                blocks = self.comm.allreduce(blocks)
+            return BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
 
 
 def generalized_block_eigenvalues(a_blocks: Array, s_blocks: Array) -> Array:
@@ -133,9 +198,7 @@ def generalized_block_eigenvalues(a_blocks: Array, s_blocks: Array) -> Array:
     Equivalent to the generalized eigenproblem ``A v = lambda S v`` per class
     block, which is how Line 9 of Algorithm 3 is evaluated without forming
     ``S^{-1/2}`` explicitly.  Inputs are promoted to the compute dtype and
-    symmetrized; the distributed ROUND solver shares this helper (on block
-    slices) so both paths apply the identical promotion/symmetrization
-    policy.  Returns an array of shape ``(c, d)``.
+    symmetrized.  Returns an array of shape ``(c, d)``.
     """
 
     backend = get_backend()
@@ -157,20 +220,19 @@ def selected_batch_min_eigenvalue(
     This is the score the paper maximizes when grid-searching η (§ IV-A):
     "select the [η] that maximizes ``min_k lambda_min(H_k)`` where ``H`` is
     the summation of Hessians of the selected b points".  When a precompute
-    context is supplied (any object exposing promoted ``X``/``gammas``), its
-    promoted arrays are indexed directly instead of re-promoting per call.
+    context is supplied, its :meth:`~RoundPrecompute.score` is used instead
+    of re-promoting the selected rows.
     """
 
-    backend = get_backend()
-    selected_indices = backend.index_array(selected_indices)
-    require(selected_indices.size > 0, "selection must not be empty")
     if precompute is not None:
-        X64 = precompute.X[selected_indices]
-        coeff = precompute.gammas[selected_indices]
-    else:
-        X64 = backend.ascompute(dataset.pool_features[selected_indices])
-        coeff = point_block_coefficients(dataset.pool_probabilities[selected_indices])
-    blocks = backend.einsum("ik,id,ie->kde", coeff, X64, X64, optimize=True)
+        return precompute.score(selected_indices)
+    backend = get_backend()
+    selected = backend.index_array(selected_indices)
+    require(selected.size > 0, "selection must not be empty")
+    blocks = _batch_blocks(
+        backend.ascompute(dataset.pool_features[selected]),
+        point_block_coefficients(dataset.pool_probabilities[selected]),
+    )
     return BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
 
 
@@ -188,9 +250,9 @@ def approx_round(
     Parameters
     ----------
     dataset:
-        Fisher data for the current round.
+        Fisher data for the current round (this rank's shard of it).
     z_relaxed:
-        Relaxed weights ``z*`` from the RELAX step.
+        Relaxed weights ``z*`` from the RELAX step (this rank's slice).
     budget:
         Number of points ``b`` to select.
     eta:
@@ -200,8 +262,11 @@ def approx_round(
     precompute:
         Optional η-independent state built with :meth:`RoundPrecompute.build`
         for the same ``(dataset, z_relaxed, config)``.  The η grid search
-        passes one instance through every trial; when omitted the solve
-        builds (and discards) its own.
+        passes one instance through every trial; a rank program passes one
+        built over its communicator.  When omitted the solve builds (and
+        discards) a one-rank context.
+
+    Returns global pool indices, identical on every rank.
     """
 
     require(budget > 0, "budget must be positive")
@@ -210,7 +275,6 @@ def approx_round(
     backend = get_backend()
     xp = backend.xp
     n = dataset.num_pool
-    require(n >= budget or cfg.allow_repeats, "pool smaller than budget with allow_repeats=False")
 
     z_relaxed = backend.ascompute(z_relaxed).ravel()
     require(tuple(z_relaxed.shape) == (n,), "z_relaxed must have one weight per pool point")
@@ -225,9 +289,16 @@ def approx_round(
             precompute = RoundPrecompute.build(dataset, z_relaxed, cfg)
         require(precompute.num_pool == n, "precompute does not match the dataset pool")
         require(
+            precompute.offsets[-1] >= budget or cfg.allow_repeats,
+            "pool smaller than budget with allow_repeats=False",
+        )
+        require(
             bool(xp.all(precompute.z == z_relaxed)),
             "precompute was built from different relaxed weights",
         )
+        comm = precompute.comm
+        offsets = precompute.offsets
+        own_classes = block_partition(c, comm.size)[comm.rank]
         sigma_star = precompute.sigma_star
         labeled_blocks = precompute.labeled_blocks
         X = precompute.X
@@ -250,7 +321,8 @@ def approx_round(
 
     for t in range(1, budget + 1):
         # Line 7: candidate scoring via Proposition 4 (Eq. 17, with Sigma_* as
-        # the middle matrix — see the note in block_rank_one_quadratic_forms).
+        # the middle matrix — see the note in block_rank_one_quadratic_forms),
+        # then the global MAXLOC argmax.
         with timings.region("score"):
             scores = fused_round_scores(
                 bt_inv,
@@ -264,17 +336,25 @@ def approx_round(
             )
             if not cfg.allow_repeats:
                 scores = xp.where(available, scores, -xp.inf)
-            best_index = int(xp.argmax(scores))
-            require(bool(xp.isfinite(scores[best_index])), "no candidate available for selection")
-            selected.append(best_index)
-            objective_trace.append(float(scores[best_index]))
-            available[best_index] = False
+            best_local = int(xp.argmax(scores))
+            with timings.excluded():
+                owner, best_local, best_value = comm.argmax_allreduce(
+                    float(scores[best_local]), best_local
+                )
+            require(math.isfinite(best_value), "no candidate available for selection")
+            selected.append(offsets[owner] + best_local)
+            objective_trace.append(best_value)
+            if comm.rank == owner:
+                available[best_local] = False
 
-        # Line 8: accumulate (1/b) H_o + block Hessian of the selected point,
-        # in place — no per-step (c, d, d) reallocation.
+        # Line 8: the owner broadcasts the winner's (x, gamma); accumulate
+        # (1/b) H_o + its block Hessian in place — no per-step reallocation.
         with timings.region("update_accumulated"):
-            x_sel = X[best_index]
-            gamma_sel = gammas[best_index]
+            with timings.excluded():
+                x_sel = comm.bcast(X[best_local] if comm.rank == owner else None, root=owner)
+                gamma_sel = comm.bcast(
+                    gammas[best_local] if comm.rank == owner else None, root=owner
+                )
             rank_one = workspace.get("round_rank_one", (c, d, d), COMPUTE_DTYPE)
             xp.multiply(
                 gamma_sel[:, None, None], (x_sel[:, None] * x_sel[None, :])[None], out=rank_one
@@ -282,12 +362,20 @@ def approx_round(
             accumulated += labeled_over_budget
             accumulated += rank_one
 
-        # Lines 9-10: generalized eigenvalues and the FTRL constant nu.
+        # Lines 9-10: each rank's share of the class blocks' generalized
+        # eigenvalues, allgathered, and the FTRL constant nu.
         with timings.region("compute_eigenvalues"):
-            eigenvalues = generalized_block_eigenvalues(accumulated, sigma_star.blocks)
+            if own_classes.stop > own_classes.start:
+                local_eigenvalues = generalized_block_eigenvalues(
+                    accumulated[own_classes], sigma_star.blocks[own_classes]
+                )
+            else:
+                local_eigenvalues = backend.zeros((0, d), dtype=COMPUTE_DTYPE)
+            with timings.excluded():
+                eigenvalues = comm.allgather(local_eigenvalues)
             nu = find_ftrl_nu(eta * eigenvalues)
 
-        # Line 11: refresh B_{t+1}^{-1}.
+        # Line 11: refresh B_{t+1}^{-1} (replicated on every rank).
         with timings.region("refresh_inverse"):
             next_b = workspace.get("round_next_b", (c, d, d), COMPUTE_DTYPE)
             xp.multiply(backend.ascompute(sigma_star.blocks), nu, out=next_b)
@@ -295,6 +383,7 @@ def approx_round(
             next_b += labeled_eta_blocks
             bt_inv = BlockDiagonalMatrix(backend.inv(next_b), copy=False)
 
+    precompute.timings = precompute.timings.merge(timings)
     return RoundResult(
         selected_indices=backend.index_array(selected),
         eta=float(eta),

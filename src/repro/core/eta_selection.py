@@ -13,7 +13,12 @@ otherwise be paid once **per trial**: ``Sigma_*`` assembly and the pool
 promotions for the block-diagonal solver, the ``O(n c^3 d^3)`` candidate
 similarity transforms for the dense one.  :func:`select_eta` therefore
 assembles the solver's precompute context once and threads it through every
-grid trial (and through the min-eigenvalue scoring rule).
+grid trial; the context also scores each trial's batch.
+
+:func:`select_eta` is the one grid loop for every rank count: the SPMD
+program of :func:`repro.parallel.distributed_round.distributed_round_search`
+calls it on its shard with a precompute built over its communicator, so a
+batch's score is the allreduce of the ranks' owned-row partials.
 """
 
 from __future__ import annotations
@@ -22,11 +27,7 @@ import math
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.backend import Array
-from repro.core.approx_round import (
-    RoundPrecompute,
-    approx_round,
-    selected_batch_min_eigenvalue,
-)
+from repro.core.approx_round import RoundPrecompute
 from repro.core.config import RoundConfig
 from repro.core.exact_round import ExactRoundPrecompute, exact_round
 from repro.core.result import RoundResult
@@ -36,15 +37,6 @@ from repro.utils.validation import require
 __all__ = ["default_eta_grid", "select_eta"]
 
 RoundSolver = Callable[[FisherDataset, Array, int, float, Optional[RoundConfig]], RoundResult]
-
-#: Solvers whose η-independent state ``select_eta`` hoists out of the grid
-#: loop.  Keyed by the solver function itself; solvers not listed here are
-#: simply called per trial without a precompute context (backward
-#: compatible with custom solvers).
-_PRECOMPUTE_BUILDERS = {
-    approx_round: RoundPrecompute.build,
-    exact_round: ExactRoundPrecompute.build,
-}
 
 
 def default_eta_grid(joint_dimension: int) -> Tuple[float, ...]:
@@ -72,8 +64,6 @@ def select_eta(
     solver:
         Either :func:`repro.core.approx_round.approx_round` or
         :func:`repro.core.exact_round.exact_round` (they share a signature).
-        Other callables with the same signature also work; the per-grid
-        precompute hoisting only engages for the two known solvers.
     dataset, z_relaxed, budget:
         Round-solve inputs.
     eta_grid:
@@ -83,13 +73,13 @@ def select_eta(
     precompute:
         Optional pre-built η-independent context (``RoundPrecompute`` /
         ``ExactRoundPrecompute``) matching ``solver``; built automatically
-        when omitted.
+        when omitted.  It runs every trial and scores every batch.
 
     Returns
     -------
     (RoundResult, float)
         The winning round result (with ``eta_score`` filled in) and its score
-        ``min_k lambda_min(H_k)``.
+        ``min_k lambda_min(H_k)``; ties keep the earliest grid entry.
     """
 
     grid = tuple(eta_grid) if eta_grid is not None else default_eta_grid(dataset.joint_dimension)
@@ -97,23 +87,14 @@ def select_eta(
     require(all(e > 0 for e in grid), "eta values must be positive")
 
     if precompute is None:
-        builder = _PRECOMPUTE_BUILDERS.get(solver)
-        if builder is not None:
-            precompute = builder(dataset, z_relaxed, config)
-    # The scoring rule only needs promoted X/gammas; both precompute flavors
-    # expose them (duck-typed — a custom solver's context may not).
-    score_precompute = precompute if hasattr(precompute, "gammas") else None
+        build = ExactRoundPrecompute.build if solver is exact_round else RoundPrecompute.build
+        precompute = build(dataset, z_relaxed, config)
 
     best_result: Optional[RoundResult] = None
     best_score = -math.inf
     for eta in grid:
-        if precompute is not None:
-            result = solver(dataset, z_relaxed, budget, float(eta), config, precompute=precompute)
-        else:
-            result = solver(dataset, z_relaxed, budget, float(eta), config)
-        score = selected_batch_min_eigenvalue(
-            dataset, result.selected_indices, precompute=score_precompute
-        )
+        result = solver(dataset, z_relaxed, budget, float(eta), config, precompute=precompute)
+        score = precompute.score(result.selected_indices)
         if score > best_score:
             best_score = score
             best_result = result

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.backend import Array, COMPUTE_DTYPE, get_backend
+from repro.core.approx_round import _batch_blocks
 from repro.core.config import RoundConfig
 from repro.core.result import RoundResult
 from repro.fisher.hessian import point_block_coefficients, point_hessian_dense
 from repro.fisher.operators import FisherDataset
 from repro.linalg.bisection import find_ftrl_nu
+from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.utils.timing import TimingBreakdown
 from repro.utils.validation import require
 
@@ -45,8 +47,8 @@ class ExactRoundPrecompute:
     ``~H_i = Sigma_*^{-1/2} H_i Sigma_*^{-1/2}``, an ``O(n c^3 d^3)`` loop —
     dominates the dense solver's setup and does not depend on η, so the
     § IV-A grid search builds this once and reuses it across every trial.
-    ``X``/``gammas`` mirror :class:`repro.core.approx_round.RoundPrecompute`
-    so the η scoring rule can index promoted arrays directly.
+    ``X``/``gammas`` are the promoted pool rows :meth:`score` indexes, as
+    in :class:`repro.core.approx_round.RoundPrecompute`.
     """
 
     sigma_star: Array
@@ -95,6 +97,14 @@ class ExactRoundPrecompute:
     @property
     def num_pool(self) -> int:
         return int(self.candidate_tilde.shape[0])
+
+    def score(self, selected_indices: Array) -> float:
+        """``min_k lambda_min(H_k)`` of a selected batch (the § IV-A η rule)."""
+
+        selected = get_backend().index_array(selected_indices)
+        require(selected.size > 0, "selection must not be empty")
+        blocks = _batch_blocks(self.X[selected], self.gammas[selected])
+        return BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
 
 
 def exact_round(

@@ -216,8 +216,8 @@ class SessionConfig:
         OS process holding one pool shard, communicating over
         ``multiprocessing.shared_memory`` — the whole session's selection
         work executes across processes while the engine, oracle loop and
-        classifier stay in this one.  The distributed RELAX solver runs a
-        fixed iteration budget (``track_objective="none"``; see
+        classifier stay in this one.  The multi-rank selector runs RELAX
+        with a fixed iteration budget (``track_objective="none"``; see
         :mod:`repro.parallel.firal`), so configure the serial comparison the
         same way when pinning equivalence.  Non-FIRAL strategies ignore the
         request, exactly like ``relax_warm_start``.
@@ -1065,7 +1065,10 @@ class ActiveSession:
         proposal: QueryProposal = pending["proposal"]
         selected = proposal.pool_indices
         if labels is not None:
-            provided = np.asarray(labels, dtype=np.int64).ravel()
+            # Validate before anything changes: a float, 2-D, string or bool
+            # label array must not be coerced into class indices.
+            check_labels(labels, name="observe labels")
+            provided = np.asarray(labels, dtype=np.int64)
             require(
                 provided.size == proposal.budget,
                 f"observe() got {provided.size} labels for a proposal of "

@@ -27,7 +27,7 @@ from repro.fisher.matvec import (
     single_point_hessian_matvec,
     probe_hessian_quadratic_forms,
 )
-from repro.fisher.operators import FisherDataset, SigmaOperator
+from repro.fisher.operators import FisherDataset
 from repro.fisher.accumulator import LabeledFisherAccumulator
 from repro.fisher.objective import fisher_ratio_objective
 
@@ -41,6 +41,5 @@ __all__ = [
     "single_point_hessian_matvec",
     "probe_hessian_quadratic_forms",
     "FisherDataset",
-    "SigmaOperator",
     "fisher_ratio_objective",
 ]

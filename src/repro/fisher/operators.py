@@ -4,10 +4,6 @@
 pool features/probabilities and initially-labeled features/probabilities —
 and exposes both dense (Exact-FIRAL) and matrix-free (Approx-FIRAL) views of
 ``H_o``, ``H_p`` and ``Sigma_z = H_o + H_z``.
-
-:class:`SigmaOperator` freezes a particular weight vector ``z`` and provides
-the matvec + block-diagonal preconditioner pair that the preconditioned CG
-solves of Algorithm 2 require.
 """
 
 from __future__ import annotations
@@ -15,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.backend import Array, get_backend
+from repro.backend import Array
 from repro.fisher.hessian import block_diagonal_of_sum, sum_hessian_dense
 from repro.fisher.matvec import hessian_sum_matvec
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.utils.validation import check_features, check_probabilities, require
 
-__all__ = ["FisherDataset", "SigmaOperator"]
+__all__ = ["FisherDataset"]
 
 
 @dataclass
@@ -160,59 +156,3 @@ class FisherDataset:
         """Dense ``Sigma_z``."""
 
         return self.labeled_hessian_dense() + self.pool_hessian_dense(weights=z)
-
-
-class SigmaOperator:
-    """Matrix-free ``Sigma_z`` with its block-diagonal preconditioner.
-
-    Packaging the two callables together keeps the CG call sites of
-    Algorithm 2 (Lines 6 and 8) tidy: ``Sigma_z`` changes every mirror-descent
-    iteration because ``z`` changes, so the operator is rebuilt per iteration
-    (the preconditioner assembly cost is the ``O(n c d^2 / p + c d^3)`` term
-    of Table IV).
-    """
-
-    def __init__(self, dataset: FisherDataset, z: Array, *, regularization: float = 0.0):
-        backend = get_backend()
-        xp = backend.xp
-        z = backend.ascompute(z).ravel()
-        require(tuple(z.shape) == (dataset.num_pool,), "z must have one weight per pool point")
-        require(bool(xp.all(z >= -1e-12)), "z must be non-negative")
-        require(regularization >= 0.0, "regularization must be non-negative")
-        self.dataset = dataset
-        self.z = z
-        self.regularization = float(regularization)
-        bd = dataset.sigma_block_diagonal(z)
-        if self.regularization > 0.0:
-            bd = bd.add_identity(self.regularization)
-        self.block_diagonal = bd
-        self.block_diagonal_inverse = bd.inverse()
-
-    @property
-    def shape(self) -> tuple:
-        dim = self.dataset.joint_dimension
-        return (dim, dim)
-
-    def matvec(self, V: Array) -> Array:
-        """``Sigma_z V`` (plus ``reg * V`` if a Tikhonov term is configured)."""
-
-        out = self.dataset.sigma_matvec(V, self.z)
-        if self.regularization > 0.0:
-            out = out + self.regularization * get_backend().xp.asarray(V)
-        return out
-
-    __call__ = matvec
-
-    def precondition(self, V: Array) -> Array:
-        """Apply ``B(Sigma_z)^{-1}`` to ``V``."""
-
-        return self.block_diagonal_inverse.matvec(V)
-
-    def dense(self) -> Array:
-        """Dense ``Sigma_z`` for validation (small problems only)."""
-
-        backend = get_backend()
-        mat = self.dataset.sigma_dense(self.z)
-        if self.regularization > 0.0:
-            mat = mat + self.regularization * backend.eye(int(mat.shape[0]), dtype=mat.dtype)
-        return mat

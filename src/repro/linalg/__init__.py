@@ -7,7 +7,6 @@ make FIRAL scalable:
   CG preconditioner (Definition 1 / Eq. 14) and the whole diagonal ROUND step.
 * :mod:`repro.linalg.cg` — matrix-free (preconditioned) conjugate gradients
   with multiple right-hand sides, used in Lines 6 and 8 of Algorithm 2.
-* :mod:`repro.linalg.hutchinson` — the randomized trace estimator of Eq. 12.
 * :mod:`repro.linalg.sherman_morrison` — the block-wise rank-one update of
   Lemma 3 powering the ROUND objective of Proposition 4.
 * :mod:`repro.linalg.bisection` — the scalar root find for the FTRL constant
@@ -16,7 +15,6 @@ make FIRAL scalable:
 
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.linalg.cg import CGResult, conjugate_gradient
-from repro.linalg.hutchinson import hutchinson_trace, hutchinson_diagonal
 from repro.linalg.sherman_morrison import (
     block_rank_one_inverse_update,
     block_rank_one_quadratic_forms,
@@ -28,8 +26,6 @@ __all__ = [
     "BlockDiagonalMatrix",
     "CGResult",
     "conjugate_gradient",
-    "hutchinson_trace",
-    "hutchinson_diagonal",
     "block_rank_one_inverse_update",
     "block_rank_one_quadratic_forms",
     "fused_round_scores",

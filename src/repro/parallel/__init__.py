@@ -15,10 +15,14 @@ inter-GPU communication (§ III-C).  This package provides:
   per-rank entry point per rank over either transport.
 * :mod:`repro.parallel.partition` — block partitioning of pool points and of
   class blocks across ranks.
-* :mod:`repro.parallel.distributed_relax` / ``distributed_round`` — per-rank
-  SPMD programs (``relax_rank_main`` / ``round_rank_main``) for Algorithms 2
-  and 3 plus transport-agnostic drivers, validated against the serial
-  solvers.
+* :mod:`repro.parallel.distributed_relax` / ``distributed_round`` — the
+  rank programs (``relax_rank_main`` / ``round_rank_main`` /
+  ``round_search_rank_main``) and transport-agnostic drivers for Algorithms
+  2 and 3 and the η grid search.  Each rank program enters its device,
+  builds its shard, runs the serial solver's loop from :mod:`repro.core`
+  with its communicator and reports: there is one SPMD loop per algorithm,
+  and the serial solvers are its one-rank case
+  (:data:`repro.core.spmd.ONE_RANK`).
 * :mod:`repro.parallel.firal` — :class:`DistributedApproxFIRAL`, the full
   RELAX → η → ROUND selector over distributed solvers (what a session with
   ``SessionConfig.parallel_ranks`` runs).

@@ -1,10 +1,9 @@
-"""Distributed (SPMD) formulation of the fast RELAX solver (Algorithm 2).
+"""Distributed (SPMD) RELAX (Algorithm 2): the rank program and its driver.
 
 The pool is partitioned across ``p`` ranks; the labeled set is replicated.
-:func:`relax_rank_main` is the **per-rank program**: it holds one shard, one
-slice of the mirror-descent iterate ``z``, and a
-:class:`~repro.parallel.comm.Comm` handle, and per iteration follows the
-communication pattern of § III-C:
+The loop itself is :func:`repro.core.approx_relax.relax_loop` — the same
+code the serial :func:`~repro.core.approx_relax.approx_relax` runs with its
+one-rank communicator — and follows the communication pattern of § III-C:
 
 * probes are broadcast from rank 0 (``MPI_Bcast``),
 * the block-diagonal preconditioner is assembled from per-rank partial sums
@@ -12,21 +11,23 @@ communication pattern of § III-C:
   ``O(c d^3)`` inversion replicated on every rank exactly as in the real
   code,
 * every CG iteration allreduces the per-rank partial matvecs
-  (``MPI_Allreduce`` of ``c d s`` floats); the CG vector arithmetic itself
-  operates on replicated ``dc``-dimensional state and is therefore identical
-  on every rank,
+  (``MPI_Allreduce`` of ``c d s`` floats), and so does ``H_p W``; the CG
+  vector arithmetic operates on replicated ``dc``-dimensional state and is
+  therefore identical on every rank, as are the objective estimate and the
+  stopping rule,
 * the gradient and the ``z`` update are purely local except for the simplex
   normalization (allreduces of scalars).
 
-:func:`distributed_relax` is the driver: it partitions the dataset, launches
-the rank program over the requested transport — threads
-(``transport="simulated"``) or real spawned processes
+:func:`relax_rank_main` enters the rank's device, builds its shard, runs the
+loop and reports.  :func:`distributed_relax` is the driver: it partitions
+the dataset, launches the rank program over the requested transport —
+threads (``transport="simulated"``) or real spawned processes
 (``transport="shared_memory"``) via :func:`repro.parallel.launcher.run_spmd`
-— and merges the per-rank outputs.  Per-rank compute seconds are measured for
-each component so the strong/weak scaling figures can combine
-``max``-over-ranks compute with the analytic communication model; the
-communication log records every collective with its message size, with
-identical accounting on both transports.
+— and merges the per-rank outputs.  Per-rank compute seconds are measured
+for each component (collectives excluded) so the strong/weak scaling
+figures can combine ``max``-over-ranks compute with the analytic
+communication model; the communication log records every collective with
+its message size, with identical accounting on both transports.
 """
 
 from __future__ import annotations
@@ -36,26 +37,22 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np  # host-side timing/bookkeeping only; array math uses the backend
 
-from repro.backend import Array, COMPUTE_DTYPE, get_backend
+from repro.backend import Array, get_backend
+from repro.core.approx_relax import relax_loop
 from repro.core.config import RelaxConfig
 from repro.core.warm_start import initial_simplex_iterate
-from repro.fisher.hessian import block_diagonal_of_sum
-from repro.fisher.matvec import hessian_sum_matvec, probe_hessian_quadratic_forms
 from repro.fisher.operators import FisherDataset
-from repro.linalg.block_diag import BlockDiagonalMatrix
-from repro.linalg.cg import conjugate_gradient
 from repro.parallel.comm import Comm, CommunicationLog
 from repro.parallel.launcher import (
-    ComponentTimers,
     collective_log,
     enter_rank_device,
     merge_component_seconds,
+    rank_shard,
     run_spmd,
     ship_array,
     validate_rank_devices,
 )
 from repro.parallel.partition import partition_pool
-from repro.utils.random import as_generator
 from repro.utils.validation import require
 
 __all__ = [
@@ -72,9 +69,11 @@ class DistributedRelaxResult:
     """Output of a distributed RELAX solve.
 
     ``per_rank_seconds`` maps a component name (``"setup_preconditioner"``,
-    ``"cg"``, ``"gradient"``, ``"other"``) to an array of per-rank compute
-    seconds; the parallel compute estimate for a component is its max over
-    ranks.  ``comm_log`` records every collective with its message size.
+    ``"cg"``, ``"gradient"``, ``"other"``, and ``"objective"`` under
+    ``track_objective="estimate"``) to an array of per-rank compute seconds,
+    collectives excluded; the parallel compute estimate for a component is
+    its max over ranks.  ``comm_log`` records every collective with its
+    message size.
     """
 
     weights: Array
@@ -132,149 +131,21 @@ class RelaxRankOutput:
 def relax_rank_main(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
     """SPMD body of Algorithm 2 for one rank.
 
-    Every collective below is matched by the same call on every peer rank —
-    the transports validate this with sequence numbers and collective tags.
-    Replicated state (probes, CG iterates, the preconditioner) is bit-identical
-    across ranks because every rank computes it from identical allreduced
-    inputs with identical arithmetic.  A pinned ``spec.device`` keeps the
-    shard and all local math on that device (collectives host-staged); on a
-    host backend the pinned run is bit-identical to the unpinned one.
+    A pinned ``spec.device`` keeps the shard and all local math on that
+    device (collectives host-staged); on a host backend the pinned run is
+    bit-identical to the unpinned one.
     """
 
     with get_backend().device_context(spec.device):
         comm, spec = enter_rank_device(comm, spec)
-        return _relax_rank_body(comm, spec)
-
-
-def _relax_rank_body(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
-    cfg = spec.config
-    budget = int(spec.budget)
-    backend = get_backend()
-    xp = backend.xp
-    timers = ComponentTimers()
-
-    cache = (
-        BlockDiagonalMatrix(backend.asarray(spec.labeled_block_cache), copy=False)
-        if spec.labeled_block_cache is not None
-        else None
-    )
-    shard = FisherDataset(
-        pool_features=spec.pool_features,
-        pool_probabilities=spec.pool_probabilities,
-        labeled_features=spec.labeled_features,
-        labeled_probabilities=spec.labeled_probabilities,
-        labeled_block_cache=cache,
-    )
-    dc = shard.joint_dimension
-    local_z = backend.ascompute(spec.z0_local).ravel()
-    require(int(local_z.shape[0]) == shard.num_pool, "z0 slice must match the shard size")
-
-    # Rank 0 owns the probe RNG stream (Line 4); peers receive via bcast.
-    rng = as_generator(cfg.seed) if comm.rank == 0 else None
-
-    total_cg_iterations = 0
-    iterations = 0
-    for t in range(1, cfg.max_iterations + 1):
-        iterations = t
-
-        probes = None
-        if comm.rank == 0:
-            probes = backend.rademacher((dc, cfg.num_probes), rng=rng, dtype=COMPUTE_DTYPE)
-        probes = comm.bcast(probes, root=0)
-
-        # Line 5: per-rank partial block diagonals of H_z, allreduced, plus H_o.
-        with timers.timed("setup_preconditioner"):
-            partial = block_diagonal_of_sum(
-                shard.pool_features, shard.pool_probabilities, weights=budget * local_z
-            )
-        summed = comm.allreduce(partial.blocks)
-        with timers.timed("setup_preconditioner"):
-            # Replicated on every rank, exactly as in the real code (the
-            # labeled set and the allreduced pool blocks are replicated).
-            sigma_blocks = BlockDiagonalMatrix(summed, copy=False) + shard.labeled_block_diagonal()
-            if cfg.regularization > 0.0:
-                sigma_blocks = sigma_blocks.add_identity(cfg.regularization)
-            preconditioner = sigma_blocks.inverse()
-
-        def sigma_matvec(V: Array) -> Array:
-            """Distributed Sigma_z matvec: local partial + allreduce + H_o."""
-
-            with timers.timed("cg"):
-                partial = hessian_sum_matvec(
-                    shard.pool_features, shard.pool_probabilities, V, weights=budget * local_z
-                )
-            reduced = comm.allreduce(partial)
-            with timers.timed("cg"):
-                out = reduced + shard.labeled_hessian_matvec(V)
-                if cfg.regularization > 0.0:
-                    out = out + cfg.regularization * xp.asarray(V)
-            return out
-
-        def pool_matvec(V: Array) -> Array:
-            """Distributed H_p matvec (unweighted pool sum)."""
-
-            with timers.timed("other"):
-                partial = hessian_sum_matvec(shard.pool_features, shard.pool_probabilities, V)
-            return comm.allreduce(partial)
-
-        # Lines 6-8: two preconditioned CG solves, each started from zero,
-        # around an H_p application.  The CG state is replicated: every rank
-        # runs the same iteration over allreduced matvecs, so the per-rank
-        # trajectories coincide.
-        first = conjugate_gradient(
-            sigma_matvec,
-            probes,
-            preconditioner=preconditioner.matvec,
-            rtol=cfg.cg_tolerance,
-            max_iterations=cfg.cg_max_iterations,
-            record_history=False,
-        )
-        total_cg_iterations += first.iterations
-        applied = pool_matvec(first.solution)
-        second = conjugate_gradient(
-            sigma_matvec,
-            applied,
-            preconditioner=preconditioner.matvec,
-            rtol=cfg.cg_tolerance,
-            max_iterations=cfg.cg_max_iterations,
-            record_history=False,
-        )
-        total_cg_iterations += second.iterations
-
-        # Line 9: local gradient estimate over the shard.
-        with timers.timed("gradient"):
-            local_grad = -probe_hessian_quadratic_forms(
-                shard.pool_features, shard.pool_probabilities, probes, second.solution
-            )
-
-        # Lines 10-11: exponentiated-gradient update with global normalization.
-        global_scale = 1.0
-        if cfg.normalize_gradient:
-            local_max = float(xp.abs(local_grad).max()) if int(local_grad.shape[0]) else 0.0
-            global_scale = float(
-                comm.allreduce(backend.ascompute(xp.asarray([local_max])), op="max")[0]
-            )
-        beta = cfg.step_size(t, global_scale)
-
-        with timers.timed("other"):
-            log_z = xp.log(xp.clip(local_z, 1e-300, None)) - beta * local_grad
-            local_log_max = float(log_z.max()) if int(log_z.shape[0]) else -float(np.inf)
-        global_log_max = float(
-            comm.allreduce(backend.ascompute(xp.asarray([local_log_max])), op="max")[0]
-        )
-        with timers.timed("other"):
-            expd = xp.exp(log_z - global_log_max)
-            local_sum = backend.ascompute(xp.asarray([float(expd.sum())]))
-        total = float(comm.allreduce(local_sum)[0])
-        local_z = expd / total
-
-    weights = comm.allgather(budget * local_z)
+        shard = rank_shard(spec)
+        result = relax_loop(comm, shard, spec.z0_local, int(spec.budget), spec.config)
     return RelaxRankOutput(
         rank=comm.rank,
-        weights=weights,
-        iterations=iterations,
-        cg_iterations=total_cg_iterations,
-        seconds=timers.seconds,
+        weights=result.weights,
+        iterations=result.iterations,
+        cg_iterations=result.cg_iterations,
+        seconds=result.timings.as_dict(),
         log=comm.log,
     )
 
@@ -322,10 +193,12 @@ def distributed_relax(
     per rank); collectives are then staged through the host, and on host
     backends the pinned run is bit-identical to the unpinned one.
 
-    Numerically equivalent (up to reduction order) to
-    :func:`repro.core.approx_relax.approx_relax` with the same configuration,
-    which the test suite verifies; with ``transport="simulated"`` and one
-    rank the trajectory is bit-identical to the serial solver.
+    Runs the loop of :func:`repro.core.approx_relax.approx_relax`, so the
+    result equals the serial solver's up to reduction order, and at one rank
+    bit for bit (weights, ``iterations`` and ``cg_iterations``), which the
+    test suite verifies.  ``track_objective="estimate"`` (the objective
+    read off the Line-6/7 solve, and its stopping rule) runs at any rank
+    count; ``"exact"`` needs the whole pool and is rejected.
     ``transport="shared_memory"`` runs every rank as a real spawned OS
     process communicating over shared memory; results match the simulated
     transport up to the floating-point effects of crossing a process
@@ -336,8 +209,8 @@ def distributed_relax(
     require(num_ranks > 0, "num_ranks must be positive")
     cfg = config or RelaxConfig(track_objective="none")
     require(
-        cfg.track_objective == "none",
-        "distributed_relax does not track the objective; use track_objective='none'",
+        cfg.track_objective != "exact",
+        "distributed_relax cannot track the exact objective; use 'estimate' or 'none'",
     )
     backend = get_backend()
     devices = validate_rank_devices(devices, num_ranks)
@@ -387,8 +260,8 @@ def distributed_relax(
         timeout=timeout,
     )
     require(
-        len({output.iterations for output in outputs}) == 1,
-        "ranks diverged: unequal mirror-descent iteration counts",
+        len({(output.iterations, output.cg_iterations) for output in outputs}) == 1,
+        "ranks diverged: unequal mirror-descent or CG iteration counts",
     )
     return DistributedRelaxResult(
         weights=backend.asarray(outputs[0].weights),

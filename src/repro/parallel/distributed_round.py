@@ -1,7 +1,10 @@
-"""Distributed (SPMD) formulation of the block-diagonal ROUND solver.
+"""Distributed (SPMD) ROUND (Algorithm 3) and η grid search: rank programs and drivers.
 
-:func:`round_rank_main` is the per-rank program (§ III-C, Algorithm 3).  Per
-selection iteration:
+The loops are the serial ones, run with the rank's communicator:
+:func:`repro.core.approx_round.approx_round` over a
+:class:`~repro.core.approx_round.RoundPrecompute` built with the global
+shard offsets, and :func:`repro.core.eta_selection.select_eta` for the
+§ IV-A grid.  Per selection iteration (§ III-C):
 
 * every rank scores its local pool shard with Proposition 4's objective and
   the global argmax is found with an ``MPI_Allreduce`` (MAXLOC-style, ties
@@ -13,14 +16,12 @@ selection iteration:
 * the FTRL constant ν and the refreshed ``B_{t+1}^{-1}`` are computed
   redundantly on every rank (replicated ``O(c d^3)`` work).
 
-:func:`round_search_rank_main` is the per-rank program of the **in-rank
-§ IV-A η grid search**: one launch runs the η-independent setup once, then
-every grid trial's full selection loop plus the min-eigenvalue scoring rule
-(each rank contributes the block-Hessian partial of the selected points it
-owns; one ``MPI_Allreduce`` of ``c d^2`` floats per trial) — the SPMD
-analogue of the serial path where ``select_eta`` threads one
-``RoundPrecompute`` through every trial.  Spawn cost and the ``Sigma_*``
-assembly are paid once per *grid*, not once per trial.
+:func:`round_rank_main` selects at one η; :func:`round_search_rank_main`
+runs the whole grid in one launch — the setup once, then every trial plus
+its score (each rank's block-Hessian partial of the selected points it
+owns, one ``MPI_Allreduce`` of ``c d^2`` floats per trial).  Both enter the
+rank's device, build the shard, call the loop and report the precompute's
+timings: the setup, every trial and the scoring, collectives excluded.
 
 :func:`distributed_round` / :func:`distributed_round_search` are the
 drivers: they partition the dataset (balanced by default, or along a
@@ -28,9 +29,6 @@ sharded pool store's ownership boundaries via ``offsets=``) and run the
 rank program over threads (``transport="simulated"``) or real spawned
 processes (``transport="shared_memory"``) via
 :func:`repro.parallel.launcher.run_spmd`, then merge the per-rank outputs.
-All shard data and collective payloads are arrays of the active backend; the
-per-class generalized eigensolves go through the backend's promoted linear
-algebra (``eigh_generalized``).
 """
 
 from __future__ import annotations
@@ -41,25 +39,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np  # host-side timing/offset bookkeeping only
 
-from repro.backend import Array, COMPUTE_DTYPE, Workspace, get_backend
-from repro.core.approx_round import generalized_block_eigenvalues
+from repro.backend import Array, get_backend
+from repro.core.approx_round import RoundPrecompute, approx_round
 from repro.core.config import RoundConfig
-from repro.fisher.hessian import block_diagonal_of_sum, point_block_coefficients
+from repro.core.eta_selection import default_eta_grid, select_eta
 from repro.fisher.operators import FisherDataset
-from repro.linalg.bisection import find_ftrl_nu
-from repro.linalg.block_diag import BlockDiagonalMatrix
-from repro.linalg.sherman_morrison import fused_round_scores
 from repro.parallel.comm import Comm, CommunicationLog
 from repro.parallel.launcher import (
-    ComponentTimers,
     collective_log,
     enter_rank_device,
     merge_component_seconds,
+    rank_shard,
     run_spmd,
     ship_array,
     validate_rank_devices,
 )
-from repro.parallel.partition import block_partition, partition_pool, pool_offsets
+from repro.parallel.partition import partition_pool, pool_offsets
 from repro.utils.validation import require
 
 __all__ = [
@@ -72,12 +67,6 @@ __all__ = [
     "round_rank_main",
     "round_search_rank_main",
 ]
-
-#: Timer components of the ROUND rank mains; ``eta_scoring`` only accrues in
-#: the grid-search program.
-_ROUND_COMPONENTS = (
-    "score", "compute_eigenvalues", "update_accumulated", "refresh_inverse", "setup", "eta_scoring",
-)
 
 
 @dataclass
@@ -147,184 +136,30 @@ class RoundSearchRankOutput(RoundRankOutput):
     eta_score: float = -math.inf
 
 
-class _RoundRankState:
-    """η-independent per-rank state of Algorithm 3 (Line 3 + promotions).
+def _rank_precompute(comm: Comm, spec: RoundRankSpec):
+    """The rank's shard and its η-independent ROUND state over ``comm``."""
 
-    Built once per SPMD launch; the single-η program consumes it once, the
-    grid-search program reuses it across every trial — the rank-side
-    analogue of the serial ``RoundPrecompute``.
-    """
-
-    def __init__(self, comm: Comm, spec: RoundRankSpec, timers: ComponentTimers):
-        cfg = spec.config
-        backend = get_backend()
-        cache = (
-            BlockDiagonalMatrix(backend.asarray(spec.labeled_block_cache), copy=False)
-            if spec.labeled_block_cache is not None
-            else None
-        )
-        shard = FisherDataset(
-            pool_features=spec.pool_features,
-            pool_probabilities=spec.pool_probabilities,
-            labeled_features=spec.labeled_features,
-            labeled_probabilities=spec.labeled_probabilities,
-            labeled_block_cache=cache,
-        )
-        local_z = backend.ascompute(spec.z_local).ravel()
-        require(int(local_z.shape[0]) == shard.num_pool, "z slice must match the shard size")
-
-        self.cfg = cfg
-        self.budget = int(spec.budget)
-        self.offsets = np.asarray(spec.offsets, dtype=np.int64)
-        self.num_local = shard.num_pool
-        self.d = shard.dimension
-        self.c = shard.num_classes
-        self.dc = self.d * self.c
-
-        # Line 3: Sigma_* block diagonal from per-rank partial sums + H_o.
-        with timers.timed("setup"):
-            partial = block_diagonal_of_sum(
-                shard.pool_features, shard.pool_probabilities, weights=local_z
-            )
-        summed = comm.allreduce(partial.blocks)
-        with timers.timed("setup"):
-            # Replicated per rank (labeled set + allreduced blocks are replicated).
-            self.labeled_blocks = shard.labeled_block_diagonal()
-            sigma_star = BlockDiagonalMatrix(summed, copy=False) + self.labeled_blocks
-            if cfg.regularization > 0.0:
-                sigma_star = sigma_star.add_identity(cfg.regularization)
-            self.sigma_star = sigma_star
-            self.labeled_over_budget = backend.ascompute(self.labeled_blocks.blocks) / self.budget
-
-            # Shard promotions hoisted out of the selection loop (the serial
-            # solver's RoundPrecompute analogue).
-            self.local_X = backend.ascompute(shard.pool_features)
-            self.local_gammas = point_block_coefficients(shard.pool_probabilities)
-            self.workspace = Workspace(backend)
-            self.class_slice = block_partition(self.c, comm.size)[comm.rank]
-
-
-def _select_with_eta(
-    comm: Comm, state: _RoundRankState, eta: float, timers: ComponentTimers
-) -> np.ndarray:
-    """One full Algorithm-3 selection pass at a fixed η (Lines 4-11).
-
-    Replicated state — ``B_t^{-1}``, the accumulated rank-one sum, ν — is
-    recomputed identically on every rank from allreduced / broadcast inputs,
-    so the selected index sequence is identical on every rank; the drivers
-    cross-check this.
-    """
-
-    cfg = state.cfg
-    budget = state.budget
-    backend = get_backend()
-    xp = backend.xp
-    _timed = timers.timed
-
-    with _timed("setup"):
-        # Line 4: B_1^{-1}.
-        bt_inv = (
-            state.sigma_star * math.sqrt(state.dc)
-            + state.labeled_blocks * (eta / budget)
-        ).inverse()
-        accumulated = BlockDiagonalMatrix.zeros(state.c, state.d, dtype=COMPUTE_DTYPE)
-        available = backend.ones((state.num_local,), dtype=bool)
-
-    selected: List[int] = []
-    for _ in range(1, budget + 1):
-        # Line 7: local scoring + global MAXLOC argmax.
-        with _timed("score"):
-            scores = fused_round_scores(
-                bt_inv,
-                state.sigma_star,
-                state.local_X,
-                state.local_gammas,
-                eta,
-                chunk_size=cfg.score_chunk_size,
-                workspace=state.workspace,
-            )
-            if not cfg.allow_repeats:
-                scores = xp.where(available, scores, -xp.inf)
-            best_local = int(xp.argmax(scores))
-            best_value = float(scores[best_local])
-        owner, owner_local_index, best_value = comm.argmax_allreduce(best_value, best_local)
-        require(math.isfinite(best_value), "no candidate available for selection")
-        global_index = int(state.offsets[owner] + owner_local_index)
-        selected.append(global_index)
-        if comm.rank == owner and not cfg.allow_repeats:
-            available[owner_local_index] = False
-
-        # Line 8 + bcast of the winner's (x, h) to all ranks.
-        x_sel = comm.bcast(
-            state.local_X[owner_local_index] if comm.rank == owner else None, root=owner
-        )
-        gamma_sel = comm.bcast(
-            state.local_gammas[owner_local_index] if comm.rank == owner else None, root=owner
-        )
-        with _timed("update_accumulated"):
-            # Same elementwise formulation as the serial solver so the SPMD
-            # trajectory matches it bit-for-bit.
-            rank_one = gamma_sel[:, None, None] * (x_sel[:, None] * x_sel[None, :])[None]
-            accumulated = BlockDiagonalMatrix(
-                accumulated.blocks + state.labeled_over_budget + rank_one,
-                copy=False,
-            )
-
-        # Line 9: class blocks distributed across ranks, then allgathered.
-        with _timed("compute_eigenvalues"):
-            class_slice = state.class_slice
-            if class_slice.stop > class_slice.start:
-                local_eigs = generalized_block_eigenvalues(
-                    accumulated.blocks[class_slice.start : class_slice.stop],
-                    state.sigma_star.blocks[class_slice.start : class_slice.stop],
-                )
-            else:
-                local_eigs = backend.zeros((0, state.d), dtype=COMPUTE_DTYPE)
-        eigenvalues = comm.allgather(local_eigs)
-
-        # Lines 10-11: nu bisection and the refreshed B_{t+1}^{-1} (replicated).
-        with _timed("refresh_inverse"):
-            nu = find_ftrl_nu(eta * eigenvalues)
-            bt_inv = (
-                state.sigma_star * nu + accumulated * eta + state.labeled_blocks * (eta / budget)
-            ).inverse()
-
-    return np.asarray(selected, dtype=np.int64)
-
-
-def _local_selection_blocks(comm: Comm, state: _RoundRankState, selected: np.ndarray) -> Array:
-    """This rank's block-Hessian partial over the selected points it owns.
-
-    The § IV-A scoring rule needs ``B(sum_i H_i)`` over the selected batch;
-    each rank contributes the rank-one blocks of its shard's winners, the
-    caller allreduces.
-    """
-
-    backend = get_backend()
-    lo = int(state.offsets[comm.rank])
-    hi = int(state.offsets[comm.rank + 1])
-    owned = (selected >= lo) & (selected < hi)
-    if not bool(np.any(owned)):
-        return backend.zeros((state.c, state.d, state.d), dtype=COMPUTE_DTYPE)
-    local = backend.from_host(selected[owned] - lo)
-    X_sel = state.local_X[local]
-    coeff = state.local_gammas[local]
-    return backend.einsum("ik,id,ie->kde", coeff, X_sel, X_sel, optimize=True)
+    shard = rank_shard(spec)
+    precompute = RoundPrecompute.build(
+        shard, spec.z_local, spec.config, comm=comm, offsets=spec.offsets
+    )
+    return shard, precompute
 
 
 def round_rank_main(comm: Comm, spec: RoundRankSpec) -> RoundRankOutput:
     """SPMD body of Algorithm 3 for one rank, at the spec's fixed η."""
 
-    backend = get_backend()
-    with backend.device_context(spec.device):
+    with get_backend().device_context(spec.device):
         comm, spec = enter_rank_device(comm, spec)
-        timers = ComponentTimers(_ROUND_COMPONENTS[:-1])
-        state = _RoundRankState(comm, spec, timers)
-        selected = _select_with_eta(comm, state, float(spec.eta), timers)
+        shard, precompute = _rank_precompute(comm, spec)
+        result = approx_round(
+            shard, spec.z_local, int(spec.budget), float(spec.eta), spec.config,
+            precompute=precompute,
+        )
     return RoundRankOutput(
         rank=comm.rank,
-        selected_indices=selected,
-        seconds=timers.seconds,
+        selected_indices=result.selected_indices,
+        seconds=precompute.timings.as_dict(),
         log=comm.log,
     )
 
@@ -332,46 +167,26 @@ def round_rank_main(comm: Comm, spec: RoundRankSpec) -> RoundRankOutput:
 def round_search_rank_main(comm: Comm, spec: RoundRankSpec) -> RoundSearchRankOutput:
     """SPMD body of the § IV-A η grid search for one rank.
 
-    The whole grid runs inside this one launch: the η-independent setup
-    (``Sigma_*`` assembly, shard promotions, the class partition) is built
-    once, every trial reruns only the η-dependent selection loop, and each
-    trial's batch is scored with the paper's ``min_k lambda_min(H_k)`` rule
-    via one allreduce of the per-rank block-Hessian partials.  Scores and
-    the best-so-far rule are replicated, so every rank picks the same
-    winner (ties keep the earliest grid entry, exactly like the serial
-    ``select_eta``).
+    :func:`~repro.core.eta_selection.select_eta` over the rank's shard and a
+    precompute built once for the grid.  Scores and the best-so-far rule are
+    replicated, so every rank picks the same winner (ties keep the earliest
+    grid entry).
     """
 
-    require(spec.eta_grid is not None and len(spec.eta_grid) > 0, "eta grid must not be empty")
-    backend = get_backend()
-    with backend.device_context(spec.device):
+    with get_backend().device_context(spec.device):
         comm, spec = enter_rank_device(comm, spec)
-        timers = ComponentTimers(_ROUND_COMPONENTS)
-        state = _RoundRankState(comm, spec, timers)
-
-        best_selected: Optional[np.ndarray] = None
-        best_eta = float(spec.eta_grid[0])
-        best_score = -math.inf
-        for eta in spec.eta_grid:
-            selected = _select_with_eta(comm, state, float(eta), timers)
-            with timers.timed("eta_scoring"):
-                partial = _local_selection_blocks(comm, state, selected)
-            blocks = comm.allreduce(partial)
-            with timers.timed("eta_scoring"):
-                score = BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
-            if score > best_score:
-                best_score = float(score)
-                best_eta = float(eta)
-                best_selected = selected
-
-    assert best_selected is not None
+        shard, precompute = _rank_precompute(comm, spec)
+        result, score = select_eta(
+            approx_round, shard, spec.z_local, int(spec.budget),
+            eta_grid=spec.eta_grid, config=spec.config, precompute=precompute,
+        )
     return RoundSearchRankOutput(
         rank=comm.rank,
-        selected_indices=best_selected,
-        seconds=timers.seconds,
+        selected_indices=result.selected_indices,
+        seconds=precompute.timings.as_dict(),
         log=comm.log,
-        eta=best_eta,
-        eta_score=best_score,
+        eta=result.eta,
+        eta_score=score,
     )
 
 
@@ -524,10 +339,9 @@ def distributed_round_search(
 ) -> Tuple[DistributedRoundResult, float]:
     """Run the § IV-A η grid search inside **one** ``run_spmd`` launch.
 
-    The serial path (:func:`repro.core.eta_selection.select_eta`) already
-    hoists the η-independent ``RoundPrecompute`` out of the grid loop; this
-    is its distributed analogue — one spawn, one shard scatter and one
-    ``Sigma_*`` assembly for the whole grid, instead of one full
+    Every rank runs :func:`repro.core.eta_selection.select_eta` over one
+    ``RoundPrecompute``: one spawn, one shard scatter and one ``Sigma_*``
+    assembly for the whole grid, instead of one full
     :func:`distributed_round` launch per trial (which under
     ``transport="shared_memory"`` paid ~1 s of interpreter start-up per rank
     per trial).  Returns ``(result, score)`` with the same semantics as
@@ -539,8 +353,6 @@ def distributed_round_search(
     require(num_ranks > 0, "num_ranks must be positive")
     cfg = config or RoundConfig()
     if eta_grid is None:
-        from repro.core.eta_selection import default_eta_grid
-
         eta_grid = default_eta_grid(dataset.joint_dimension)
     grid = tuple(float(e) for e in eta_grid)
     require(len(grid) > 0, "eta grid must not be empty")

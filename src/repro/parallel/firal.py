@@ -12,20 +12,27 @@ with ``SessionConfig.parallel_ranks``, so a whole active-learning run can
 execute its selection step across processes while the engine, strategies and
 oracle loop stay unchanged.
 
-Numerics: the distributed RELAX solver runs a fixed iteration budget and does
-not track the mirror-descent objective (the paper's multi-GPU implementation
-behaves the same way — objective tracking is a serial-diagnostics feature).
-The ``relax_config`` is therefore normalized to ``track_objective="none"``;
-a serial :class:`ApproxFIRAL` with that same configuration selects
-identically on the NumPy backend, which the engine test suite pins.
+Numerics: the rank programs run the serial solvers' loops
+(:func:`repro.core.approx_relax.relax_loop`,
+:func:`repro.core.approx_round.approx_round`,
+:func:`repro.core.eta_selection.select_eta`), so one rank selects what
+:class:`ApproxFIRAL` selects, bit for bit, and RELAX's
+``track_objective="estimate"`` runs at any rank count.  This selector still
+normalizes ``relax_config`` to ``track_objective="none"``: that keeps the
+probe stream the parallel sessions and their pinned selections use (estimate
+mode discards one extra probe draw per step).  Dropping the rewrite together
+with the discarded draw is a re-baseline of the accuracy spec and is left
+for a change of its own; a serial :class:`ApproxFIRAL` with
+``track_objective="none"`` selects identically on the NumPy backend, which
+the engine test suite pins.
 
 The § IV-A η grid search runs **in-rank**: one ``run_spmd`` launch executes
 the whole grid plus the min-eigenvalue scoring
-(:func:`repro.parallel.distributed_round.distributed_round_search`), so the
-spawn cost and the η-independent ``Sigma_*`` setup are amortized over the
-grid exactly the way the serial path hoists them once via
-``RoundPrecompute`` — under ``transport="shared_memory"`` this is one
-process spawn per round instead of one per grid trial.
+(:func:`repro.parallel.distributed_round.distributed_round_search`, whose
+ranks each run ``select_eta`` over one ``RoundPrecompute``), so the spawn
+cost and the η-independent ``Sigma_*`` setup are paid once per grid —
+under ``transport="shared_memory"`` one process spawn per round instead of
+one per grid trial.
 
 When the driving session stores its pool in a
 :class:`~repro.engine.ShardedPointStore`, the per-round shard boundaries are
@@ -60,8 +67,9 @@ class DistributedApproxFIRAL(_FIRALBase):
     ----------
     relax_config / round_config:
         Solver options, as for :class:`~repro.core.firal.ApproxFIRAL`.
-        ``relax_config.track_objective`` is forced to ``"none"`` (see the
-        module docstring); everything else is preserved.
+        ``relax_config.track_objective`` is forced to ``"none"`` to keep the
+        parallel sessions' probe stream (see the module docstring);
+        everything else is preserved.
     num_ranks:
         Communicator size — threads (simulated) or processes (shared memory).
     transport:

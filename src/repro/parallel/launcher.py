@@ -35,11 +35,15 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.backend import get_backend
+from repro.fisher.operators import FisherDataset
+from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.parallel.comm import (
     Comm,
     CommAbortedError,
     CommError,
     CommunicationLog,
+    HostStagedComm,
     SharedMemoryComm,
     SimulatedComm,
     _HEADER_BYTES,
@@ -48,13 +52,13 @@ from repro.parallel.comm import (
 from repro.utils.validation import require
 
 __all__ = [
-    "ComponentTimers",
     "RankFailedError",
     "SPMD_ATTEMPT_ENV",
     "TRANSPORTS",
     "collective_log",
     "enter_rank_device",
     "merge_component_seconds",
+    "rank_shard",
     "run_spmd",
     "ship_array",
     "validate_rank_devices",
@@ -102,35 +106,6 @@ class RankFailedError(CommError):
             collective=collective,
         )
         self.cause_type = cause_type
-
-
-class ComponentTimers:
-    """Per-component wall-clock accumulators for one rank.
-
-    Both rank mains (``relax_rank_main`` / ``round_rank_main``) time their
-    local compute segments through this one class so the per-rank seconds
-    the driver merges (:func:`merge_component_seconds`) share one clock and
-    one accumulation rule.
-    """
-
-    def __init__(self, components: Sequence[str] = ()):
-        self.seconds = {name: 0.0 for name in components}
-
-    def timed(self, component: str):
-        timers = self
-
-        class _Ctx:
-            def __enter__(self):
-                self._start = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                timers.seconds[component] = timers.seconds.get(component, 0.0) + (
-                    time.perf_counter() - self._start
-                )
-                return False
-
-        return _Ctx()
 
 
 def ship_array(backend, array, transport: str):
@@ -193,9 +168,6 @@ def enter_rank_device(comm: Comm, spec):
         return comm, spec
     from dataclasses import replace
 
-    from repro.backend import get_backend
-    from repro.parallel.comm import HostStagedComm
-
     backend = get_backend()
     moved = {}
     for name in _RANK_SPEC_ARRAY_FIELDS:
@@ -203,6 +175,22 @@ def enter_rank_device(comm: Comm, spec):
         if value is not None:
             moved[name] = backend.to_device(value, spec.device)
     return HostStagedComm(comm, backend), replace(spec, **moved)
+
+
+def rank_shard(spec) -> FisherDataset:
+    """The rank's pool shard plus the replicated labeled set, from its spec."""
+
+    cache = spec.labeled_block_cache
+    return FisherDataset(
+        pool_features=spec.pool_features,
+        pool_probabilities=spec.pool_probabilities,
+        labeled_features=spec.labeled_features,
+        labeled_probabilities=spec.labeled_probabilities,
+        labeled_block_cache=(
+            None if cache is None
+            else BlockDiagonalMatrix(get_backend().asarray(cache), copy=False)
+        ),
+    )
 
 
 def merge_component_seconds(outputs: Sequence[Any]) -> dict:

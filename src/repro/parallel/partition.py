@@ -17,6 +17,7 @@ from typing import List
 
 import numpy as np  # host-side index bookkeeping only
 
+from repro.core.spmd import block_partition
 from repro.fisher.operators import FisherDataset
 from repro.utils.validation import require
 
@@ -27,27 +28,6 @@ __all__ = [
     "partition_pool",
     "pool_offsets",
 ]
-
-
-def block_partition(total: int, num_parts: int) -> List[slice]:
-    """Contiguous, balanced partition of ``range(total)`` into ``num_parts`` slices.
-
-    Sizes differ by at most one; empty slices are allowed when
-    ``num_parts > total`` (a rank can own zero class blocks, as happens for
-    CIFAR-10's 10 classes on 12 GPUs).
-    """
-
-    require(total >= 0, "total must be non-negative")
-    require(num_parts > 0, "num_parts must be positive")
-    base = total // num_parts
-    remainder = total % num_parts
-    slices = []
-    start = 0
-    for part in range(num_parts):
-        size = base + (1 if part < remainder else 0)
-        slices.append(slice(start, start + size))
-        start += size
-    return slices
 
 
 def partition_indices(total: int, num_parts: int) -> List[np.ndarray]:

@@ -56,10 +56,13 @@ class TimingBreakdown:
 
     The component names mirror the legend labels of Figs. 5-7 in the paper:
     ``"setup_preconditioner"``, ``"cg"``, ``"gradient"``, ``"communication"``,
-    ``"eigenvalues"``, ``"objective"`` and ``"other"``.
+    ``"eigenvalues"``, ``"objective"`` and ``"other"``.  Time spent inside
+    :meth:`excluded` (a collective of an SPMD solver) counts toward no
+    component, even when an enclosing :meth:`region` is open.
     """
 
     components: Dict[str, float] = field(default_factory=dict)
+    _excluded: float = field(default=0.0, repr=False, compare=False)
 
     def add(self, name: str, seconds: float) -> None:
         if seconds < 0:
@@ -69,10 +72,22 @@ class TimingBreakdown:
     @contextmanager
     def region(self, name: str) -> Iterator[None]:
         start = time.perf_counter()
+        excluded_before = self._excluded
         try:
             yield
         finally:
-            self.add(name, time.perf_counter() - start)
+            elapsed = time.perf_counter() - start - (self._excluded - excluded_before)
+            self.add(name, max(elapsed, 0.0))
+
+    @contextmanager
+    def excluded(self) -> Iterator[None]:
+        """Keep the enclosed span out of every region open around it."""
+
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._excluded += time.perf_counter() - start
 
     def total(self) -> float:
         return float(sum(self.components.values()))

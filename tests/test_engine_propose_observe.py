@@ -191,6 +191,38 @@ class TestProtocolErrors:
         with pytest.raises(ValueError, match="labels must lie in"):
             session.observe(labels=[0, 1, 2, problem.num_classes])
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0.9, 0.9, 0.9, 0.9],
+            [[0, 1], [2, 0]],
+            ["3", "0", "1", "2"],
+            [True, False, True, False],
+        ],
+        ids=["float", "2-d", "str", "bool"],
+    )
+    def test_malformed_labels_rejected_before_any_change(self, problem, labels):
+        """A label array that is not 1-D integer classes fails by name; the
+        proposal stays pending and a valid observe() matches a clean run."""
+
+        clean = _session(problem, "random")
+        clean.propose()
+        answers = np.arange(4, dtype=np.int64) % problem.num_classes
+        clean_record = clean.observe(labels=answers)
+
+        session = _session(problem, "random")
+        proposal = session.propose()
+        with pytest.raises(ValueError, match="observe labels"):
+            session.observe(labels=labels)
+        assert session.pending_proposal is proposal
+        record = session.observe(labels=answers)
+        fields = ("num_labeled", "pool_accuracy", "eval_accuracy", "balanced_eval_accuracy")
+        assert [getattr(record, f) for f in fields] == [getattr(clean_record, f) for f in fields]
+        np.testing.assert_array_equal(session.store.labeled_ids, clean.store.labeled_ids)
+        np.testing.assert_array_equal(
+            session.store.labeled_labels_host(), clean.store.labeled_labels_host()
+        )
+
     def test_extend_pool_while_pending(self, problem):
         session = ActiveSession(
             problem,

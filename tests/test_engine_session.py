@@ -499,10 +499,9 @@ class TestPointStore:
 def _parallel_capable_strategy():
     """ApproxFIRAL with the distributed solvers' configuration contract.
 
-    The distributed RELAX solver runs a fixed iteration budget without
-    objective tracking, so the serial reference uses ``track_objective="none"``
-    too — that is the documented equivalence contract of
-    ``SessionConfig.parallel_ranks``.
+    The multi-rank selector runs RELAX with a fixed iteration budget
+    (``track_objective="none"``), so the serial reference does too — that is
+    the documented equivalence contract of ``SessionConfig.parallel_ranks``.
     """
 
     return FIRALStrategy(

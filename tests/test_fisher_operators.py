@@ -1,9 +1,9 @@
-"""Tests for FisherDataset and SigmaOperator."""
+"""Tests for FisherDataset."""
 
 import numpy as np
 import pytest
 
-from repro.fisher.operators import FisherDataset, SigmaOperator
+from repro.fisher.operators import FisherDataset
 from tests.conftest import make_fisher_dataset, random_probabilities
 
 
@@ -67,37 +67,3 @@ class TestFisherDataset:
                 labeled_features=rng.standard_normal((2, 3)),
                 labeled_probabilities=random_probabilities(rng, 2, 3),
             )
-
-
-class TestSigmaOperator:
-    def test_matvec_matches_dense(self, dataset):
-        rng = np.random.default_rng(3)
-        z = rng.uniform(0, 1, size=dataset.num_pool)
-        op = SigmaOperator(dataset, z)
-        v = rng.standard_normal(dataset.joint_dimension)
-        np.testing.assert_allclose(op.matvec(v), op.dense() @ v, rtol=1e-6, atol=1e-7)
-
-    def test_regularization_added(self, dataset):
-        z = np.ones(dataset.num_pool) * 0.1
-        op = SigmaOperator(dataset, z, regularization=0.5)
-        v = np.ones(dataset.joint_dimension)
-        plain = SigmaOperator(dataset, z).matvec(v)
-        np.testing.assert_allclose(op.matvec(v), plain + 0.5 * v, rtol=1e-6)
-
-    def test_preconditioner_is_block_inverse(self, dataset):
-        rng = np.random.default_rng(4)
-        z = rng.uniform(0.1, 1, size=dataset.num_pool)
-        op = SigmaOperator(dataset, z, regularization=1e-3)
-        v = rng.standard_normal(dataset.joint_dimension)
-        # Applying B then B^{-1} must round-trip.
-        np.testing.assert_allclose(
-            op.precondition(op.block_diagonal.matvec(v)), v, rtol=1e-4, atol=1e-5
-        )
-
-    def test_negative_weights_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            SigmaOperator(dataset, -np.ones(dataset.num_pool))
-
-    def test_wrong_length_weights_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            SigmaOperator(dataset, np.ones(dataset.num_pool + 1))

@@ -14,7 +14,7 @@ from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
 from repro.parallel.cluster import ScalingMeasurement, SimulatedCluster
 from repro.parallel.distributed_relax import distributed_relax
-from repro.parallel.distributed_round import distributed_round
+from repro.parallel.distributed_round import distributed_round, distributed_round_search
 from repro.parallel.firal import DistributedApproxFIRAL
 from tests.conftest import make_fisher_dataset
 
@@ -46,7 +46,30 @@ class TestDistributedRelax:
     def test_single_rank_is_numerically_identical(self, dataset):
         serial = approx_relax(dataset, budget=6, config=relax_config())
         distributed = distributed_relax(dataset, 6, num_ranks=1, config=relax_config())
-        np.testing.assert_allclose(distributed.weights, serial.weights, rtol=1e-6, atol=1e-9)
+        np.testing.assert_array_equal(distributed.weights, serial.weights)
+
+    @pytest.mark.parametrize("tolerance", [1e-4, 1.0], ids=["runs-out", "rule-fires"])
+    def test_estimate_mode_single_rank_is_bit_identical(self, dataset, tolerance):
+        """The in-loop estimate and stopping rule run on ranks as they do serially."""
+
+        config = RelaxConfig(max_iterations=5, objective_tolerance=tolerance, seed=11)
+        serial = approx_relax(dataset, budget=6, config=config)
+        distributed = distributed_relax(dataset, 6, num_ranks=1, config=config)
+        np.testing.assert_array_equal(distributed.weights, serial.weights)
+        assert distributed.iterations == serial.iterations
+        assert distributed.cg_iterations == serial.cg_iterations
+        if tolerance == 1.0:
+            assert serial.converged and serial.iterations < config.max_iterations
+
+    def test_estimate_mode_ranks_agree(self, dataset):
+        """At two ranks the replicated trace stops every rank at the same step:
+        the driver's divergence check passes and the weights track serial."""
+
+        config = RelaxConfig(max_iterations=5, objective_tolerance=1e-4, seed=11)
+        serial = approx_relax(dataset, budget=6, config=config)
+        distributed = distributed_relax(dataset, 6, num_ranks=2, config=config)
+        np.testing.assert_allclose(distributed.weights, serial.weights, rtol=1e-2, atol=1e-4)
+        assert "objective" in distributed.per_rank_seconds
 
     def test_weights_on_scaled_simplex(self, dataset):
         result = distributed_relax(dataset, 6, num_ranks=4, config=relax_config())
@@ -67,6 +90,21 @@ class TestDistributedRelax:
                 dataset, 6, num_ranks=2, config=RelaxConfig(track_objective="exact")
             )
 
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_comm_pattern_matches_paper(self, dataset, iterations):
+        """Per iteration (§ III-C): one probe bcast; allreduces for B(Sigma_z),
+        every Sigma_z matvec, H_p W and the three update scalars; one final
+        allgather of the weights."""
+
+        config = RelaxConfig(
+            max_iterations=iterations, normalize_gradient=True, track_objective="none", seed=11
+        )
+        result = distributed_relax(dataset, 6, num_ranks=3, config=config)
+        calls = result.comm_log.calls
+        assert calls["bcast"] == iterations
+        assert calls["allreduce"] == 5 * iterations + result.cg_iterations
+        assert calls["allgather"] == 1
+
 
 class TestDistributedRound:
     @pytest.mark.parametrize("num_ranks", [1, 2, 3, 6])
@@ -85,6 +123,20 @@ class TestDistributedRound:
         assert calls["allgather"] == budget
         assert calls["allreduce"] == budget + 1
         assert calls["bcast"] == 2 * budget
+
+    def test_grid_search_comm_pattern_matches_paper(self, dataset, z_relaxed):
+        """One Sigma_* allreduce, then per trial the single-η pattern plus one
+        scoring allreduce of the selected batch's block-Hessian partials."""
+
+        budget, grid = 4, (0.5, 1.0, 2.0)
+        result, _ = distributed_round_search(
+            dataset, z_relaxed, budget, eta_grid=grid, num_ranks=3
+        )
+        calls = result.comm_log.calls
+        trials = len(grid)
+        assert calls["allreduce"] == 1 + trials * (budget + 1)
+        assert calls["allgather"] == trials * budget
+        assert calls["bcast"] == 2 * trials * budget
 
     def test_per_rank_timings_populated(self, dataset, z_relaxed):
         result = distributed_round(dataset, z_relaxed, 3, 1.0, num_ranks=2)
@@ -108,7 +160,7 @@ class TestDistributedRelaxWarmStart:
         distributed = distributed_relax(
             dataset, 6, num_ranks=1, config=relax_config(), initial_weights=z0
         )
-        np.testing.assert_allclose(distributed.weights, serial.weights, rtol=1e-6, atol=1e-9)
+        np.testing.assert_array_equal(distributed.weights, serial.weights)
 
 
 class TestDistributedApproxFIRAL:

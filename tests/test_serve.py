@@ -445,6 +445,36 @@ class TestClientAndHttp:
             np.asarray(selected), direct.store.labeled_ids[problem.initial_size :]
         )
 
+    def test_http_float_labels_conflict_then_int_labels_commit(self, problem):
+        """JSON float labels are rejected with 409 and commit nothing; the
+        same round then takes integer labels with 200."""
+
+        async def serve():
+            manager = SessionManager()
+            front = HttpFrontend(manager, specs={"demo": _spec(problem)})
+            host, port = await front.start()
+            try:
+                await _http_request(host, port, "POST", "/sessions/t/open", {"spec": "demo"})
+                status, proposal = await _http_request(
+                    host, port, "POST", "/sessions/t/propose", {}
+                )
+                assert status == 200
+                budget = proposal["budget"]
+                status, payload = await _http_request(
+                    host, port, "POST", "/sessions/t/observe", {"labels": [0.9] * budget}
+                )
+                assert status == 409 and "observe labels" in payload["error"]
+                status, record = await _http_request(
+                    host, port, "POST", "/sessions/t/observe", {"labels": [0] * budget}
+                )
+                assert status == 200
+                assert record["num_labeled"] == float(problem.initial_size + budget)
+            finally:
+                await front.stop()
+                await manager.aclose(checkpoint=False)
+
+        asyncio.run(serve())
+
     def test_http_error_statuses(self, problem):
         async def serve():
             manager = SessionManager(ServeConfig(max_sessions=1))

@@ -1,5 +1,7 @@
 """Tests for the timing utilities."""
 
+import time
+
 import pytest
 
 from repro.utils.timing import Timer, TimingBreakdown, timed_region
@@ -85,3 +87,12 @@ def test_timed_region_records():
     with timed_region(breakdown, "step"):
         sum(range(100))
     assert breakdown.get("step") > 0.0
+
+
+def test_excluded_span_counts_toward_no_region():
+    breakdown = TimingBreakdown()
+    with breakdown.region("work"):
+        with breakdown.excluded():
+            time.sleep(0.05)
+    assert breakdown.get("work") < 0.04
+    assert breakdown.components.keys() == {"work"}
