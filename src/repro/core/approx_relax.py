@@ -18,7 +18,11 @@ The objective for the stopping rule is read off steps 3–4:
 shard: probes are broadcast from rank 0, ``B(Sigma_z)``, every ``Sigma_z``
 matvec and ``H_p W`` are a local partial plus an allreduce, the update
 allreduces three scalars.  Probes, CG state and ``H_p W`` are replicated, so
-the estimate and the stopping rule run on every rank alike.
+the estimate and the stopping rule run on every rank alike.  Every matvec
+and the Line-9 gradient run through the shard's prepared Lemma-2 operators
+(:attr:`~repro.fisher.FisherDataset.pool_operator` and
+:attr:`~repro.fisher.FisherDataset.labeled_operator`), which validate
+nothing and plan nothing per call.
 :func:`approx_relax` is the one-rank case (:data:`~repro.core.spmd.ONE_RANK`,
 whose collectives return their input); ``track_objective="exact"`` needs
 the whole pool, so it runs at one rank only.
@@ -39,8 +43,6 @@ from repro.core.config import RelaxConfig
 from repro.core.result import RelaxResult
 from repro.core.spmd import ONE_RANK
 from repro.core.warm_start import initial_simplex_iterate
-from repro.fisher.hessian import block_diagonal_of_sum
-from repro.fisher.matvec import hessian_sum_matvec, probe_hessian_quadratic_forms
 from repro.fisher.objective import fisher_ratio_objective
 from repro.fisher.operators import FisherDataset
 from repro.linalg.block_diag import BlockDiagonalMatrix
@@ -107,6 +109,7 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
     xp = backend.xp
     dc = dataset.joint_dimension
     timings = TimingBreakdown()
+    pool, labeled = dataset.pool_operator, dataset.labeled_operator
     local_z = backend.ascompute(z0).ravel()
     require(int(local_z.shape[0]) == dataset.num_pool, "z0 slice must match the shard size")
 
@@ -135,9 +138,7 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
         # Line 5: B(Sigma_z) from per-rank partial sums, plus B(H_o), inverted.
         with timings.region("setup_preconditioner"):
             weights = budget * local_z
-            partial = block_diagonal_of_sum(
-                dataset.pool_features, dataset.pool_probabilities, weights=weights
-            )
+            partial = dataset.pool_block_diagonal(weights=weights)
             with timings.excluded():
                 summed = comm.allreduce(partial.blocks)
             sigma_blocks = BlockDiagonalMatrix(summed, copy=False) + dataset.labeled_block_diagonal()
@@ -148,12 +149,10 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
         def sigma_matvec(V: Array) -> Array:
             """``Sigma_z V``: local ``H_z`` partial, allreduced, plus ``H_o V``."""
 
-            partial = hessian_sum_matvec(
-                dataset.pool_features, dataset.pool_probabilities, V, weights=weights
-            )
+            partial = pool.matvec(V, weights)
             with timings.excluded():
                 reduced = comm.allreduce(partial)
-            out = reduced + dataset.labeled_hessian_matvec(V)
+            out = reduced + labeled.matvec(V)
             if cfg.regularization > 0.0:
                 out = out + cfg.regularization * xp.asarray(V)
             return out
@@ -173,9 +172,7 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
                 first_cg_history = list(first_solve.residual_history)
         # Line 7: H_p W.
         with timings.region("other"):
-            partial = hessian_sum_matvec(
-                dataset.pool_features, dataset.pool_probabilities, first_solve.solution
-            )
+            partial = pool.matvec(first_solve.solution)
             with timings.excluded():
                 pool_applied = comm.allreduce(partial)
 
@@ -204,12 +201,7 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
 
         # Line 9: gradient estimate for every point of the shard.
         with timings.region("gradient"):
-            grad = -probe_hessian_quadratic_forms(
-                dataset.pool_features,
-                dataset.pool_probabilities,
-                probes,
-                second_solve.solution,
-            )
+            grad = -pool.probe_quadratic_forms(probes, second_solve.solution)
 
         # Lines 10-11: exponentiated-gradient update, normalized over all ranks.
         with timings.region("other"):

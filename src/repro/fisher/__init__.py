@@ -8,7 +8,8 @@ matrices
 and their (weighted) sums ``H_o`` (labeled), ``H_p`` (pool) and ``H_z``
 (z-weighted pool) of Eq. 3.  Exact-FIRAL materializes these as dense
 ``dc x dc`` matrices; Approx-FIRAL only ever touches them through the
-matrix-free matvec of Lemma 2 and their block diagonals (Eq. 14/15).
+matrix-free matvec of Lemma 2 (a :class:`HessianSumOperator`, prepared once
+per point set) and their block diagonals (Eq. 14/15).
 
 Vectorization convention: a weight vector ``v in R^{dc}`` corresponds to the
 matrix ``V in R^{d x c}`` with ``vec(V) = v`` (column stacking), i.e. the slice
@@ -23,6 +24,7 @@ from repro.fisher.hessian import (
     point_block_coefficients,
 )
 from repro.fisher.matvec import (
+    HessianSumOperator,
     hessian_sum_matvec,
     single_point_hessian_matvec,
     probe_hessian_quadratic_forms,
@@ -37,6 +39,7 @@ __all__ = [
     "sum_hessian_dense",
     "block_diagonal_of_sum",
     "point_block_coefficients",
+    "HessianSumOperator",
     "hessian_sum_matvec",
     "single_point_hessian_matvec",
     "probe_hessian_quadratic_forms",

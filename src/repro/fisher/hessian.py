@@ -20,6 +20,7 @@ __all__ = [
     "sum_hessian_dense",
     "block_diagonal_of_sum",
     "point_block_coefficients",
+    "weighted_block_diagonal",
 ]
 
 
@@ -111,12 +112,29 @@ def block_diagonal_of_sum(
     at cost ``O(n c d^2)`` — no ``dc x dc`` matrix is ever formed.
     """
 
-    backend = get_backend()
     X = check_features(X)
     H = check_probabilities(H)
     require(X.shape[0] == H.shape[0], "X and H must describe the same points")
+    return weighted_block_diagonal(X, H, weights, dtype=dtype)
+
+
+def weighted_block_diagonal(
+    X: Array,
+    H: Array,
+    weights: Optional[Array] = None,
+    *,
+    dtype=COMPUTE_DTYPE,
+) -> BlockDiagonalMatrix:
+    """:func:`block_diagonal_of_sum` for arrays that already passed validation.
+
+    :class:`~repro.fisher.FisherDataset` validates its arrays once when it is
+    built; its block diagonals come from here, so the per-step
+    preconditioner assembly does not check them again.
+    """
+
+    backend = get_backend()
     n = int(X.shape[0])
-    coeff = point_block_coefficients(H)
+    coeff = backend.ascompute(H * (1.0 - H))
     if weights is not None:
         w = backend.ascompute(weights).ravel()
         require(tuple(w.shape) == (n,), "weights must have shape (n,)")

@@ -9,20 +9,29 @@ and exposes both dense (Exact-FIRAL) and matrix-free (Approx-FIRAL) views of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.backend import Array
-from repro.fisher.hessian import block_diagonal_of_sum, sum_hessian_dense
-from repro.fisher.matvec import hessian_sum_matvec
+from repro.fisher.hessian import sum_hessian_dense, weighted_block_diagonal
+from repro.fisher.matvec import HessianSumOperator
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.utils.validation import check_features, check_probabilities, require
 
 __all__ = ["FisherDataset"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FisherDataset:
     """Pool + labeled-point Fisher data for one active-learning round.
+
+    The dataset is frozen: its arrays are validated once, when it is built,
+    and the solvers' kernels are prepared from them on first use and kept —
+    the Lemma-2 operators :attr:`pool_operator` and :attr:`labeled_operator`,
+    and ``B(H_o)`` when no ``labeled_block_cache`` is threaded in.  A
+    strategy that never runs a matvec (Exact-FIRAL, the prefilters) never
+    builds them.  Treat the arrays as read-only: a prepared operator holds
+    them (or their compute-dtype copies).
 
     Attributes
     ----------
@@ -40,8 +49,8 @@ class FisherDataset:
         is constant within a round (the classifier is fixed while a batch is
         selected), so a caller that already holds it — the session engine's
         :class:`~repro.fisher.LabeledFisherAccumulator`, or a per-round cache
-        — can thread it in and every preconditioner refresh / ROUND
-        precompute skips the ``O(m c d^2)`` reassembly.  Must equal
+        — can thread it in and skip the one ``O(m c d^2)`` assembly the
+        dataset would otherwise make.  Must equal
         ``block_diagonal_of_sum(labeled_features, labeled_probabilities)``
         for the stored probabilities; callers must not mutate it.
     """
@@ -53,12 +62,18 @@ class FisherDataset:
     labeled_block_cache: Optional[BlockDiagonalMatrix] = None
 
     def __post_init__(self) -> None:
-        self.pool_features = check_features(self.pool_features, "pool_features")
-        self.pool_probabilities = check_probabilities(self.pool_probabilities, name="pool_probabilities")
-        self.labeled_features = check_features(self.labeled_features, "labeled_features")
-        self.labeled_probabilities = check_probabilities(
-            self.labeled_probabilities, name="labeled_probabilities"
-        )
+        validated = {
+            "pool_features": check_features(self.pool_features, "pool_features"),
+            "pool_probabilities": check_probabilities(
+                self.pool_probabilities, name="pool_probabilities"
+            ),
+            "labeled_features": check_features(self.labeled_features, "labeled_features"),
+            "labeled_probabilities": check_probabilities(
+                self.labeled_probabilities, name="labeled_probabilities"
+            ),
+        }
+        for name, value in validated.items():
+            object.__setattr__(self, name, value)
         require(
             self.pool_features.shape[0] == self.pool_probabilities.shape[0],
             "pool features and probabilities must describe the same points",
@@ -104,15 +119,27 @@ class FisherDataset:
     # ------------------------------------------------------------------ #
     # matrix-free matvecs
     # ------------------------------------------------------------------ #
+    @cached_property
+    def pool_operator(self) -> HessianSumOperator:
+        """Lemma 2 over the pool (``H_p``, ``H_z``), prepared on first use."""
+
+        return HessianSumOperator(self.pool_features, self.pool_probabilities)
+
+    @cached_property
+    def labeled_operator(self) -> HessianSumOperator:
+        """Lemma 2 over the labeled set (``H_o``), prepared on first use."""
+
+        return HessianSumOperator(self.labeled_features, self.labeled_probabilities)
+
     def labeled_hessian_matvec(self, V: Array) -> Array:
         """``H_o V`` via Lemma 2."""
 
-        return hessian_sum_matvec(self.labeled_features, self.labeled_probabilities, V)
+        return self.labeled_operator.matvec(V)
 
     def pool_hessian_matvec(self, V: Array, weights: Optional[Array] = None) -> Array:
         """``H_p V`` (``weights=None``) or ``H_z V`` (``weights=z``) via Lemma 2."""
 
-        return hessian_sum_matvec(self.pool_features, self.pool_probabilities, V, weights=weights)
+        return self.pool_operator.matvec(V, weights)
 
     def sigma_matvec(self, V: Array, z: Array) -> Array:
         """``Sigma_z V = H_o V + H_z V``."""
@@ -122,17 +149,24 @@ class FisherDataset:
     # ------------------------------------------------------------------ #
     # block diagonals
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _labeled_blocks(self) -> BlockDiagonalMatrix:
+        return weighted_block_diagonal(self.labeled_features, self.labeled_probabilities)
+
     def labeled_block_diagonal(self) -> BlockDiagonalMatrix:
-        """``B(H_o)`` assembled directly (Eq. 14), or the threaded-in cache."""
+        """``B(H_o)``: the threaded-in cache, or assembled once (Eq. 14).
+
+        The same object on every call; callers must not mutate it.
+        """
 
         if self.labeled_block_cache is not None:
             return self.labeled_block_cache
-        return block_diagonal_of_sum(self.labeled_features, self.labeled_probabilities)
+        return self._labeled_blocks
 
     def pool_block_diagonal(self, weights: Optional[Array] = None) -> BlockDiagonalMatrix:
         """``B(H_p)`` or ``B(H_z)`` assembled directly."""
 
-        return block_diagonal_of_sum(self.pool_features, self.pool_probabilities, weights=weights)
+        return weighted_block_diagonal(self.pool_features, self.pool_probabilities, weights)
 
     def sigma_block_diagonal(self, z: Array) -> BlockDiagonalMatrix:
         """``B(Sigma_z)`` — the CG preconditioner of Algorithm 2 (Line 5)."""

@@ -39,7 +39,8 @@ class CGResult:
     Attributes
     ----------
     solution:
-        Array with the same shape as the right-hand side.
+        Array with the same shape as the right-hand side, in its dtype when
+        that is floating (float64 otherwise).
     iterations:
         Number of CG iterations performed (shared by all columns).
     converged:
@@ -108,7 +109,9 @@ def conjugate_gradient(
         b = b[:, None]
     require(b.ndim == 2, "rhs must be 1-D or 2-D")
     dim, num_rhs = int(b.shape[0]), int(b.shape[1])
-    rhs_dtype = b.dtype
+    # Integer and bool right-hand sides solve in the compute dtype: casting
+    # the iterates back to them would truncate every search direction.
+    rhs_dtype = b.dtype if backend.is_floating(b) else backend.compute_dtype
 
     # Iterate in the compute dtype (float64); cast the solution back at the end.
     b64 = backend.ascompute(b)

@@ -163,6 +163,15 @@ class TestDtypePolicy:
         for k in range(3):
             np.testing.assert_array_equal(got[k], sla.eigh(a[k], b[k], eigvals_only=True))
 
+    def test_eigh_generalized_rejects_indefinite_b(self):
+        backend = get_backend()
+        a = np.stack([np.eye(4), np.eye(4)])
+        b = np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0])])
+        with pytest.raises(np.linalg.LinAlgError):
+            backend.eigh_generalized(a, b)
+        with pytest.raises(ValueError):
+            backend.eigh_generalized(a, np.full_like(b, np.nan))
+
     def test_generic_eigh_generalized_fallback_is_close(self, rng):
         backend = get_backend()
         a = rng.standard_normal((2, 4, 4))

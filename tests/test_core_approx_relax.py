@@ -1,6 +1,7 @@
 """Tests for the fast RELAX solver (Algorithm 2)."""
 
-import importlib
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,14 +9,32 @@ import pytest
 from repro.core.config import RelaxConfig
 from repro.core.approx_relax import approx_relax
 from repro.core.exact_relax import exact_relax, exact_relax_gradient
+from repro.fisher.hessian import weighted_block_diagonal
+from repro.fisher.matvec import HessianSumOperator
 from repro.fisher.objective import fisher_ratio_objective
 from repro.parallel.distributed_relax import distributed_relax
+from repro.utils.validation import check_features, check_probabilities
 from tests.conftest import make_fisher_dataset
 
 
 @pytest.fixture
 def dataset():
     return make_fisher_dataset(seed=5, num_pool=30, num_labeled=8, dimension=4, num_classes=3)
+
+
+def count_calls(monkeypatch, function, counts, predicate=None):
+    """Count ``function``'s calls from every ``repro`` module that imported it by name."""
+
+    name = function.__name__
+
+    def counting(*args, **kwargs):
+        if predicate is None or predicate(*args, **kwargs):
+            counts[name] += 1
+        return function(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "repro" and vars(module).get(name) is function:
+            monkeypatch.setattr(module, name, counting)
 
 
 class TestApproxRelax:
@@ -107,22 +126,44 @@ class TestApproxRelax:
     def test_estimate_runs_no_extra_solve(self, dataset, monkeypatch):
         """The estimate is read off Lines 6-7: every Sigma_z matvec is a counted CG step."""
 
-        # ``repro.core.approx_relax`` as an attribute is the function; fetch the module.
-        loop_module = importlib.import_module("repro.core.approx_relax")
         calls = []
-        matvec = loop_module.hessian_sum_matvec
+        matvec = HessianSumOperator.matvec
 
-        def counting(X, H, V, weights=None):
+        def counting(operator, V, weights=None):
             if weights is not None:  # the z-weighted H_z of a Sigma_z matvec
+                assert operator is dataset.pool_operator
                 calls.append(1)
-            return matvec(X, H, V, weights=weights)
+            return matvec(operator, V, weights)
 
-        monkeypatch.setattr(loop_module, "hessian_sum_matvec", counting)
+        monkeypatch.setattr(HessianSumOperator, "matvec", counting)
         result = approx_relax(
             dataset, budget=5, config=RelaxConfig(max_iterations=4, objective_tolerance=0.0)
         )
         assert len(calls) == result.cg_iterations
         assert len(result.objective_trace) == 4
+
+    def test_solve_validates_and_assembles_labeled_blocks_once(self, monkeypatch):
+        """Inputs are checked when the dataset is built, never during a solve,
+        however many CG steps it takes; without a threaded-in cache ``B(H_o)``
+        is assembled once per dataset, not once per mirror-descent step."""
+
+        counts = Counter()
+        solves = {}
+        for tolerance in (0.5, 1e-8):
+            data = make_fisher_dataset(seed=5, num_pool=30, num_labeled=8, dimension=4, num_classes=3)
+            counts.clear()
+            with monkeypatch.context() as patch:
+                count_calls(patch, check_features, counts)
+                count_calls(patch, check_probabilities, counts)
+                count_calls(
+                    patch, weighted_block_diagonal, counts, lambda X, *_, **__: X is data.labeled_features
+                )
+                config = RelaxConfig(max_iterations=4, cg_tolerance=tolerance, track_objective="none")
+                result = approx_relax(data, budget=5, config=config)
+            solves[tolerance] = (result.cg_iterations, dict(counts))
+        (few, loose), (many, tight) = solves[0.5], solves[1e-8]
+        assert many > 2 * few
+        assert loose == tight == {"weighted_block_diagonal": 1}
 
     def test_stopping_rule_returns_the_stalled_iterate(self, dataset):
         """A stop at step t returns z_t, before its update, and counts t - 1 updates."""

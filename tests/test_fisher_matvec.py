@@ -93,6 +93,24 @@ class TestSumMatvec:
         rhs = float(v @ hessian_sum_matvec(X, H, u))
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "dtype, out_dtype",
+        [(np.int64, np.float64), (np.bool_, np.float64), (np.float32, np.float32)],
+    )
+    def test_probe_dtype_sets_the_result_dtype(self, rng, dtype, out_dtype):
+        """A floating probe keeps its dtype; an integer or bool one gives
+        float64.  The result used to be cast back to int64 (all zeros)."""
+
+        X = rng.standard_normal((6, 3))
+        # Reduced (c - 1 column) probabilities: the all-ones probe is not in
+        # the null space the full simplex gives every H_i.
+        H = random_probabilities(rng, 6, 5)[:, :4]
+        out = hessian_sum_matvec(X, H, np.ones(12, dtype=dtype))
+        assert out.dtype == out_dtype
+        expected = sum_hessian_dense(X, H) @ np.ones(12)
+        assert np.abs(expected).min() > 1e-3
+        np.testing.assert_allclose(out, expected, rtol=1e-6)
+
     def test_weight_shape_mismatch_rejected(self, rng):
         X = rng.standard_normal((4, 2))
         H = random_probabilities(rng, 4, 2)

@@ -66,6 +66,28 @@ class TestBasicSolves:
         result = conjugate_gradient(lambda v: A @ v, b, record_history=False)
         assert result.residual_history == []
 
+    @pytest.mark.parametrize(
+        "dtype, solve_dtype",
+        [(np.int64, np.float64), (np.bool_, np.float64), (np.float32, np.float32)],
+    )
+    def test_rhs_dtype_sets_the_solve_dtype(self, dtype, solve_dtype):
+        """A floating rhs keeps its dtype; an integer or bool one solves in
+        float64.  Casting the iterates back to int64 used to truncate every
+        search direction: 1000 iterations, x = 0, not converged."""
+
+        A = np.diag([2.0, 3.0, 4.0])
+        seen = []
+
+        def matvec(v):
+            seen.append(v.dtype)
+            return A @ v
+
+        result = conjugate_gradient(matvec, np.array([1, 1, 1], dtype=dtype), rtol=1e-6)
+        assert result.converged and result.iterations <= 5
+        assert result.solution.dtype == solve_dtype
+        assert set(seen) == {np.dtype(solve_dtype)}
+        np.testing.assert_allclose(result.solution, [1 / 2, 1 / 3, 1 / 4], rtol=1e-6)
+
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValueError):
             conjugate_gradient(lambda v: v, np.ones(3), rtol=-1.0)
