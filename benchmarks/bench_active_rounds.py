@@ -5,25 +5,15 @@ FIRAL rounds and measure what each round costs under
 
 * the **legacy** driver path (``run_active_learning`` with the default,
   bit-identical-to-history ``SessionConfig``): every round recomputes pool
-  *and* labeled probabilities, reassembles the labeled-Fisher block diagonal
-  from scratch at every preconditioner refresh, re-runs the full § IV-A η
-  grid search (``len(eta_grid)`` ROUND solves), and RELAX restarts from the
-  uniform simplex point; versus
+  *and* labeled probabilities, re-runs the full § IV-A η grid search
+  (``len(eta_grid)`` ROUND solves), and RELAX restarts from the uniform
+  simplex point; versus
 * the **session** engine fast path (``SessionConfig.fast()``): resident
-  promoted pool with a per-round ``B(H_o)`` cache, and reuse of the previous
-  round's winning η (one ROUND solve per round after the first).
+  promoted pool, and reuse of the previous round's winning η (one ROUND
+  solve per round after the first).
 
-``relax_warm_start`` and ``incremental_fisher`` were measured too and stay
-out of ``fast()`` — see ``SessionConfig.fast`` for the measured reasons
-(documented either way, default off).  Because
-the end-to-end shape is CG-dominated with a small labeled set, the payload
-additionally carries a ``fisher_maintenance`` series that isolates the
-incremental accumulator's own per-round cost against the from-scratch
-``B(H_o)`` reassembly as the labeled set grows — the ``O(b c d^2)`` vs
-``O(m c d^2)`` crossover that dominates at production label counts — and a
-bounded-staleness variant (``SessionConfig.fisher_refresh_every``) that pays
-one full reassembly every K rounds to cap classifier drift while keeping the
-amortized cost near the pure accumulator's.
+Both paths run Algorithm 2 as written every round: ``H_o`` under the
+current classifier, RELAX from the uniform point.
 
 ``--store`` picks the session's pool store or scenario: ``dense`` (default),
 ``streaming`` (the pool-replenishment scenario on a dense store: a fraction
@@ -67,11 +57,9 @@ from repro.datasets.registry import build_problem
 from repro.engine.prefilter import PREFILTER_KINDS, make_prefilter
 from repro.engine.session import ActiveSession, SessionConfig
 from repro.engine.stores import MmapPointStore, ShardedPointStore
-from repro.fisher.accumulator import LabeledFisherAccumulator
-from repro.fisher.hessian import block_diagonal_of_sum
 from repro.parallel import FaultPlan
 
-from _utils import bench_payload, random_probabilities, write_bench_json
+from _utils import bench_payload, write_bench_json
 
 #: Fraction of the pool visible at session start under ``--store streaming``;
 #: the remainder is streamed back in between rounds.
@@ -95,63 +83,6 @@ def make_strategy(relax_iterations: int = 20) -> FIRALStrategy:
             RoundConfig(),
         )
     )
-
-
-def fisher_maintenance_series(
-    *, dimension: int = 128, num_classes: int = 9, initial: int = 200, budget: int = 100, rounds: int = 10, seed: int = 0
-) -> dict:
-    """Per-round cost of keeping ``B(H_o)`` current as the labeled set grows.
-
-    Legacy maintenance recomputes ``block_diagonal_of_sum`` over all ``m``
-    labeled points (``O(m c d^2)``, and the driver pays it at *every*
-    preconditioner refresh); the accumulator adds only the round's batch
-    (``O(b c d^2)``, independent of ``m``).  Measured at a
-    production-representative ``d`` where the assembly einsum is non-trivial.
-    """
-
-    rng = np.random.default_rng(seed)
-    features = rng.standard_normal((initial + budget * rounds, dimension))
-    probs = random_probabilities(rng, initial + budget * rounds, num_classes)
-
-    acc = LabeledFisherAccumulator(dimension, num_classes)
-    acc.add(features[:initial], probs[:initial])
-    bounded = LabeledFisherAccumulator(dimension, num_classes)
-    bounded.add(features[:initial], probs[:initial])
-    refresh_every = max(rounds // 2, 2)
-    from_scratch_seconds, incremental_seconds, bounded_seconds, labeled_counts = [], [], [], []
-    for r in range(rounds):
-        lo = initial + r * budget
-        hi = lo + budget
-        labeled_counts.append(hi)
-        t0 = time.perf_counter()
-        block_diagonal_of_sum(features[:hi], probs[:hi])
-        from_scratch_seconds.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        acc.add(features[lo:hi], probs[lo:hi])
-        incremental_seconds.append(time.perf_counter() - t0)
-        # Bounded staleness (SessionConfig.fisher_refresh_every): every K
-        # rounds the accumulator is rebuilt from scratch (capping drift at
-        # K - 1 rounds); the other rounds add only the new batch.
-        t0 = time.perf_counter()
-        if r > 0 and r % refresh_every == 0:
-            bounded.reset()
-            bounded.add(features[:lo], probs[:lo])
-        bounded.add(features[lo:hi], probs[lo:hi])
-        bounded_seconds.append(time.perf_counter() - t0)
-
-    mean = lambda xs: sum(xs) / len(xs)  # noqa: E731 - tiny local reduction
-    return {
-        "dimension": dimension,
-        "num_classes": num_classes,
-        "budget": budget,
-        "labeled_counts": labeled_counts,
-        "from_scratch_seconds": from_scratch_seconds,
-        "incremental_seconds": incremental_seconds,
-        "final_round_speedup": from_scratch_seconds[-1] / max(incremental_seconds[-1], 1e-12),
-        "refresh_every": refresh_every,
-        "bounded_staleness_seconds": bounded_seconds,
-        "bounded_amortized_speedup": mean(from_scratch_seconds) / max(mean(bounded_seconds), 1e-12),
-    }
 
 
 def _streaming_split(problem: ActiveLearningProblem, rounds: int):
@@ -278,12 +209,9 @@ def run(
         final_eval_accuracy=records[-1].eval_accuracy,
         selected_global_ids=[int(g) for g in session.store.labeled_ids[problem.initial_size:]],
         session_config={
-            "incremental_fisher": config.incremental_fisher,
-            "relax_warm_start": config.relax_warm_start,
             "reuse_eta": config.reuse_eta,
             "resident_pool": config.resident_pool,
         },
-        fisher_maintenance=fisher_maintenance_series(),
         **extra,
     )
 

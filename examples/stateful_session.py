@@ -6,9 +6,9 @@ Demonstrates what the ``repro.engine`` layer adds over the one-shot
 * round-by-round control (``session.step()``) with per-round setup/selection
   timings,
 * the cross-round fast path (``SessionConfig.fast()``: value-exact resident
-  pool + reusing the previous round's winning η; the selection-changing
-  ``incremental_fisher`` / ``relax_warm_start`` modes stay opt-in — see
-  ``SessionConfig.fast`` for the measured reasons),
+  pool + reusing the previous round's winning η; every round still runs
+  Algorithm 2 as written, with ``H_o`` under the current classifier and
+  RELAX from the uniform point),
 * checkpointing a long run to JSON and resuming the analysis offline.
 
 Run with:

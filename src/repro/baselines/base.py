@@ -7,8 +7,8 @@ method — Random, K-Means, Entropy, Exact-FIRAL, Approx-FIRAL — as a
 probabilities and the labeling budget, return the indices to label next.
 
 Strategies additionally participate in a **session lifecycle** so that
-methods with cross-round state (FIRAL's RELAX warm start, importance-weighted
-pools, incremental posteriors) can persist it through a run:
+methods with cross-round state (FIRAL's reused η, importance-weighted
+pools) can persist it through a run:
 
 * :meth:`SelectionStrategy.begin_session` — called once before the first
   round with a :class:`SessionInfo` describing the run;
@@ -59,11 +59,6 @@ class SessionInfo:
     num_rounds:
         Planned number of rounds, when the driver knows it (``None`` for
         open-ended sessions driven round by round).
-    relax_warm_start:
-        Whether the session asks FIRAL-style strategies to warm-start their
-        continuous solver from the previous round's solution (see
-        ``SessionConfig.relax_warm_start``).  Strategies without such state
-        ignore it.
     reuse_eta:
         Whether the session asks FIRAL-style strategies to reuse the previous
         round's winning FTRL learning rate η instead of re-running the § IV-A
@@ -99,7 +94,6 @@ class SessionInfo:
     budget_per_round: int
     pool_size: int
     num_rounds: Optional[int] = None
-    relax_warm_start: bool = False
     reuse_eta: bool = False
     parallel_ranks: Optional[int] = None
     parallel_transport: str = "simulated"
@@ -403,20 +397,14 @@ class FIRALStrategy(SelectionStrategy):
 
     The adapter is lifecycle-aware and reads its configuration once, from
     the :class:`SessionInfo` handed to :meth:`begin_session`; a bare
-    ``select`` call outside any session runs serially with neither mechanism
-    below.  It carries two kinds of cross-round state:
-
-    * **RELAX warm start** (``SessionInfo.relax_warm_start``): each round's
-      mirror descent is initialized from the previous round's relaxed
-      weights ``z*`` restricted to the surviving pool points — opt-in, with
-      the measurement documented either way (see
-      ``benchmarks/bench_active_rounds.py``).  It requires stable ids
-      (``SelectionContext.pool_ids``), so it stays cold without them.
-    * **η reuse** (``SessionInfo.reuse_eta``): the § IV-A grid search
-      re-runs the ROUND solver for every candidate η *every round*, yet the
-      winning η is a property of the problem scale and is stable across
-      rounds; after the first round's full search, subsequent rounds reuse
-      the winner (one ROUND solve instead of ``len(eta_grid)``).
+    ``select`` call outside any session runs serially and searches η every
+    round.  Every round's RELAX starts from the uniform point, as
+    Algorithm 2 prescribes.  The one piece of cross-round state is
+    **η reuse** (``SessionInfo.reuse_eta``): the § IV-A grid search re-runs
+    the ROUND solver for every candidate η *every round*, yet the winning η
+    is a property of the problem scale and is stable across rounds; after
+    the first round's full search, subsequent rounds reuse the winner (one
+    ROUND solve instead of ``len(eta_grid)``).
 
     **Multi-rank execution** (``SessionInfo.parallel_ranks``): when the
     wrapped selector is an :class:`~repro.core.firal.ApproxFIRAL`, its
@@ -443,10 +431,8 @@ class FIRALStrategy(SelectionStrategy):
     :attr:`SelectionContext.candidate_ids` restricts the Fisher dataset to
     the candidate rows, so RELAX, the η grid search and ROUND all run at
     candidate scale; the solver's candidate-local selection is mapped back to
-    pool-view indices, shard scatter boundaries are translated to the
-    candidate view, and warm-start state is keyed by candidate ids — a
-    stochastic filter's per-round candidate churn therefore degrades warm
-    starting to a cold start (detected per round, never wrong).
+    pool-view indices, and shard scatter boundaries are translated to the
+    candidate view.
 
     Parameters
     ----------
@@ -469,7 +455,6 @@ class FIRALStrategy(SelectionStrategy):
         self._info: Optional[SessionInfo] = None
         #: The multi-rank twin of ``selector``; ``None`` when selection is serial.
         self._distributed_selector = None
-        self._previous: Optional[tuple] = None  # (pool_ids, relaxed weights)
         self._previous_eta: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -477,7 +462,6 @@ class FIRALStrategy(SelectionStrategy):
     # ------------------------------------------------------------------ #
     def begin_session(self, info: SessionInfo) -> None:
         self._info = info
-        self._previous = None
         self._previous_eta = None
         self.last_result = None
         self.recovery_events = []
@@ -512,39 +496,6 @@ class FIRALStrategy(SelectionStrategy):
         if self._distributed_selector is None:
             return self.selector
         return self._distributed_selector
-
-    @staticmethod
-    def _scored_ids(context: SelectionContext) -> Optional[np.ndarray]:
-        """Stable ids of the rows the solvers actually score this round.
-
-        The candidate set when the session prefilters, the whole pool
-        otherwise — the id space the relaxed weights ``z*`` live in.
-        """
-
-        if context.candidate_ids is not None:
-            return context.candidate_ids
-        return context.pool_ids
-
-    def _warm_start_weights(self, context: SelectionContext) -> Optional[np.ndarray]:
-        """Previous round's ``z*`` restricted to the surviving scored rows, or ``None``."""
-
-        scored_ids = self._scored_ids(context)
-        if self._previous is None or scored_ids is None:
-            return None
-        prev_ids, prev_weights = self._previous
-        # Scored ids are sorted (the session engine keeps pool ids sorted and
-        # prefilters return sorted candidate ids); map each surviving id to
-        # its position in the previous round's scored set.
-        positions = np.searchsorted(prev_ids, scored_ids)
-        valid = positions < prev_ids.size
-        positions = np.minimum(positions, prev_ids.size - 1)
-        valid &= prev_ids[positions] == scored_ids
-        if not bool(np.all(valid)):
-            # This round scores points the previous solve never weighted — a
-            # replenished/streaming pool, or per-round candidate churn under a
-            # stochastic prefilter — fall back to a cold start.
-            return None
-        return prev_weights[positions]
 
     def _select_with_recovery(self, selector, dataset, context: SelectionContext, kwargs):
         """Run the solver, re-partitioning over fewer ranks on rank failure.
@@ -599,12 +550,8 @@ class FIRALStrategy(SelectionStrategy):
     def select(self, context: SelectionContext) -> np.ndarray:
         dataset = context.fisher_dataset()
         candidate_positions = context.candidate_positions()
-        warm_start = self._info is not None and self._info.relax_warm_start
         reuse_eta = self._info is not None and self._info.reuse_eta
         kwargs = {}
-        initial_weights = self._warm_start_weights(context) if warm_start else None
-        if initial_weights is not None:
-            kwargs["initial_weights"] = initial_weights
         if reuse_eta and self._previous_eta is not None:
             kwargs["eta"] = self._previous_eta
         selector = self._effective_selector()
@@ -633,17 +580,6 @@ class FIRALStrategy(SelectionStrategy):
             selector.rank_devices = context.shard_devices if offsets is not None else None
         result = self._select_with_recovery(selector, dataset, context, kwargs)
         self.last_result = result
-        relax = getattr(result, "relax", None)
-        scored_ids = self._scored_ids(context)
-        # Only materialize warm-start state when it will be read: to_numpy on
-        # the relaxed weights forces a device sync under the torch backend.
-        if warm_start and scored_ids is not None and relax is not None:
-            from repro.backend import get_backend
-
-            self._previous = (
-                scored_ids.copy(),
-                np.asarray(get_backend().to_numpy(relax.weights), dtype=np.float64),
-            )
         if reuse_eta:
             round_result = getattr(result, "round", None)
             if round_result is not None and getattr(round_result, "eta", None) is not None:
@@ -661,17 +597,12 @@ class FIRALStrategy(SelectionStrategy):
     def state_dict(self) -> dict:
         """Cross-round state a checkpoint must carry to resume bit-identically.
 
-        The warm-start pair ``(scored ids, relaxed weights)`` and the reused
-        η are the only state that changes which points later rounds select;
-        diagnostics (``last_result``, ``recovery_events``) are deliberately
-        not checkpointed.
+        The reused η is the only state that changes which points later
+        rounds select; diagnostics (``last_result``, ``recovery_events``)
+        are deliberately not checkpointed.
         """
 
         state: dict = {}
-        if self._previous is not None:
-            prev_ids, prev_weights = self._previous
-            state["previous_ids"] = [int(i) for i in prev_ids]
-            state["previous_weights"] = [float(w) for w in prev_weights]
         if self._previous_eta is not None:
             state["previous_eta"] = float(self._previous_eta)
         return state
@@ -685,13 +616,6 @@ class FIRALStrategy(SelectionStrategy):
         state acquired after the snapshot must not survive the load.
         """
 
-        if "previous_ids" in state and "previous_weights" in state:
-            self._previous = (
-                np.asarray(state["previous_ids"], dtype=np.int64),
-                np.asarray(state["previous_weights"], dtype=np.float64),
-            )
-        else:
-            self._previous = None
         if state.get("previous_eta") is not None:
             self._previous_eta = float(state["previous_eta"])
         else:

@@ -72,17 +72,14 @@ def approx_relax(
     config:
         Solver options (probes, CG tolerance, schedule, objective tracking).
     initial_weights:
-        Optional warm start for the mirror-descent iterate: non-negative
+        Optional starting point for the mirror-descent iterate: non-negative
         weights over the pool (any positive scale — they are renormalized to
-        the simplex).  A session running consecutive rounds over the same
-        shrinking pool passes the previous round's ``z*`` restricted to the
-        surviving points; the default ``None`` starts from the uniform
-        distribution exactly as Algorithm 2 prescribes.  Warm starting moves
-        the *starting point* of a convex mirror-descent solve, not its
-        stationary points, but with a finite iteration budget /
-        objective-change stopping rule the iterate path (and hence the
-        returned ``z*``) differs from a cold start — which is why the session
-        engine keeps it opt-in (``SessionConfig.relax_warm_start``).
+        the simplex).  The default ``None`` starts from the uniform
+        distribution exactly as Algorithm 2 prescribes, which is what every
+        selector and session runs.  Another start leaves the stationary
+        points of the convex mirror-descent solve where they are, but with a
+        finite iteration budget / objective-change stopping rule the iterate
+        path (and hence the returned ``z*``) differs from a uniform start.
     """
 
     z0 = initial_simplex_iterate(dataset.num_pool, initial_weights)

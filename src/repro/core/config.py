@@ -10,11 +10,10 @@ Defaults follow the experimental setup of § IV-A of the paper:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 
 __all__ = ["RelaxConfig", "RoundConfig"]
 
@@ -74,11 +73,7 @@ class RelaxConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_iterations", "num_probes", "cg_max_iterations"):
-            value = getattr(self, name)
-            require(
-                isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0,
-                f"{name} must be a positive integer, got {value!r}",
-            )
+            check_positive_int(getattr(self, name), name)
         require(self.learning_rate > 0, "learning_rate must be positive")
         require(
             self.learning_rate_schedule in ("sqrt", "constant"),

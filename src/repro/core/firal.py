@@ -45,12 +45,10 @@ class _FIRALBase:
         self.relax_config = relax_config or RelaxConfig()
         self.round_config = round_config or RoundConfig()
 
-    def _relax(self, dataset: FisherDataset, budget: int, initial_weights: Optional[Array]):
-        """Run the bound RELAX solver, threading the optional warm start."""
+    def _relax(self, dataset: FisherDataset, budget: int):
+        """Run the bound RELAX solver from the uniform starting point (subclass hook)."""
 
-        return type(self)._relax_solver(
-            dataset, budget, self.relax_config, initial_weights=initial_weights
-        )
+        return type(self)._relax_solver(dataset, budget, self.relax_config)
 
     def _round(self, dataset: FisherDataset, weights: Array, budget: int, eta: float):
         """Run the bound ROUND solver at one fixed η (subclass hook)."""
@@ -74,17 +72,13 @@ class _FIRALBase:
         dataset: FisherDataset,
         budget: int,
         *,
-        initial_weights: Optional[Array] = None,
         eta: Optional[float] = None,
     ) -> SelectionResult:
         """Select ``budget`` pool indices for labeling.
 
         Runs the RELAX step, then either uses the configured η directly or
         grid-searches it with the paper's min-eigenvalue rule, then runs the
-        ROUND step.  ``initial_weights`` warm-starts the RELAX mirror descent
-        (see :func:`repro.core.approx_relax.approx_relax`); the session
-        engine passes the previous round's ``z*`` restricted to the surviving
-        pool when ``SessionConfig.relax_warm_start`` is enabled.  ``eta``
+        ROUND step.  RELAX always starts from the uniform point.  ``eta``
         overrides the grid search for this call — the session engine passes
         the previous round's winning η (``SessionConfig.reuse_eta``), turning
         the § IV-A grid's 7 ROUND solves per round into 1 after the first.
@@ -95,7 +89,7 @@ class _FIRALBase:
             budget <= dataset.num_pool,
             f"budget {budget} exceeds pool size {dataset.num_pool}",
         )
-        relax_result = self._relax(dataset, budget, initial_weights)
+        relax_result = self._relax(dataset, budget)
 
         fixed_eta = eta if eta is not None else self.round_config.eta
         if fixed_eta is not None:

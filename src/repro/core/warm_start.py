@@ -1,11 +1,12 @@
 """Shared warm-start initialization for the RELAX mirror-descent solvers.
 
 Both :func:`repro.core.approx_relax.approx_relax` and
-:func:`repro.core.exact_relax.exact_relax` accept an ``initial_weights``
-vector (the previous round's ``z*`` restricted to the surviving pool, under
-the session engine's ``relax_warm_start`` mode).  The projection onto the
-simplex with a strictly positive floor lives here so the two solvers cannot
-drift apart.
+:func:`repro.core.exact_relax.exact_relax` (and the distributed
+:func:`repro.parallel.distributed_relax.distributed_relax`) accept an
+optional ``initial_weights`` vector; the selectors and the session engine
+never pass one, so every round starts from the uniform point.  The
+projection onto the simplex with a strictly positive floor lives here so
+the solvers cannot drift apart.
 """
 
 from __future__ import annotations

@@ -2,14 +2,15 @@
 
 The paper's experiments run FIRAL for many consecutive rounds over the same
 pool; this package makes the *round loop* a first-class object instead of a
-cold-start-per-round script.  :class:`ActiveSession` owns the run's state —
-stable point ids with mask-based pool membership (:class:`PoolStore`), an
-incrementally maintained labeled-Fisher accumulator, and cross-round RELAX
-warm starts — and threads it to strategies through the lifecycle protocol of
-:mod:`repro.baselines.base`.  The legacy
-:func:`repro.active.run_active_learning` API is a thin wrapper over a
-session and reproduces its historical results bit-identically on the NumPy
-backend.
+script that rebuilds everything each round.  :class:`ActiveSession` owns the
+run's state — stable point ids with mask-based pool membership
+(:class:`PoolStore`), the RNG stream, and strategy state such as a reused
+η — and threads it to strategies through the lifecycle protocol of
+:mod:`repro.baselines.base`.  Each round's selection is Algorithm 2 as
+written: ``H_o`` under the current classifier, RELAX from the uniform
+point.  The legacy :func:`repro.active.run_active_learning` API is a thin
+wrapper over a session and reproduces its historical results
+bit-identically on the NumPy backend.
 
 Point storage is **pluggable** behind the :class:`PoolStore` protocol
 (stable global ids, mask membership, host/compute views, ``label()``, and

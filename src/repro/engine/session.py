@@ -15,19 +15,14 @@ of the legacy driver removed:
   :class:`~repro.engine.stores.MmapPointStore` (master on disk) without
   touching strategies or solvers, and :meth:`ActiveSession.extend_pool`
   replenishes an unsharded pool between rounds;
-* the labeled-Fisher block diagonal ``B(H_o)`` can be maintained
-  *incrementally* (newly labeled points add their rank-one class
-  contributions instead of the full sum being recomputed every
-  preconditioner refresh) via
-  :class:`~repro.fisher.LabeledFisherAccumulator`;
-* FIRAL's RELAX mirror descent can warm-start from the previous round's
-  relaxed weights, restricted to the surviving pool, and the § IV-A η grid
-  search can reuse the previous round's winner instead of re-running every
-  ROUND solve (both threaded through the strategy lifecycle protocol of
-  :mod:`repro.baselines.base`).
+* the § IV-A η grid search can reuse the previous round's winner instead
+  of re-running every ROUND solve (threaded through the strategy lifecycle
+  protocol of :mod:`repro.baselines.base`).
 
-All mechanisms are **opt-in** through :class:`SessionConfig`.  With the
-default configuration the session reproduces the legacy
+Every round runs Algorithm 2 as written: ``H_o`` is recomputed under the
+current classifier and RELAX starts from the uniform point.  All mechanisms
+are **opt-in** through :class:`SessionConfig`.  With the default
+configuration the session reproduces the legacy
 :func:`repro.active.run_active_learning` loop bit-identically on the NumPy
 backend (test-pinned in ``tests/test_engine_session.py``) — the legacy
 function is now a thin wrapper over this class.
@@ -50,18 +45,17 @@ The round state
 ---------------
 What :meth:`ActiveSession.propose` changes before a round commits is one
 immutable :class:`RoundState`: the RNG bit-generator state (the prefilter
-and stochastic strategies draw from it), the strategy's ``state_dict()``
-and, under ``incremental_fisher``, the frozen labeled probabilities plus
-the accumulator's running ``B(H_o)``.  ``propose()`` captures it on entry
-and keeps it with the pending proposal.  A ``propose()`` that raises
-restores it, so a retry — synchronous or eager — selects what an
-uninterrupted run selects.  :meth:`ActiveSession.invalidate_proposal`
-restores it.  A checkpoint writes it (plus a ``pending_proposal`` marker
-while a proposal is open) and :meth:`ActiveSession.resume` restores it,
-surfacing the marker as :attr:`ActiveSession.invalidated_proposal` — the
-proposal is invalidated, never silently dropped, and re-calling
-:meth:`propose` replays it bit-identically (unless the pool was extended
-first, in which case the replay legitimately sees the new points).
+and stochastic strategies draw from it) and the strategy's
+``state_dict()``.  ``propose()`` captures it on entry and keeps it with
+the pending proposal.  A ``propose()`` that raises restores it, so a
+retry — synchronous or eager — selects what an uninterrupted run
+selects.  :meth:`ActiveSession.invalidate_proposal` restores it.  A
+checkpoint writes it (plus a ``pending_proposal`` marker while a proposal
+is open) and :meth:`ActiveSession.resume` restores it, surfacing the
+marker as :attr:`ActiveSession.invalidated_proposal` — the proposal is
+invalidated, never silently dropped, and re-calling :meth:`propose`
+replays it bit-identically (unless the pool was extended first, in which
+case the replay legitimately sees the new points).
 
 Eager proposal pipelining
 -------------------------
@@ -99,15 +93,9 @@ Numerics of the opt-in modes
 value-exact), so selections are unchanged.  ``reuse_eta`` skips the η grid
 after round 1, so later rounds run with the first winner rather than a
 per-round re-search (η is a property of the problem scale and is stable in
-practice; the benchmark records both accuracy curves).  ``incremental_fisher``
-evaluates each labeled point's Fisher contribution with the classifier **at
-the time it was labeled** (the accumulator can only add, never refresh) —
-the incremental-posterior approximation of Pinsler et al.; the first round
-is exact and later rounds drift as the classifier evolves.
-``relax_warm_start`` moves the mirror-descent starting point, which under a
-finite iteration / objective-tolerance budget changes the iterate path.  All
-non-value-exact modes are off by default, with the measurement documented in
-``benchmarks/bench_active_rounds.py`` either way.
+practice; the benchmark records both accuracy curves).  It is off by
+default, with the measurement documented in
+``benchmarks/bench_active_rounds.py``.
 """
 
 from __future__ import annotations
@@ -123,19 +111,16 @@ import numpy as np
 
 from repro.active.problem import ActiveLearningProblem
 from repro.active.results import ExperimentResult, RoundRecord
-from repro.backend import get_backend
 from repro.baselines.base import LabelObservation, SelectionContext, SessionInfo, ensure_lifecycle
 from repro.engine.pool import DensePointStore, PoolStore
 from repro.engine.prefilter import CandidateFilter
-from repro.fisher.accumulator import LabeledFisherAccumulator
-from repro.fisher.hessian import block_diagonal_of_sum
 from repro.fisher.operators import FisherDataset
 from repro.models.logistic_regression import LogisticRegressionClassifier
 from repro.models.metrics import accuracy, class_balanced_accuracy
 from repro.models.softmax import reduced_probabilities
 from repro.utils.io import atomic_write_json, read_json
 from repro.utils.random import as_generator
-from repro.utils.validation import check_features, check_labels, require
+from repro.utils.validation import check_features, check_labels, check_positive_int, require
 
 __all__ = ["SessionConfig", "ActiveSession", "QueryProposal"]
 
@@ -189,16 +174,6 @@ class SessionConfig:
 
     Parameters
     ----------
-    incremental_fisher:
-        Maintain ``B(H_o)`` incrementally with acquisition-time
-        probabilities instead of recomputing the labeled-Fisher sum under
-        the current classifier each round (approximation — see the module
-        docstring).  Also skips the per-round ``predict_proba`` over the
-        labeled set.
-    relax_warm_start:
-        Ask FIRAL-style strategies (via ``SessionInfo.relax_warm_start``) to
-        initialize RELAX mirror descent from the previous round's ``z*``
-        restricted to the surviving pool.
     reuse_eta:
         Ask FIRAL-style strategies (via ``SessionInfo.reuse_eta``) to reuse
         the previous round's winning FTRL learning rate η instead of
@@ -207,8 +182,7 @@ class SessionConfig:
     resident_pool:
         Keep one promoted (compute-dtype, device-resident under torch) copy
         of the master feature array and build the Fisher inputs as
-        backend-side gathers from it, with a per-round ``B(H_o)`` cache so
-        preconditioner refreshes stop reassembling it.  Value-exact.
+        backend-side gathers from it.  Value-exact.
     parallel_ranks:
         Run FIRAL-style strategies' selection step (RELAX + ROUND) across
         this many ranks of the distributed solvers every round.  With
@@ -220,21 +194,11 @@ class SessionConfig:
         with a fixed iteration budget (``track_objective="none"``; see
         :mod:`repro.parallel.firal`), so configure the serial comparison the
         same way when pinning equivalence.  Non-FIRAL strategies ignore the
-        request, exactly like ``relax_warm_start``.
+        request.
     parallel_transport:
         ``"simulated"`` (ranks as threads, default) or ``"shared_memory"``
         (ranks as real OS processes); only read when ``parallel_ranks``
         is set.
-    fisher_refresh_every:
-        Bounded staleness for ``incremental_fisher``: rebuild the
-        accumulated ``B(H_o)`` from scratch under the *current* classifier
-        exactly every this-many rounds, so acquisition-time probabilities
-        can drift for at most ``K - 1`` rounds instead of forever.  The
-        refresh round pays one ``O(m c d^2)`` reassembly (which also
-        re-freezes the labeled probabilities); rounds in between stay
-        ``O(b c d^2)``.  ``None`` (default) never refreshes — the original
-        accumulate-only behavior.  Only meaningful with
-        ``incremental_fisher=True``.
     store:
         Which :class:`~repro.engine.PoolStore` implementation holds the
         session's points.  ``None`` (default) builds a
@@ -284,13 +248,10 @@ class SessionConfig:
         explicit :meth:`ActiveSession.checkpoint` call.
     """
 
-    incremental_fisher: bool = False
-    relax_warm_start: bool = False
     reuse_eta: bool = False
     resident_pool: bool = False
     parallel_ranks: Optional[int] = None
     parallel_transport: str = "simulated"
-    fisher_refresh_every: Optional[int] = None
     store: Optional[Union[PoolStore, Callable[[ActiveLearningProblem], PoolStore]]] = None
     prefilter: Optional[CandidateFilter] = None
     on_rank_failure: str = "abort"
@@ -302,20 +263,7 @@ class SessionConfig:
     def fast(cls) -> "SessionConfig":
         """The recommended cross-round fast path: the mechanisms measured to
         help end to end on the reference benchmark
-        (``benchmarks/bench_active_rounds.py``).
-
-        ``relax_warm_start`` and ``incremental_fisher`` are deliberately
-        *not* included — both measured counterproductive at the benchmark's
-        small-label scale (a concentrated warm-started iterate worsens
-        ``Sigma_z`` conditioning in some rounds; acquisition-time
-        probabilities are diffuser than fresh ones, putting more
-        off-block-diagonal mass in ``H_o`` than the block-diagonal
-        preconditioner can capture — both inflate CG iterations).
-        ``incremental_fisher``'s
-        payoff regime is large labeled sets, where the ``O(m c d^2)``
-        reassembly it avoids dominates and per-round classifier drift is
-        small; the benchmark's ``fisher_maintenance`` series measures that
-        crossover.  Enable either explicitly to experiment."""
+        (``benchmarks/bench_active_rounds.py``)."""
 
         return cls(reuse_eta=True, resident_pool=True)
 
@@ -331,24 +279,11 @@ class SessionConfig:
         """
 
         if self.parallel_ranks is not None:
-            require(
-                int(self.parallel_ranks) > 0,
-                f"SessionConfig.parallel_ranks must be positive (got {self.parallel_ranks!r})",
-            )
+            check_positive_int(self.parallel_ranks, "SessionConfig.parallel_ranks")
             require(
                 self.parallel_transport in VALID_TRANSPORTS,
                 f"SessionConfig.parallel_transport must be one of {VALID_TRANSPORTS} "
                 f"(got {self.parallel_transport!r})",
-            )
-        if self.fisher_refresh_every is not None:
-            require(
-                int(self.fisher_refresh_every) > 0,
-                "SessionConfig.fisher_refresh_every must be positive "
-                f"(got {self.fisher_refresh_every!r})",
-            )
-            require(
-                self.incremental_fisher,
-                "SessionConfig.fisher_refresh_every only applies with incremental_fisher=True",
             )
         if self.prefilter is not None:
             require(
@@ -368,10 +303,7 @@ class SessionConfig:
                 "SessionConfig.fault_plan requires parallel_ranks",
             )
         if self.checkpoint_every is not None:
-            require(
-                int(self.checkpoint_every) > 0,
-                f"SessionConfig.checkpoint_every must be positive (got {self.checkpoint_every!r})",
-            )
+            check_positive_int(self.checkpoint_every, "SessionConfig.checkpoint_every")
             require(
                 self.checkpoint_path is not None,
                 "SessionConfig.checkpoint_every requires checkpoint_path",
@@ -399,27 +331,13 @@ class RoundState:
 
     rng_state: dict
     strategy_state: dict
-    #: ``{"frozen_probs", "accumulator": {"blocks", "num_points"}}`` under
-    #: ``incremental_fisher``, else ``None``.
-    fisher: Optional[dict] = None
 
     @classmethod
     def capture(cls, session: "ActiveSession") -> "RoundState":
         state_hook = getattr(session.strategy, "state_dict", None)
-        fisher = None
-        accumulator = session._accumulator
-        if accumulator is not None:
-            fisher = {
-                "frozen_probs": session._frozen_probs.copy(),
-                "accumulator": {
-                    "blocks": get_backend().to_numpy(accumulator.blocks).copy(),
-                    "num_points": accumulator.num_points,
-                },
-            }
         return cls(
             rng_state=copy.deepcopy(session.rng.bit_generator.state),
             strategy_state=state_hook() if callable(state_hook) else {},
-            fisher=fisher,
         )
 
     def restore(self, session: "ActiveSession") -> None:
@@ -438,22 +356,12 @@ class RoundState:
         load_hook = getattr(session.strategy, "load_state_dict", None)
         if callable(load_hook):
             load_hook(self.strategy_state)
-        if session._accumulator is not None:
-            require(
-                self.fisher is not None,
-                "checkpoint carries no Fisher state but incremental_fisher is enabled",
-            )
-            # Copies, so the live session never aliases this immutable value.
-            accumulator = self.fisher["accumulator"]
-            session._frozen_probs = np.array(self.fisher["frozen_probs"])
-            session._accumulator.load_state_dict(
-                {**accumulator, "blocks": np.array(accumulator["blocks"])}
-            )
 
     def to_json(self) -> dict:
         return {
             "rng_state": _json_safe(self.rng_state),
-            "fisher": _json_safe(self.fisher),
+            # Format 1 has a Fisher section; no session mode fills it.
+            "fisher": None,
             "strategy": {"state": self.strategy_state},
         }
 
@@ -464,7 +372,6 @@ class RoundState:
         return cls(
             rng_state=payload["rng_state"],
             strategy_state=payload.get("strategy", {}).get("state", {}),
-            fisher=payload.get("fisher"),
         )
 
 
@@ -508,17 +415,17 @@ class ActiveSession:
         seed=0,
         config: Optional[SessionConfig] = None,
     ):
-        require(budget_per_round > 0, "budget_per_round must be positive")
-        if num_rounds is not None:
-            require(num_rounds > 0, "num_rounds must be positive")
+        self.budget_per_round = check_positive_int(budget_per_round, "budget_per_round")
+        self.planned_rounds = (
+            None if num_rounds is None else check_positive_int(num_rounds, "num_rounds")
+        )
+        if self.planned_rounds is not None:
             require(
-                num_rounds * budget_per_round <= problem.pool_size,
+                self.planned_rounds * self.budget_per_round <= problem.pool_size,
                 "total budget exceeds the pool size",
             )
         self.problem = problem
         self.config = (config or SessionConfig()).validate()
-        self.budget_per_round = int(budget_per_round)
-        self.planned_rounds = None if num_rounds is None else int(num_rounds)
         self.store = self._build_store(problem, self.config)
         self.strategy = ensure_lifecycle(strategy)
         self.classifier = (
@@ -532,8 +439,6 @@ class ActiveSession:
             strategy_name=self.strategy.name, dataset_name=problem.name
         )
         self._initial_recorded = False
-        self._accumulator: Optional[LabeledFisherAccumulator] = None
-        self._frozen_probs: Optional[np.ndarray] = None
         self._pending: Optional[dict] = None
         #: The in-flight eager prefetch's ``Future`` — see
         #: :meth:`prefetch_proposal` and the module docstring.
@@ -569,7 +474,6 @@ class ActiveSession:
                 budget_per_round=self.budget_per_round,
                 pool_size=problem.pool_size,
                 num_rounds=self.planned_rounds,
-                relax_warm_start=self.config.relax_warm_start,
                 reuse_eta=self.config.reuse_eta,
                 parallel_ranks=self.config.parallel_ranks,
                 parallel_transport=self.config.parallel_transport,
@@ -584,14 +488,6 @@ class ActiveSession:
         )
         self._base_total = self.store.total_points
         self._fit()
-        if self.config.incremental_fisher:
-            # Freeze the initial points' probabilities under the classifier
-            # trained on them — identical to what the legacy driver computes
-            # for round 1, so the first round stays exact.
-            self._accumulator = LabeledFisherAccumulator(
-                self.store.dimension, problem.num_classes - 1
-            )
-            self._refresh_fisher_accumulator()
 
     # ------------------------------------------------------------------ #
     # internals
@@ -662,36 +558,12 @@ class ActiveSession:
             labeled_f = self.store.compute_features(self.store.labeled_ids)
         else:
             pool_f, labeled_f = pool_features, labeled_features
-        if self.config.incremental_fisher:
-            assert self._accumulator is not None
-            cache = self._accumulator.block_diagonal(copy=False)
-        else:
-            # B(H_o) is constant within a round (fixed classifier), so
-            # computing it once here is value-identical to every refresh
-            # recomputing it — just cheaper.
-            cache = block_diagonal_of_sum(labeled_f, labeled_reduced)
         return FisherDataset(
             pool_features=pool_f,
             pool_probabilities=pool_reduced,
             labeled_features=labeled_f,
             labeled_probabilities=labeled_reduced,
-            labeled_block_cache=cache,
         )
-
-    def _refresh_fisher_accumulator(self) -> None:
-        """(Re-)freeze ``B(H_o)`` under the current classifier: at session start,
-        and every ``fisher_refresh_every`` rounds (bounded staleness).
-
-        Identical in value to what a non-incremental session computes this
-        round — every labeled point's contribution is re-evaluated with
-        fresh probabilities — so the drift clock restarts at zero.
-        """
-
-        assert self._accumulator is not None
-        labeled_features = self.store.labeled_features_host()
-        self._frozen_probs = self.classifier.predict_proba(labeled_features)
-        self._accumulator.reset()
-        self._accumulator.add(labeled_features, reduced_probabilities(self._frozen_probs))
 
     # ------------------------------------------------------------------ #
     # public API
@@ -725,9 +597,7 @@ class ActiveSession:
         stable ids (:meth:`PoolStore.extend`) — the pool-refresh round
         boundary of streaming active learning.  Existing ids never move, so
         the labeled history, the recorded curve and any per-id strategy
-        state stay valid; FIRAL's RELAX warm start simply falls back to a
-        cold start on the first round whose pool contains ids the previous
-        solve never weighted.  Returns the new points' global ids.
+        state stay valid.  Returns the new points' global ids.
 
         The batch is validated first — finite floating features and labels
         in ``[0, num_classes)`` — because a point that enters the pool stays
@@ -919,42 +789,23 @@ class ActiveSession:
         )
         round_state = RoundState.capture(self)
         try:
-            proposal, selected_probabilities = self._select_round()
+            proposal = self._select_round()
         except BaseException:
             round_state.restore(self)
             raise
-        self._pending = {
-            "proposal": proposal,
-            # The classifier probabilities of the proposed rows, captured at
-            # proposal time — observe() needs them for the incremental-Fisher
-            # update and must not recompute them (the classifier only
-            # retrains *after* the labels land).
-            "selected_probabilities": selected_probabilities,
-            "round_state": round_state,
-        }
+        self._pending = {"proposal": proposal, "round_state": round_state}
         return proposal
 
-    def _select_round(self) -> tuple:
-        """Assemble the round view and select: ``(proposal, its rows' probabilities)``."""
+    def _select_round(self) -> QueryProposal:
+        """Assemble the round view and select."""
 
         cfg = self.config
         setup_start = time.perf_counter()
-        if (
-            cfg.incremental_fisher
-            and cfg.fisher_refresh_every is not None
-            and self.round_index > 0
-            and self.round_index % cfg.fisher_refresh_every == 0
-        ):
-            self._refresh_fisher_accumulator()
         pool_ids = self.store.pool_ids
         pool_features = self.store.pool_features_host()
         pool_probabilities = self.classifier.predict_proba(pool_features)
         labeled_features = self.store.labeled_features_host()
-        if cfg.incremental_fisher:
-            assert self._frozen_probs is not None
-            labeled_probabilities = self._frozen_probs
-        else:
-            labeled_probabilities = self.classifier.predict_proba(labeled_features)
+        labeled_probabilities = self.classifier.predict_proba(labeled_features)
         # A sharded store publishes the round's ownership boundaries so
         # multi-rank selection scatters along them — and, when its masters
         # are device-pinned, the per-shard devices so each rank's compute
@@ -986,10 +837,8 @@ class ActiveSession:
             candidate_positions = np.searchsorted(pool_ids, candidate_ids)
         prepared = None
         # Only pre-assemble Fisher inputs for strategies that will read them —
-        # the B(H_o) cache and backend gathers are wasted on Random/Entropy/….
-        if (cfg.incremental_fisher or cfg.resident_pool) and getattr(
-            self.strategy, "consumes_fisher", False
-        ):
+        # the backend gathers are wasted on Random/Entropy/….
+        if cfg.resident_pool and getattr(self.strategy, "consumes_fisher", False):
             if candidate_positions is None:
                 prepared = self._prepare_fisher(
                     pool_ids,
@@ -1033,7 +882,7 @@ class ActiveSession:
             bool(np.all((selected >= 0) & (selected < pool_ids.size))),
             "strategy returned out-of-range pool indices",
         )
-        proposal = QueryProposal(
+        return QueryProposal(
             round_index=self.round_index,
             pool_indices=selected,
             global_ids=pool_ids[selected],
@@ -1042,7 +891,6 @@ class ActiveSession:
             setup_seconds=setup_seconds,
             selection_seconds=selection_seconds,
         )
-        return proposal, pool_probabilities[selected]
 
     def observe(self, labels=None) -> RoundRecord:
         """Complete the pending round: reveal labels, retrain, record.
@@ -1055,14 +903,12 @@ class ActiveSession:
         (retraining, pool accuracy, checkpoints) sees them.
         """
 
-        cfg = self.config
         # An unclaimed prefetch has not been surfaced to any client, so the
         # protocol view is "no proposal open" — the caller must propose()
         # (adopting the prefetch) before it can observe.
         require(self._prefetch is None, "no pending proposal — call propose() first")
         require(self._pending is not None, "no pending proposal — call propose() first")
-        pending = self._pending
-        proposal: QueryProposal = pending["proposal"]
+        proposal: QueryProposal = self._pending["proposal"]
         selected = proposal.pool_indices
         if labels is not None:
             # Validate before anything changes: a float, 2-D, string or bool
@@ -1090,13 +936,6 @@ class ActiveSession:
                 labels=revealed,
             )
         )
-        if cfg.incremental_fisher:
-            assert self._accumulator is not None and self._frozen_probs is not None
-            new_probs = pending["selected_probabilities"]
-            self._accumulator.add(
-                self.store.features_host(global_ids), reduced_probabilities(new_probs)
-            )
-            self._frozen_probs = np.concatenate([self._frozen_probs, new_probs], axis=0)
 
         self._fit()
         record = self._evaluate(proposal.setup_seconds, proposal.selection_seconds)
@@ -1124,7 +963,7 @@ class ActiveSession:
 
         rounds = num_rounds if num_rounds is not None else self.planned_rounds
         require(rounds is not None, "num_rounds must be given here or at construction")
-        require(rounds > 0, "num_rounds must be positive")
+        rounds = check_positive_int(rounds, "num_rounds")
         require(
             rounds * self.budget_per_round <= self.store.pool_size,
             "total budget exceeds the pool size",
@@ -1149,14 +988,13 @@ class ActiveSession:
 
         cfg = self.config
         return {
-            "incremental_fisher": bool(cfg.incremental_fisher),
-            "relax_warm_start": bool(cfg.relax_warm_start),
+            # Format-1 fields of removed modes: resume refuses a checkpoint with one on.
+            "incremental_fisher": False,
+            "relax_warm_start": False,
             "reuse_eta": bool(cfg.reuse_eta),
             "parallel_ranks": None if cfg.parallel_ranks is None else int(cfg.parallel_ranks),
             "parallel_transport": cfg.parallel_transport,
-            "fisher_refresh_every": (
-                None if cfg.fisher_refresh_every is None else int(cfg.fisher_refresh_every)
-            ),
+            "fisher_refresh_every": None,
             "prefilter": (
                 None if cfg.prefilter is None else getattr(cfg.prefilter, "name", "prefilter")
             ),

@@ -30,11 +30,9 @@ from repro.fisher.matvec import (
     probe_hessian_quadratic_forms,
 )
 from repro.fisher.operators import FisherDataset
-from repro.fisher.accumulator import LabeledFisherAccumulator
 from repro.fisher.objective import fisher_ratio_objective
 
 __all__ = [
-    "LabeledFisherAccumulator",
     "point_hessian_dense",
     "sum_hessian_dense",
     "block_diagonal_of_sum",

@@ -28,10 +28,9 @@ class FisherDataset:
     The dataset is frozen: its arrays are validated once, when it is built,
     and the solvers' kernels are prepared from them on first use and kept —
     the Lemma-2 operators :attr:`pool_operator` and :attr:`labeled_operator`,
-    and ``B(H_o)`` when no ``labeled_block_cache`` is threaded in.  A
-    strategy that never runs a matvec (Exact-FIRAL, the prefilters) never
-    builds them.  Treat the arrays as read-only: a prepared operator holds
-    them (or their compute-dtype copies).
+    and ``B(H_o)``.  A strategy that never runs a matvec (Exact-FIRAL, the
+    prefilters) never builds them.  Treat the arrays as read-only: a
+    prepared operator holds them (or their compute-dtype copies).
 
     Attributes
     ----------
@@ -44,22 +43,12 @@ class FisherDataset:
         ``X_o`` of shape ``(m, d)`` — the already-labeled points.
     labeled_probabilities:
         ``h_i`` for the labeled points, shape ``(m, c)``.
-    labeled_block_cache:
-        Optional precomputed ``B(H_o)``.  The labeled-Fisher block diagonal
-        is constant within a round (the classifier is fixed while a batch is
-        selected), so a caller that already holds it — the session engine's
-        :class:`~repro.fisher.LabeledFisherAccumulator`, or a per-round cache
-        — can thread it in and skip the one ``O(m c d^2)`` assembly the
-        dataset would otherwise make.  Must equal
-        ``block_diagonal_of_sum(labeled_features, labeled_probabilities)``
-        for the stored probabilities; callers must not mutate it.
     """
 
     pool_features: Array
     pool_probabilities: Array
     labeled_features: Array
     labeled_probabilities: Array
-    labeled_block_cache: Optional[BlockDiagonalMatrix] = None
 
     def __post_init__(self) -> None:
         validated = {
@@ -154,13 +143,11 @@ class FisherDataset:
         return weighted_block_diagonal(self.labeled_features, self.labeled_probabilities)
 
     def labeled_block_diagonal(self) -> BlockDiagonalMatrix:
-        """``B(H_o)``: the threaded-in cache, or assembled once (Eq. 14).
+        """``B(H_o)``, assembled once (Eq. 14).
 
         The same object on every call; callers must not mutate it.
         """
 
-        if self.labeled_block_cache is not None:
-            return self.labeled_block_cache
         return self._labeled_blocks
 
     def pool_block_diagonal(self, weights: Optional[Array] = None) -> BlockDiagonalMatrix:

@@ -110,7 +110,6 @@ class RelaxRankSpec:
     z0_local: Array
     budget: int
     config: RelaxConfig
-    labeled_block_cache: Optional[Array] = None
     #: Device the rank pins its shard and local math to (``devices=`` on the
     #: driver); ``None`` keeps the backend's default placement.
     device: Optional[str] = None
@@ -217,9 +216,6 @@ def distributed_relax(
 
     shards = partition_pool(dataset, num_ranks, offsets=offsets)
     z0 = initial_simplex_iterate(dataset.num_pool, initial_weights)
-    cache_blocks = (
-        dataset.labeled_block_cache.blocks if dataset.labeled_block_cache is not None else None
-    )
     specs = []
     start = 0
     for shard in shards:
@@ -233,9 +229,6 @@ def distributed_relax(
                 z0_local=ship_array(backend, z0[start:stop], transport),
                 budget=int(budget),
                 config=cfg,
-                labeled_block_cache=(
-                    ship_array(backend, cache_blocks, transport) if cache_blocks is not None else None
-                ),
                 device=None if devices is None else devices[len(specs)],
             )
         )

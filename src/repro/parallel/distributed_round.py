@@ -111,7 +111,6 @@ class RoundRankSpec:
     budget: int
     eta: float
     config: RoundConfig
-    labeled_block_cache: Optional[Array] = None
     eta_grid: Optional[Tuple[float, ...]] = None
     #: Device the rank pins its shard and local math to (``devices=`` on the
     #: drivers); ``None`` keeps the backend's default placement.
@@ -231,9 +230,6 @@ def _build_rank_specs(
     devices = validate_rank_devices(devices, num_ranks)
     shards = partition_pool(dataset, num_ranks, offsets=offsets)
     offsets = pool_offsets(dataset.num_pool, num_ranks, offsets)
-    cache_blocks = (
-        dataset.labeled_block_cache.blocks if dataset.labeled_block_cache is not None else None
-    )
     specs = []
     for rank, shard in enumerate(shards):
         z_local = z_relaxed[int(offsets[rank]) : int(offsets[rank + 1])]
@@ -248,9 +244,6 @@ def _build_rank_specs(
                 budget=int(budget),
                 eta=float(eta),
                 config=cfg,
-                labeled_block_cache=(
-                    ship_array(backend, cache_blocks, transport) if cache_blocks is not None else None
-                ),
                 eta_grid=eta_grid,
                 device=None if devices is None else devices[rank],
             )

@@ -1,7 +1,7 @@
 """Approx-FIRAL over the distributed solvers: the multi-rank selector.
 
 :class:`DistributedApproxFIRAL` exposes the same
-``select(dataset, budget, *, initial_weights=None, eta=None)`` contract as
+``select(dataset, budget, *, eta=None)`` contract as
 :class:`repro.core.firal.ApproxFIRAL`, but executes the RELAX mirror descent
 and every ROUND solve (including the § IV-A η grid search) across
 ``num_ranks`` ranks of the chosen transport — threads
@@ -121,14 +121,13 @@ class DistributedApproxFIRAL(_FIRALBase):
     # ------------------------------------------------------------------ #
     # _FIRALBase hooks
     # ------------------------------------------------------------------ #
-    def _relax(self, dataset: FisherDataset, budget: int, initial_weights: Optional[Array]):
+    def _relax(self, dataset: FisherDataset, budget: int):
         return distributed_relax(
             dataset,
             budget,
             num_ranks=self.num_ranks,
             config=self.relax_config,
             transport=self.transport,
-            initial_weights=initial_weights,
             timeout=self.timeout,
             offsets=self.partition_offsets,
             fault_plan=self.fault_plan,

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.fisher.operators import FisherDataset
-from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.parallel.comm import (
     Comm,
     CommAbortedError,
@@ -132,7 +131,6 @@ _RANK_SPEC_ARRAY_FIELDS = (
     "labeled_probabilities",
     "z_local",
     "z0_local",
-    "labeled_block_cache",
 )
 
 
@@ -178,18 +176,16 @@ def enter_rank_device(comm: Comm, spec):
 
 
 def rank_shard(spec) -> FisherDataset:
-    """The rank's pool shard plus the replicated labeled set, from its spec."""
+    """The rank's pool shard plus the replicated labeled set, from its spec.
 
-    cache = spec.labeled_block_cache
+    Each rank assembles ``B(H_o)`` once from its replicated labeled arrays.
+    """
+
     return FisherDataset(
         pool_features=spec.pool_features,
         pool_probabilities=spec.pool_probabilities,
         labeled_features=spec.labeled_features,
         labeled_probabilities=spec.labeled_probabilities,
-        labeled_block_cache=(
-            None if cache is None
-            else BlockDiagonalMatrix(get_backend().asarray(cache), copy=False)
-        ),
     )
 
 

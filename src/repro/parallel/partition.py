@@ -84,11 +84,7 @@ def partition_pool(
     Every shard keeps the full labeled set (replication) and a contiguous
     slice of the pool.  Shards must be non-empty: the pool is required to
     have at least one point per rank, which matches the paper's weak/strong
-    scaling regimes (tens of thousands of points per GPU).  A precomputed
-    ``labeled_block_cache`` is shared by reference with every shard — the
-    labeled set is replicated, so the cached ``B(H_o)`` is too, and the
-    distributed solvers stay bit-identical to a serial solve that used the
-    same cache.
+    scaling regimes (tens of thousands of points per GPU).
 
     ``offsets`` overrides the balanced default split with explicit shard
     boundaries — the shard-aware scatter of a
@@ -115,7 +111,6 @@ def partition_pool(
                 pool_probabilities=dataset.pool_probabilities[sl],
                 labeled_features=dataset.labeled_features,
                 labeled_probabilities=dataset.labeled_probabilities,
-                labeled_block_cache=dataset.labeled_block_cache,
             )
         )
     return shards

@@ -53,7 +53,7 @@ import numpy as np
 from repro.active.problem import ActiveLearningProblem
 from repro.active.results import RoundRecord
 from repro.engine.session import ActiveSession, QueryProposal, SessionConfig
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 
 __all__ = [
     "ServeConfig",
@@ -158,20 +158,10 @@ class ServeConfig:
     def validate(self) -> "ServeConfig":
         """Field-named validation, mirroring ``SessionConfig.validate``."""
 
-        require(
-            int(self.max_sessions) > 0,
-            f"ServeConfig.max_sessions must be positive (got {self.max_sessions!r})",
-        )
-        require(
-            int(self.max_workers) > 0,
-            f"ServeConfig.max_workers must be positive (got {self.max_workers!r})",
-        )
+        check_positive_int(self.max_sessions, "ServeConfig.max_sessions")
+        check_positive_int(self.max_workers, "ServeConfig.max_workers")
         if self.max_pending_requests is not None:
-            require(
-                int(self.max_pending_requests) > 0,
-                "ServeConfig.max_pending_requests must be positive "
-                f"(got {self.max_pending_requests!r})",
-            )
+            check_positive_int(self.max_pending_requests, "ServeConfig.max_pending_requests")
         require(
             self.checkpoint_policy in CHECKPOINT_POLICIES,
             f"ServeConfig.checkpoint_policy must be one of {CHECKPOINT_POLICIES} "

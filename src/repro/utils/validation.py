@@ -15,6 +15,7 @@ needed here either.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 from repro.backend import Array, get_backend
@@ -25,6 +26,7 @@ __all__ = [
     "check_labels",
     "check_probabilities",
     "check_square_blocks",
+    "check_positive_int",
 ]
 
 
@@ -33,6 +35,22 @@ def require(condition: bool, message: str) -> None:
 
     if not condition:
         raise ValueError(message)
+
+
+def check_positive_int(value, name: str) -> int:
+    """Return a count argument as an ``int``, rejecting anything but a positive integer.
+
+    NumPy integers are accepted; ``bool``, floats and strings are not, so a
+    count of ``1.5``, ``True`` or ``"2"`` fails here instead of being
+    truncated by a later ``int()``.
+    """
+
+    require(
+        isinstance(value, numbers.Integral) and not isinstance(value, bool),
+        f"{name} must be an integer (got {value!r})",
+    )
+    require(value > 0, f"{name} must be positive (got {value!r})")
+    return int(value)
 
 
 def check_features(X, name: str = "X") -> Array:

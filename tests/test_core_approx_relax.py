@@ -144,8 +144,8 @@ class TestApproxRelax:
 
     def test_solve_validates_and_assembles_labeled_blocks_once(self, monkeypatch):
         """Inputs are checked when the dataset is built, never during a solve,
-        however many CG steps it takes; without a threaded-in cache ``B(H_o)``
-        is assembled once per dataset, not once per mirror-descent step."""
+        however many CG steps it takes; ``B(H_o)`` is assembled once per
+        dataset, not once per mirror-descent step."""
 
         counts = Counter()
         solves = {}

@@ -10,9 +10,10 @@ The acceptance pins of the fault-tolerance layer:
   serial session, on both transports;
 * corrupt or truncated checkpoints fail loudly instead of resuming from
   garbage;
-* a checkpoint written by the pre-``RoundState`` writer (committed under
-  ``tests/data/``) still resumes bit-identically, and today's writer emits
-  the same layout.
+* a format-1 checkpoint written by older code (committed under
+  ``tests/data/``) still resumes bit-identically, today's writer emits the
+  same layout, and a format-1 checkpoint written with a removed session
+  mode on is refused with the mode's name.
 """
 
 import json
@@ -74,14 +75,6 @@ class TestCheckpointResume:
         factory = STRATEGY_FACTORIES[name]
         full = _run_full(problem, factory)
         resumed = _run_resumed(problem, factory, tmp_path)
-        _assert_curves_identical(full.result, resumed.result)
-        np.testing.assert_array_equal(full.store.labeled_ids, resumed.store.labeled_ids)
-
-    def test_resume_with_incremental_fisher(self, problem, tmp_path):
-        factory = STRATEGY_FACTORIES["approx-firal"]
-        make_config = lambda: SessionConfig(incremental_fisher=True, reuse_eta=True)  # noqa: E731
-        full = _run_full(problem, factory, config=make_config())
-        resumed = _run_resumed(problem, factory, tmp_path, config_factory=make_config)
         _assert_curves_identical(full.result, resumed.result)
         np.testing.assert_array_equal(full.store.labeled_ids, resumed.store.labeled_ids)
 
@@ -204,10 +197,24 @@ class TestCheckpointValidation:
             ActiveSession.resume(ckpt, problem, STRATEGY_FACTORIES["random"]())
 
 
-#: Written by the checkpoint code as it stood before ``RoundState``
-#: (format version 1) with :func:`_drive_to_fixture_point`, then
-#: ``session.checkpoint(FIXTURE)``.
-FIXTURE = pathlib.Path(__file__).parent / "data" / "checkpoint_v1_pending.json"
+#: A format-1 checkpoint written by the code at commit 63a5cd8, never by
+#: later code.  From the repository root:
+#:
+#:   git archive 63a5cd8 | tar -x -C old && cd old && PYTHONPATH=src:. python -c "
+#:   from repro.engine.pool import DensePointStore
+#:   from repro.engine.session import ActiveSession, SessionConfig
+#:   from tests.test_engine_checkpoint import _drive_to_fixture_point, _fixture_strategy
+#:   from tests.test_engine_session import _small_problem
+#:   problem = _small_problem(seed=0)
+#:   session = ActiveSession(problem, _fixture_strategy(), budget_per_round=4, num_rounds=5, seed=7,
+#:                           config=SessionConfig(store=DensePointStore.from_problem, reuse_eta=True))
+#:   _drive_to_fixture_point(session, problem)
+#:   session.checkpoint('tests/data/checkpoint_v1_pending_eta.json')"
+FIXTURE = pathlib.Path(__file__).parent / "data" / "checkpoint_v1_pending_eta.json"
+#: A format-1 checkpoint written before ``RoundState`` with
+#: ``incremental_fisher`` and ``relax_warm_start`` on; both modes are gone,
+#: so resume must refuse it.
+REMOVED_MODES_FIXTURE = pathlib.Path(__file__).parent / "data" / "checkpoint_v1_pending.json"
 
 
 def _fixture_strategy():
@@ -217,8 +224,8 @@ def _fixture_strategy():
 
 
 def _fixture_session(problem):
-    """Warm start, η reuse, incremental Fisher and a grown pool: every
-    checkpoint section is non-trivial."""
+    """η reuse, a grown pool and an open proposal: every checkpoint section
+    but the always-empty Fisher one is non-trivial."""
 
     return ActiveSession(
         problem,
@@ -231,12 +238,7 @@ def _fixture_session(problem):
 
 
 def _fixture_config():
-    return SessionConfig(
-        store=DensePointStore.from_problem,
-        incremental_fisher=True,
-        relax_warm_start=True,
-        reuse_eta=True,
-    )
+    return SessionConfig(store=DensePointStore.from_problem, reuse_eta=True)
 
 
 def _drive_to_fixture_point(session, problem):
@@ -261,29 +263,39 @@ def _layout(value):
     return type(value).__name__
 
 
+def _fixture_copy(tmp_path, edit):
+    """A ``tmp_path`` copy of :data:`FIXTURE` with ``edit(payload)`` applied."""
+
+    payload = json.loads(FIXTURE.read_text())
+    edit(payload)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestCheckpointCompatibility:
-    def test_old_checkpoint_resumes_bit_identically(self, problem):
-        # Every section the round state writes is non-trivial in the fixture.
+    @pytest.mark.parametrize("kind", ["dense", "streaming"])
+    def test_old_checkpoint_resumes_bit_identically(self, problem, tmp_path, kind):
+        # Every round-state section but the always-empty Fisher one is
+        # non-trivial in the fixture.
         payload = json.loads(FIXTURE.read_text())
         assert payload["format_version"] == ActiveSession.CHECKPOINT_FORMAT_VERSION == 1
-        assert {"previous_ids", "previous_weights", "previous_eta"} <= set(
-            payload["strategy"]["state"]
-        )
-        assert payload["fisher"]["accumulator"]["num_points"] > 0
+        assert set(payload["strategy"]["state"]) == {"previous_eta"}
         assert len(payload["store"]["extension_labels"]) == 6
-        # Written by a growable in-RAM store of kind "streaming"; resume reads
-        # it as the dense store that now holds such a pool.
-        assert payload["store"]["kind"] == "streaming"
+        assert payload["store"]["kind"] == "dense"
         assert payload["pending_proposal"]["round_index"] == 2
+        # Format-1 checkpoints of a grown in-RAM pool may say "streaming";
+        # resume reads that as the dense store that now holds such a pool.
+        path = FIXTURE
+        if kind == "streaming":
+            path = _fixture_copy(tmp_path, lambda p: p["store"].update(kind="streaming"))
 
         reference = _fixture_session(problem)
         pending = _drive_to_fixture_point(reference, problem)
         reference.observe()
         reference.run(2, record_initial=False)
 
-        resumed = ActiveSession.resume(
-            FIXTURE, problem, _fixture_strategy(), config=_fixture_config()
-        )
+        resumed = ActiveSession.resume(path, problem, _fixture_strategy(), config=_fixture_config())
         np.testing.assert_array_equal(
             resumed.invalidated_proposal["global_ids"], pending.global_ids
         )
@@ -300,6 +312,16 @@ class TestCheckpointCompatibility:
         _drive_to_fixture_point(session, problem)
         written = json.loads(json.dumps(session.checkpoint_payload()))
         assert _layout(written) == _layout(json.loads(FIXTURE.read_text()))
+
+    def test_removed_modes_are_rejected(self, problem, tmp_path):
+        with pytest.raises(ValueError, match="incremental_fisher"):
+            ActiveSession.resume(
+                REMOVED_MODES_FIXTURE, problem, _fixture_strategy(), config=_fixture_config()
+            )
+        for key, value in (("relax_warm_start", True), ("fisher_refresh_every", 2)):
+            path = _fixture_copy(tmp_path, lambda p: p["config"].update({key: value}))
+            with pytest.raises(ValueError, match=f"{key}={value!r}"):
+                ActiveSession.resume(path, problem, _fixture_strategy(), config=_fixture_config())
 
 
 def _parallel_firal():

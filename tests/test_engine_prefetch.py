@@ -149,25 +149,6 @@ class TestPrefetchBitIdentity:
         _assert_curves_identical(stepped.result, eager.result)
         np.testing.assert_array_equal(stepped.store.labeled_ids, eager.store.labeled_ids)
 
-    def test_incremental_fisher_boundary_restores(self, problem):
-        """The Fisher accumulator rides the boundary snapshot through a
-        prefetch-discard-recompute cycle without drifting."""
-
-        config = lambda: SessionConfig(incremental_fisher=True)  # noqa: E731
-        stepped = _session(problem, "approx-firal", config=config())
-        for _ in range(3):
-            stepped.step()
-
-        eager = _session(problem, "approx-firal", config=config())
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            for _ in range(3):
-                eager.prefetch_proposal(pool)
-                eager.invalidate_proposal()  # cancel the speculation...
-                eager.propose()  # ...and recompute synchronously
-                eager.observe()
-
-        _assert_curves_identical(stepped.result, eager.result)
-
 
 # --------------------------------------------------------------------- #
 # protocol visibility and guards

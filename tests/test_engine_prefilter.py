@@ -306,16 +306,6 @@ class TestIdentityPinning:
         assert filtered[0] == base[0]
         np.testing.assert_array_equal(filtered[1], base[1])
 
-    def test_warm_start_identity(self, problem):
-        base = _run(problem, _approx_firal_strategy(), SessionConfig(relax_warm_start=True))
-        filtered = _run(
-            problem,
-            _approx_firal_strategy(),
-            SessionConfig(relax_warm_start=True, prefilter=RandomSubsampleFilter(1.0)),
-        )
-        assert filtered[0] == base[0]
-        np.testing.assert_array_equal(filtered[1], base[1])
-
     @pytest.mark.parametrize("filter_name", sorted(IDENTITY_FILTERS))
     def test_simulated_parallel_identity(self, problem, filter_name):
         base = _run(problem, _parallel_capable_strategy(), SessionConfig(), seed=0)

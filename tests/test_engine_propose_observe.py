@@ -14,9 +14,9 @@ service can hold a proposal open while a remote labeler works.  The pins:
 * the protocol fails loudly on misuse (double propose, observe without a
   proposal, misaligned or out-of-range labels, ``extend_pool`` while a
   proposal is pending);
-* ``invalidate_proposal()`` rolls the RNG stream, strategy state and Fisher
-  accumulator back to the pre-proposal boundary, so the replayed proposal is
-  bit-identical — never a double draw, never a silent drop;
+* ``invalidate_proposal()`` rolls the RNG stream and strategy state back to
+  the pre-proposal boundary, so the replayed proposal is bit-identical —
+  never a double draw, never a silent drop;
 * a ``propose()`` that raises leaves the session at the round boundary, so
   a retry — synchronous or eager — selects what a clean session selects;
 * a checkpoint written **mid-proposal** resumes at the boundary with the
@@ -260,47 +260,39 @@ class TestInvalidateProposal:
         """Invalidating and re-proposing replays the exact same round.
 
         ``random`` exercises the RNG rollback (it draws from the session
-        stream), ``approx-firal`` the strategy-state rollback (RELAX warm
-        starts and η reuse must not see the discarded solve).
+        stream), ``approx-firal`` under ``reuse_eta`` the strategy-state
+        rollback (η reuse must not see the discarded solve).  Rounds 0 and 1
+        are both invalidated once: on round 0 the strategy holds no state,
+        on round 1 the reused η.
         """
 
-        reference = _session(problem, name)
+        config = SessionConfig(reuse_eta=True) if name == "approx-firal" else None
+        reference = _session(problem, name, config=config)
         for _ in range(3):
             reference.step()
 
-        interrupted = _session(problem, name)
-        first = interrupted.propose()
-        discarded = interrupted.invalidate_proposal()
-        assert discarded is first
-        assert interrupted.pending_proposal is None
-
-        replayed = interrupted.propose()
-        np.testing.assert_array_equal(first.global_ids, replayed.global_ids)
-        interrupted.observe()
+        interrupted = _session(problem, name, config=config)
+        boundary_states = []
         for _ in range(2):
-            interrupted.step()
+            before = interrupted.strategy.state_dict()
+            first = interrupted.propose()
+            discarded = interrupted.invalidate_proposal()
+            assert discarded is first
+            assert interrupted.pending_proposal is None
+            assert interrupted.strategy.state_dict() == before
+            boundary_states.append(before)
 
+            replayed = interrupted.propose()
+            np.testing.assert_array_equal(first.global_ids, replayed.global_ids)
+            interrupted.observe()
+        interrupted.step()
+
+        if name == "approx-firal":
+            assert boundary_states == [{}, {"previous_eta": 1.0}]
         _assert_curves_identical(reference.result, interrupted.result)
         np.testing.assert_array_equal(
             reference.store.labeled_ids, interrupted.store.labeled_ids
         )
-
-    def test_incremental_fisher_rollback(self, problem):
-        """The accumulator snapshot restores under incremental_fisher."""
-
-        config = SessionConfig(incremental_fisher=True)
-        reference = _session(problem, "approx-firal", config=config)
-        for _ in range(3):
-            reference.step()
-
-        interrupted = _session(problem, "approx-firal", config=config)
-        interrupted.step()
-        interrupted.propose()
-        interrupted.invalidate_proposal()
-        interrupted.step()
-        interrupted.step()
-
-        _assert_curves_identical(reference.result, interrupted.result)
 
 
 class _FailingFirstSelect(EntropyStrategy):

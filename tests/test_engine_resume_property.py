@@ -10,8 +10,8 @@ their RNG states must match too, and until the first resume their whole
 round states (see the invariant for why a resume relaxes that).
 
 Every part of the round state is live: a random prefilter draws from the
-session RNG, FIRAL carries warm-start weights and a reused η, and the
-labeled Fisher is accumulated incrementally.  The seed is an int, or a
+session RNG, and FIRAL carries a reused η in its strategy state.  The
+seed is an int, or a
 caller-owned ``Generator(Philox)`` that the live session must keep updating
 in place (and that a resumed session, built with the default ``PCG64``,
 must rebuild from the checkpoint).
@@ -50,9 +50,7 @@ def _config():
     return SessionConfig(
         store=DensePointStore.from_problem,
         prefilter=make_prefilter("random", 0.5),
-        relax_warm_start=True,
         reuse_eta=True,
-        incremental_fisher=True,
     )
 
 
@@ -159,8 +157,8 @@ class ResumeEqualsUninterrupted(RuleBasedStateMachine):
             # A resumed session refits its classifier without the warm-start
             # weights the uninterrupted one carried (the checkpoint holds no
             # classifier), so from the first round after a resume the
-            # probabilities — and the frozen Fisher inputs and RELAX weights
-            # built from them — may differ at the optimizer's tolerance.
+            # probabilities — and the η the grid search picks from them —
+            # may differ at the optimizer's tolerance.
             assert live == reference
 
     @invariant()

@@ -10,8 +10,7 @@ against.
 
 Also covered here: the strategy lifecycle protocol (``begin_session`` /
 ``observe_labels``, the stateless adapter), the ``DensePointStore`` bookkeeping,
-the value-exact ``resident_pool`` mode, the round-1 exactness of
-``incremental_fisher``, and the FIRAL RELAX warm start.
+and the value-exact ``resident_pool`` mode, serial and over ranks.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from repro.core.firal import ApproxFIRAL, ExactFIRAL
 from repro.datasets.registry import build_problem
 from repro.engine.pool import DensePointStore
 from repro.engine.session import ActiveSession, SessionConfig
+from repro.engine.stores import ShardedPointStore
 from repro.models.logistic_regression import LogisticRegressionClassifier
 from repro.models.metrics import accuracy, class_balanced_accuracy
 from repro.utils.random import as_generator
@@ -229,27 +229,6 @@ class TestLegacyEquivalence:
         resident_result = resident.run(3)
         _assert_curves_identical(base, resident_result)
 
-    def test_incremental_fisher_first_round_exact(self, problem):
-        """Acquisition-time probs == current probs in round 1, so the first
-        selection matches the exact mode bit-identically."""
-
-        compat = ActiveSession(
-            problem, _approx_firal_strategy(), budget_per_round=4, num_rounds=1, seed=2
-        )
-        compat.run(1)
-        incremental = ActiveSession(
-            problem,
-            _approx_firal_strategy(),
-            budget_per_round=4,
-            num_rounds=1,
-            seed=2,
-            config=SessionConfig(incremental_fisher=True),
-        )
-        incremental.run(1)
-        np.testing.assert_array_equal(
-            compat.store.labeled_ids, incremental.store.labeled_ids
-        )
-
 
 class TestSessionAPI:
     def test_step_returns_records_and_advances(self, problem):
@@ -356,48 +335,6 @@ class TestLifecycleProtocol:
         assert ensure_lifecycle(strategy) is strategy
 
 
-class TestRelaxWarmStart:
-    def test_warm_start_state_threads_across_rounds(self, problem):
-        strategy = _approx_firal_strategy()
-        session = ActiveSession(
-            problem,
-            strategy,
-            budget_per_round=4,
-            num_rounds=3,
-            seed=0,
-            config=SessionConfig(relax_warm_start=True),
-        )
-        result = session.run(3)
-        assert strategy._previous is not None
-        prev_ids, prev_weights = strategy._previous
-        np.testing.assert_array_equal(prev_ids, np.sort(prev_ids))
-        assert prev_weights.shape == prev_ids.shape
-        assert np.all(prev_weights >= 0.0)
-        # All selected ids distinct across rounds.
-        gids = session.store.labeled_ids
-        assert np.unique(gids).size == gids.size
-        assert len(result.records) == 4
-
-    def test_warm_start_stays_cold_without_pool_ids(self, problem):
-        """Under the id-less legacy context the strategy must not warm-start."""
-
-        strategy = FIRALStrategy(
-            ApproxFIRAL(RelaxConfig(max_iterations=6, seed=0), RoundConfig(eta=1.0))
-        )
-        strategy.begin_session(
-            SessionInfo(
-                num_classes=problem.num_classes,
-                dimension=problem.dimension,
-                budget_per_round=4,
-                pool_size=problem.pool_size,
-                relax_warm_start=True,
-            )
-        )
-        legacy_result, _ = _legacy_run(problem, strategy, num_rounds=2, budget_per_round=4, seed=0)
-        assert strategy._previous is None  # never armed without ids
-        assert len(legacy_result.records) == 3
-
-
 class TestEtaReuse:
     def _grid_strategy(self, **kw):
         return FIRALStrategy(
@@ -438,8 +375,6 @@ class TestEtaReuse:
     def test_fast_config_enables_reuse_and_residency(self):
         cfg = SessionConfig.fast()
         assert cfg.reuse_eta and cfg.resident_pool
-        # Measured counterproductive at the benchmark scale; stay opt-in.
-        assert not cfg.relax_warm_start and not cfg.incremental_fisher
 
 
 class TestPointStore:
@@ -548,6 +483,20 @@ class TestParallelSession:
         assert parallel_curve == serial_curve
         np.testing.assert_array_equal(parallel_ids, serial_ids)
 
+    def test_resident_pool_over_ranks_is_value_exact(self, problem):
+        """resident_pool over 2 simulated ranks of a sharded store selects
+        bit-identically to the same session without resident_pool."""
+
+        def config(**kwargs):
+            return SessionConfig(
+                store=ShardedPointStore.factory(num_shards=2), parallel_ranks=2, **kwargs
+            )
+
+        plain_curve, plain_ids = _run_session(problem, config())
+        resident_curve, resident_ids = _run_session(problem, config(resident_pool=True))
+        assert resident_curve == plain_curve
+        np.testing.assert_array_equal(resident_ids, plain_ids)
+
     def test_parallel_ranks_rejects_exact_firal(self, problem):
         """Exact-FIRAL has no distributed formulation; fail at session start."""
 
@@ -562,7 +511,7 @@ class TestParallelSession:
             )
 
     def test_parallel_ranks_ignored_by_baselines(self, problem):
-        """Non-FIRAL strategies ignore the request, like relax_warm_start."""
+        """Non-FIRAL strategies ignore the request."""
 
         session = ActiveSession(
             problem,

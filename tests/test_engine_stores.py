@@ -12,8 +12,7 @@ The contract of the store refactor:
 * a session whose pool is replenished between rounds (``extend_pool``) runs
   end-to-end: ids stay stable across ``extend()``, replenished points are
   selectable, malformed batches are rejected before they reach the pool,
-  and FIRAL's RELAX warm start falls back to a cold start when unseen ids
-  appear;
+  and a FIRAL session keeps selecting across replenishment rounds;
 * the in-rank η grid search (``distributed_round_search``) matches the
   serial ``select_eta`` winner inside a single SPMD launch.
 """
@@ -34,7 +33,6 @@ from repro.core.firal import ApproxFIRAL
 from repro.engine import ActiveSession, SessionConfig
 from repro.engine.pool import DensePointStore
 from repro.engine.stores import ShardedPointStore
-from repro.fisher.hessian import block_diagonal_of_sum
 from repro.models.softmax import reduced_probabilities
 from repro.parallel.distributed_round import distributed_round_search
 from repro.parallel.firal import DistributedApproxFIRAL
@@ -412,7 +410,6 @@ class TestStreamingPointStore:
             strategy,
             budget_per_round=4,
             seed=0,
-            config=SessionConfig(relax_warm_start=True),
         )
         rng = np.random.default_rng(13)
         for _ in range(3):
@@ -424,41 +421,6 @@ class TestStreamingPointStore:
         gids = session.store.labeled_ids
         assert np.unique(gids).size == gids.size
         assert session.store.pool_size == problem.pool_size - 12 + 15
-
-    def test_warm_start_cold_falls_back_on_unseen_ids(self):
-        """FIRAL's previous-z* restriction bails out when the pool gained ids."""
-
-        strategy = FIRALStrategy(
-            ApproxFIRAL(RelaxConfig(max_iterations=2, seed=0), RoundConfig(eta=1.0))
-        )
-        strategy.begin_session(
-            SessionInfo(
-                num_classes=3, dimension=3, budget_per_round=1, pool_size=4, relax_warm_start=True
-            )
-        )
-        prev_ids = np.array([3, 4, 5, 6], dtype=np.int64)
-        strategy._previous = (prev_ids, np.full(4, 0.25))
-        rng = np.random.default_rng(0)
-
-        def context_for(pool_ids):
-            n = pool_ids.size
-            return SelectionContext(
-                pool_features=rng.standard_normal((n, 3)),
-                pool_probabilities=np.full((n, 2), 0.5),
-                labeled_features=rng.standard_normal((2, 3)),
-                labeled_probabilities=np.full((2, 2), 0.5),
-                budget=1,
-                rng=rng,
-                pool_ids=pool_ids,
-            )
-
-        # Shrunken pool (labeling only): the surviving weights are reused.
-        surviving = strategy._warm_start_weights(context_for(np.array([3, 5], dtype=np.int64)))
-        np.testing.assert_allclose(surviving, [0.25, 0.25])
-        # Replenished pool (ids 7, 9 unseen): cold start.
-        assert strategy._warm_start_weights(
-            context_for(np.array([3, 5, 7, 9], dtype=np.int64))
-        ) is None
 
 
 # --------------------------------------------------------------------- #
@@ -559,94 +521,3 @@ class TestInRankEtaGridSearch:
         )
         selector._round_search(dataset, get_backend().ascompute(weights), 6)
         assert calls == ["round_search_rank_main"]
-
-
-# --------------------------------------------------------------------- #
-# bounded-staleness incremental Fisher
-# --------------------------------------------------------------------- #
-class TestFisherRefresh:
-    def test_refresh_every_round_matches_exact_mode(self, problem):
-        """K=1 re-freezes under the current classifier every round, which is
-        exactly what the non-incremental path computes — selections must be
-        bit-identical."""
-
-        exact_session, exact_curve = _run(problem, _approx_firal_strategy(), num_rounds=3)
-        refreshed_session, refreshed_curve = _run(
-            problem,
-            _approx_firal_strategy(),
-            config=SessionConfig(incremental_fisher=True, fisher_refresh_every=1),
-            num_rounds=3,
-        )
-        assert refreshed_curve == exact_curve
-        np.testing.assert_array_equal(
-            refreshed_session.store.labeled_ids, exact_session.store.labeled_ids
-        )
-
-    def test_refresh_rebuilds_under_current_classifier(self, problem):
-        session = ActiveSession(
-            problem,
-            _approx_firal_strategy(),
-            budget_per_round=4,
-            num_rounds=4,
-            seed=0,
-            config=SessionConfig(incremental_fisher=True, fisher_refresh_every=2),
-        )
-        session.step()
-        session.step()  # round_index is now 2; the next step refreshes first
-        stale = session._frozen_probs.copy()
-        fresh = session.classifier.predict_proba(session.store.labeled_features_host())
-        # Two rounds of classifier evolution produced real drift to repair.
-        assert not np.array_equal(stale, fresh)
-
-        session._refresh_fisher_accumulator()
-        np.testing.assert_array_equal(session._frozen_probs, fresh)
-        backend = get_backend()
-        rebuilt = block_diagonal_of_sum(
-            session.store.labeled_features_host(), reduced_probabilities(fresh)
-        )
-        np.testing.assert_allclose(
-            backend.to_numpy(session._accumulator.blocks),
-            backend.to_numpy(rebuilt.blocks),
-            rtol=1e-12,
-        )
-        assert session._accumulator.num_points == session.store.num_labeled
-
-    def test_refresh_cadence(self, problem, monkeypatch):
-        """step() triggers the rebuild exactly every K rounds, never at round 0."""
-
-        session = ActiveSession(
-            problem,
-            _approx_firal_strategy(),
-            budget_per_round=4,
-            num_rounds=5,
-            seed=0,
-            config=SessionConfig(incremental_fisher=True, fisher_refresh_every=2),
-        )
-        refreshes = []
-        real_refresh = session._refresh_fisher_accumulator
-
-        def counting_refresh():
-            refreshes.append(session.round_index)
-            real_refresh()
-
-        monkeypatch.setattr(session, "_refresh_fisher_accumulator", counting_refresh)
-        session.run(5, record_initial=False)
-        assert refreshes == [2, 4]
-
-    def test_validation(self, problem):
-        with pytest.raises(ValueError):
-            ActiveSession(
-                problem,
-                RandomStrategy(),
-                budget_per_round=4,
-                seed=0,
-                config=SessionConfig(incremental_fisher=True, fisher_refresh_every=0),
-            )
-        with pytest.raises(ValueError, match="incremental_fisher"):
-            ActiveSession(
-                problem,
-                RandomStrategy(),
-                budget_per_round=4,
-                seed=0,
-                config=SessionConfig(fisher_refresh_every=2),
-            )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.fisher.hessian import block_diagonal_of_sum
 from repro.fisher.operators import FisherDataset
 from tests.conftest import make_fisher_dataset, random_probabilities
 
@@ -37,6 +38,14 @@ class TestFisherDataset:
         for k in range(dataset.num_classes):
             sl = slice(k * d, (k + 1) * d)
             np.testing.assert_allclose(bd.blocks[k], dense[sl, sl], rtol=1e-7, atol=1e-9)
+
+    def test_labeled_block_diagonal_assembled_once(self, dataset):
+        """``B(H_o)`` is the from-scratch assembly, built once and kept."""
+
+        reference = block_diagonal_of_sum(dataset.labeled_features, dataset.labeled_probabilities)
+        blocks = dataset.labeled_block_diagonal()
+        np.testing.assert_array_equal(blocks.blocks, reference.blocks)
+        assert dataset.labeled_block_diagonal() is blocks
 
     def test_labeled_matvec_matches_dense(self, dataset):
         rng = np.random.default_rng(2)

@@ -258,6 +258,13 @@ class TestAdmissionAndErrors:
             (dict(checkpoint_policy="round"), r"ServeConfig\.checkpoint_dir"),
             (dict(restore_on_open=True), r"ServeConfig\.checkpoint_dir"),
         ]
+        # Counts are rejected unless they are positive integers, never
+        # truncated by int().
+        cases += [
+            ({field: value}, rf"ServeConfig\.{field}")
+            for field in ("max_sessions", "max_workers", "max_pending_requests")
+            for value in (1.5, True, "2")
+        ]
         for kwargs, match in cases:
             with pytest.raises(ValueError, match=match):
                 ServeConfig(**kwargs).validate()

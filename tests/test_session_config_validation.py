@@ -10,6 +10,7 @@ offending field's name in the message.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine import ActiveSession, SessionConfig
@@ -42,18 +43,6 @@ class TestFieldRejections:
         # read when parallel_ranks is set" (the field's documented contract).
         SessionConfig(parallel_transport="mpi").validate()
 
-    def test_fisher_refresh_every_must_be_positive(self):
-        _reject(
-            SessionConfig(incremental_fisher=True, fisher_refresh_every=0),
-            r"SessionConfig\.fisher_refresh_every must be positive",
-        )
-
-    def test_fisher_refresh_requires_incremental_fisher(self):
-        _reject(
-            SessionConfig(fisher_refresh_every=2),
-            r"SessionConfig\.fisher_refresh_every only applies with incremental_fisher",
-        )
-
     def test_prefilter_must_implement_protocol(self):
         _reject(
             SessionConfig(prefilter=object()),
@@ -83,6 +72,50 @@ class TestFieldRejections:
             SessionConfig(checkpoint_every=2),
             r"SessionConfig\.checkpoint_every requires checkpoint_path",
         )
+
+
+#: Values a count argument must reject rather than truncate or coerce.
+NOT_COUNTS = pytest.mark.parametrize("value", [1.5, True, "2"], ids=["float", "bool", "str"])
+
+
+class TestCountArguments:
+    @NOT_COUNTS
+    @pytest.mark.parametrize("field", ["parallel_ranks", "checkpoint_every"])
+    def test_config_counts_must_be_integers(self, field, value):
+        _reject(
+            SessionConfig(**{field: value}, checkpoint_path="x.json"),
+            rf"SessionConfig\.{field} must be an integer",
+        )
+
+    @NOT_COUNTS
+    @pytest.mark.parametrize("field", ["budget_per_round", "num_rounds"])
+    def test_session_counts_must_be_integers(self, field, value):
+        counts = {"budget_per_round": 2, "num_rounds": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ActiveSession(_small_problem(seed=0), STRATEGY_FACTORIES["random"](), **counts)
+
+    @NOT_COUNTS
+    def test_run_count_must_be_integer(self, value):
+        session = ActiveSession(
+            _small_problem(seed=0), STRATEGY_FACTORIES["random"](), budget_per_round=2
+        )
+        with pytest.raises(ValueError, match="num_rounds must be an integer"):
+            session.run(value)
+        # Rejected before anything ran: not even the initial record was taken.
+        assert session.result.records == [] and session.round_index == 0
+
+    def test_numpy_integers_accepted(self):
+        SessionConfig(
+            parallel_ranks=np.int64(2), checkpoint_every=np.int32(1), checkpoint_path="x.json"
+        ).validate()
+        session = ActiveSession(
+            _small_problem(seed=0),
+            STRATEGY_FACTORIES["random"](),
+            budget_per_round=np.int64(2),
+            num_rounds=np.int32(2),
+        )
+        assert (session.budget_per_round, session.planned_rounds) == (2, 2)
+        assert type(session.budget_per_round) is int and type(session.planned_rounds) is int
 
 
 class TestValidationWiring:

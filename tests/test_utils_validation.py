@@ -6,6 +6,7 @@ import pytest
 from repro.utils.validation import (
     check_features,
     check_labels,
+    check_positive_int,
     check_probabilities,
     check_square_blocks,
     require,
@@ -19,6 +20,23 @@ def test_require_passes_on_true():
 def test_require_raises_with_message():
     with pytest.raises(ValueError, match="custom message"):
         require(False, "custom message")
+
+
+class TestCheckPositiveInt:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(2)], ids=repr)
+    def test_returns_builtin_int(self, value):
+        out = check_positive_int(value, "n")
+        assert out == value and type(out) is int
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None], ids=repr)
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer \(got "):
+            check_positive_int(value, "n")
+
+    @pytest.mark.parametrize("value", [0, -3], ids=repr)
+    def test_rejects_non_positive(self, value):
+        with pytest.raises(ValueError, match=rf"^n must be positive \(got {value}\)$"):
+            check_positive_int(value, "n")
 
 
 class TestCheckFeatures:
