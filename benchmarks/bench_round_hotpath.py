@@ -64,7 +64,8 @@ def run(shape: dict, *, seed: int = 0, chunk_size: int | None = None) -> dict:
         selected_eta=float(result.eta),
         eta_score=float(score),
         score_chunk_size=chunk_size,
-        winning_trial_timings=result.timings.as_dict(),
+        # Every trial's regions plus the batch scoring (select_eta sums the grid).
+        grid_timings=result.timings.as_dict(),
     )
 
 

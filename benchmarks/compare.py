@@ -12,7 +12,7 @@ so mismatches are a hard error.  The tool reports:
 
 * per-field speedups for every timing scalar present in both payloads,
 * a per-component breakdown when both carry a timing dict (e.g. the
-  ``winning_trial_timings`` regions ``score`` / ``update_accumulated`` /
+  ``grid_timings`` regions ``score`` / ``update_accumulated`` /
   ``refresh_inverse`` of the ROUND hot-path benchmark),
 * whether ``selected_indices`` (when present) are identical — an
   optimization that changes *what* is selected is flagged with a non-zero

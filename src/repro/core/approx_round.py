@@ -41,7 +41,7 @@ from repro.backend import Array, COMPUTE_DTYPE, Workspace, get_backend
 from repro.core.config import RoundConfig
 from repro.core.result import RoundResult
 from repro.core.spmd import ONE_RANK, block_partition
-from repro.fisher.hessian import point_block_coefficients
+from repro.fisher.hessian import coefficient_blocks, point_block_coefficients
 from repro.fisher.operators import FisherDataset
 from repro.linalg.bisection import find_ftrl_nu
 from repro.linalg.block_diag import BlockDiagonalMatrix
@@ -55,12 +55,6 @@ __all__ = [
     "generalized_block_eigenvalues",
     "selected_batch_min_eigenvalue",
 ]
-
-
-def _batch_blocks(X: Array, gammas: Array) -> Array:
-    """``B(sum_i H_i)`` over a batch, from its promoted rows: ``(c, d, d)``."""
-
-    return get_backend().einsum("ik,id,ie->kde", gammas, X, X, optimize=True)
 
 
 @dataclass
@@ -186,7 +180,7 @@ class RoundPrecompute:
         first, stop = self.offsets[self.comm.rank], self.offsets[self.comm.rank + 1]
         with self.timings.region("eta_scoring"):
             owned = selected[(selected >= first) & (selected < stop)] - first
-            blocks = _batch_blocks(self.X[owned], self.gammas[owned])
+            blocks = coefficient_blocks(self.X[owned], self.gammas[owned])
             with self.timings.excluded():
                 blocks = self.comm.allreduce(blocks)
             return BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
@@ -229,7 +223,7 @@ def selected_batch_min_eigenvalue(
     backend = get_backend()
     selected = backend.index_array(selected_indices)
     require(selected.size > 0, "selection must not be empty")
-    blocks = _batch_blocks(
+    blocks = coefficient_blocks(
         backend.ascompute(dataset.pool_features[selected]),
         point_block_coefficients(dataset.pool_probabilities[selected]),
     )

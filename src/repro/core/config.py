@@ -10,6 +10,7 @@ Defaults follow the experimental setup of § IV-A of the paper:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -160,9 +161,16 @@ class RoundConfig:
         require(len(tuple(self.eta_grid)) > 0, "eta_grid must not be empty")
         require(all(e > 0 for e in self.eta_grid), "eta_grid values must be positive")
         require(self.regularization >= 0, "regularization must be non-negative")
+        chunk = self.score_chunk_size
         require(
-            self.score_chunk_size is None
-            or (self.score_chunk_size > 0 and int(self.score_chunk_size) == self.score_chunk_size),
+            chunk is None
+            or (
+                isinstance(chunk, numbers.Real)
+                and not isinstance(chunk, bool)
+                and chunk > 0
+                and float(chunk).is_integer()
+            ),
             "score_chunk_size must be a positive integer when set "
-            "(fractional values would silently truncate in the chunking arithmetic)",
+            f"(got {chunk!r}; fractional values would silently truncate in the "
+            "chunking arithmetic)",
         )

@@ -24,6 +24,7 @@ batch's score is the allreduce of the ranks' owned-row partials.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.backend import Array
@@ -79,7 +80,11 @@ def select_eta(
     -------
     (RoundResult, float)
         The winning round result (with ``eta_score`` filled in) and its score
-        ``min_k lambda_min(H_k)``; ties keep the earliest grid entry.
+        ``min_k lambda_min(H_k)``; ties keep the earliest grid entry.  Its
+        ``timings`` are the precompute's tally, so they cover the whole
+        grid: the precompute build (``"setup"``), every trial's components
+        summed and every batch score (``"eta_scoring"``), collectives
+        excluded.
     """
 
     grid = tuple(eta_grid) if eta_grid is not None else default_eta_grid(dataset.joint_dimension)
@@ -99,5 +104,7 @@ def select_eta(
             best_score = score
             best_result = result
     assert best_result is not None
-    best_result.eta_score = float(best_score)
-    return best_result, float(best_score)
+    return (
+        replace(best_result, eta_score=float(best_score), timings=precompute.timings),
+        float(best_score),
+    )

@@ -12,14 +12,13 @@ is validated (Proposition 4) and timed (Table VI).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.backend import Array, COMPUTE_DTYPE, get_backend
-from repro.core.approx_round import _batch_blocks
 from repro.core.config import RoundConfig
 from repro.core.result import RoundResult
-from repro.fisher.hessian import point_block_coefficients, point_hessian_dense
+from repro.fisher.hessian import coefficient_blocks, point_block_coefficients, point_hessian_dense
 from repro.fisher.operators import FisherDataset
 from repro.linalg.bisection import find_ftrl_nu
 from repro.linalg.block_diag import BlockDiagonalMatrix
@@ -47,8 +46,11 @@ class ExactRoundPrecompute:
     ``~H_i = Sigma_*^{-1/2} H_i Sigma_*^{-1/2}``, an ``O(n c^3 d^3)`` loop —
     dominates the dense solver's setup and does not depend on η, so the
     § IV-A grid search builds this once and reuses it across every trial.
-    ``X``/``gammas`` are the promoted pool rows :meth:`score` indexes, as
-    in :class:`repro.core.approx_round.RoundPrecompute`.
+    ``X``/``gammas`` are the promoted pool rows :meth:`score` indexes, and
+    ``timings`` the compute seconds spent through this context — its build
+    (``"setup"``), every :func:`exact_round` that used it and every batch it
+    scored (``"eta_scoring"``) — as in
+    :class:`repro.core.approx_round.RoundPrecompute`.
     """
 
     sigma_star: Array
@@ -57,6 +59,7 @@ class ExactRoundPrecompute:
     X: Array
     gammas: Array
     z: Array
+    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
 
     @classmethod
     def build(
@@ -74,25 +77,29 @@ class ExactRoundPrecompute:
         )
         n = dataset.num_pool
         dc = dataset.joint_dimension
-        sigma_star = dataset.sigma_dense(z)
-        if cfg.regularization > 0.0:
-            sigma_star = sigma_star + cfg.regularization * backend.eye(dc, dtype=sigma_star.dtype)
-        sigma_inv_sqrt = _symmetric_inv_sqrt(sigma_star)
-        h_labeled = dataset.labeled_hessian_dense()
-        h_labeled_tilde = sigma_inv_sqrt @ h_labeled @ sigma_inv_sqrt
-        # Transformed candidate Hessians ~H_i = Sigma^{-1/2} H_i Sigma^{-1/2}.
-        candidate_tilde = backend.empty((n, dc, dc), dtype=COMPUTE_DTYPE)
-        for i in range(n):
-            h_i = point_hessian_dense(dataset.pool_features[i], dataset.pool_probabilities[i])
-            candidate_tilde[i] = sigma_inv_sqrt @ h_i @ sigma_inv_sqrt
-        return cls(
-            sigma_star=sigma_star,
-            h_labeled_tilde=h_labeled_tilde,
-            candidate_tilde=candidate_tilde,
-            X=backend.ascompute(dataset.pool_features),
-            gammas=point_block_coefficients(dataset.pool_probabilities),
-            z=z,
-        )
+        timings = TimingBreakdown()
+        with timings.region("setup"):
+            sigma_star = dataset.sigma_dense(z)
+            if cfg.regularization > 0.0:
+                sigma_star = sigma_star + cfg.regularization * backend.eye(dc, dtype=sigma_star.dtype)
+            sigma_inv_sqrt = _symmetric_inv_sqrt(sigma_star)
+            h_labeled = dataset.labeled_hessian_dense()
+            h_labeled_tilde = sigma_inv_sqrt @ h_labeled @ sigma_inv_sqrt
+            # Transformed candidate Hessians ~H_i = Sigma^{-1/2} H_i Sigma^{-1/2}.
+            candidate_tilde = backend.empty((n, dc, dc), dtype=COMPUTE_DTYPE)
+            for i in range(n):
+                h_i = point_hessian_dense(dataset.pool_features[i], dataset.pool_probabilities[i])
+                candidate_tilde[i] = sigma_inv_sqrt @ h_i @ sigma_inv_sqrt
+            precompute = cls(
+                sigma_star=sigma_star,
+                h_labeled_tilde=h_labeled_tilde,
+                candidate_tilde=candidate_tilde,
+                X=backend.ascompute(dataset.pool_features),
+                gammas=point_block_coefficients(dataset.pool_probabilities),
+                z=z,
+                timings=timings,
+            )
+        return precompute
 
     @property
     def num_pool(self) -> int:
@@ -103,8 +110,9 @@ class ExactRoundPrecompute:
 
         selected = get_backend().index_array(selected_indices)
         require(selected.size > 0, "selection must not be empty")
-        blocks = _batch_blocks(self.X[selected], self.gammas[selected])
-        return BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
+        with self.timings.region("eta_scoring"):
+            blocks = coefficient_blocks(self.X[selected], self.gammas[selected])
+            return BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
 
 
 def exact_round(
@@ -196,6 +204,7 @@ def exact_round(
             nu = find_ftrl_nu(eigenvalues)
             A_t = (eigenvectors * (nu + eigenvalues)) @ backend.transpose_last(eigenvectors)
 
+    precompute.timings = precompute.timings.merge(timings)
     return RoundResult(
         selected_indices=backend.index_array(selected),
         eta=float(eta),

@@ -81,7 +81,8 @@ class _FIRALBase:
         ROUND step.  RELAX always starts from the uniform point.  ``eta``
         overrides the grid search for this call — the session engine passes
         the previous round's winning η (``SessionConfig.reuse_eta``), turning
-        the § IV-A grid's 7 ROUND solves per round into 1 after the first.
+        the § IV-A grid's ROUND solves per round, one per entry of
+        ``RoundConfig.eta_grid`` (5 by default), into 1 after the first.
         """
 
         require(budget > 0, "budget must be positive")

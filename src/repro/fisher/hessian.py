@@ -1,10 +1,11 @@
 """Dense Fisher-information (Hessian) construction and block diagonals.
 
-These routines form the reference implementation used by Exact-FIRAL and by
-the test suite to validate the fast matrix-free kernels.  Their costs are the
-``O(c^2 d^2)`` storage / ``O(n c^2 d^2)`` compute terms of Table II that make
-Exact-FIRAL intractable at scale — which is precisely why Approx-FIRAL avoids
-them.
+The dense routines form the reference implementation used by Exact-FIRAL
+and by the test suite to validate the fast matrix-free kernels.  Their costs
+are the ``O(c^2 d^2)`` storage / ``O(n c^2 d^2)`` compute terms of Table II
+that make Exact-FIRAL intractable at scale — which is precisely why
+Approx-FIRAL avoids them.  Approx-FIRAL keeps only the block diagonal
+(Eq. 14), which :func:`coefficient_blocks` assembles with one GEMM per class.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "point_hessian_dense",
     "sum_hessian_dense",
     "block_diagonal_of_sum",
+    "coefficient_blocks",
     "point_block_coefficients",
     "weighted_block_diagonal",
 ]
@@ -105,11 +107,12 @@ def block_diagonal_of_sum(
 ) -> BlockDiagonalMatrix:
     """Block diagonal ``B(sum_i w_i H_i)`` assembled directly (Eq. 14).
 
-    This is the preconditioner-assembly einsum of Line 5, Algorithm 2:
+    This is the preconditioner assembly of Line 5, Algorithm 2:
 
-        B_k = sum_i w_i h_i^k (1 - h_i^k) x_i x_i^T
+        B_k = sum_i w_i h_i^k (1 - h_i^k) x_i x_i^T = X^T diag(w γ_k) X
 
-    at cost ``O(n c d^2)`` — no ``dc x dc`` matrix is ever formed.
+    one GEMM per class (:func:`coefficient_blocks`) at cost ``O(n c d^2)``
+    and ``O(n d)`` scratch — no ``dc x dc`` matrix is ever formed.
     """
 
     X = check_features(X)
@@ -129,7 +132,9 @@ def weighted_block_diagonal(
 
     :class:`~repro.fisher.FisherDataset` validates its arrays once when it is
     built; its block diagonals come from here, so the per-step
-    preconditioner assembly does not check them again.
+    preconditioner assembly does not check them again.  The weighted
+    coefficients ``w_i γ_i`` go to :func:`coefficient_blocks`: ``c`` GEMMs,
+    ``O(n d)`` scratch.
     """
 
     backend = get_backend()
@@ -140,6 +145,26 @@ def weighted_block_diagonal(
         require(tuple(w.shape) == (n,), "weights must have shape (n,)")
         coeff = coeff * w[:, None]
 
-    X64 = backend.ascompute(X)
-    blocks = backend.einsum("ik,id,ie->kde", coeff, X64, X64, optimize=True)
+    blocks = coefficient_blocks(backend.ascompute(X), coeff)
     return BlockDiagonalMatrix(backend.astype(blocks, dtype), copy=False)
+
+
+def coefficient_blocks(X: Array, coeff: Array) -> Array:
+    """Blocks ``B_k = X^T diag(coeff[:, k]) X`` of a Hessian sum: ``(c, d, d)``.
+
+    ``X`` is ``(n, d)`` and ``coeff`` is ``(n, c)``, both in the compute
+    dtype; ``coeff`` holds the (weighted) rank-one coefficients
+    ``w_i h_i^k (1 - h_i^k)`` of Eq. 14.  Each block is one GEMM of the
+    column-scaled ``X^T`` with ``X``, written into a preallocated
+    ``(c, d, d)`` array, so the scratch is one ``(d, n)`` product at a time:
+    ``O(n d)``, never ``O(c n d)``.
+    """
+
+    backend = get_backend()
+    xp = backend.xp
+    c, d = int(coeff.shape[1]), int(X.shape[1])
+    blocks = backend.empty((c, d, d), dtype=COMPUTE_DTYPE)
+    XT = backend.transpose_last(X)
+    for k in range(c):
+        xp.matmul(XT * coeff[:, k], X, out=blocks[k])
+    return blocks

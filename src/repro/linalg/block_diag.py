@@ -7,13 +7,16 @@ the diagonal ROUND step (Algorithm 3) are of this form, so the class below is
 the workhorse data structure of Approx-FIRAL.
 
 Storage is a single ``(c, d, d)`` array on the active array backend; all
-operations (matvec, inverse, Cholesky-based solves, eigenvalues, quadratic
-forms) are batched over the class axis with backend ``einsum`` / stacked
-batched-linalg calls, mirroring the ``cupy.einsum`` / ``cupy.linalg``
-batching described in § III-C.  Numerically delicate routines (inverse,
-Cholesky, eigensolves, solves) go through the backend's promoted linear
-algebra, which applies the library-wide float64 compute policy and casts
-back to the storage dtype.
+operations are batched over the class axis, mirroring the batched BLAS /
+``cupy.linalg`` calls described in § III-C.  The products the solvers run
+per step are batched GEMMs: :meth:`BlockDiagonalMatrix.matvec` (the CG
+preconditioner apply) is one ``matmul`` of the ``(c, d, d)`` blocks with the
+``(c, d, s)`` right-hand sides, and :meth:`BlockDiagonalMatrix.apply_points`
+one broadcast ``matmul`` over the points; the assembly of ``B(·)`` itself is
+one GEMM per class (:func:`repro.fisher.hessian.coefficient_blocks`).
+Numerically delicate routines (inverse, Cholesky, eigensolves, solves) go
+through the backend's promoted linear algebra, which applies the
+library-wide float64 compute policy and casts back to the storage dtype.
 """
 
 from __future__ import annotations
@@ -187,10 +190,14 @@ class BlockDiagonalMatrix:
         return v.reshape(self.num_blocks, self.block_size, v.shape[1]), single
 
     def matvec(self, v: Array) -> Array:
-        """Compute ``A @ v`` for ``v`` of shape ``(dc,)`` or ``(dc, s)``."""
+        """Compute ``A @ v`` for ``v`` of shape ``(dc,)`` or ``(dc, s)``.
+
+        One batched ``matmul`` of the ``(c, d, d)`` blocks with ``v`` viewed
+        as ``(c, d, s)`` — the preconditioner apply of every CG step.
+        """
 
         vb, single = self._reshape_vec(v)
-        out = get_backend().einsum("kij,kjs->kis", self.blocks, vb)
+        out = get_backend().xp.matmul(self.blocks, vb)
         out = out.reshape(self.num_blocks * self.block_size, -1)
         return out[:, 0] if single else out
 

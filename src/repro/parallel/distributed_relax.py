@@ -53,7 +53,7 @@ from repro.parallel.launcher import (
     validate_rank_devices,
 )
 from repro.parallel.partition import partition_pool
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 
 __all__ = [
     "DistributedRelaxResult",
@@ -205,7 +205,7 @@ def distributed_relax(
     """
 
     require(budget > 0, "budget must be positive")
-    require(num_ranks > 0, "num_ranks must be positive")
+    num_ranks = check_positive_int(num_ranks, "num_ranks")
     cfg = config or RelaxConfig(track_objective="none")
     require(
         cfg.track_objective != "exact",

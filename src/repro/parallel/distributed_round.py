@@ -55,7 +55,7 @@ from repro.parallel.launcher import (
     validate_rank_devices,
 )
 from repro.parallel.partition import partition_pool, pool_offsets
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 
 __all__ = [
     "DistributedRoundResult",
@@ -283,7 +283,7 @@ def distributed_round(
 
     require(budget > 0, "budget must be positive")
     require(eta > 0, "eta must be positive")
-    require(num_ranks > 0, "num_ranks must be positive")
+    num_ranks = check_positive_int(num_ranks, "num_ranks")
     cfg = config or RoundConfig(eta=eta)
     backend = get_backend()
 
@@ -343,7 +343,7 @@ def distributed_round_search(
     """
 
     require(budget > 0, "budget must be positive")
-    require(num_ranks > 0, "num_ranks must be positive")
+    num_ranks = check_positive_int(num_ranks, "num_ranks")
     cfg = config or RoundConfig()
     if eta_grid is None:
         eta_grid = default_eta_grid(dataset.joint_dimension)

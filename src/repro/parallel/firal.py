@@ -55,7 +55,7 @@ from repro.fisher.operators import FisherDataset
 from repro.parallel.distributed_relax import distributed_relax
 from repro.parallel.distributed_round import distributed_round, distributed_round_search
 from repro.parallel.launcher import TRANSPORTS
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 
 __all__ = ["DistributedApproxFIRAL"]
 
@@ -97,13 +97,13 @@ class DistributedApproxFIRAL(_FIRALBase):
         timeout: float = 120.0,
         fault_plan=None,
     ):
-        require(num_ranks > 0, "num_ranks must be positive")
+        num_ranks = check_positive_int(num_ranks, "num_ranks")
         require(transport in TRANSPORTS, f"unknown transport '{transport}'; use one of {TRANSPORTS}")
         relax_config = relax_config or RelaxConfig()
         if relax_config.track_objective != "none":
             relax_config = replace(relax_config, track_objective="none")
         super().__init__(relax_config, round_config)
-        self.num_ranks = int(num_ranks)
+        self.num_ranks = num_ranks
         self.transport = transport
         self.timeout = float(timeout)
         self.fault_plan = fault_plan

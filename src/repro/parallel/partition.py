@@ -19,7 +19,7 @@ import numpy as np  # host-side index bookkeeping only
 
 from repro.core.spmd import block_partition
 from repro.fisher.operators import FisherDataset
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 
 __all__ = [
     "block_partition",
@@ -93,7 +93,7 @@ def partition_pool(
     than re-balanced.
     """
 
-    require(num_ranks > 0, "num_ranks must be positive")
+    num_ranks = check_positive_int(num_ranks, "num_ranks")
     require(
         dataset.num_pool >= num_ranks,
         f"pool of {dataset.num_pool} points cannot be split over {num_ranks} ranks",

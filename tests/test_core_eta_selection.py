@@ -6,6 +6,7 @@ import pytest
 from repro.core.approx_round import approx_round, selected_batch_min_eigenvalue
 from repro.core.config import RoundConfig
 from repro.core.eta_selection import default_eta_grid, select_eta
+from repro.core.exact_round import ExactRoundPrecompute, exact_round
 from tests.conftest import make_fisher_dataset
 
 
@@ -65,3 +66,35 @@ class TestSelectEta:
     def test_negative_eta_rejected(self, dataset, z_relaxed):
         with pytest.raises(ValueError):
             select_eta(approx_round, dataset, z_relaxed, budget=3, eta_grid=(-1.0, 1.0))
+
+
+class TestGridTimings:
+    @pytest.mark.parametrize("solver", [approx_round, exact_round], ids=["approx", "exact"])
+    def test_timings_cover_every_trial(self, dataset, z_relaxed, solver):
+        """The returned timings add up the whole grid, not just the winner."""
+
+        trials = []
+
+        def recording(*args, **kwargs):
+            trials.append(solver(*args, **kwargs))
+            return trials[-1]
+
+        # A wrapped solver is not ``exact_round`` itself, so the dense
+        # precompute is passed in; the approximate one is built inside.
+        precompute = None
+        if solver is exact_round:
+            precompute = ExactRoundPrecompute.build(dataset, z_relaxed)
+        grid = (0.1, 1.0, 10.0)
+        result, score = select_eta(
+            recording, dataset, z_relaxed, budget=3, eta_grid=grid, precompute=precompute
+        )
+        assert len(trials) == len(grid)
+        for name in set().union(*(trial.timings.components for trial in trials)):
+            summed = sum(trial.timings.get(name) for trial in trials)
+            assert result.timings.get(name) >= summed - 1e-12, name
+        assert result.timings.get("setup") > 0
+        assert result.timings.get("eta_scoring") > 0
+        assert result.eta_score == score
+        if precompute is not None:
+            # One tally: the returned timings are the precompute's.
+            assert result.timings.as_dict() == precompute.timings.as_dict()

@@ -16,6 +16,7 @@ from repro.parallel.cluster import ScalingMeasurement, SimulatedCluster
 from repro.parallel.distributed_relax import distributed_relax
 from repro.parallel.distributed_round import distributed_round, distributed_round_search
 from repro.parallel.firal import DistributedApproxFIRAL
+from repro.parallel.partition import partition_pool
 from tests.conftest import make_fisher_dataset
 
 
@@ -204,6 +205,32 @@ class TestDistributedApproxFIRAL:
             DistributedApproxFIRAL(num_ranks=0)
         with pytest.raises(ValueError):
             DistributedApproxFIRAL(num_ranks=2, transport="mpi")
+
+    @pytest.mark.parametrize("num_ranks", [1.5, True, "2"])
+    @pytest.mark.parametrize(
+        "entry", ["selector", "relax", "round", "round_search", "partition"]
+    )
+    def test_non_integer_rank_count_rejected(self, dataset, z_relaxed, entry, num_ranks):
+        """A rank count is an integer: no truncation to one rank, no bare TypeError."""
+
+        calls = {
+            "selector": lambda: DistributedApproxFIRAL(num_ranks=num_ranks),
+            "relax": lambda: distributed_relax(
+                dataset, 6, num_ranks=num_ranks, config=relax_config()
+            ),
+            "round": lambda: distributed_round(dataset, z_relaxed, 3, 1.0, num_ranks=num_ranks),
+            "round_search": lambda: distributed_round_search(
+                dataset, z_relaxed, 3, eta_grid=(1.0,), num_ranks=num_ranks
+            ),
+            "partition": lambda: partition_pool(dataset, num_ranks),
+        }
+        with pytest.raises(ValueError, match="num_ranks"):
+            calls[entry]()
+
+    def test_numpy_integer_rank_count_accepted(self, dataset):
+        selector = DistributedApproxFIRAL(num_ranks=np.int64(2))
+        assert selector.num_ranks == 2 and type(selector.num_ranks) is int
+        assert len(partition_pool(dataset, np.int32(3))) == 3
 
 
 class TestSimulatedCluster:

@@ -111,10 +111,10 @@ class TestChunkedRoundSelection:
         )
         np.testing.assert_array_equal(base.selected_indices, chunked.selected_indices)
 
-    @pytest.mark.parametrize("chunk_size", [0, -1, 0.5, 13.7])
+    @pytest.mark.parametrize("chunk_size", [0, -1, 0.5, 13.7, True, "2"])
     def test_invalid_chunk_size_rejected(self, chunk_size):
-        """Non-positive and fractional chunk sizes fail fast instead of
-        silently truncating in the chunking arithmetic."""
+        """Non-positive, fractional, bool and string chunk sizes fail fast
+        instead of silently truncating in the chunking arithmetic."""
 
         with pytest.raises(ValueError, match="score_chunk_size"):
             RoundConfig(score_chunk_size=chunk_size)
