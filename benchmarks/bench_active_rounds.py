@@ -8,9 +8,9 @@ FIRAL rounds and measure what each round costs under
   *and* labeled probabilities, re-runs the full § IV-A η grid search
   (``len(eta_grid)`` ROUND solves), and RELAX restarts from the uniform
   simplex point; versus
-* the **session** engine fast path (``SessionConfig.fast()``): resident
-  promoted pool, and reuse of the previous round's winning η (one ROUND
-  solve per round after the first).
+* the **session** engine with η reuse (``SessionConfig(reuse_eta=True)``):
+  the previous round's winning η is reused (one ROUND solve per round after
+  the first).
 
 Both paths run Algorithm 2 as written every round: ``H_o`` under the
 current classifier, RELAX from the uniform point.
@@ -127,10 +127,9 @@ def run(
     prefilter: str = "none",
     prefilter_keep: float = 0.25,
     inject_fault: bool = False,
-    pin_shard_devices: bool = False,
 ) -> dict:
     problem = build_problem(shape["dataset"], scale=shape["scale"], seed=seed)
-    config = SessionConfig.fast() if mode == "session" else SessionConfig()
+    config = SessionConfig(reuse_eta=True) if mode == "session" else SessionConfig()
     chunks = None
     extra = {}
     config.prefilter = make_prefilter(prefilter, prefilter_keep)
@@ -143,19 +142,16 @@ def run(
             "replenished": int(sum(c[0].shape[0] for c in chunks)),
         }
     elif store == "sharded":
-        device_map = "auto" if pin_shard_devices else None
-        config.store = ShardedPointStore.factory(num_shards=SHARDED_RANKS, device_map=device_map)
+        config.store = ShardedPointStore.factory(num_shards=SHARDED_RANKS)
         config.parallel_ranks = SHARDED_RANKS
         extra["sharded"] = {
             "num_shards": SHARDED_RANKS,
             "transport": config.parallel_transport,
-            "device_map": device_map,
         }
     elif store == "mmap":
         # Out-of-core master: selections are pinned bit-identical to dense
         # (see tests/test_outofcore_stores.py); bench_outofcore.py isolates
-        # the peak-RSS story.  Promotion stays under the default budget at
-        # these shapes, so --mode session (resident pool) still runs.
+        # the peak-RSS story.
         config.store = MmapPointStore.factory()
         extra["mmap"] = {"chunk_rows": 2048}
     if inject_fault:
@@ -208,10 +204,7 @@ def run(
         eval_accuracy=[r.eval_accuracy for r in records],
         final_eval_accuracy=records[-1].eval_accuracy,
         selected_global_ids=[int(g) for g in session.store.labeled_ids[problem.initial_size:]],
-        session_config={
-            "reuse_eta": config.reuse_eta,
-            "resident_pool": config.resident_pool,
-        },
+        session_config={"reuse_eta": config.reuse_eta},
         **extra,
     )
 
@@ -222,7 +215,7 @@ def main() -> None:
         "--mode",
         choices=("legacy", "session"),
         default="session",
-        help="legacy = default (bit-identical) config; session = SessionConfig.fast()",
+        help="legacy = default (bit-identical) config; session = SessionConfig(reuse_eta=True)",
     )
     parser.add_argument("--label", default=None, help="suffix for the BENCH json filename")
     parser.add_argument("--tiny", action="store_true", help="CI-smoke shape (seconds, not minutes)")
@@ -233,13 +226,6 @@ def main() -> None:
         help="pool store backing the session (streaming replenishes a dense pool between rounds; "
         "sharded scatters 2-rank selection along shard ownership; mmap keeps the "
         "feature master on disk)",
-    )
-    parser.add_argument(
-        "--pin-shard-devices",
-        action="store_true",
-        help="with --store sharded: pin each shard's master and rank math to a "
-        "local device (round-robin over backend.local_devices(); on the NumPy "
-        "backend this is the identity placement)",
     )
     parser.add_argument(
         "--prefilter",
@@ -271,7 +257,6 @@ def main() -> None:
         prefilter=args.prefilter,
         prefilter_keep=args.prefilter_keep,
         inject_fault=args.inject_fault,
-        pin_shard_devices=args.pin_shard_devices,
     )
     name = "active_rounds"
     if args.tiny:

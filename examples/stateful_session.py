@@ -5,10 +5,10 @@ Demonstrates what the ``repro.engine`` layer adds over the one-shot
 
 * round-by-round control (``session.step()``) with per-round setup/selection
   timings,
-* the cross-round fast path (``SessionConfig.fast()``: value-exact resident
-  pool + reusing the previous round's winning η; every round still runs
-  Algorithm 2 as written, with ``H_o`` under the current classifier and
-  RELAX from the uniform point),
+* η reuse across rounds (``SessionConfig(reuse_eta=True)``: later rounds
+  reuse the previous round's winning η; every round still runs Algorithm 2
+  as written, with ``H_o`` under the current classifier and RELAX from the
+  uniform point),
 * checkpointing a long run to JSON and resuming the analysis offline.
 
 Run with:
@@ -40,7 +40,7 @@ def main() -> None:
         budget_per_round=10,
         num_rounds=4,
         seed=0,
-        config=SessionConfig.fast(),
+        config=SessionConfig(reuse_eta=True),
     )
     session.record_initial()
 

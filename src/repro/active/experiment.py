@@ -20,7 +20,7 @@ Since the session-engine refactor these functions are thin wrappers over
 round loop's state.  With the default (legacy-equivalent)
 :class:`~repro.engine.SessionConfig` the wrapper reproduces the historical
 driver bit-identically on the NumPy backend; passing a config (e.g.
-``SessionConfig.fast()``) opts into the cross-round optimizations.
+``SessionConfig(reuse_eta=True)``) opts into the cross-round options.
 """
 
 from __future__ import annotations

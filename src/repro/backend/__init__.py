@@ -36,7 +36,6 @@ from repro.backend.base import (
     DEFAULT_DTYPE,
     default_dtype,
     dtype_policy,
-    round_robin_device_map,
     set_default_dtype,
 )
 from repro.backend.numpy_backend import NumpyBackend
@@ -67,7 +66,6 @@ __all__ = [
     "get_array_module",
     "get_backend",
     "register_backend",
-    "round_robin_device_map",
     "set_backend",
     "set_default_dtype",
     "torch_available",

@@ -27,7 +27,7 @@ cycle so individual solvers never hand-roll ``astype(float64)`` chains.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_DTYPE",
     "default_dtype",
     "dtype_policy",
-    "round_robin_device_map",
     "set_default_dtype",
 ]
 
@@ -131,64 +130,6 @@ class ArrayBackend:
         """Device the backend allocates on (informational)."""
 
         return "cpu"
-
-    # ------------------------------------------------------------------ #
-    # device placement (multi-accelerator hooks)
-    # ------------------------------------------------------------------ #
-    # Host backends see exactly one device; accelerator backends override
-    # these so sharded stores and the distributed solvers can pin each
-    # shard/rank to its own device.  The defaults make every device-aware
-    # call site a no-op on NumPy, so the single-device paths stay untouched.
-
-    def local_devices(self) -> Sequence[str]:
-        """Devices this backend can place arrays on (``("cpu",)`` by default)."""
-
-        return (self.device,)
-
-    def device_count(self) -> int:
-        """Number of distinct placement targets (1 for host backends)."""
-
-        return len(self.local_devices())
-
-    def for_device(self, device: Optional[str]) -> "ArrayBackend":
-        """A backend allocating on ``device`` (``self`` when it already does).
-
-        Host backends only accept their own device; asking a NumPy backend
-        for ``"cuda:0"`` is a configuration error and raises immediately
-        instead of silently computing on the host.
-        """
-
-        if device is None or device == self.device:
-            return self
-        raise ValueError(
-            f"backend {self.name!r} cannot place arrays on device {device!r}; "
-            f"available devices: {tuple(self.local_devices())}"
-        )
-
-    def to_device(self, a: Array, device: Optional[str]) -> Array:
-        """Move ``a`` to ``device`` (identity on single-device backends)."""
-
-        if device is None or device == self.device:
-            return a
-        return self.for_device(device).asarray(a)
-
-    def device_of(self, a: Array) -> str:
-        """Device holding ``a`` (always ``"cpu"`` for host backends)."""
-
-        del a
-        return self.device
-
-    @contextmanager
-    def device_context(self, device: Optional[str]) -> Iterator[None]:
-        """Make ``device`` the thread's current allocation target.
-
-        No-op by default; the torch backend enters ``torch.cuda.device`` so a
-        rank thread pinned to ``cuda:K`` has every unindexed ``"cuda"``
-        allocation land on its own card (the one-thread-per-GPU pattern).
-        """
-
-        del device
-        yield
 
     @property
     def compute_dtype(self):
@@ -394,18 +335,3 @@ class ArrayBackend:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, device={self.device!r})"
 
-
-def round_robin_device_map(num_shards: int, backend: "ArrayBackend") -> tuple:
-    """Assign ``num_shards`` shards to ``backend``'s devices round-robin.
-
-    The § III-C placement rule ("evenly distribut[e] … across p GPUs")
-    applied to whatever the backend exposes: with ``k`` local devices, shard
-    ``i`` goes to device ``i % k``.  On single-device backends (NumPy, torch
-    CPU, one GPU) every shard maps to the same device, so the map degrades
-    to the existing behavior.
-    """
-
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    devices = tuple(backend.local_devices())
-    return tuple(devices[i % len(devices)] for i in range(num_shards))

@@ -16,9 +16,6 @@ same-named ``torch`` attribute.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Optional
-
 import numpy as np
 
 from repro.backend.base import Array, ArrayBackend
@@ -312,54 +309,12 @@ class TorchBackend(ArrayBackend):
                 f"torch backend requested device {device!r} but CUDA is not available"
             )
         self._device = device
-        self._per_device: dict = {}
         self.xp = TorchNamespace(device)
 
     # ------------------------------------------------------------------ #
     @property
     def device(self) -> str:
         return self._device
-
-    # ------------------------------------------------------------------ #
-    # device placement
-    # ------------------------------------------------------------------ #
-    def local_devices(self):
-        torch = _require_torch()
-        if self._device.startswith("cuda") and torch.cuda.is_available():
-            return tuple(f"cuda:{i}" for i in range(torch.cuda.device_count()))
-        return (self._device,)
-
-    def for_device(self, device: Optional[str]) -> "TorchBackend":
-        if device is None or device == self._device:
-            return self
-        if device not in self._per_device:
-            backend = TorchBackend(device)
-            backend._per_device = self._per_device
-            self._per_device[device] = backend
-        return self._per_device[device]
-
-    def to_device(self, a: Array, device: Optional[str]) -> Array:
-        if device is None:
-            return a
-        torch = _require_torch()
-        if isinstance(a, torch.Tensor):
-            return a if str(a.device) == device else a.to(device)
-        return self.for_device(device).asarray(a)
-
-    def device_of(self, a: Array) -> str:
-        torch = _require_torch()
-        if isinstance(a, torch.Tensor):
-            return str(a.device)
-        return "cpu"
-
-    @contextmanager
-    def device_context(self, device: Optional[str]):
-        torch = _require_torch()
-        if device is not None and device.startswith("cuda"):
-            with torch.cuda.device(device):
-                yield
-        else:
-            yield
 
     def native_dtype(self, dtype):
         return _torch_dtype(dtype)

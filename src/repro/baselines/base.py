@@ -24,7 +24,7 @@ wrapped by :func:`ensure_lifecycle` into a :class:`StatelessStrategyAdapter`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -152,24 +152,12 @@ class SelectionContext:
         forward.
     round_index:
         Optional 0-based round counter (session engine only).
-    prepared_fisher:
-        Optional pre-assembled Fisher dataset.  The session engine builds it
-        from session-resident (possibly device-resident) arrays — including a
-        cached/incremental ``B(H_o)`` — so :meth:`fisher_dataset` can return
-        it instead of re-deriving everything from the host views above.
     shard_offsets:
         Optional pool-view partition boundaries by owning shard (length
         ``num_shards + 1``), present when the session's store is sharded.
         Rows ``shard_offsets[r] : shard_offsets[r + 1]`` of the pool view
         belong to shard ``r``; multi-rank FIRAL selection scatters along
         these boundaries instead of re-balancing the pool every round.
-    shard_devices:
-        Optional per-shard device strings (one per shard of
-        ``shard_offsets``), present when the session's store pins each
-        shard's compute master to its own device.  Multi-rank FIRAL
-        selection forwards them so each rank promotes its shard on the
-        shard's device; absent (or on single-device backends) ranks use the
-        backend's primary device, the pre-pinning behavior.
     candidate_ids:
         Optional sorted stable ids of this round's **candidate set** — the
         subset of ``pool_ids`` that survived the session's
@@ -189,9 +177,7 @@ class SelectionContext:
     rng: np.random.Generator
     pool_ids: Optional[np.ndarray] = None
     round_index: Optional[int] = None
-    prepared_fisher: Optional[FisherDataset] = field(default=None, repr=False)
     shard_offsets: Optional[np.ndarray] = None
-    shard_devices: Optional[tuple] = None
     candidate_ids: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -221,13 +207,6 @@ class SelectionContext:
                 and int(self.shard_offsets[-1]) == self.pool_features.shape[0]
                 and bool(np.all(np.diff(self.shard_offsets) >= 0)),
                 "shard_offsets must partition the pool view",
-            )
-        if self.shard_devices is not None:
-            self.shard_devices = tuple(str(d) for d in self.shard_devices)
-            require(
-                self.shard_offsets is not None
-                and len(self.shard_devices) == self.shard_offsets.shape[0] - 1,
-                "shard_devices must name one device per shard of shard_offsets",
             )
         self._candidate_positions: Optional[np.ndarray] = None
         if self.candidate_ids is not None:
@@ -275,20 +254,13 @@ class SelectionContext:
     def fisher_dataset(self) -> FisherDataset:
         """Bundle the context into the Fisher container FIRAL consumes.
 
-        When the driver threaded in a :attr:`prepared_fisher` (the session
-        engine's resident-pool path), that instance is returned directly —
-        under a prefiltered session it is already restricted to the candidate
-        rows.  Otherwise the full ``(n, c)`` probability matrices are
-        converted to the paper's reduced ``(n, c-1)`` parameterization
-        (Eq. 1), which removes the softmax null space and keeps ``Sigma_z``
-        well conditioned; when :attr:`candidate_ids` is present, only the
-        candidate rows enter the pool side, so RELAX, the η grid search and
-        ROUND all run on the restricted dataset and their indices are
-        candidate-local.
+        The full ``(n, c)`` probability matrices are converted to the
+        paper's reduced ``(n, c-1)`` parameterization (Eq. 1), which removes
+        the softmax null space and keeps ``Sigma_z`` well conditioned; when
+        :attr:`candidate_ids` is present, only the candidate rows enter the
+        pool side, so RELAX, the η grid search and ROUND all run on the
+        restricted dataset and their indices are candidate-local.
         """
-
-        if self.prepared_fisher is not None:
-            return self.prepared_fisher
 
         from repro.models.softmax import reduced_probabilities
 
@@ -321,13 +293,6 @@ class SelectionStrategy(abc.ABC):
 
     #: whether repeated trials with different seeds give different selections
     is_stochastic: bool = False
-
-    #: whether :meth:`select` calls ``context.fisher_dataset()``.  Drivers use
-    #: this to skip pre-assembling Fisher inputs (promoted gathers, the
-    #: ``B(H_o)`` cache) for strategies that never read them; a strategy that
-    #: leaves it ``False`` and still calls ``fisher_dataset()`` just gets the
-    #: host-array fallback construction.
-    consumes_fisher: bool = False
 
     def begin_session(self, info: SessionInfo) -> None:
         """Lifecycle hook: a multi-round session is starting (no-op default)."""
@@ -376,7 +341,6 @@ class StatelessStrategyAdapter(SelectionStrategy):
         self.wrapped = strategy
         self.name = getattr(strategy, "name", type(strategy).__name__)
         self.is_stochastic = bool(getattr(strategy, "is_stochastic", False))
-        self.consumes_fisher = bool(getattr(strategy, "consumes_fisher", False))
 
     def select(self, context: SelectionContext) -> np.ndarray:
         return self._validate_selection(self.wrapped.select(context), context)
@@ -442,7 +406,6 @@ class FIRALStrategy(SelectionStrategy):
     """
 
     is_stochastic = False
-    consumes_fisher = True
 
     def __init__(self, selector):
         require(hasattr(selector, "select"), "selector must expose a select() method")
@@ -522,10 +485,10 @@ class FIRALStrategy(SelectionStrategy):
             ranks = self._distributed_selector.num_ranks
             while ranks > 1:
                 ranks -= 1
-                # A fresh selector carries no shard boundaries or device
-                # pins: the failed launch's assumed the old rank count, and
-                # the survivors take the balanced re-split (the same fallback
-                # an empty shard takes).
+                # A fresh selector carries no shard boundaries: the failed
+                # launch's assumed the old rank count, and the survivors take
+                # the balanced re-split (the same fallback an empty shard
+                # takes).
                 recovery = self._build_distributed_selector(ranks)
                 try:
                     result = recovery.select(dataset, context.budget, **kwargs)
@@ -573,11 +536,6 @@ class FIRALStrategy(SelectionStrategy):
             if offsets is not None and bool(np.any(np.diff(offsets) == 0)):
                 offsets = None
             selector.partition_offsets = offsets
-            # Device-pinned sharded store: each rank promotes its shard on
-            # the shard's own device.  The device map only makes sense
-            # together with the matching ownership scatter — when the
-            # offsets fell back to the balanced split, so does placement.
-            selector.rank_devices = context.shard_devices if offsets is not None else None
         result = self._select_with_recovery(selector, dataset, context, kwargs)
         self.last_result = result
         if reuse_eta:

@@ -103,6 +103,3 @@ class SelectionResult:
     @property
     def budget(self) -> int:
         return int(len(self.selected_indices))
-
-    def total_time(self) -> float:
-        return self.relax.timings.total() + self.round.timings.total()

@@ -13,14 +13,14 @@ wrapper over a session and reproduces its historical results
 bit-identically on the NumPy backend.
 
 Point storage is **pluggable** behind the :class:`PoolStore` protocol
-(stable global ids, mask membership, host/compute views, ``label()``, and
+(stable global ids, mask membership, host views, ``label()``, and
 ``extend()`` for pool-replenishment workloads):
 :class:`DensePointStore` is the monolithic in-memory store (the historical
 single-array behavior, bit-identical and test-pinned),
 :class:`ShardedPointStore` partitions the pool id range into per-rank
 contiguous shards feeding the distributed solvers' shard-aware scatter, and
-:class:`MmapPointStore` keeps the master on disk (chunked gathers, budgeted
-promotion, streamed scoring) for pools larger than host RAM — none of which
+:class:`MmapPointStore` keeps the master on disk (chunked gathers,
+streamed scoring) for pools larger than host RAM — none of which
 require strategy or solver changes (``SessionConfig.store`` selects the
 implementation).  A serving workload holds one long-lived session per model.
 

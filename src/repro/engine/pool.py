@@ -1,36 +1,29 @@
 """Stable-id point storage with mask-based pool membership.
 
 The legacy driver re-materialized the experiment state every round:
-``concatenate`` for the growing labeled set, a boolean-mask copy for the
-shrinking pool, and (under non-NumPy backends) a fresh host-to-device
-transfer of the whole pool per selection.  The **pool store** layer replaces
-that churn with one master array and bookkeeping over **stable global point
-ids**:
+``concatenate`` for the growing labeled set and a boolean-mask copy for the
+shrinking pool.  The **pool store** layer replaces that churn with one
+master array and bookkeeping over **stable global point ids**:
 
 * every point (initially labeled + pool) gets an id ``0..N-1`` once;
 * pool membership is a boolean mask over ids — labeling flips bits, nothing
   is copied or reindexed;
 * the labeled set is an id list in acquisition order, so views reproduce the
   legacy concatenation order bit-for-bit;
-* an optional backend-resident promoted copy of the master array serves the
-  Fisher solvers: per-round pool views become device-side gathers, so under
-  the torch backend the pool stays device-resident across rounds;
 * :meth:`PoolStore.extend` grows the pool between rounds under fresh ids
-  (the pool-refresh setting of Pinsler et al.) and promotes only the
-  appended rows onto a cached compute master.
+  (the pool-refresh setting of Pinsler et al.).
 
 :class:`PoolStore` is the protocol the session engine programs against —
-stable ids, mask membership, host/compute views, :meth:`~PoolStore.label`,
-growth, and the shard/budget members a session queries without probing —
-with all of the shared bookkeeping implemented once.  Three implementations
-ship with the engine:
+stable ids, mask membership, host views, :meth:`~PoolStore.label`, growth,
+and the shard offsets a session queries without probing — with all of the
+shared bookkeeping implemented once.  Three implementations ship with the
+engine:
 
 * :class:`DensePointStore` (this module) — one monolithic host master
   array, the pre-refactor behavior bit-for-bit;
 * :class:`~repro.engine.stores.ShardedPointStore` — the pool id range is
-  partitioned into per-rank contiguous shards with per-shard masks and
-  per-shard compute-master copies, feeding the distributed solvers'
-  shard-aware scatter;
+  partitioned into per-rank contiguous shards with per-shard masks, feeding
+  the distributed solvers' shard-aware scatter;
 * :class:`~repro.engine.stores.MmapPointStore` — the master lives on disk.
 
 Host views are materialized on demand (a gather per round — the classifier
@@ -44,10 +37,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import Array, get_backend
+from repro.backend import get_backend
 from repro.utils.validation import require
 
-__all__ = ["PoolStore", "DensePointStore", "gather_region_compute"]
+__all__ = ["PoolStore", "DensePointStore"]
 
 
 def _to_host(a) -> np.ndarray:
@@ -56,40 +49,6 @@ def _to_host(a) -> np.ndarray:
     if isinstance(a, np.ndarray):
         return a
     return get_backend().to_numpy(a)
-
-
-def gather_region_compute(backend, region_bounds: np.ndarray, ids: np.ndarray, region_gather):
-    """Gather promoted features for ``ids`` from contiguous per-region masters.
-
-    Routing core for a compute master split into contiguous global-id
-    regions (:class:`~repro.engine.stores.ShardedPointStore`'s per-shard
-    masters): each id is routed to its owning region via one
-    ``searchsorted`` over the ascending ``region_bounds`` (length
-    ``R + 1``), ``region_gather(region, local_ids)`` produces that region's
-    promoted rows **already on the backend's primary device**, and the
-    pieces are concatenated and reordered back to caller order — value-exact
-    relative to a single-master gather.
-
-    Returns ``None`` for empty ``ids`` so callers can supply their own empty
-    view.
-    """
-
-    region = np.searchsorted(region_bounds[1:-1], ids, side="right")
-    pieces, positions = [], []
-    for r in range(len(region_bounds) - 1):
-        sel = np.flatnonzero(region == r)
-        if sel.size == 0:
-            continue
-        local = ids[sel] - int(region_bounds[r])
-        pieces.append(region_gather(r, local))
-        positions.append(sel)
-    if not pieces:
-        return None
-    gathered = pieces[0] if len(pieces) == 1 else backend.xp.concatenate(pieces, axis=0)
-    order = np.concatenate(positions)
-    if bool(np.all(order[:-1] < order[1:])):  # already in caller order
-        return gathered
-    return gathered[backend.from_host(np.argsort(order, kind="stable"))]
 
 
 class PoolStore:
@@ -106,13 +65,11 @@ class PoolStore:
       :meth:`label` flips bits and appends to the acquisition-ordered
       labeled id list.
     * **Host views** — ``*_host`` methods gather host ndarrays for the
-      host-side classifier, in pool order / acquisition order.
-    * **Compute views** — :meth:`compute_features` gathers promoted
-      (compute-dtype, device-resident under torch) features from a cached
-      master copy; promotion is value-exact.
-    * **Session queries** — :attr:`num_shards`, :meth:`pool_shard_offsets`,
-      :meth:`shard_devices` and :meth:`check_promotion_budget` answer
-      ``None`` / no-op here; the stores they concern override them.
+      host-side classifier and the solvers, in pool order / acquisition
+      order.
+    * **Session queries** — :attr:`num_shards` and
+      :meth:`pool_shard_offsets` answer ``None`` here; the sharded store
+      overrides them.
 
     Parameters
     ----------
@@ -169,12 +126,6 @@ class PoolStore:
         self.in_pool[self.num_initial:] = True
         self._labeled_ids = list(range(self.num_initial))
         self._pool_ids_cache: Optional[np.ndarray] = None
-        # Backend-resident promoted master copy (built on demand).
-        self._compute_master: Optional[Array] = None
-        self._compute_backend = None
-        #: Cumulative count of master rows promoted to compute storage
-        #: (re-promotion after a backend switch counts again).
-        self.promoted_rows = 0
 
     @classmethod
     def from_problem(cls, problem, **kwargs) -> "PoolStore":
@@ -256,44 +207,12 @@ class PoolStore:
         return self.labels_host(self.labeled_ids)
 
     # ------------------------------------------------------------------ #
-    # backend-resident compute views
-    # ------------------------------------------------------------------ #
-    def compute_features(self, ids: np.ndarray) -> Array:
-        """Promoted (compute-dtype) features for ``ids``, gathered backend-side.
-
-        The master array is promoted/uploaded **once** per backend
-        (:meth:`extend` appends only the new rows to it); each call is then a
-        device-side gather instead of a fresh host conversion of the round's
-        pool — float promotion is value-exact, so views carry bit-identical
-        values to promoting the host view.
-        """
-
-        backend = get_backend()
-        if self._compute_master is None or self._compute_backend is not backend:
-            self._compute_master = backend.ascompute(self.features)
-            self._compute_backend = backend
-            self.promoted_rows += self.total_points
-        return self._compute_master[backend.from_host(np.asarray(ids, dtype=np.int64))]
-
-    # ------------------------------------------------------------------ #
     # session queries (answered by the stores they concern)
     # ------------------------------------------------------------------ #
     def pool_shard_offsets(self) -> Optional[np.ndarray]:
         """Pool-view partition by owning shard; ``None`` for an unsharded pool."""
 
         return None
-
-    def shard_devices(self, backend=None) -> Optional[tuple]:
-        """Per-shard device placement; ``None`` when no shard is pinned."""
-
-        return None
-
-    def check_promotion_budget(self, num_rows: int, what: str) -> None:
-        """Raise ``ValueError`` if promoting ``num_rows`` rows exceeds a budget.
-
-        ``what`` names the caller in the message.  In-RAM stores have no
-        budget, so this is a no-op here.
-        """
 
     # ------------------------------------------------------------------ #
     # growth
@@ -316,8 +235,7 @@ class PoolStore:
         before never change, so selections, labeled history and any per-id
         strategy state stay valid.  ``labels`` join the hidden oracle side
         of the store — they are only revealed when :meth:`label` selects the
-        points.  A cached compute master is kept and only the appended rows
-        are promoted onto it (:attr:`promoted_rows` counts them).
+        points.
         """
 
         new_f, new_y = self._check_extension(features, labels)
@@ -327,12 +245,6 @@ class PoolStore:
         self.total_points = int(self.features.shape[0])
         self.in_pool = np.concatenate([self.in_pool, np.ones(int(new_f.shape[0]), dtype=bool)])
         self._pool_ids_cache = None
-        if self._compute_master is not None:
-            backend = self._compute_backend
-            self._compute_master = backend.xp.concatenate(
-                [self._compute_master, backend.ascompute(new_f)], axis=0
-            )
-            self.promoted_rows += int(new_f.shape[0])
         return np.arange(old_total, self.total_points, dtype=np.int64)
 
     # ------------------------------------------------------------------ #

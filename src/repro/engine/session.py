@@ -6,8 +6,7 @@ of the legacy driver removed:
 
 * points live in a pluggable :class:`~repro.engine.pool.PoolStore` with
   stable global ids and mask-based pool membership — no per-round
-  ``concatenate`` / boolean-copy churn, and under the torch backend the
-  promoted pool stays device-resident across rounds.  The default
+  ``concatenate`` / boolean-copy churn.  The default
   :class:`~repro.engine.pool.DensePointStore` is the historical behavior;
   ``SessionConfig.store`` swaps in a
   :class:`~repro.engine.stores.ShardedPointStore` (per-rank id shards
@@ -89,13 +88,11 @@ joined before any other state moves.
 
 Numerics of the opt-in modes
 ----------------------------
-``resident_pool`` only changes *where* arrays live (promotion is
-value-exact), so selections are unchanged.  ``reuse_eta`` skips the η grid
-after round 1, so later rounds run with the first winner rather than a
-per-round re-search (η is a property of the problem scale and is stable in
-practice; the benchmark records both accuracy curves).  It is off by
-default, with the measurement documented in
-``benchmarks/bench_active_rounds.py``.
+``reuse_eta`` skips the η grid after round 1, so later rounds run with the
+first winner rather than a per-round re-search (η is a property of the
+problem scale and is stable in practice; the benchmark records both
+accuracy curves).  It is off by default, with the measurement documented
+in ``benchmarks/bench_active_rounds.py``.
 """
 
 from __future__ import annotations
@@ -114,10 +111,8 @@ from repro.active.results import ExperimentResult, RoundRecord
 from repro.baselines.base import LabelObservation, SelectionContext, SessionInfo, ensure_lifecycle
 from repro.engine.pool import DensePointStore, PoolStore
 from repro.engine.prefilter import CandidateFilter
-from repro.fisher.operators import FisherDataset
 from repro.models.logistic_regression import LogisticRegressionClassifier
 from repro.models.metrics import accuracy, class_balanced_accuracy
-from repro.models.softmax import reduced_probabilities
 from repro.utils.io import atomic_write_json, read_json
 from repro.utils.random import as_generator
 from repro.utils.validation import check_features, check_labels, check_positive_int, require
@@ -179,10 +174,6 @@ class SessionConfig:
         the previous round's winning FTRL learning rate η instead of
         re-running the § IV-A grid search every round — one ROUND solve per
         round instead of ``len(eta_grid)`` after the first.
-    resident_pool:
-        Keep one promoted (compute-dtype, device-resident under torch) copy
-        of the master feature array and build the Fisher inputs as
-        backend-side gathers from it.  Value-exact.
     parallel_ranks:
         Run FIRAL-style strategies' selection step (RELAX + ROUND) across
         this many ranks of the distributed solvers every round.  With
@@ -249,7 +240,6 @@ class SessionConfig:
     """
 
     reuse_eta: bool = False
-    resident_pool: bool = False
     parallel_ranks: Optional[int] = None
     parallel_transport: str = "simulated"
     store: Optional[Union[PoolStore, Callable[[ActiveLearningProblem], PoolStore]]] = None
@@ -258,14 +248,6 @@ class SessionConfig:
     fault_plan: Optional[object] = None
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[Union[str, pathlib.Path]] = None
-
-    @classmethod
-    def fast(cls) -> "SessionConfig":
-        """The recommended cross-round fast path: the mechanisms measured to
-        help end to end on the reference benchmark
-        (``benchmarks/bench_active_rounds.py``)."""
-
-        return cls(reuse_eta=True, resident_pool=True)
 
     def validate(self) -> "SessionConfig":
         """Check every field value and cross-field requirement in one place.
@@ -459,14 +441,6 @@ class ActiveSession:
                 int(num_shards) == int(self.config.parallel_ranks),
                 "a sharded store must have one shard per parallel rank",
             )
-        if self.config.resident_pool:
-            # resident_pool would densify an out-of-core master into compute
-            # memory every round — fail at construction with the store's own
-            # descriptive ValueError instead of silently defeating the mmap
-            # store's purpose.
-            self.store.check_promotion_budget(
-                self.store.total_points, "SessionConfig(resident_pool=True)"
-            )
         self.strategy.begin_session(
             SessionInfo(
                 num_classes=problem.num_classes,
@@ -539,30 +513,6 @@ class ActiveSession:
             ),
             selection_seconds=selection_seconds,
             setup_seconds=setup_seconds,
-        )
-
-    def _prepare_fisher(
-        self,
-        pool_ids: np.ndarray,
-        pool_features: np.ndarray,
-        pool_probabilities: np.ndarray,
-        labeled_features: np.ndarray,
-        labeled_probabilities: np.ndarray,
-    ) -> FisherDataset:
-        """Assemble the round's Fisher inputs from session-resident state."""
-
-        pool_reduced = reduced_probabilities(pool_probabilities)
-        labeled_reduced = reduced_probabilities(labeled_probabilities)
-        if self.config.resident_pool:
-            pool_f = self.store.compute_features(pool_ids)
-            labeled_f = self.store.compute_features(self.store.labeled_ids)
-        else:
-            pool_f, labeled_f = pool_features, labeled_features
-        return FisherDataset(
-            pool_features=pool_f,
-            pool_probabilities=pool_reduced,
-            labeled_features=labeled_f,
-            labeled_probabilities=labeled_reduced,
         )
 
     # ------------------------------------------------------------------ #
@@ -807,13 +757,9 @@ class ActiveSession:
         labeled_features = self.store.labeled_features_host()
         labeled_probabilities = self.classifier.predict_proba(labeled_features)
         # A sharded store publishes the round's ownership boundaries so
-        # multi-rank selection scatters along them — and, when its masters
-        # are device-pinned, the per-shard devices so each rank's compute
-        # view stays on its own accelerator.  Other stores answer None.
+        # multi-rank selection scatters along them; other stores answer None.
         shard_offsets = self.store.pool_shard_offsets()
-        shard_devices = self.store.shard_devices()
         candidate_ids = None
-        candidate_positions = None
         if cfg.prefilter is not None:
             # The prefilter sees the same round view a strategy would; its
             # RNG draws come first on the session's single stream, before the
@@ -829,35 +775,10 @@ class ActiveSession:
                 pool_ids=pool_ids,
                 round_index=self.round_index,
                 shard_offsets=shard_offsets,
-                shard_devices=shard_devices,
             )
             candidate_ids = np.asarray(
                 cfg.prefilter.select_candidates(filter_context, self.rng), dtype=np.int64
             )
-            candidate_positions = np.searchsorted(pool_ids, candidate_ids)
-        prepared = None
-        # Only pre-assemble Fisher inputs for strategies that will read them —
-        # the backend gathers are wasted on Random/Entropy/….
-        if cfg.resident_pool and getattr(self.strategy, "consumes_fisher", False):
-            if candidate_positions is None:
-                prepared = self._prepare_fisher(
-                    pool_ids,
-                    pool_features,
-                    pool_probabilities,
-                    labeled_features,
-                    labeled_probabilities,
-                )
-            else:
-                # Restrict the Fisher pool side to the candidate rows — the
-                # resident-pool path gathers only candidates from the device
-                # copy, so the whole prepared dataset is candidate-scale.
-                prepared = self._prepare_fisher(
-                    candidate_ids,
-                    pool_features[candidate_positions],
-                    pool_probabilities[candidate_positions],
-                    labeled_features,
-                    labeled_probabilities,
-                )
         context = SelectionContext(
             pool_features=pool_features,
             pool_probabilities=pool_probabilities,
@@ -867,9 +788,7 @@ class ActiveSession:
             rng=self.rng,
             pool_ids=pool_ids,
             round_index=self.round_index,
-            prepared_fisher=prepared,
             shard_offsets=shard_offsets,
-            shard_devices=shard_devices,
             candidate_ids=candidate_ids,
         )
         setup_seconds = time.perf_counter() - setup_start

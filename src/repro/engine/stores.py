@@ -7,20 +7,14 @@ the dense store cannot express:
   into ``num_shards`` **contiguous per-rank shards** (the § III-C layout:
   "evenly distribut[e] h_i and x_i of n points in X_u across p GPUs").  Pool
   membership is tracked per shard (each shard's mask is a view into the
-  global mask), compute-dtype master copies are kept **per shard** instead
-  of as one monolithic device allocation, and
-  :meth:`ShardedPointStore.pool_shard_offsets` exposes the current
-  pool-view partition so a ``SessionConfig.parallel_ranks`` session scatters
-  each rank its own shard (see ``partition_pool(offsets=...)``) instead of
-  re-splitting a freshly assembled full pool every round.  Under the torch
-  backend each shard's master can additionally be **pinned to its own
-  device** (``device_map="auto"`` round-robins over the local accelerators;
-  an explicit per-shard device list is also accepted), so gathers and
-  reorders run device-side and only selected rows are shipped to the host.
-  Shard ownership is fixed at construction, so a sharded pool cannot grow.
+  global mask), and :meth:`ShardedPointStore.pool_shard_offsets` exposes
+  the current pool-view partition so a ``SessionConfig.parallel_ranks``
+  session scatters each rank its own shard (see
+  ``partition_pool(offsets=...)``) instead of re-splitting a freshly
+  assembled full pool every round.  Shard ownership is fixed at
+  construction, so a sharded pool cannot grow.
 * :class:`MmapPointStore` — the master lives **on disk** as an
-  ``np.memmap``: host views gather chunk-wise, compute promotion is chunked
-  and bounded by an explicit ``promotion_budget_bytes``, and
+  ``np.memmap``: host views gather chunk-wise, and
   :meth:`MmapPointStore.stream_round_scores` streams the whole pool through
   ``fused_round_scores`` one block at a time so peak resident memory is
   O(chunk) instead of O(pool).  The file is self-describing (``.npy``
@@ -39,27 +33,19 @@ import json
 import os
 import tempfile
 import weakref
-from typing import List, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.backend import Array, COMPUTE_DTYPE, get_backend, round_robin_device_map
-from repro.engine.pool import PoolStore, _to_host, gather_region_compute
+from repro.backend import COMPUTE_DTYPE, get_backend
+from repro.engine.pool import PoolStore, _to_host
 from repro.parallel.partition import block_partition
 from repro.utils.validation import require
 
 __all__ = [
-    "DEFAULT_PROMOTION_BUDGET_BYTES",
     "MmapPointStore",
     "ShardedPointStore",
 ]
-
-#: Default cap on how many bytes :meth:`MmapPointStore.compute_features` may
-#: densify into resident compute memory.  An out-of-core store exists because
-#: the pool does *not* fit in RAM — silently promoting it all would defeat
-#: the point, so promotion beyond this budget raises unless the caller
-#: explicitly opts out with ``promotion_budget_bytes=None``.
-DEFAULT_PROMOTION_BUDGET_BYTES = 64 << 20
 
 
 class ShardedPointStore(PoolStore):
@@ -79,15 +65,6 @@ class ShardedPointStore(PoolStore):
         set in the distributed solvers.
     num_shards:
         Number of pool shards; each must be non-empty at construction.
-    device_map:
-        Where each shard's compute master lives. ``None`` (default) keeps
-        every master on the backend's primary device — the single-device
-        behavior, bit-identical on NumPy.  ``"auto"`` round-robins shards
-        over the backend's local devices (multi-GPU under
-        ``REPRO_BACKEND=torch:cuda``; degrades to the primary device on
-        single-device backends).  An explicit sequence of device strings
-        pins shard ``i`` to ``device_map[i]``.  The replicated initial
-        block always stays on the primary device.
     """
 
     kind = "sharded"
@@ -100,7 +77,6 @@ class ShardedPointStore(PoolStore):
         pool_labels,
         *,
         num_shards: int,
-        device_map: Optional[Union[str, Sequence[str]]] = None,
     ):
         super().__init__(initial_features, initial_labels, pool_features, pool_labels)
         require(num_shards > 0, "num_shards must be positive")
@@ -110,25 +86,12 @@ class ShardedPointStore(PoolStore):
             f"pool of {pool_total} points cannot be split over {num_shards} shards",
         )
         self.num_shards = int(num_shards)
-        if device_map is not None and not isinstance(device_map, str):
-            device_map = tuple(str(d) for d in device_map)
-            require(
-                len(device_map) == self.num_shards,
-                f"device_map lists {len(device_map)} devices for {self.num_shards} shards",
-            )
-        elif isinstance(device_map, str):
-            require(device_map == "auto", "device_map must be None, 'auto', or a device list")
-        self._device_map_spec = device_map
-        self._resolved_devices: Optional[tuple] = None
-        self._devices_backend = None
-        # Global-id boundaries of the compute regions: the initial labeled
-        # block, then one contiguous pool range per shard.
+        # Global-id boundaries: the initial labeled block, then one
+        # contiguous pool range per shard.
         bounds = [0, self.num_initial]
         for sl in block_partition(pool_total, self.num_shards):
             bounds.append(self.num_initial + sl.stop)
-        self._region_bounds = np.asarray(bounds, dtype=np.int64)
-        # Per-region promoted masters (built on demand, per backend).
-        self._region_masters: List[Optional[Array]] = [None] * (len(bounds) - 1)
+        self._id_bounds = np.asarray(bounds, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # shard views
@@ -137,7 +100,7 @@ class ShardedPointStore(PoolStore):
         """Global id range ``[lo, hi)`` owned by ``shard``."""
 
         require(0 <= shard < self.num_shards, "shard index out of range")
-        return int(self._region_bounds[shard + 1]), int(self._region_bounds[shard + 2])
+        return int(self._id_bounds[shard + 1]), int(self._id_bounds[shard + 2])
 
     def shard_mask(self, shard: int) -> np.ndarray:
         """Pool-membership mask of ``shard`` (a live view into the global mask)."""
@@ -171,86 +134,11 @@ class ShardedPointStore(PoolStore):
 
         return np.cumsum(np.concatenate([[0], self.shard_pool_sizes()]), dtype=np.int64)
 
-    # ------------------------------------------------------------------ #
-    # device placement
-    # ------------------------------------------------------------------ #
-    def shard_devices(self, backend=None) -> Optional[tuple]:
-        """Resolved per-shard device placement, or ``None`` when unpinned.
-
-        ``"auto"`` resolves against the active backend's local devices on
-        first use (and re-resolves on a backend switch); an explicit map is
-        validated against the backend — asking a NumPy backend for
-        ``"cuda:0"`` fails here, loudly, instead of at gather time.
-        """
-
-        if self._device_map_spec is None:
-            return None
-        backend = backend if backend is not None else get_backend()
-        if self._resolved_devices is None or self._devices_backend is not backend:
-            if self._device_map_spec == "auto":
-                resolved = round_robin_device_map(self.num_shards, backend)
-            else:
-                resolved = tuple(self._device_map_spec)
-                for device in resolved:
-                    backend.for_device(device)  # raises on unplaceable devices
-            self._resolved_devices = resolved
-            self._devices_backend = backend
-        return self._resolved_devices
-
-    def _region_backend(self, region: int, backend):
-        """Backend placing ``region``'s master (primary for the initial block)."""
-
-        devices = self.shard_devices(backend)
-        if devices is None or region == 0:
-            return backend
-        return backend.for_device(devices[region - 1])
-
-    # ------------------------------------------------------------------ #
-    # compute views: per-shard masters
-    # ------------------------------------------------------------------ #
-    def _region_master(self, region: int, backend) -> Array:
-        if self._region_masters[region] is None or self._compute_backend is not backend:
-            if self._compute_backend is not backend:
-                self._region_masters = [None] * len(self._region_masters)
-                self._compute_backend = backend
-            lo, hi = int(self._region_bounds[region]), int(self._region_bounds[region + 1])
-            self._region_masters[region] = self._region_backend(region, backend).ascompute(
-                self.features[lo:hi]
-            )
-        return self._region_masters[region]
-
-    def compute_features(self, ids: np.ndarray) -> Array:
-        """Promoted features for ``ids``, gathered from the per-shard masters.
-
-        No monolithic device copy of the whole master is ever made: each id
-        is routed to its owning region (the initial block or one shard), the
-        regions gather locally — device-side when the shard is pinned — and
-        only the gathered rows travel to the primary device for
-        concatenation.  Value-exact relative to a single-master gather.
-        """
-
-        backend = get_backend()
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        require(
-            bool(ids.size == 0 or (ids.min() >= 0 and ids.max() < self.total_points)),
-            "id out of range",
-        )
-
-        def gather(region: int, local: np.ndarray) -> Array:
-            region_backend = self._region_backend(region, backend)
-            piece = self._region_master(region, backend)[region_backend.from_host(local)]
-            return backend.to_device(piece, backend.device)
-
-        out = gather_region_compute(backend, self._region_bounds, ids, gather)
-        if out is None:
-            return backend.ascompute(self.features[:0])
-        return out
-
     def extend(self, features, labels) -> np.ndarray:
         """Refuse growth: shard ownership is fixed at construction.
 
         Appended ids would fall outside every shard's id range, so the
-        per-shard masks, masters and scatter offsets could not cover them.
+        per-shard masks and scatter offsets could not cover them.
         """
 
         raise ValueError("a sharded store cannot grow: shard ownership is fixed at construction")
@@ -275,11 +163,9 @@ class MmapPointStore(PoolStore):
     (``<path>.labels.npy``, ``<path>.meta.json``) so the store survives a
     process restart via :meth:`from_file`.
 
-    Host views gather in ``chunk_rows`` blocks; compute promotion is chunked
-    too and guarded by ``promotion_budget_bytes`` — promoting more than the
-    budget raises instead of silently densifying the out-of-core pool.  The
-    full-pool scoring path never densifies at all:
-    :meth:`stream_round_scores` (and the mapped master behind it,
+    Host views gather in ``chunk_rows`` blocks.  The full-pool scoring path
+    never densifies the pool: :meth:`stream_round_scores` (and the mapped
+    master behind it,
     :meth:`mapped_compute_features`) streams blocks from disk through
     ``fused_round_scores``, keeping peak resident memory O(chunk).
 
@@ -290,11 +176,7 @@ class MmapPointStore(PoolStore):
         that is removed when the store is garbage-collected; an explicit
         path persists and enables :meth:`from_file` reopening.
     chunk_rows:
-        Row block size for chunked gathers, promotion, spills and streamed
-        scoring.
-    promotion_budget_bytes:
-        Cap on resident compute-dtype bytes a single promotion may allocate
-        (default 64 MiB); ``None`` removes the guard.
+        Row block size for chunked gathers, spills and streamed scoring.
     advise_dontneed:
         When true, gathers and streamed scoring drop the mapped pages from
         the process after use (``madvise(MADV_DONTNEED)``), bounding RSS at
@@ -312,14 +194,10 @@ class MmapPointStore(PoolStore):
         *,
         path: Optional[str] = None,
         chunk_rows: int = 2048,
-        promotion_budget_bytes: Optional[int] = DEFAULT_PROMOTION_BUDGET_BYTES,
         advise_dontneed: bool = False,
     ):
         require(chunk_rows > 0, "chunk_rows must be positive")
         self._chunk_rows = int(chunk_rows)
-        self.promotion_budget_bytes = (
-            None if promotion_budget_bytes is None else int(promotion_budget_bytes)
-        )
         self.advise_dontneed = bool(advise_dontneed)
         self._owns_file = path is None
         self._path = self._new_temp_path() if path is None else os.fspath(path)
@@ -405,7 +283,6 @@ class MmapPointStore(PoolStore):
         *,
         path: Optional[str] = None,
         chunk_rows: int = 2048,
-        promotion_budget_bytes: Optional[int] = DEFAULT_PROMOTION_BUDGET_BYTES,
         advise_dontneed: bool = False,
     ) -> "MmapPointStore":
         """Build a store from one ``(features, labels)`` block.
@@ -427,7 +304,6 @@ class MmapPointStore(PoolStore):
             y[m0:],
             path=path,
             chunk_rows=chunk_rows,
-            promotion_budget_bytes=promotion_budget_bytes,
             advise_dontneed=advise_dontneed,
         )
 
@@ -440,7 +316,6 @@ class MmapPointStore(PoolStore):
         num_initial: int = 0,
         path: Optional[str] = None,
         chunk_rows: int = 2048,
-        promotion_budget_bytes: Optional[int] = DEFAULT_PROMOTION_BUDGET_BYTES,
         advise_dontneed: bool = False,
     ) -> "MmapPointStore":
         """Build a store from an iterator of ``(features, labels)`` blocks.
@@ -460,9 +335,6 @@ class MmapPointStore(PoolStore):
         require(0 <= int(num_initial) <= int(num_rows), "num_initial out of range")
         store = cls.__new__(cls)
         store._chunk_rows = int(chunk_rows)
-        store.promotion_budget_bytes = (
-            None if promotion_budget_bytes is None else int(promotion_budget_bytes)
-        )
         store.advise_dontneed = bool(advise_dontneed)
         store._owns_file = path is None
         store._path = cls._new_temp_path() if path is None else os.fspath(path)
@@ -510,7 +382,6 @@ class MmapPointStore(PoolStore):
         *,
         mode: str = "r+",
         chunk_rows: int = 2048,
-        promotion_budget_bytes: Optional[int] = DEFAULT_PROMOTION_BUDGET_BYTES,
         advise_dontneed: bool = False,
     ) -> "MmapPointStore":
         """Reopen a persisted store (e.g. after a process restart).
@@ -525,9 +396,6 @@ class MmapPointStore(PoolStore):
         require(chunk_rows > 0, "chunk_rows must be positive")
         store = cls.__new__(cls)
         store._chunk_rows = int(chunk_rows)
-        store.promotion_budget_bytes = (
-            None if promotion_budget_bytes is None else int(promotion_budget_bytes)
-        )
         store.advise_dontneed = bool(advise_dontneed)
         store._owns_file = False
         store._path = os.fspath(path)
@@ -561,51 +429,6 @@ class MmapPointStore(PoolStore):
         if self.advise_dontneed:
             self.release_mapped_pages()
         return out
-
-    # ------------------------------------------------------------------ #
-    # budgeted compute promotion
-    # ------------------------------------------------------------------ #
-    def promotion_cost_bytes(self, num_rows: int) -> int:
-        """Resident bytes a compute-dtype promotion of ``num_rows`` rows costs."""
-
-        return int(num_rows) * self.dimension * np.dtype(COMPUTE_DTYPE).itemsize
-
-    def check_promotion_budget(self, num_rows: int, what: str) -> None:
-        """Raise ``ValueError`` if promoting ``num_rows`` rows exceeds the budget."""
-
-        if self.promotion_budget_bytes is None:
-            return
-        needed = self.promotion_cost_bytes(num_rows)
-        if needed > self.promotion_budget_bytes:
-            raise ValueError(
-                f"{what} would densify {int(num_rows)} rows of the mmap-backed pool "
-                f"({needed / 2**20:.1f} MiB promoted to compute dtype), exceeding this "
-                f"store's promotion_budget_bytes={self.promotion_budget_bytes} "
-                f"({self.promotion_budget_bytes / 2**20:.1f} MiB). Raise the budget, "
-                "pass promotion_budget_bytes=None to allow densification, keep "
-                "resident_pool=False, or stream via mapped_compute_features() / "
-                "stream_round_scores() instead."
-            )
-
-    def compute_features(self, ids: np.ndarray) -> Array:
-        """Promoted features for ``ids`` — chunked gather, budget-guarded.
-
-        No full promoted master is ever cached (that is exactly the
-        densification an out-of-core store exists to avoid); each call
-        gathers and promotes just the requested rows, in ``chunk_rows``
-        blocks, and ships one compute-dtype array to the backend.
-        """
-
-        backend = get_backend()
-        ids_arr = np.asarray(ids, dtype=np.int64).ravel()
-        self.check_promotion_budget(int(ids_arr.size), "compute_features")
-        host = np.empty((int(ids_arr.size), self.dimension), dtype=COMPUTE_DTYPE)
-        for lo in range(0, int(ids_arr.size), self._chunk_rows):
-            hi = min(lo + self._chunk_rows, int(ids_arr.size))
-            host[lo:hi] = self.features[ids_arr[lo:hi]]
-        if self.advise_dontneed:
-            self.release_mapped_pages()
-        return backend.from_host(host)
 
     # ------------------------------------------------------------------ #
     # streamed full-pool scoring

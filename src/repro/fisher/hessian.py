@@ -94,8 +94,19 @@ def point_block_coefficients(H: Array) -> Array:
     diagonal of every Hessian.  Shape ``(n, c)``.
     """
 
-    H = check_probabilities(H)
-    return get_backend().ascompute(H * (1.0 - H))
+    return _block_coefficients(check_probabilities(H))
+
+
+def _block_coefficients(H: Array) -> Array:
+    """``H (1 - H)`` formed in the compute dtype.
+
+    ``H`` is promoted first, so float32 probabilities give the same
+    coefficients as the dense reference, which promotes before it
+    multiplies.
+    """
+
+    H = get_backend().ascompute(H)
+    return H * (1.0 - H)
 
 
 def block_diagonal_of_sum(
@@ -139,7 +150,7 @@ def weighted_block_diagonal(
 
     backend = get_backend()
     n = int(X.shape[0])
-    coeff = backend.ascompute(H * (1.0 - H))
+    coeff = _block_coefficients(H)
     if weights is not None:
         w = backend.ascompute(weights).ravel()
         require(tuple(w.shape) == (n,), "weights must have shape (n,)")

@@ -18,11 +18,10 @@ inter-GPU communication (§ III-C).  This package provides:
 * :mod:`repro.parallel.distributed_relax` / ``distributed_round`` — the
   rank programs (``relax_rank_main`` / ``round_rank_main`` /
   ``round_search_rank_main``) and transport-agnostic drivers for Algorithms
-  2 and 3 and the η grid search.  Each rank program enters its device,
-  builds its shard, runs the serial solver's loop from :mod:`repro.core`
-  with its communicator and reports: there is one SPMD loop per algorithm,
-  and the serial solvers are its one-rank case
-  (:data:`repro.core.spmd.ONE_RANK`).
+  2 and 3 and the η grid search.  Each rank program builds its shard, runs
+  the serial solver's loop from :mod:`repro.core` with its communicator and
+  reports: there is one SPMD loop per algorithm, and the serial solvers are
+  its one-rank case (:data:`repro.core.spmd.ONE_RANK`).
 * :mod:`repro.parallel.firal` — :class:`DistributedApproxFIRAL`, the full
   RELAX → η → ROUND selector over distributed solvers (what a session with
   ``SessionConfig.parallel_ranks`` runs).
@@ -41,7 +40,6 @@ from repro.parallel.comm import (
     CommError,
     CommProtocolError,
     CommunicationLog,
-    HostStagedComm,
     SharedMemoryComm,
     SimulatedComm,
     create_communicators,
@@ -74,7 +72,6 @@ __all__ = [
     "FaultInjectingComm",
     "FaultInjectingEntry",
     "FaultPlan",
-    "HostStagedComm",
     "InjectedFaultError",
     "RankFailedError",
     "SPMD_ATTEMPT_ENV",

@@ -56,7 +56,6 @@ __all__ = [
     "CommError",
     "CommProtocolError",
     "CommunicationLog",
-    "HostStagedComm",
     "SharedMemoryComm",
     "SimulatedComm",
     "create_communicators",
@@ -170,72 +169,6 @@ class Comm(Protocol):
     def argmax_allreduce(self, value: float, index: int) -> Tuple[int, int, float]: ...
 
     def barrier(self) -> None: ...
-
-
-class HostStagedComm:
-    """Comm adapter that stages collective payloads through the host.
-
-    Device-pinned rank mains keep their local math on their own accelerator,
-    but a simulated (thread-based) communicator would then try to stack
-    tensors living on *different* devices inside ``allreduce`` — an error
-    under torch.  This adapter converts each contribution to a host ndarray
-    before the collective and places the combined result back on the
-    wrapping rank's device, exactly what a CUDA-unaware MPI build does.  The
-    solvers' collectives are small (O(c·d²), never O(n)), so staging costs
-    little; under the NumPy backend every conversion is the identity, so a
-    host-staged run stays bit-identical to the unwrapped one.
-
-    ``argmax_allreduce`` (scalar pairs) and ``barrier`` pass through
-    untouched, as do the wrapped communicator's ``rank``/``size``/``log``.
-    """
-
-    def __init__(self, comm: "Comm", backend):
-        self._comm = comm
-        self._backend = backend
-
-    @property
-    def rank(self) -> int:
-        return self._comm.rank
-
-    @property
-    def size(self) -> int:
-        return self._comm.size
-
-    @property
-    def log(self) -> "CommunicationLog":
-        return self._comm.log
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HostStagedComm({self._comm!r})"
-
-    def _to_host(self, value) -> np.ndarray:
-        return np.ascontiguousarray(self._backend.to_numpy(value))
-
-    def _from_host(self, value):
-        if isinstance(value, np.ndarray):
-            return self._backend.asarray(value)
-        return value
-
-    def allreduce(self, value: Array, op: str = "sum") -> Array:
-        return self._from_host(self._comm.allreduce(self._to_host(value), op=op))
-
-    def allgather(self, value: Array) -> Array:
-        return self._from_host(self._comm.allgather(self._to_host(value)))
-
-    def bcast(self, value: Optional[Array] = None, root: int = 0) -> Array:
-        payload = None if value is None else self._to_host(value)
-        return self._from_host(self._comm.bcast(payload, root=root))
-
-    def argmax_allreduce(self, value: float, index: int) -> Tuple[int, int, float]:
-        return self._comm.argmax_allreduce(value, index)
-
-    def barrier(self) -> None:
-        self._comm.barrier()
-
-    def abort(self) -> None:
-        inner = getattr(self._comm, "abort", None)
-        if inner is not None:
-            inner()
 
 
 # --------------------------------------------------------------------- #

@@ -18,10 +18,10 @@ one-rank communicator — and follows the communication pattern of § III-C:
 * the gradient and the ``z`` update are purely local except for the simplex
   normalization (allreduces of scalars).
 
-:func:`relax_rank_main` enters the rank's device, builds its shard, runs the
-loop and reports.  :func:`distributed_relax` is the driver: it partitions
-the dataset, launches the rank program over the requested transport —
-threads (``transport="simulated"``) or real spawned processes
+:func:`relax_rank_main` builds the rank's shard, runs the loop and reports.
+:func:`distributed_relax` is the driver: it partitions the dataset, launches
+the rank program over the requested transport — threads
+(``transport="simulated"``) or real spawned processes
 (``transport="shared_memory"``) via :func:`repro.parallel.launcher.run_spmd`
 — and merges the per-rank outputs.  Per-rank compute seconds are measured
 for each component (collectives excluded) so the strong/weak scaling
@@ -33,7 +33,7 @@ its message size, with identical accounting on both transports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np  # host-side timing/bookkeeping only; array math uses the backend
 
@@ -45,12 +45,10 @@ from repro.fisher.operators import FisherDataset
 from repro.parallel.comm import Comm, CommunicationLog
 from repro.parallel.launcher import (
     collective_log,
-    enter_rank_device,
     merge_component_seconds,
     rank_shard,
     run_spmd,
     ship_array,
-    validate_rank_devices,
 )
 from repro.parallel.partition import partition_pool
 from repro.utils.validation import check_positive_int, require
@@ -110,9 +108,6 @@ class RelaxRankSpec:
     z0_local: Array
     budget: int
     config: RelaxConfig
-    #: Device the rank pins its shard and local math to (``devices=`` on the
-    #: driver); ``None`` keeps the backend's default placement.
-    device: Optional[str] = None
 
 
 @dataclass
@@ -128,17 +123,10 @@ class RelaxRankOutput:
 
 
 def relax_rank_main(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
-    """SPMD body of Algorithm 2 for one rank.
+    """SPMD body of Algorithm 2 for one rank."""
 
-    A pinned ``spec.device`` keeps the shard and all local math on that
-    device (collectives host-staged); on a host backend the pinned run is
-    bit-identical to the unpinned one.
-    """
-
-    with get_backend().device_context(spec.device):
-        comm, spec = enter_rank_device(comm, spec)
-        shard = rank_shard(spec)
-        result = relax_loop(comm, shard, spec.z0_local, int(spec.budget), spec.config)
+    shard = rank_shard(spec)
+    result = relax_loop(comm, shard, spec.z0_local, int(spec.budget), spec.config)
     return RelaxRankOutput(
         rank=comm.rank,
         weights=result.weights,
@@ -178,7 +166,6 @@ def distributed_relax(
     timeout: float = 120.0,
     offsets: Optional[np.ndarray] = None,
     fault_plan=None,
-    devices: Optional[Sequence[str]] = None,
 ) -> DistributedRelaxResult:
     """Run Algorithm 2 over ``num_ranks`` ranks of the chosen transport.
 
@@ -187,10 +174,7 @@ def distributed_relax(
     :func:`repro.parallel.partition.partition_pool`.  ``fault_plan`` wraps
     every rank's communicator in a
     :class:`~repro.parallel.faults.FaultInjectingComm` firing the plan — the
-    chaos-testing hook the recovery tests and benchmarks use.  ``devices``
-    pins each rank's shard and local math to the named device (one entry
-    per rank); collectives are then staged through the host, and on host
-    backends the pinned run is bit-identical to the unpinned one.
+    chaos-testing hook the recovery tests and benchmarks use.
 
     Runs the loop of :func:`repro.core.approx_relax.approx_relax`, so the
     result equals the serial solver's up to reduction order, and at one rank
@@ -212,7 +196,6 @@ def distributed_relax(
         "distributed_relax cannot track the exact objective; use 'estimate' or 'none'",
     )
     backend = get_backend()
-    devices = validate_rank_devices(devices, num_ranks)
 
     shards = partition_pool(dataset, num_ranks, offsets=offsets)
     z0 = initial_simplex_iterate(dataset.num_pool, initial_weights)
@@ -229,7 +212,6 @@ def distributed_relax(
                 z0_local=ship_array(backend, z0[start:stop], transport),
                 budget=int(budget),
                 config=cfg,
-                device=None if devices is None else devices[len(specs)],
             )
         )
         start = stop

@@ -19,9 +19,9 @@ shard offsets, and :func:`repro.core.eta_selection.select_eta` for the
 :func:`round_rank_main` selects at one η; :func:`round_search_rank_main`
 runs the whole grid in one launch — the setup once, then every trial plus
 its score (each rank's block-Hessian partial of the selected points it
-owns, one ``MPI_Allreduce`` of ``c d^2`` floats per trial).  Both enter the
-rank's device, build the shard, call the loop and report the precompute's
-timings: the setup, every trial and the scoring, collectives excluded.
+owns, one ``MPI_Allreduce`` of ``c d^2`` floats per trial).  Both build
+the rank's shard, call the loop and report the precompute's timings: the
+setup, every trial and the scoring, collectives excluded.
 
 :func:`distributed_round` / :func:`distributed_round_search` are the
 drivers: they partition the dataset (balanced by default, or along a
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np  # host-side timing/offset bookkeeping only
 
@@ -47,12 +47,10 @@ from repro.fisher.operators import FisherDataset
 from repro.parallel.comm import Comm, CommunicationLog
 from repro.parallel.launcher import (
     collective_log,
-    enter_rank_device,
     merge_component_seconds,
     rank_shard,
     run_spmd,
     ship_array,
-    validate_rank_devices,
 )
 from repro.parallel.partition import partition_pool, pool_offsets
 from repro.utils.validation import check_positive_int, require
@@ -112,9 +110,6 @@ class RoundRankSpec:
     eta: float
     config: RoundConfig
     eta_grid: Optional[Tuple[float, ...]] = None
-    #: Device the rank pins its shard and local math to (``devices=`` on the
-    #: drivers); ``None`` keeps the backend's default placement.
-    device: Optional[str] = None
 
 
 @dataclass
@@ -148,13 +143,11 @@ def _rank_precompute(comm: Comm, spec: RoundRankSpec):
 def round_rank_main(comm: Comm, spec: RoundRankSpec) -> RoundRankOutput:
     """SPMD body of Algorithm 3 for one rank, at the spec's fixed η."""
 
-    with get_backend().device_context(spec.device):
-        comm, spec = enter_rank_device(comm, spec)
-        shard, precompute = _rank_precompute(comm, spec)
-        result = approx_round(
-            shard, spec.z_local, int(spec.budget), float(spec.eta), spec.config,
-            precompute=precompute,
-        )
+    shard, precompute = _rank_precompute(comm, spec)
+    result = approx_round(
+        shard, spec.z_local, int(spec.budget), float(spec.eta), spec.config,
+        precompute=precompute,
+    )
     return RoundRankOutput(
         rank=comm.rank,
         selected_indices=result.selected_indices,
@@ -172,13 +165,11 @@ def round_search_rank_main(comm: Comm, spec: RoundRankSpec) -> RoundSearchRankOu
     grid entry).
     """
 
-    with get_backend().device_context(spec.device):
-        comm, spec = enter_rank_device(comm, spec)
-        shard, precompute = _rank_precompute(comm, spec)
-        result, score = select_eta(
-            approx_round, shard, spec.z_local, int(spec.budget),
-            eta_grid=spec.eta_grid, config=spec.config, precompute=precompute,
-        )
+    shard, precompute = _rank_precompute(comm, spec)
+    result, score = select_eta(
+        approx_round, shard, spec.z_local, int(spec.budget),
+        eta_grid=spec.eta_grid, config=spec.config, precompute=precompute,
+    )
     return RoundSearchRankOutput(
         rank=comm.rank,
         selected_indices=result.selected_indices,
@@ -222,12 +213,10 @@ def _build_rank_specs(
     transport: str,
     offsets: Optional[np.ndarray],
     eta_grid: Optional[Tuple[float, ...]] = None,
-    devices: Optional[Sequence[str]] = None,
 ) -> List[RoundRankSpec]:
     """Partition the pool and assemble one picklable spec per rank."""
 
     backend = get_backend()
-    devices = validate_rank_devices(devices, num_ranks)
     shards = partition_pool(dataset, num_ranks, offsets=offsets)
     offsets = pool_offsets(dataset.num_pool, num_ranks, offsets)
     specs = []
@@ -245,7 +234,6 @@ def _build_rank_specs(
                 eta=float(eta),
                 config=cfg,
                 eta_grid=eta_grid,
-                device=None if devices is None else devices[rank],
             )
         )
     return specs
@@ -265,7 +253,6 @@ def distributed_round(
     timeout: float = 120.0,
     offsets: Optional[np.ndarray] = None,
     fault_plan=None,
-    devices: Optional[Sequence[str]] = None,
 ) -> DistributedRoundResult:
     """Run Algorithm 3 over ``num_ranks`` ranks of the chosen transport.
 
@@ -274,11 +261,7 @@ def distributed_round(
     the collective-communication pattern; ties in the global argmax resolve
     to the lowest rank on every transport (MPI ``MAXLOC`` semantics).
     ``offsets`` overrides the balanced pool split with explicit shard
-    boundaries (a sharded pool store's ownership table).  ``devices`` pins
-    each rank's shard and local math to the named device (one entry per
-    rank, e.g. ``round_robin_device_map``'s output); collectives are then
-    staged through the host, and on host backends the pinned run is
-    bit-identical to the unpinned one.
+    boundaries (a sharded pool store's ownership table).
     """
 
     require(budget > 0, "budget must be positive")
@@ -291,7 +274,7 @@ def distributed_round(
     require(tuple(z_relaxed.shape) == (dataset.num_pool,), "z_relaxed must match the pool size")
 
     specs = _build_rank_specs(
-        dataset, z_relaxed, budget, eta, cfg, num_ranks, transport, offsets, devices=devices
+        dataset, z_relaxed, budget, eta, cfg, num_ranks, transport, offsets
     )
     outputs = run_spmd(
         _wrap_entry(round_rank_main, fault_plan),
@@ -328,7 +311,6 @@ def distributed_round_search(
     timeout: float = 120.0,
     offsets: Optional[np.ndarray] = None,
     fault_plan=None,
-    devices: Optional[Sequence[str]] = None,
 ) -> Tuple[DistributedRoundResult, float]:
     """Run the § IV-A η grid search inside **one** ``run_spmd`` launch.
 
@@ -357,7 +339,7 @@ def distributed_round_search(
 
     specs = _build_rank_specs(
         dataset, z_relaxed, budget, grid[0], cfg, num_ranks, transport, offsets,
-        eta_grid=grid, devices=devices,
+        eta_grid=grid,
     )
     outputs = run_spmd(
         _wrap_entry(round_search_rank_main, fault_plan),

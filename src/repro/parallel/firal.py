@@ -112,11 +112,6 @@ class DistributedApproxFIRAL(_FIRALBase):
         #: ``SelectionContext.shard_offsets``); ``None`` means the balanced
         #: default split.
         self.partition_offsets: Optional[np.ndarray] = None
-        #: Per-rank device pins for the next ``select`` call (set per round
-        #: by ``FIRALStrategy`` from ``SelectionContext.shard_devices``, i.e.
-        #: a device-pinned sharded store's placement map); ``None`` leaves
-        #: placement to the backend.
-        self.rank_devices: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # _FIRALBase hooks
@@ -131,7 +126,6 @@ class DistributedApproxFIRAL(_FIRALBase):
             timeout=self.timeout,
             offsets=self.partition_offsets,
             fault_plan=self.fault_plan,
-            devices=self.rank_devices,
         )
 
     def _round_solver_call(self, dataset, z_relaxed, budget, eta, config):
@@ -148,7 +142,6 @@ class DistributedApproxFIRAL(_FIRALBase):
             timeout=self.timeout,
             offsets=self.partition_offsets,
             fault_plan=self.fault_plan,
-            devices=self.rank_devices,
         )
 
     def _round(self, dataset: FisherDataset, weights: Array, budget: int, eta: float):
@@ -166,5 +159,4 @@ class DistributedApproxFIRAL(_FIRALBase):
             timeout=self.timeout,
             offsets=self.partition_offsets,
             fault_plan=self.fault_plan,
-            devices=self.rank_devices,
         )

@@ -35,14 +35,12 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.fisher.operators import FisherDataset
 from repro.parallel.comm import (
     Comm,
     CommAbortedError,
     CommError,
     CommunicationLog,
-    HostStagedComm,
     SharedMemoryComm,
     SimulatedComm,
     _HEADER_BYTES,
@@ -55,12 +53,10 @@ __all__ = [
     "SPMD_ATTEMPT_ENV",
     "TRANSPORTS",
     "collective_log",
-    "enter_rank_device",
     "merge_component_seconds",
     "rank_shard",
     "run_spmd",
     "ship_array",
-    "validate_rank_devices",
 ]
 
 TRANSPORTS = ("simulated", "shared_memory")
@@ -119,60 +115,6 @@ def ship_array(backend, array, transport: str):
     if transport == "shared_memory":
         return np.ascontiguousarray(backend.to_numpy(array))
     return array
-
-
-#: Array fields of the rank specs that :func:`enter_rank_device` moves onto
-#: the rank's pinned device (missing/None fields are skipped, so one list
-#: serves both the RELAX and ROUND specs).
-_RANK_SPEC_ARRAY_FIELDS = (
-    "pool_features",
-    "pool_probabilities",
-    "labeled_features",
-    "labeled_probabilities",
-    "z_local",
-    "z0_local",
-)
-
-
-def validate_rank_devices(devices: Optional[Sequence[str]], num_ranks: int):
-    """Normalize a per-rank device list: ``None`` or exactly one str per rank."""
-
-    if devices is None:
-        return None
-    devices = tuple(str(d) for d in devices)
-    require(
-        len(devices) == num_ranks,
-        f"devices must name one device per rank (got {len(devices)} for {num_ranks} ranks)",
-    )
-    return devices
-
-
-def enter_rank_device(comm: Comm, spec):
-    """Pin a rank body to ``spec.device``: staged comm + device-local shard.
-
-    Returns ``(comm, spec)`` unchanged when the spec is unpinned.  When
-    pinned, the rank's collective traffic is staged through the host
-    (:class:`~repro.parallel.comm.HostStagedComm` — cross-device stacking
-    never reaches the transport) and the spec's shard arrays are moved to
-    the rank's device so every downstream promotion/gather stays
-    device-local.  On a host backend (``device == "cpu"``) both steps are
-    exact identities, which is what makes the pinned path testable without
-    an accelerator.  Callers run the returned pair inside
-    ``backend.device_context(spec.device)`` so unindexed allocations follow
-    the rank's card.
-    """
-
-    if getattr(spec, "device", None) is None:
-        return comm, spec
-    from dataclasses import replace
-
-    backend = get_backend()
-    moved = {}
-    for name in _RANK_SPEC_ARRAY_FIELDS:
-        value = getattr(spec, name, None)
-        if value is not None:
-            moved[name] = backend.to_device(value, spec.device)
-    return HostStagedComm(comm, backend), replace(spec, **moved)
 
 
 def rank_shard(spec) -> FisherDataset:

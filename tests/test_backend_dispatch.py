@@ -34,6 +34,7 @@ from repro.backend import (
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
 from repro.linalg.cg import conjugate_gradient
+from repro.parallel.distributed_relax import distributed_relax
 from tests.conftest import make_fisher_dataset
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -282,4 +283,22 @@ class TestTorchBackendSmoke:
         np.testing.assert_array_equal(
             np.asarray(torch_result.selected_indices),
             np.asarray(numpy_result.selected_indices),
+        )
+
+    def test_two_rank_relax_matches_numpy(self):
+        """The rank programs run on tensors over the simulated comm."""
+
+        config = RelaxConfig(max_iterations=3, track_objective="none", seed=11)
+        dataset_args = dict(seed=30, num_pool=24, num_labeled=6, dimension=4, num_classes=3)
+        numpy_result = distributed_relax(
+            make_fisher_dataset(**dataset_args), 4, num_ranks=2, config=config
+        )
+        with use_backend("torch") as backend:
+            torch_result = distributed_relax(
+                make_fisher_dataset(**dataset_args), 4, num_ranks=2, config=config
+            )
+            torch_weights = backend.to_numpy(torch_result.weights)
+        assert torch_result.cg_iterations == numpy_result.cg_iterations
+        np.testing.assert_allclose(
+            torch_weights, np.asarray(numpy_result.weights), rtol=1e-12, atol=1e-15
         )

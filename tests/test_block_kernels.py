@@ -89,8 +89,22 @@ def test_block_diagonal_matches_dense_and_einsum(p):
     dense = BlockDiagonalMatrix.from_dense(sum_hessian_dense(X, H, weights=weights), c)
     assert_within(blocks.blocks, dense.blocks, bound, tol)
 
+    # Float32 inputs are promoted before h (1 - h) is formed, as the dense
+    # form promotes them, so a float64 result meets the float64 bound.
+    X32, H32 = X.astype(np.float32), H.astype(np.float32)
+    X32_64, H32_64 = X32.astype(np.float64), H32.astype(np.float64)
+    terms32 = np.abs(w)[:, None] * (H32_64 + H32_64 * H32_64)
+    bound32 = np.einsum("ik,id,ie->kde", terms32, np.abs(X32_64), np.abs(X32_64))
+    dense32 = BlockDiagonalMatrix.from_dense(sum_hessian_dense(X32, H32, weights=weights), c)
+    assert_within(
+        weighted_block_diagonal(X32, H32, weights).blocks,
+        dense32.blocks,
+        bound32,
+        tolerance(np.float64, n),
+    )
+
     # The einsum this kernel replaced, on the same coefficients.
-    coeff = (H * (1.0 - H)).astype(np.float64)
+    coeff = H64 * (1.0 - H64)
     if weights is not None:
         coeff = coeff * weights[:, None]
     reference = np.einsum("ik,id,ie->kde", coeff, X64, X64, optimize=True)

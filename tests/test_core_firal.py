@@ -32,7 +32,8 @@ class TestApproxFIRAL:
         assert result.relax.weights.shape == (dataset.num_pool,)
         assert result.round.eta == 1.0
         assert result.metadata["method"] == "approx-firal"
-        assert result.total_time() > 0
+        assert result.relax.timings.total() > 0
+        assert result.round.timings.total() > 0
 
     def test_eta_grid_search_used_when_eta_none(self, dataset):
         selector = ApproxFIRAL(fast_relax_config(), RoundConfig(eta=None, eta_grid=(0.5, 2.0)))

@@ -292,16 +292,14 @@ class TestIdentityPinning:
         assert curve == base_curve
         np.testing.assert_array_equal(ids, base_ids)
 
-    def test_fast_config_identity(self, problem):
-        """Keep-everything is also the identity on the prepared-Fisher path."""
+    def test_reuse_eta_identity(self, problem):
+        """Keep-everything is also the identity with η reuse on."""
 
-        base = _run(
-            problem, _approx_firal_strategy(), SessionConfig(reuse_eta=True, resident_pool=True)
-        )
+        base = _run(problem, _approx_firal_strategy(), SessionConfig(reuse_eta=True))
         filtered = _run(
             problem,
             _approx_firal_strategy(),
-            SessionConfig(reuse_eta=True, resident_pool=True, prefilter=RandomSubsampleFilter(1.0)),
+            SessionConfig(reuse_eta=True, prefilter=RandomSubsampleFilter(1.0)),
         )
         assert filtered[0] == base[0]
         np.testing.assert_array_equal(filtered[1], base[1])

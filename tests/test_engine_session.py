@@ -10,7 +10,7 @@ against.
 
 Also covered here: the strategy lifecycle protocol (``begin_session`` /
 ``observe_labels``, the stateless adapter), the ``DensePointStore`` bookkeeping,
-and the value-exact ``resident_pool`` mode, serial and over ranks.
+and multi-rank sessions.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.core.firal import ApproxFIRAL, ExactFIRAL
 from repro.datasets.registry import build_problem
 from repro.engine.pool import DensePointStore
 from repro.engine.session import ActiveSession, SessionConfig
-from repro.engine.stores import ShardedPointStore
 from repro.models.logistic_regression import LogisticRegressionClassifier
 from repro.models.metrics import accuracy, class_balanced_accuracy
 from repro.utils.random import as_generator
@@ -212,23 +211,6 @@ class TestLegacyEquivalence:
         )
         _assert_curves_identical(legacy_result, wrapper_result)
 
-    def test_resident_pool_is_value_exact(self, problem):
-        """resident_pool only moves arrays (promotion is exact): same bits."""
-
-        base = ActiveSession(
-            problem, _approx_firal_strategy(), budget_per_round=4, num_rounds=3, seed=1
-        ).run(3)
-        resident = ActiveSession(
-            problem,
-            _approx_firal_strategy(),
-            budget_per_round=4,
-            num_rounds=3,
-            seed=1,
-            config=SessionConfig(resident_pool=True),
-        )
-        resident_result = resident.run(3)
-        _assert_curves_identical(base, resident_result)
-
 
 class TestSessionAPI:
     def test_step_returns_records_and_advances(self, problem):
@@ -372,10 +354,6 @@ class TestEtaReuse:
         assert strategy._previous_eta is None
         assert strategy.last_result.round.eta_score is not None
 
-    def test_fast_config_enables_reuse_and_residency(self):
-        cfg = SessionConfig.fast()
-        assert cfg.reuse_eta and cfg.resident_pool
-
 
 class TestPointStore:
     def test_ids_and_views(self):
@@ -414,18 +392,6 @@ class TestPointStore:
             store.label(np.array([3]))
         with pytest.raises(ValueError):
             store.label(np.array([0, 0]))
-
-    def test_compute_features_matches_host_values(self):
-        store = DensePointStore(
-            np.zeros((1, 3)),
-            np.array([0]),
-            np.random.default_rng(0).standard_normal((4, 3)).astype(np.float32),
-            np.zeros(4, dtype=np.int64),
-        )
-        view = store.compute_features(store.pool_ids)
-        np.testing.assert_array_equal(
-            np.asarray(view, dtype=np.float64), store.pool_features_host().astype(np.float64)
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -482,20 +448,6 @@ class TestParallelSession:
         )
         assert parallel_curve == serial_curve
         np.testing.assert_array_equal(parallel_ids, serial_ids)
-
-    def test_resident_pool_over_ranks_is_value_exact(self, problem):
-        """resident_pool over 2 simulated ranks of a sharded store selects
-        bit-identically to the same session without resident_pool."""
-
-        def config(**kwargs):
-            return SessionConfig(
-                store=ShardedPointStore.factory(num_shards=2), parallel_ranks=2, **kwargs
-            )
-
-        plain_curve, plain_ids = _run_session(problem, config())
-        resident_curve, resident_ids = _run_session(problem, config(resident_pool=True))
-        assert resident_curve == plain_curve
-        np.testing.assert_array_equal(resident_ids, plain_ids)
 
     def test_parallel_ranks_rejects_exact_firal(self, problem):
         """Exact-FIRAL has no distributed formulation; fail at session start."""

@@ -13,6 +13,9 @@ The contract of the store refactor:
   end-to-end: ids stay stable across ``extend()``, replenished points are
   selectable, malformed batches are rejected before they reach the pool,
   and a FIRAL session keeps selecting across replenishment rounds;
+* every flavor (dense, sharded, mmap) answers host views, ``label()``,
+  ``provide_labels()`` and ``restore_membership()`` from the arrays it was
+  built from;
 * the in-rank η grid search (``distributed_round_search``) matches the
   serial ``select_eta`` winner inside a single SPMD launch.
 """
@@ -32,7 +35,7 @@ from repro.core.approx_relax import approx_relax
 from repro.core.firal import ApproxFIRAL
 from repro.engine import ActiveSession, SessionConfig
 from repro.engine.pool import DensePointStore
-from repro.engine.stores import ShardedPointStore
+from repro.engine.stores import MmapPointStore, ShardedPointStore
 from repro.models.softmax import reduced_probabilities
 from repro.parallel.distributed_round import distributed_round_search
 from repro.parallel.firal import DistributedApproxFIRAL
@@ -169,14 +172,6 @@ class TestShardedPointStore:
         # Shard masks are live views into the global mask.
         assert not store.shard_mask(0)[0]
 
-    def test_compute_features_matches_host(self):
-        store = self._store(num_shards=3)
-        store.label(np.array([1, 5]))
-        backend = get_backend()
-        for ids in (store.pool_ids, store.labeled_ids, np.array([12, 0, 7, 4])):
-            view = backend.to_numpy(store.compute_features(ids))
-            np.testing.assert_array_equal(view, store.features[ids].astype(np.float64))
-
     def test_too_many_shards_rejected(self):
         with pytest.raises(ValueError):
             self._store(num_shards=11)
@@ -240,8 +235,9 @@ class TestShardedPointStore:
         )
 
     def test_empty_shard_falls_back_to_balanced_split(self, problem):
-        """A shard that ran dry cannot be a rank; the round re-balances
-        instead of crashing the session."""
+        """Shard offsets reach the multi-rank selector; a shard that ran dry
+        cannot be a rank, so that round re-balances instead of crashing the
+        session."""
 
         strategy = FIRALStrategy(
             ApproxFIRAL(
@@ -260,20 +256,29 @@ class TestShardedPointStore:
         )
         rng = np.random.default_rng(0)
         n = 8
-        context = SelectionContext(
-            pool_features=problem.pool_features[:n],
-            pool_probabilities=rng.dirichlet(np.ones(problem.num_classes), size=n),
-            labeled_features=problem.initial_features,
-            labeled_probabilities=rng.dirichlet(
-                np.ones(problem.num_classes), size=problem.initial_size
-            ),
-            budget=2,
-            rng=rng,
-            pool_ids=np.arange(n, dtype=np.int64),
-            shard_offsets=np.array([0, 0, n]),  # shard 0 exhausted
+        pool_probabilities = rng.dirichlet(np.ones(problem.num_classes), size=n)
+        labeled_probabilities = rng.dirichlet(
+            np.ones(problem.num_classes), size=problem.initial_size
         )
-        selected = strategy.select(context)
-        assert selected.size == 2
+
+        def select(shard_offsets):
+            context = SelectionContext(
+                pool_features=problem.pool_features[:n],
+                pool_probabilities=pool_probabilities,
+                labeled_features=problem.initial_features,
+                labeled_probabilities=labeled_probabilities,
+                budget=2,
+                rng=rng,
+                pool_ids=np.arange(n, dtype=np.int64),
+                shard_offsets=shard_offsets,
+            )
+            return strategy.select(context)
+
+        assert select(np.array([0, 4, n])).size == 2
+        np.testing.assert_array_equal(
+            strategy._effective_selector().partition_offsets, [0, 4, n]
+        )
+        assert select(np.array([0, 0, n])).size == 2  # shard 0 exhausted
         assert strategy._effective_selector().partition_offsets is None
 
     @pytest.mark.multiprocess
@@ -295,6 +300,110 @@ class TestShardedPointStore:
         np.testing.assert_array_equal(
             sharded_session.store.labeled_ids, serial_session.store.labeled_ids
         )
+
+
+# --------------------------------------------------------------------- #
+# every store flavor: host views and membership
+# --------------------------------------------------------------------- #
+def _flavor_arrays():
+    rng = np.random.default_rng(5)
+    return (
+        rng.standard_normal((3, 4)),
+        np.array([0, 1, 2]),
+        rng.standard_normal((12, 4)),
+        rng.integers(0, 3, size=12),
+    )
+
+
+def _from_blocks(init_f, init_y, pool_f, pool_y):
+    blocks = [(init_f, init_y), (pool_f[:7], pool_y[:7]), (pool_f[7:], pool_y[7:])]
+    return MmapPointStore.from_blocks(
+        iter(blocks), len(init_y) + len(pool_y), num_initial=len(init_y), chunk_rows=5
+    )
+
+
+STORE_FLAVORS = {
+    "dense": lambda arrays: DensePointStore(*arrays),
+    "sharded-2": lambda arrays: ShardedPointStore(*arrays, num_shards=2),
+    "sharded-3": lambda arrays: ShardedPointStore(*arrays, num_shards=3),
+    "mmap": lambda arrays: MmapPointStore(*arrays, chunk_rows=5),
+    "mmap-from-blocks": lambda arrays: _from_blocks(*arrays),
+}
+FLAVORS = pytest.mark.parametrize("flavor", sorted(STORE_FLAVORS))
+
+
+class TestEveryStoreFlavor:
+    """Each flavor serves the base-class contract from its own layout: host
+    gathers, labeling, external labels and membership replay agree with
+    the plain arrays the store was built from."""
+
+    def _store(self, flavor):
+        arrays = _flavor_arrays()
+        features = np.concatenate([arrays[0], arrays[2]])
+        labels = np.concatenate([arrays[1], arrays[3]])
+        return STORE_FLAVORS[flavor](arrays), features, labels
+
+    @FLAVORS
+    def test_host_views_follow_labeling(self, flavor):
+        store, features, labels = self._store(flavor)
+        pool = list(range(3, 15))
+        acquired = []
+        for rows in ([5, 0, 9], [2]):
+            ids = [pool[r] for r in rows]
+            got_ids, got_labels = store.label(np.array(rows))
+            np.testing.assert_array_equal(got_ids, ids)
+            np.testing.assert_array_equal(got_labels, labels[ids])
+            pool = [i for i in pool if i not in ids]
+            acquired += ids
+            labeled = [0, 1, 2] + acquired
+            np.testing.assert_array_equal(store.pool_ids, pool)
+            np.testing.assert_array_equal(store.labeled_ids, labeled)
+            assert store.pool_size == len(pool) and store.num_labeled == len(labeled)
+            np.testing.assert_array_equal(store.pool_features_host(), features[pool])
+            np.testing.assert_array_equal(store.pool_labels_host(), labels[pool])
+            np.testing.assert_array_equal(store.labeled_features_host(), features[labeled])
+            np.testing.assert_array_equal(store.labeled_labels_host(), labels[labeled])
+            offsets = store.pool_shard_offsets()
+            if offsets is not None:
+                assert offsets[0] == 0 and offsets[-1] == len(pool)
+                for shard in range(store.num_shards):
+                    lo, hi = store.shard_id_range(shard)
+                    owned = store.pool_ids[offsets[shard]:offsets[shard + 1]]
+                    assert np.all((owned >= lo) & (owned < hi))
+
+    @FLAVORS
+    def test_provide_labels_reach_label_and_reject_bad_ids(self, flavor):
+        store, _, labels = self._store(flavor)
+        store.provide_labels(np.array([4, 10]), np.array([2, 1]))
+        expected = labels.copy()
+        expected[[4, 10]] = [2, 1]
+        np.testing.assert_array_equal(store.labels_host(np.arange(15)), expected)
+        with pytest.raises(ValueError, match="out of range"):
+            store.provide_labels(np.array([15]), np.array([0]))
+        with pytest.raises(ValueError, match="one label per id"):
+            store.provide_labels(np.array([4, 5]), np.array([0]))
+        np.testing.assert_array_equal(store.labels_host(np.arange(15)), expected)
+        # Pool rows 1 and 7 are ids 4 and 10: label() reveals the answers.
+        _, revealed = store.label(np.array([1, 7]))
+        np.testing.assert_array_equal(revealed, [2, 1])
+
+    @FLAVORS
+    def test_restore_membership_replays_history(self, flavor):
+        store, _, _ = self._store(flavor)
+        store.label(np.array([6, 1]))
+        store.label(np.array([0]))
+        history = store.labeled_ids
+        fresh, _, _ = self._store(flavor)
+        fresh.restore_membership(history)
+        np.testing.assert_array_equal(fresh.labeled_ids, history)
+        np.testing.assert_array_equal(fresh.pool_ids, store.pool_ids)
+        np.testing.assert_array_equal(fresh.pool_features_host(), store.pool_features_host())
+        offsets = store.pool_shard_offsets()
+        if offsets is not None:
+            np.testing.assert_array_equal(fresh.pool_shard_offsets(), offsets)
+        for bad in ([1, 2, 5], [0, 1, 2, 5, 5], [0, 1, 2, 15]):
+            with pytest.raises(ValueError):
+                fresh.restore_membership(np.array(bad))
 
 
 # --------------------------------------------------------------------- #
@@ -335,16 +444,6 @@ class TestStreamingPointStore:
         np.testing.assert_array_equal(store.pool_ids, np.concatenate([pool_before, new_ids]))
         assert store.total_points == 12 and store.pool_size == 9
         np.testing.assert_array_equal(store.features[new_ids], new_f)
-
-    def test_compute_master_invalidated_on_extend(self):
-        store = self._store()
-        backend = get_backend()
-        before = backend.to_numpy(store.compute_features(store.pool_ids))
-        np.testing.assert_array_equal(before, store.pool_features_host().astype(np.float64))
-        store.extend(np.ones((2, 5)), np.array([0, 1]))
-        after = backend.to_numpy(store.compute_features(store.pool_ids))
-        np.testing.assert_array_equal(after, store.pool_features_host().astype(np.float64))
-        assert after.shape[0] == before.shape[0] + 2
 
     def test_extend_validates_inputs(self):
         store = self._store()

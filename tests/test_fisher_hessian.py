@@ -122,3 +122,31 @@ class TestBlockDiagonal:
         for k in range(3):
             expected = H[0, k] * (1 - H[0, k]) * np.outer(x, x)
             np.testing.assert_allclose(fast.blocks[k], expected, rtol=1e-9, atol=1e-12)
+
+
+class TestCoefficientPromotion:
+    """Probabilities are promoted to the compute dtype before ``h (1 - h)`` is
+    formed, so low-precision inputs give exactly the coefficients and blocks
+    of their float64 promotion."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_coefficients_equal_promoted_formula(self, rng, dtype):
+        H = random_probabilities(rng, 6, 4).astype(dtype)
+        H64 = H.astype(np.float64)
+        coeff = point_block_coefficients(H)
+        assert coeff.dtype == np.float64
+        np.testing.assert_array_equal(coeff, H64 * (1.0 - H64))
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h_dtype", [np.float32, np.float64])
+    def test_block_diagonal_equals_promoted_inputs(self, rng, h_dtype, x_dtype, weighted):
+        X = rng.standard_normal((7, 3)).astype(x_dtype)
+        H = random_probabilities(rng, 7, 4).astype(h_dtype)
+        w = rng.uniform(0, 1, size=7) if weighted else None
+        blocks = block_diagonal_of_sum(X, H, weights=w)
+        promoted = block_diagonal_of_sum(
+            X.astype(np.float64), H.astype(np.float64), weights=w
+        )
+        assert blocks.blocks.dtype == np.float64
+        np.testing.assert_array_equal(blocks.blocks, promoted.blocks)

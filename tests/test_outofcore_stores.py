@@ -1,20 +1,15 @@
-"""Out-of-core pool store: bit-identity with dense, budgets, persistence.
+"""Out-of-core pool store: bit-identity with dense, persistence, streaming.
 
 The ISSUE-8 contract of :class:`repro.engine.MmapPointStore`:
 
 * an mmap-backed session selects **bit-identically** to the dense serial
   run for every strategy — serially, under ``parallel_ranks=2`` on both
   transports, and with a candidate prefilter in front;
-* host/compute views, ``label()`` and checkpoint/resume behave exactly like
+* host views, ``label()`` and checkpoint/resume behave exactly like
   ``DensePointStore``, including after a simulated process restart
   (:meth:`MmapPointStore.from_file` reopening the master from disk);
-* promoting more than ``promotion_budget_bytes`` raises a descriptive
-  ``ValueError`` (store-level and session-level with ``resident_pool``)
-  instead of silently densifying the out-of-core pool;
 * :meth:`stream_round_scores` equals one resident ``fused_round_scores``
-  pass bit-for-bit;
-* ``DensePointStore.extend`` promotes **only** the appended rows onto a
-  cached compute master (the incremental-promotion regression guard).
+  pass bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
 from repro.baselines.base import FIRALStrategy
@@ -152,7 +146,7 @@ class TestMmapSelectionParity:
 # --------------------------------------------------------------------- #
 class TestMmapStoreViews:
     def test_views_match_dense_bit_for_bit(self):
-        """Host view, compute view and label() agree with DensePointStore."""
+        """Host view and label() agree with DensePointStore."""
 
         rng = np.random.default_rng(3)
         n, d, m0 = 50, 5, 6
@@ -166,11 +160,6 @@ class TestMmapStoreViews:
             np.testing.assert_array_equal(mmapd.labeled_ids, dense.labeled_ids)
             np.testing.assert_array_equal(
                 mmapd.features_host(mmapd.pool_ids), dense.features_host(dense.pool_ids)
-            )
-            backend = get_backend()
-            np.testing.assert_array_equal(
-                backend.to_numpy(mmapd.compute_features(mmapd.pool_ids)),
-                backend.to_numpy(dense.compute_features(dense.pool_ids)),
             )
             dense_gids, dense_labels = dense.label([1, 3])
             mmap_gids, mmap_labels = mmapd.label([1, 3])
@@ -234,6 +223,25 @@ class TestMmapStoreViews:
         np.testing.assert_array_equal(np.asarray(store.features[:30]), features)
         assert not os.path.exists(store.path + ".grow.tmp")
 
+    def test_rejected_extend_leaves_persisted_store_intact(self, tmp_path):
+        """A batch that fails validation never reaches the master or its sidecars."""
+
+        path = os.fspath(tmp_path / "pool.npy")
+        store, features, labels = _make_store(n=20, d=4, m0=3, chunk_rows=8, path=path)
+        for bad_f, bad_y in (
+            (np.ones((0, 4)), np.zeros(0, dtype=np.int64)),
+            (np.ones((2, 5)), np.array([0, 1])),
+            (np.ones((2, 4)), np.array([0])),
+        ):
+            with pytest.raises(ValueError):
+                store.extend(bad_f, bad_y)
+        assert store.total_points == 20
+        assert not os.path.exists(path + ".grow.tmp")
+        reopened = MmapPointStore.from_file(path, chunk_rows=8)
+        np.testing.assert_array_equal(np.asarray(reopened.features), features)
+        np.testing.assert_array_equal(reopened.labels, labels)
+        np.testing.assert_array_equal(reopened.pool_ids, np.arange(3, 20))
+
     def test_from_blocks_matches_from_arrays(self):
         rng = np.random.default_rng(9)
         features = rng.standard_normal((25, 4))
@@ -251,51 +259,6 @@ class TestMmapStoreViews:
         np.testing.assert_array_equal(streamed.pool_ids, whole.pool_ids)
         with pytest.raises(ValueError):
             MmapPointStore.from_blocks(blocks(), 30, num_initial=5)
-
-
-# --------------------------------------------------------------------- #
-# promotion budget
-# --------------------------------------------------------------------- #
-class TestPromotionBudget:
-    def test_compute_features_over_budget_raises_descriptively(self):
-        store, _, _ = _make_store(n=64, d=8, m0=4, promotion_budget_bytes=512)
-        with pytest.raises(ValueError, match="promotion_budget_bytes"):
-            store.compute_features(store.pool_ids)
-        # Under-budget promotions still work.
-        small = store.compute_features(store.pool_ids[:2])
-        assert get_backend().to_numpy(small).shape == (2, 8)
-
-    def test_resident_session_over_budget_raises_at_construction(self, problem):
-        config = SessionConfig(
-            store=MmapPointStore.factory(promotion_budget_bytes=256), resident_pool=True
-        )
-        with pytest.raises(ValueError, match="resident_pool"):
-            ActiveSession(
-                problem,
-                STRATEGY_FACTORIES["random"](),
-                budget_per_round=4,
-                num_rounds=1,
-                seed=0,
-                config=config,
-            )
-
-    def test_non_resident_session_runs_under_tiny_budget(self, problem):
-        """The default path never densifies, so a tiny budget is harmless."""
-
-        config = SessionConfig(store=MmapPointStore.factory(promotion_budget_bytes=256))
-        _, curve = _run(problem, STRATEGY_FACTORIES["random"](), config=config)
-        _, dense_curve = _run(problem, STRATEGY_FACTORIES["random"]())
-        assert curve == dense_curve
-
-    def test_budget_none_disables_guard(self, problem):
-        config = SessionConfig(
-            store=MmapPointStore.factory(promotion_budget_bytes=None), resident_pool=True
-        )
-        _, curve = _run(problem, STRATEGY_FACTORIES["random"](), config=config)
-        _, dense_curve = _run(
-            problem, STRATEGY_FACTORIES["random"](), config=SessionConfig(resident_pool=True)
-        )
-        assert curve == dense_curve
 
 
 # --------------------------------------------------------------------- #
@@ -328,41 +291,3 @@ class TestStreamRoundScores:
         with pytest.raises(ValueError, match="every stored point"):
             store.stream_round_scores(None, None, np.zeros((3, 2)), 1.0)
 
-
-# --------------------------------------------------------------------- #
-# in-RAM growth: incremental promotion (regression guard)
-# --------------------------------------------------------------------- #
-class TestStreamingIncrementalPromotion:
-    def test_extend_promotes_only_appended_rows(self):
-        rng = np.random.default_rng(4)
-        n, d = 30, 5
-        store = DensePointStore(
-            rng.standard_normal((4, d)),
-            np.zeros(4, dtype=np.int64),
-            rng.standard_normal((n - 4, d)),
-            np.zeros(n - 4, dtype=np.int64),
-        )
-        store.compute_features(store.pool_ids)
-        assert store.promoted_rows == n
-
-        extra = rng.standard_normal((12, d))
-        store.extend(extra, np.zeros(12, dtype=np.int64))
-        store.compute_features(store.pool_ids)
-        # Regression guard: re-promoting the original master on extend would
-        # read n + (n + 12) rows here, not n + 12.
-        assert store.promoted_rows == n + 12
-
-    def test_incremental_segments_match_full_view(self):
-        rng = np.random.default_rng(6)
-        store = DensePointStore(
-            rng.standard_normal((3, 4)),
-            np.zeros(3, dtype=np.int64),
-            rng.standard_normal((17, 4)),
-            np.zeros(17, dtype=np.int64),
-        )
-        store.extend(rng.standard_normal((9, 4)), np.zeros(9, dtype=np.int64))
-        backend = get_backend()
-        np.testing.assert_array_equal(
-            backend.to_numpy(store.compute_features(store.pool_ids)),
-            store.features_host(store.pool_ids).astype(np.float64),
-        )

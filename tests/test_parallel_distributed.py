@@ -5,12 +5,15 @@ or Algorithm 3 over p simulated ranks produces the same results as the serial
 implementation (up to floating-point reduction order), for any rank count.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.core.approx_relax import approx_relax
 from repro.core.approx_round import approx_round
 from repro.core.config import RelaxConfig, RoundConfig
+from repro.core.eta_selection import select_eta
 from repro.core.firal import ApproxFIRAL
 from repro.parallel.cluster import ScalingMeasurement, SimulatedCluster
 from repro.parallel.distributed_relax import distributed_relax
@@ -149,6 +152,79 @@ class TestDistributedRound:
             distributed_round(dataset, z_relaxed, 0, 1.0, num_ranks=2)
         with pytest.raises(ValueError):
             distributed_round(dataset, np.ones(3), 2, 1.0, num_ranks=2)
+
+
+UNEVEN_OFFSETS = pytest.mark.parametrize(
+    "offsets",
+    [np.array([0, 29, 36]), np.array([0, 4, 30, 36])],
+    ids=["2-ranks", "3-ranks"],
+)
+
+
+def _record_shard_sizes(monkeypatch, module_name):
+    """Wrap the driver module's ``partition_pool``; return the shard sizes it scatters."""
+
+    # The package re-exports each driver function under its submodule's
+    # name, so reach the module through importlib.
+    module = importlib.import_module(module_name)
+    real = module.partition_pool
+    sizes = []
+
+    def recording(dataset, num_ranks, offsets=None):
+        shards = real(dataset, num_ranks, offsets=offsets)
+        sizes.append([shard.num_pool for shard in shards])
+        return shards
+
+    monkeypatch.setattr(module, "partition_pool", recording)
+    return sizes
+
+
+class TestExplicitOffsetsMatchSerial:
+    """Uneven shard boundaries (a sharded store's ownership table) change who
+    owns which points, not what the drivers compute."""
+
+    @UNEVEN_OFFSETS
+    def test_relax(self, dataset, offsets, monkeypatch):
+        sizes = _record_shard_sizes(monkeypatch, "repro.parallel.distributed_relax")
+        serial = approx_relax(dataset, budget=6, config=relax_config())
+        distributed = distributed_relax(
+            dataset, 6, num_ranks=offsets.size - 1, config=relax_config(), offsets=offsets
+        )
+        assert sizes == [np.diff(offsets).tolist()]
+        np.testing.assert_allclose(distributed.weights, serial.weights, rtol=1e-2, atol=1e-4)
+        assert distributed.num_ranks == offsets.size - 1
+
+    @UNEVEN_OFFSETS
+    def test_round(self, dataset, z_relaxed, offsets, monkeypatch):
+        sizes = _record_shard_sizes(monkeypatch, "repro.parallel.distributed_round")
+        serial = approx_round(dataset, z_relaxed, budget=5, eta=1.0)
+        distributed = distributed_round(
+            dataset, z_relaxed, 5, 1.0, num_ranks=offsets.size - 1, offsets=offsets
+        )
+        assert sizes == [np.diff(offsets).tolist()]
+        np.testing.assert_array_equal(distributed.selected_indices, serial.selected_indices)
+
+    @UNEVEN_OFFSETS
+    def test_round_search(self, dataset, z_relaxed, offsets, monkeypatch):
+        sizes = _record_shard_sizes(monkeypatch, "repro.parallel.distributed_round")
+        grid = (0.5, 1.0, 2.0)
+        config = RoundConfig(eta_grid=grid)
+        serial, serial_score = select_eta(
+            approx_round, dataset, z_relaxed, 5, eta_grid=grid, config=config
+        )
+        distributed, score = distributed_round_search(
+            dataset,
+            z_relaxed,
+            5,
+            eta_grid=grid,
+            num_ranks=offsets.size - 1,
+            config=config,
+            offsets=offsets,
+        )
+        assert sizes == [np.diff(offsets).tolist()]
+        np.testing.assert_array_equal(distributed.selected_indices, serial.selected_indices)
+        assert distributed.eta == serial.eta
+        np.testing.assert_allclose(score, serial_score, rtol=1e-10)
 
 
 class TestDistributedRelaxWarmStart:

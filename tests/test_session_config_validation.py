@@ -10,9 +10,12 @@ offending field's name in the message.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.baselines.base import SelectionContext
 from repro.engine import ActiveSession, SessionConfig
 from repro.engine.session import VALID_TRANSPORTS
 
@@ -135,4 +138,36 @@ class TestValidationWiring:
 
     def test_default_config_is_valid(self):
         SessionConfig().validate()
-        SessionConfig.fast().validate()
+        SessionConfig(reuse_eta=True).validate()
+
+
+class TestOptionSurface:
+    """The session's option surface, pinned field by field, so that adding or
+    dropping an option is a visible change to this test."""
+
+    def test_session_config_fields(self):
+        assert [f.name for f in dataclasses.fields(SessionConfig)] == [
+            "reuse_eta",
+            "parallel_ranks",
+            "parallel_transport",
+            "store",
+            "prefilter",
+            "on_rank_failure",
+            "fault_plan",
+            "checkpoint_every",
+            "checkpoint_path",
+        ]
+
+    def test_selection_context_fields(self):
+        assert [f.name for f in dataclasses.fields(SelectionContext)] == [
+            "pool_features",
+            "pool_probabilities",
+            "labeled_features",
+            "labeled_probabilities",
+            "budget",
+            "rng",
+            "pool_ids",
+            "round_index",
+            "shard_offsets",
+            "candidate_ids",
+        ]
