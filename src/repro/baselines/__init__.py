@@ -11,8 +11,6 @@ from repro.baselines.base import (
     SelectionStrategy,
     SessionInfo,
     LabelObservation,
-    StatelessStrategyAdapter,
-    ensure_lifecycle,
     FIRALStrategy,
 )
 from repro.baselines.random_sampling import RandomStrategy
@@ -24,8 +22,6 @@ __all__ = [
     "SelectionStrategy",
     "SessionInfo",
     "LabelObservation",
-    "StatelessStrategyAdapter",
-    "ensure_lifecycle",
     "FIRALStrategy",
     "RandomStrategy",
     "KMeansStrategy",

@@ -11,14 +11,18 @@ methods with cross-round state (FIRAL's reused η, importance-weighted
 pools) can persist it through a run:
 
 * :meth:`SelectionStrategy.begin_session` — called once before the first
-  round with a :class:`SessionInfo` describing the run;
-* :meth:`SelectionStrategy.select` — called once per round;
+  round with a :class:`SessionInfo` carrying the session's requests to the
+  strategy;
+* :meth:`SelectionStrategy.select` — called once per round with a
+  :class:`SelectionContext`, which carries the round's shapes and budget;
 * :meth:`SelectionStrategy.observe_labels` — called after each round's oracle
-  reveal with a :class:`LabelObservation`.
+  reveal with a :class:`LabelObservation`;
+* :meth:`SelectionStrategy.state_dict` / :meth:`~SelectionStrategy.load_state_dict`
+  — the cross-round state a checkpoint carries.
 
-Both lifecycle hooks default to no-ops, so the stateless baselines are
-untouched call sites; duck-typed objects that only implement ``select`` are
-wrapped by :func:`ensure_lifecycle` into a :class:`StatelessStrategyAdapter`.
+Every hook but ``select`` has a no-op default, so a stateless strategy
+implements ``select`` alone.  The session engine accepts only
+:class:`SelectionStrategy` subclasses.
 """
 
 from __future__ import annotations
@@ -38,27 +42,19 @@ __all__ = [
     "SelectionStrategy",
     "SessionInfo",
     "LabelObservation",
-    "StatelessStrategyAdapter",
-    "ensure_lifecycle",
     "FIRALStrategy",
 ]
 
 
 @dataclass
 class SessionInfo:
-    """Run-level facts handed to strategies at ``begin_session``.
+    """The session's requests to a strategy, handed over at ``begin_session``.
+
+    Shapes and the budget are not here: each round's
+    :class:`SelectionContext` carries them.
 
     Attributes
     ----------
-    num_classes / dimension:
-        Problem shape.
-    budget_per_round:
-        Points labeled per round (``b``).
-    pool_size:
-        Pool size at session start.
-    num_rounds:
-        Planned number of rounds, when the driver knows it (``None`` for
-        open-ended sessions driven round by round).
     reuse_eta:
         Whether the session asks FIRAL-style strategies to reuse the previous
         round's winning FTRL learning rate η instead of re-running the § IV-A
@@ -71,12 +67,6 @@ class SessionInfo:
     parallel_transport:
         Transport for ``parallel_ranks``: ``"simulated"`` (threads) or
         ``"shared_memory"`` (real spawned OS processes).
-    prefilter:
-        Kind name of the session's candidate prefilter
-        (:class:`~repro.engine.prefilter.CandidateFilter`), or ``None`` when
-        every round scores the whole pool.  When set, each round's
-        :class:`SelectionContext` carries :attr:`~SelectionContext.candidate_ids`
-        and strategies score only the restricted candidate set.
     on_rank_failure:
         Session policy when a multi-rank selection loses a rank
         (``SessionConfig.on_rank_failure``): ``"abort"`` propagates the
@@ -89,15 +79,9 @@ class SessionInfo:
         production.
     """
 
-    num_classes: int
-    dimension: int
-    budget_per_round: int
-    pool_size: int
-    num_rounds: Optional[int] = None
     reuse_eta: bool = False
     parallel_ranks: Optional[int] = None
     parallel_transport: str = "simulated"
-    prefilter: Optional[str] = None
     on_rank_failure: str = "abort"
     fault_plan: Optional[object] = None
 
@@ -328,34 +312,6 @@ class SelectionStrategy(abc.ABC):
         return indices
 
 
-class StatelessStrategyAdapter(SelectionStrategy):
-    """Wrap a bare ``select(context)`` object into the lifecycle protocol.
-
-    Lets externally defined duck-typed strategies (anything exposing
-    ``select``) run under the session engine without subclassing
-    :class:`SelectionStrategy`; the lifecycle hooks stay no-ops.
-    """
-
-    def __init__(self, strategy):
-        require(hasattr(strategy, "select"), "strategy must expose a select() method")
-        self.wrapped = strategy
-        self.name = getattr(strategy, "name", type(strategy).__name__)
-        self.is_stochastic = bool(getattr(strategy, "is_stochastic", False))
-
-    def select(self, context: SelectionContext) -> np.ndarray:
-        return self._validate_selection(self.wrapped.select(context), context)
-
-
-def ensure_lifecycle(strategy) -> SelectionStrategy:
-    """Return ``strategy`` if it already speaks the lifecycle protocol, else wrap it."""
-
-    if isinstance(strategy, SelectionStrategy):
-        return strategy
-    if hasattr(strategy, "begin_session") and hasattr(strategy, "observe_labels"):
-        return strategy
-    return StatelessStrategyAdapter(strategy)
-
-
 class FIRALStrategy(SelectionStrategy):
     """Adapter exposing ``ExactFIRAL`` / ``ApproxFIRAL`` as a strategy.
 
@@ -539,9 +495,7 @@ class FIRALStrategy(SelectionStrategy):
         result = self._select_with_recovery(selector, dataset, context, kwargs)
         self.last_result = result
         if reuse_eta:
-            round_result = getattr(result, "round", None)
-            if round_result is not None and getattr(round_result, "eta", None) is not None:
-                self._previous_eta = float(round_result.eta)
+            self._previous_eta = float(result.round.eta)
         selected = np.asarray(result.selected_indices, dtype=np.int64).ravel()
         if candidate_positions is not None:
             # The solvers returned candidate-local indices; map them back to

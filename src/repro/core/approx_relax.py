@@ -39,10 +39,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.backend import COMPUTE_DTYPE, Array, get_backend
-from repro.core.config import RelaxConfig
+from repro.core.config import SIGMA_REGULARIZATION, RelaxConfig
 from repro.core.result import RelaxResult
 from repro.core.spmd import ONE_RANK
-from repro.core.warm_start import initial_simplex_iterate
 from repro.fisher.objective import fisher_ratio_objective
 from repro.fisher.operators import FisherDataset
 from repro.linalg.block_diag import BlockDiagonalMatrix
@@ -58,10 +57,12 @@ def approx_relax(
     dataset: FisherDataset,
     budget: int,
     config: Optional[RelaxConfig] = None,
-    *,
-    initial_weights: Optional[Array] = None,
 ) -> RelaxResult:
     """Run the fast RELAX solver and return the relaxed weights ``z*``.
+
+    Mirror descent starts from the uniform point, as Algorithm 2 prescribes,
+    and ``Sigma_z`` carries the fixed
+    :data:`~repro.core.config.SIGMA_REGULARIZATION` term.
 
     Parameters
     ----------
@@ -71,29 +72,21 @@ def approx_relax(
         Number of points ``b`` to be selected (the simplex scale).
     config:
         Solver options (probes, CG tolerance, schedule, objective tracking).
-    initial_weights:
-        Optional starting point for the mirror-descent iterate: non-negative
-        weights over the pool (any positive scale — they are renormalized to
-        the simplex).  The default ``None`` starts from the uniform
-        distribution exactly as Algorithm 2 prescribes, which is what every
-        selector and session runs.  Another start leaves the stationary
-        points of the convex mirror-descent solve where they are, but with a
-        finite iteration budget / objective-change stopping rule the iterate
-        path (and hence the returned ``z*``) differs from a uniform start.
     """
 
-    z0 = initial_simplex_iterate(dataset.num_pool, initial_weights)
-    return relax_loop(ONE_RANK, dataset, z0, budget, config or RelaxConfig())
+    return relax_loop(ONE_RANK, dataset, dataset.num_pool, budget, config or RelaxConfig())
 
 
-def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxConfig) -> RelaxResult:
+def relax_loop(comm, dataset: FisherDataset, pool_size: int, budget: int, cfg: RelaxConfig) -> RelaxResult:
     """Algorithm 2 on one rank of ``comm``, over its pool shard ``dataset``.
 
     ``comm`` is :data:`~repro.core.spmd.ONE_RANK` or a
-    :class:`~repro.parallel.comm.Comm`; ``z0`` is this rank's slice of the
-    starting iterate.  Replicated state (probes, CG iterates, the
-    preconditioner, the objective trace) is bit-identical across ranks: each
-    rank computes it from the same reduced inputs with the same arithmetic.
+    :class:`~repro.parallel.comm.Comm`; ``pool_size`` is the whole pool's
+    size, so every rank starts its slice at the uniform point
+    ``1 / pool_size`` without a collective.  Replicated state (probes, CG
+    iterates, the preconditioner, the objective trace) is bit-identical
+    across ranks: each rank computes it from the same reduced inputs with
+    the same arithmetic.
     Returns the whole pool's weights, allgathered.
     """
 
@@ -107,8 +100,7 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
     dc = dataset.joint_dimension
     timings = TimingBreakdown()
     pool, labeled = dataset.pool_operator, dataset.labeled_operator
-    local_z = backend.ascompute(z0).ravel()
-    require(int(local_z.shape[0]) == dataset.num_pool, "z0 slice must match the shard size")
+    local_z = backend.full((dataset.num_pool,), 1.0 / pool_size, dtype=COMPUTE_DTYPE)
 
     # Rank 0 owns the probe RNG stream (Line 4); peers receive via bcast.
     rng = as_generator(cfg.seed) if comm.rank == 0 else None
@@ -139,8 +131,7 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
             with timings.excluded():
                 summed = comm.allreduce(partial.blocks)
             sigma_blocks = BlockDiagonalMatrix(summed, copy=False) + dataset.labeled_block_diagonal()
-            if cfg.regularization > 0.0:
-                sigma_blocks = sigma_blocks.add_identity(cfg.regularization)
+            sigma_blocks = sigma_blocks.add_identity(SIGMA_REGULARIZATION)
             preconditioner = sigma_blocks.inverse()
 
         def sigma_matvec(V: Array) -> Array:
@@ -149,10 +140,7 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
             partial = pool.matvec(V, weights)
             with timings.excluded():
                 reduced = comm.allreduce(partial)
-            out = reduced + labeled.matvec(V)
-            if cfg.regularization > 0.0:
-                out = out + cfg.regularization * xp.asarray(V)
-            return out
+            return reduced + labeled.matvec(V) + SIGMA_REGULARIZATION * xp.asarray(V)
 
         # Line 6: W = Sigma^{-1} V by PCG started from zero.
         with timings.region("cg"):
@@ -220,7 +208,7 @@ def relax_loop(comm, dataset: FisherDataset, z0: Array, budget: int, cfg: RelaxC
             # Dense objective after the update, aligned with exact_relax (Fig. 4).
             with timings.region("objective"):
                 objective_trace.append(
-                    fisher_ratio_objective(dataset, budget * local_z, regularization=cfg.regularization)
+                    fisher_ratio_objective(dataset, budget * local_z, regularization=SIGMA_REGULARIZATION)
                 )
             if cfg.objective_stalled(objective_trace):
                 converged = True

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro.backend import Array, COMPUTE_DTYPE, Workspace, get_backend
-from repro.core.config import RoundConfig
+from repro.core.config import SIGMA_REGULARIZATION, RoundConfig
 from repro.core.result import RoundResult
 from repro.core.spmd import ONE_RANK, block_partition
 from repro.fisher.hessian import coefficient_blocks, point_block_coefficients
@@ -61,8 +61,8 @@ __all__ = [
 class RoundPrecompute:
     """η-independent state of a block-diagonal ROUND solve on one rank.
 
-    Everything here depends only on ``(dataset, z_relaxed, regularization)``
-    — not on the FTRL learning rate η — so the § IV-A grid search assembles
+    Everything here depends only on ``(dataset, z_relaxed)`` — not on the
+    FTRL learning rate η — so the § IV-A grid search assembles
     one instance and threads it through all trials instead of letting each
     :func:`approx_round` call rebuild it: the ``Sigma_*`` assembly, the
     compute-dtype promotion of the pool features / rank-one coefficients, and
@@ -71,8 +71,8 @@ class RoundPrecompute:
     Attributes
     ----------
     sigma_star:
-        ``B(Sigma_*)`` over the whole pool, with the configured Tikhonov
-        term already added.
+        ``B(Sigma_*)`` over the whole pool, with
+        :data:`~repro.core.config.SIGMA_REGULARIZATION` already added.
     labeled_blocks:
         ``B(H_o)``.
     labeled_blocks64:
@@ -115,7 +115,6 @@ class RoundPrecompute:
         cls,
         dataset: FisherDataset,
         z_relaxed: Array,
-        config: Optional[RoundConfig] = None,
         *,
         comm=ONE_RANK,
         offsets: Optional[Sequence[int]] = None,
@@ -125,11 +124,11 @@ class RoundPrecompute:
         ``dataset`` and ``z_relaxed`` are this rank's shard and its slice of
         ``z*``; ``offsets`` is the global shard table (default: one rank
         owning the whole pool).  ``Sigma_*`` is the allreduce of the ranks'
-        partial block diagonals plus the replicated ``B(H_o)``.
+        partial block diagonals plus the replicated ``B(H_o)`` and
+        :data:`~repro.core.config.SIGMA_REGULARIZATION`.
         """
 
         backend = get_backend()
-        cfg = config or RoundConfig(eta=1.0)
         z = backend.ascompute(z_relaxed).ravel()
         require(
             tuple(z.shape) == (dataset.num_pool,),
@@ -148,8 +147,7 @@ class RoundPrecompute:
                 summed = comm.allreduce(partial.blocks)
             labeled_blocks = dataset.labeled_block_diagonal()
             sigma_star = BlockDiagonalMatrix(summed, copy=False) + labeled_blocks
-            if cfg.regularization > 0.0:
-                sigma_star = sigma_star.add_identity(cfg.regularization)
+            sigma_star = sigma_star.add_identity(SIGMA_REGULARIZATION)
             precompute = cls(
                 sigma_star=sigma_star,
                 labeled_blocks=labeled_blocks,
@@ -255,7 +253,7 @@ def approx_round(
         Round options.
     precompute:
         Optional η-independent state built with :meth:`RoundPrecompute.build`
-        for the same ``(dataset, z_relaxed, config)``.  The η grid search
+        for the same ``(dataset, z_relaxed)``.  The η grid search
         passes one instance through every trial; a rank program passes one
         built over its communicator.  When omitted the solve builds (and
         discards) a one-rank context.
@@ -280,7 +278,7 @@ def approx_round(
 
     with timings.region("setup"):
         if precompute is None:
-            precompute = RoundPrecompute.build(dataset, z_relaxed, cfg)
+            precompute = RoundPrecompute.build(dataset, z_relaxed)
         require(precompute.num_pool == n, "precompute does not match the dataset pool")
         require(
             precompute.offsets[-1] >= budget or cfg.allow_repeats,

@@ -16,12 +16,21 @@ from typing import Optional, Sequence
 
 from repro.utils.validation import check_positive_int, require
 
-__all__ = ["RelaxConfig", "RoundConfig"]
+__all__ = ["RelaxConfig", "RoundConfig", "SIGMA_REGULARIZATION"]
+
+#: Tikhonov term added to ``Sigma_z`` by RELAX and to ``Sigma_*`` by ROUND.
+#: A tiny labeled set (one point per class in the first rounds) makes Sigma
+#: near-singular.  One constant for both solvers, so ROUND rounds against
+#: exactly the matrix RELAX optimized.
+SIGMA_REGULARIZATION = 1e-6
 
 
 @dataclass
 class RelaxConfig:
     """Options for the RELAX (continuous relaxation) solver.
+
+    ``Sigma_z`` carries the fixed :data:`SIGMA_REGULARIZATION` term, the
+    same one ROUND adds to ``Sigma_*``; it is not an option.
 
     Parameters
     ----------
@@ -53,9 +62,6 @@ class RelaxConfig:
         problems / Fig. 4).  ``"none"`` skips objective tracking and runs all
         ``max_iterations``; it is no faster than ``"estimate"`` and draws a
         different probe stream, so it returns different weights for a seed.
-    regularization:
-        Optional Tikhonov term added to ``Sigma_z`` for numerical safety when
-        the labeled set is tiny (the first rounds have one point per class).
     seed:
         RNG seed for the Rademacher probes.
     """
@@ -69,7 +75,6 @@ class RelaxConfig:
     cg_tolerance: float = 0.1
     cg_max_iterations: int = 1000
     track_objective: str = "estimate"
-    regularization: float = 1e-6
     seed: Optional[int] = 0
 
     def __post_init__(self) -> None:
@@ -86,7 +91,6 @@ class RelaxConfig:
             self.track_objective in ("exact", "estimate", "none"),
             "track_objective must be 'exact', 'estimate' or 'none'",
         )
-        require(self.regularization >= 0, "regularization must be non-negative")
 
     def step_size(self, iteration: int, gradient_scale: float) -> float:
         """Step size ``beta_t`` for 1-based ``iteration``.
@@ -117,6 +121,10 @@ class RelaxConfig:
 class RoundConfig:
     """Options for the ROUND (regret-minimization) solver.
 
+    ``Sigma_*`` (and hence every ``B_t``) carries the fixed
+    :data:`SIGMA_REGULARIZATION` term RELAX added to ``Sigma_z``, so ROUND
+    rounds against the matrix RELAX optimized.
+
     Parameters
     ----------
     eta:
@@ -129,10 +137,6 @@ class RoundConfig:
         Whether a point may be selected more than once.  The paper's regret
         analysis permits repeats; practical active learning does not, so the
         default removes selected points from later iterations.
-    regularization:
-        Tikhonov term added to ``Sigma_*`` (and hence to every ``B_t``)
-        before inversion; protects the first rounds where ``Sigma_*`` can be
-        numerically singular in float32.
     score_chunk_size:
         When set, the Proposition-4 candidate scoring streams the pool in
         chunks of this many points, bounding the scoring scratch memory at
@@ -152,7 +156,6 @@ class RoundConfig:
     eta: Optional[float] = None
     eta_grid: Sequence[float] = field(default_factory=lambda: (0.1, 0.5, 1.0, 2.0, 8.0))
     allow_repeats: bool = False
-    regularization: float = 1e-6
     score_chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -160,7 +163,6 @@ class RoundConfig:
             require(self.eta > 0, "eta must be positive")
         require(len(tuple(self.eta_grid)) > 0, "eta_grid must not be empty")
         require(all(e > 0 for e in self.eta_grid), "eta_grid values must be positive")
-        require(self.regularization >= 0, "regularization must be non-negative")
         chunk = self.score_chunk_size
         require(
             chunk is None

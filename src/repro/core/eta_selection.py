@@ -93,7 +93,7 @@ def select_eta(
 
     if precompute is None:
         build = ExactRoundPrecompute.build if solver is exact_round else RoundPrecompute.build
-        precompute = build(dataset, z_relaxed, config)
+        precompute = build(dataset, z_relaxed)
 
     best_result: Optional[RoundResult] = None
     best_score = -math.inf

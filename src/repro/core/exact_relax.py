@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import Array, get_backend
-from repro.core.config import RelaxConfig
+from repro.backend import COMPUTE_DTYPE, Array, get_backend
+from repro.core.config import SIGMA_REGULARIZATION, RelaxConfig
 from repro.core.result import RelaxResult
-from repro.core.warm_start import initial_simplex_iterate
 from repro.fisher.objective import fisher_ratio_objective
 from repro.fisher.operators import FisherDataset
 from repro.utils.timing import TimingBreakdown
@@ -75,10 +74,12 @@ def exact_relax(
     dataset: FisherDataset,
     budget: int,
     config: Optional[RelaxConfig] = None,
-    *,
-    initial_weights: Optional[Array] = None,
 ) -> RelaxResult:
     """Run the exact RELAX solver and return the relaxed weights ``z*``.
+
+    Mirror descent starts from the uniform point, as Algorithm 1 prescribes,
+    and ``Sigma_z`` carries the fixed
+    :data:`~repro.core.config.SIGMA_REGULARIZATION` term.
 
     Parameters
     ----------
@@ -89,11 +90,6 @@ def exact_relax(
     config:
         Solver options; ``track_objective`` is forced to ``"exact"`` because
         the dense objective is already cheap relative to the exact gradient.
-    initial_weights:
-        Optional warm start for the mirror-descent iterate (same semantics as
-        :func:`repro.core.approx_relax.approx_relax`): non-negative pool
-        weights, renormalized to the simplex with a strictly positive floor.
-        ``None`` starts uniform as in Algorithm 1.
     """
 
     require(budget > 0, "budget must be positive")
@@ -103,7 +99,7 @@ def exact_relax(
     n = dataset.num_pool
     timings = TimingBreakdown()
 
-    z = initial_simplex_iterate(n, initial_weights)
+    z = backend.full((n,), 1.0 / n, dtype=COMPUTE_DTYPE)
     objective_trace = []
     converged = False
 
@@ -111,7 +107,7 @@ def exact_relax(
     for t in range(1, cfg.max_iterations + 1):
         iterations = t
         with timings.region("gradient"):
-            grad = exact_relax_gradient(dataset, budget * z, regularization=cfg.regularization)
+            grad = exact_relax_gradient(dataset, budget * z, regularization=SIGMA_REGULARIZATION)
         with timings.region("other"):
             scale = float(xp.abs(grad).max()) if cfg.normalize_gradient else 1.0
             beta = cfg.step_size(t, scale)
@@ -122,7 +118,7 @@ def exact_relax(
             z /= z.sum()
 
         with timings.region("objective"):
-            value = fisher_ratio_objective(dataset, budget * z, regularization=cfg.regularization)
+            value = fisher_ratio_objective(dataset, budget * z, regularization=SIGMA_REGULARIZATION)
             objective_trace.append(value)
         if cfg.objective_stalled(objective_trace):
             converged = True

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.backend import Array, COMPUTE_DTYPE, get_backend
-from repro.core.config import RoundConfig
+from repro.core.config import SIGMA_REGULARIZATION, RoundConfig
 from repro.core.result import RoundResult
 from repro.fisher.hessian import coefficient_blocks, point_block_coefficients, point_hessian_dense
 from repro.fisher.operators import FisherDataset
@@ -66,10 +66,8 @@ class ExactRoundPrecompute:
         cls,
         dataset: FisherDataset,
         z_relaxed: Array,
-        config: Optional[RoundConfig] = None,
     ) -> "ExactRoundPrecompute":
         backend = get_backend()
-        cfg = config or RoundConfig(eta=1.0)
         z = backend.ascompute(z_relaxed).ravel()
         require(
             tuple(z.shape) == (dataset.num_pool,),
@@ -80,8 +78,7 @@ class ExactRoundPrecompute:
         timings = TimingBreakdown()
         with timings.region("setup"):
             sigma_star = dataset.sigma_dense(z)
-            if cfg.regularization > 0.0:
-                sigma_star = sigma_star + cfg.regularization * backend.eye(dc, dtype=sigma_star.dtype)
+            sigma_star = sigma_star + SIGMA_REGULARIZATION * backend.eye(dc, dtype=sigma_star.dtype)
             sigma_inv_sqrt = _symmetric_inv_sqrt(sigma_star)
             h_labeled = dataset.labeled_hessian_dense()
             h_labeled_tilde = sigma_inv_sqrt @ h_labeled @ sigma_inv_sqrt
@@ -138,11 +135,11 @@ def exact_round(
         FTRL learning rate η (Eq. 9/10); the η grid search lives in
         :mod:`repro.core.eta_selection`.
     config:
-        Round options (``allow_repeats``, regularization).
+        Round options (``allow_repeats``).
     precompute:
         Optional η-independent state built with
         :meth:`ExactRoundPrecompute.build` for the same
-        ``(dataset, z_relaxed, config)``; the η grid search passes one
+        ``(dataset, z_relaxed)``; the η grid search passes one
         instance through every trial.
     """
 
@@ -164,7 +161,7 @@ def exact_round(
 
     with timings.region("other"):
         if precompute is None:
-            precompute = ExactRoundPrecompute.build(dataset, z_relaxed, cfg)
+            precompute = ExactRoundPrecompute.build(dataset, z_relaxed)
         require(precompute.num_pool == n, "precompute does not match the dataset pool")
         require(
             bool(xp.all(precompute.z == z_relaxed)),

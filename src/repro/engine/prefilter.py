@@ -89,12 +89,22 @@ class CandidateFilter(abc.ABC):
         consuming the RNG.
     """
 
-    #: Filter kind advertised to strategies via ``SessionInfo.prefilter``.
+    #: Filter kind, recorded in session checkpoints (:meth:`fingerprint`).
     name: str = "prefilter"
 
     def __init__(self, keep_ratio: float):
         require(0.0 < keep_ratio <= 1.0, "keep_ratio must be in (0, 1]")
         self.keep_ratio = float(keep_ratio)
+
+    def fingerprint(self) -> dict:
+        """The kind and every constructor parameter, JSON-safe.
+
+        A session checkpoint records it and resume refuses a filter whose
+        fingerprint differs, since any parameter changes the candidate set.
+        A subclass with more constructor parameters adds them here.
+        """
+
+        return {"kind": self.name, "keep_ratio": self.keep_ratio}
 
     # ------------------------------------------------------------------ #
     # shared machinery
@@ -223,6 +233,13 @@ class DiversityFilter(CandidateFilter):
         require(max_iterations > 0, "max_iterations must be positive")
         self.num_clusters = int(num_clusters)
         self.max_iterations = int(max_iterations)
+
+    def fingerprint(self) -> dict:
+        return {
+            **super().fingerprint(),
+            "num_clusters": self.num_clusters,
+            "max_iterations": self.max_iterations,
+        }
 
     def _filter_segment(self, features, probabilities, keep: int, rng) -> np.ndarray:
         X = np.asarray(features, dtype=np.float64)

@@ -108,7 +108,7 @@ import numpy as np
 
 from repro.active.problem import ActiveLearningProblem
 from repro.active.results import ExperimentResult, RoundRecord
-from repro.baselines.base import LabelObservation, SelectionContext, SessionInfo, ensure_lifecycle
+from repro.baselines.base import LabelObservation, SelectionContext, SelectionStrategy, SessionInfo
 from repro.engine.pool import DensePointStore, PoolStore
 from repro.engine.prefilter import CandidateFilter
 from repro.models.logistic_regression import LogisticRegressionClassifier
@@ -269,10 +269,10 @@ class SessionConfig:
             )
         if self.prefilter is not None:
             require(
-                hasattr(self.prefilter, "select_candidates"),
+                isinstance(self.prefilter, CandidateFilter),
                 "SessionConfig.prefilter must implement "
-                "CandidateFilter.select_candidates(context, rng) "
-                f"(got {type(self.prefilter).__name__!r})",
+                "CandidateFilter.select_candidates(context, rng) by subclassing "
+                f"CandidateFilter (got {type(self.prefilter).__name__!r})",
             )
         require(
             self.on_rank_failure in ("abort", "repartition_retry"),
@@ -316,10 +316,9 @@ class RoundState:
 
     @classmethod
     def capture(cls, session: "ActiveSession") -> "RoundState":
-        state_hook = getattr(session.strategy, "state_dict", None)
         return cls(
             rng_state=copy.deepcopy(session.rng.bit_generator.state),
-            strategy_state=state_hook() if callable(state_hook) else {},
+            strategy_state=session.strategy.state_dict(),
         )
 
     def restore(self, session: "ActiveSession") -> None:
@@ -327,17 +326,23 @@ class RoundState:
 
         The RNG state is set in place, so a caller-supplied ``Generator``
         follows the session; only a state saved from a different
-        bit-generator type gets a fresh generator of that type.
+        bit-generator type gets a fresh generator of that type.  A state
+        naming anything but a NumPy bit generator is refused before anything
+        is called.
         """
 
+        bit_generators = {kind.__name__: kind for kind in np.random.BitGenerator.__subclasses__()}
+        name = self.rng_state.get("bit_generator")
+        require(
+            isinstance(name, str) and name in bit_generators,
+            f"rng_state.bit_generator must name a numpy.random.BitGenerator subclass (got {name!r})",
+        )
         bit_generator = session.rng.bit_generator
-        if type(bit_generator).__name__ != self.rng_state["bit_generator"]:
-            bit_generator = getattr(np.random, self.rng_state["bit_generator"])()
+        if type(bit_generator).__name__ != name:
+            bit_generator = bit_generators[name]()
             session.rng = np.random.Generator(bit_generator)
         bit_generator.state = self.rng_state
-        load_hook = getattr(session.strategy, "load_state_dict", None)
-        if callable(load_hook):
-            load_hook(self.strategy_state)
+        session.strategy.load_state_dict(self.strategy_state)
 
     def to_json(self) -> dict:
         return {
@@ -365,16 +370,15 @@ class ActiveSession:
     problem:
         The dataset triple (initial labeled / pool / evaluation).
     strategy:
-        Batch selection method — a
-        :class:`~repro.baselines.SelectionStrategy` or any duck-typed object
-        with a ``select(context)`` method (wrapped via
-        :func:`~repro.baselines.ensure_lifecycle`).
+        Batch selection method: an instance of a
+        :class:`~repro.baselines.SelectionStrategy` subclass.  Anything else
+        is refused with a ``ValueError``.
     budget_per_round:
         Points labeled per round (``b``).
     num_rounds:
         Planned number of rounds.  Optional — the session can also be driven
         open-endedly with :meth:`step` — but when given it is validated
-        against the pool size upfront and advertised to the strategy.
+        against the pool size upfront.
     classifier:
         Optional pre-configured classifier; defaults to an L2-regularized
         multinomial logistic regression, fixed across rounds as in the paper.
@@ -406,10 +410,15 @@ class ActiveSession:
                 self.planned_rounds * self.budget_per_round <= problem.pool_size,
                 "total budget exceeds the pool size",
             )
+        require(
+            isinstance(strategy, SelectionStrategy),
+            "strategy must be a SelectionStrategy subclass instance "
+            f"(got {type(strategy).__name__!r})",
+        )
         self.problem = problem
         self.config = (config or SessionConfig()).validate()
         self.store = self._build_store(problem, self.config)
-        self.strategy = ensure_lifecycle(strategy)
+        self.strategy = strategy
         self.classifier = (
             classifier
             if classifier is not None
@@ -443,19 +452,9 @@ class ActiveSession:
             )
         self.strategy.begin_session(
             SessionInfo(
-                num_classes=problem.num_classes,
-                dimension=problem.dimension,
-                budget_per_round=self.budget_per_round,
-                pool_size=problem.pool_size,
-                num_rounds=self.planned_rounds,
                 reuse_eta=self.config.reuse_eta,
                 parallel_ranks=self.config.parallel_ranks,
                 parallel_transport=self.config.parallel_transport,
-                prefilter=(
-                    None
-                    if self.config.prefilter is None
-                    else getattr(self.config.prefilter, "name", "prefilter")
-                ),
                 on_rank_failure=self.config.on_rank_failure,
                 fault_plan=self.config.fault_plan,
             )
@@ -914,9 +913,7 @@ class ActiveSession:
             "parallel_ranks": None if cfg.parallel_ranks is None else int(cfg.parallel_ranks),
             "parallel_transport": cfg.parallel_transport,
             "fisher_refresh_every": None,
-            "prefilter": (
-                None if cfg.prefilter is None else getattr(cfg.prefilter, "name", "prefilter")
-            ),
+            "prefilter": None if cfg.prefilter is None else cfg.prefilter.fingerprint(),
         }
 
     def checkpoint_payload(self) -> dict:

@@ -44,7 +44,7 @@ from repro.parallel.comm import (
     SimulatedComm,
     create_communicators,
 )
-from repro.parallel.launcher import RankFailedError, SPMD_ATTEMPT_ENV, TRANSPORTS, run_spmd
+from repro.parallel.launcher import RankFailedError, TRANSPORTS, run_spmd
 from repro.parallel.faults import (
     FaultInjectingComm,
     FaultInjectingEntry,
@@ -74,7 +74,6 @@ __all__ = [
     "FaultPlan",
     "InjectedFaultError",
     "RankFailedError",
-    "SPMD_ATTEMPT_ENV",
     "SharedMemoryComm",
     "SimulatedComm",
     "TRANSPORTS",

@@ -150,9 +150,13 @@ class Comm(Protocol):
     :func:`~repro.parallel.distributed_round.round_rank_main`) are written
     against this protocol only, so the same SPMD body runs over threads
     (:class:`SimulatedComm`) and real processes (:class:`SharedMemoryComm`).
+    ``attempt`` is the zero-based launch attempt of the
+    :func:`~repro.parallel.launcher.run_spmd` call that created the handle,
+    which attempt-gated fault plans read.
     """
 
     rank: int
+    attempt: int
 
     @property
     def size(self) -> int: ...
@@ -318,9 +322,10 @@ class SimulatedComm(_CollectiveBody):
     identity, so a single rank can run the SPMD body without threads.
     """
 
-    def __init__(self, rank: int, state: _SharedState):
+    def __init__(self, rank: int, state: _SharedState, *, attempt: int = 0):
         require(0 <= rank < state.size, "rank out of range")
         self.rank = int(rank)
+        self.attempt = int(attempt)
         self._state = state
         self._seq = 0
         self._inflight: Optional[str] = None
@@ -419,7 +424,9 @@ class SimulatedComm(_CollectiveBody):
         return post
 
 
-def create_communicators(size: int, *, timeout: Optional[float] = None) -> List[SimulatedComm]:
+def create_communicators(
+    size: int, *, timeout: Optional[float] = None, attempt: int = 0
+) -> List[SimulatedComm]:
     """Create the ``size`` rank handles of one simulated communicator.
 
     The handles share one rendezvous state and one :class:`CommunicationLog`;
@@ -428,11 +435,12 @@ def create_communicators(size: int, *, timeout: Optional[float] = None) -> List[
     ``timeout`` bounds every barrier wait (``None`` waits forever): a rank
     whose peers never post the matching collective raises
     :class:`CommAbortedError` after ``timeout`` seconds instead of hanging.
+    ``attempt`` is the launch attempt every handle reports.
     """
 
     require(size > 0, "communicator size must be positive")
     state = _SharedState(size, timeout=timeout)
-    return [SimulatedComm(rank, state) for rank in range(size)]
+    return [SimulatedComm(rank, state, attempt=attempt) for rank in range(size)]
 
 
 # --------------------------------------------------------------------- #
@@ -493,6 +501,7 @@ class SharedMemoryComm(_CollectiveBody):
         capacity_bytes: int,
         *,
         timeout: float = 120.0,
+        attempt: int = 0,
     ):
         from multiprocessing import shared_memory
 
@@ -500,6 +509,7 @@ class SharedMemoryComm(_CollectiveBody):
         require(0 <= rank < size, "rank out of range")
         require(capacity_bytes > 0, "slot capacity must be positive")
         self.rank = int(rank)
+        self.attempt = int(attempt)
         self._size = int(size)
         self._capacity = int(capacity_bytes)
         self._slot_bytes = _HEADER_BYTES + self._capacity

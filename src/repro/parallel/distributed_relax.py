@@ -40,7 +40,6 @@ import numpy as np  # host-side timing/bookkeeping only; array math uses the bac
 from repro.backend import Array, get_backend
 from repro.core.approx_relax import relax_loop
 from repro.core.config import RelaxConfig
-from repro.core.warm_start import initial_simplex_iterate
 from repro.fisher.operators import FisherDataset
 from repro.parallel.comm import Comm, CommunicationLog
 from repro.parallel.launcher import (
@@ -99,13 +98,14 @@ class RelaxRankSpec:
     Arrays are the rank's pool shard plus the replicated labeled set; under
     the simulated transport they may be backend-resident (threads share
     memory), under the shared-memory transport the driver ships host arrays.
+    ``pool_size`` is the whole pool's size, which fixes the uniform start.
     """
 
     pool_features: Array
     pool_probabilities: Array
     labeled_features: Array
     labeled_probabilities: Array
-    z0_local: Array
+    pool_size: int
     budget: int
     config: RelaxConfig
 
@@ -126,7 +126,7 @@ def relax_rank_main(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
     """SPMD body of Algorithm 2 for one rank."""
 
     shard = rank_shard(spec)
-    result = relax_loop(comm, shard, spec.z0_local, int(spec.budget), spec.config)
+    result = relax_loop(comm, shard, spec.pool_size, int(spec.budget), spec.config)
     return RelaxRankOutput(
         rank=comm.rank,
         weights=result.weights,
@@ -162,7 +162,6 @@ def distributed_relax(
     num_ranks: int,
     config: Optional[RelaxConfig] = None,
     transport: str = "simulated",
-    initial_weights: Optional[Array] = None,
     timeout: float = 120.0,
     offsets: Optional[np.ndarray] = None,
     fault_plan=None,
@@ -197,24 +196,18 @@ def distributed_relax(
     )
     backend = get_backend()
 
-    shards = partition_pool(dataset, num_ranks, offsets=offsets)
-    z0 = initial_simplex_iterate(dataset.num_pool, initial_weights)
-    specs = []
-    start = 0
-    for shard in shards:
-        stop = start + shard.num_pool
-        specs.append(
-            RelaxRankSpec(
-                pool_features=ship_array(backend, shard.pool_features, transport),
-                pool_probabilities=ship_array(backend, shard.pool_probabilities, transport),
-                labeled_features=ship_array(backend, shard.labeled_features, transport),
-                labeled_probabilities=ship_array(backend, shard.labeled_probabilities, transport),
-                z0_local=ship_array(backend, z0[start:stop], transport),
-                budget=int(budget),
-                config=cfg,
-            )
+    specs = [
+        RelaxRankSpec(
+            pool_features=ship_array(backend, shard.pool_features, transport),
+            pool_probabilities=ship_array(backend, shard.pool_probabilities, transport),
+            labeled_features=ship_array(backend, shard.labeled_features, transport),
+            labeled_probabilities=ship_array(backend, shard.labeled_probabilities, transport),
+            pool_size=dataset.num_pool,
+            budget=int(budget),
+            config=cfg,
         )
-        start = stop
+        for shard in partition_pool(dataset, num_ranks, offsets=offsets)
+    ]
 
     entry = relax_rank_main
     if fault_plan is not None:

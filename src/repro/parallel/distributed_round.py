@@ -134,9 +134,7 @@ def _rank_precompute(comm: Comm, spec: RoundRankSpec):
     """The rank's shard and its η-independent ROUND state over ``comm``."""
 
     shard = rank_shard(spec)
-    precompute = RoundPrecompute.build(
-        shard, spec.z_local, spec.config, comm=comm, offsets=spec.offsets
-    )
+    precompute = RoundPrecompute.build(shard, spec.z_local, comm=comm, offsets=spec.offsets)
     return shard, precompute
 
 

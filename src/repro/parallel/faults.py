@@ -45,14 +45,13 @@ recovery path the session-level ``repartition_retry`` policy builds on.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.backend import Array
 from repro.parallel.comm import Comm, CommunicationLog, _TAG_CODES
-from repro.parallel.launcher import RankFailedError, SPMD_ATTEMPT_ENV
+from repro.parallel.launcher import RankFailedError
 from repro.utils.validation import require
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "FaultInjectingEntry",
     "FaultPlan",
     "InjectedFaultError",
-    "current_attempt",
 ]
 
 FAULT_MODES = ("kill", "delay", "drop")
@@ -75,12 +73,6 @@ class InjectedFaultError(RankFailedError):
     injected death exactly like a real one — that equivalence is the point
     of the harness.
     """
-
-
-def current_attempt() -> int:
-    """Zero-based launch attempt of the enclosing :func:`run_spmd` call."""
-
-    return int(os.environ.get(SPMD_ATTEMPT_ENV, "0"))
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,9 @@ class FaultPlan:
     delay_seconds:
         Straggler sleep for ``mode="delay"``.
     attempt:
-        Fire only on this zero-based :func:`run_spmd` launch attempt
-        (transient fault); ``None`` fires on every attempt (permanent fault).
+        Fire only on this zero-based :func:`run_spmd` launch attempt, read
+        from the wrapped communicator's ``attempt`` (transient fault);
+        ``None`` fires on every attempt (permanent fault).
     """
 
     rank: int
@@ -156,6 +149,7 @@ class FaultInjectingComm:
         self._plan = plan
         self._matching_calls = 0
         self.rank = inner.rank
+        self.attempt = inner.attempt
 
     @property
     def size(self) -> int:
@@ -191,7 +185,7 @@ class FaultInjectingComm:
             return False
         if plan.collective is not None and collective != plan.collective:
             return False
-        if plan.attempt is not None and current_attempt() != plan.attempt:
+        if plan.attempt is not None and self.attempt != plan.attempt:
             return False
         self._matching_calls += 1
         if self._matching_calls != plan.at_call:

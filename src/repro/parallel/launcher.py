@@ -27,7 +27,6 @@ identical by construction).
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import traceback
@@ -50,7 +49,6 @@ from repro.utils.validation import require
 
 __all__ = [
     "RankFailedError",
-    "SPMD_ATTEMPT_ENV",
     "TRANSPORTS",
     "collective_log",
     "merge_component_seconds",
@@ -63,12 +61,6 @@ TRANSPORTS = ("simulated", "shared_memory")
 
 #: Default per-rank slot capacity (bytes) when the caller gives no bound.
 DEFAULT_MESSAGE_BYTES = 1 << 22
-
-#: Environment variable carrying the zero-based launch attempt of the current
-#: :func:`run_spmd` call.  Set for both transports (spawned rank processes
-#: inherit it), so attempt-gated fault plans (`FaultPlan.attempt`) can model
-#: *transient* failures that vanish on retry.
-SPMD_ATTEMPT_ENV = "REPRO_SPMD_ATTEMPT"
 
 RankMain = Callable[[Comm, Any], Any]
 
@@ -204,8 +196,10 @@ def run_spmd(
         launch is all-or-nothing: per-rank state lives only inside the
         failed launch, so a relaunch replays the identical deterministic
         program.  Non-communicator errors (a bug in the rank body) propagate
-        immediately.  The zero-based attempt index is exported as
-        ``SPMD_ATTEMPT_ENV`` for fault plans gated on a specific attempt.
+        immediately.  Every rank's communicator carries the zero-based
+        attempt index as ``comm.attempt``, so fault plans gated on one
+        attempt model transient failures; nothing process-wide is written,
+        so overlapping launches on other threads cannot see or change it.
     retry_backoff:
         Base of the exponential backoff between attempts:
         ``retry_backoff * 2**attempt`` seconds after attempt ``attempt``.
@@ -216,33 +210,27 @@ def run_spmd(
     require(max_retries >= 0, "max_retries must be non-negative")
     require(retry_backoff >= 0, "retry_backoff must be non-negative")
 
-    previous_attempt = os.environ.get(SPMD_ATTEMPT_ENV)
-    try:
-        attempt = 0
-        while True:
-            os.environ[SPMD_ATTEMPT_ENV] = str(attempt)
-            try:
-                if transport == "simulated":
-                    return _run_threads(entry, rank_args, timeout)
-                return _run_processes(entry, rank_args, max_message_bytes, timeout)
-            except CommError:
-                if attempt >= max_retries:
-                    raise
-                time.sleep(retry_backoff * (2**attempt))
-                attempt += 1
-    finally:
-        if previous_attempt is None:
-            os.environ.pop(SPMD_ATTEMPT_ENV, None)
-        else:
-            os.environ[SPMD_ATTEMPT_ENV] = previous_attempt
+    attempt = 0
+    while True:
+        try:
+            if transport == "simulated":
+                return _run_threads(entry, rank_args, timeout, attempt)
+            return _run_processes(entry, rank_args, max_message_bytes, timeout, attempt)
+        except CommError:
+            if attempt >= max_retries:
+                raise
+            time.sleep(retry_backoff * (2**attempt))
+            attempt += 1
 
 
 # --------------------------------------------------------------------- #
 # simulated transport: threads
 # --------------------------------------------------------------------- #
-def _run_threads(entry: RankMain, rank_args: Sequence[Any], timeout: float) -> List[Any]:
+def _run_threads(
+    entry: RankMain, rank_args: Sequence[Any], timeout: float, attempt: int
+) -> List[Any]:
     num_ranks = len(rank_args)
-    comms = create_communicators(num_ranks, timeout=timeout)
+    comms = create_communicators(num_ranks, timeout=timeout, attempt=attempt)
     if num_ranks == 1:
         # A single rank never blocks on the barrier; run it inline so stack
         # traces, profilers and debuggers see a plain call.
@@ -292,10 +280,12 @@ def _comm_error_fields(exc: BaseException) -> dict:
     return {}
 
 
-def _process_rank_main(entry, rank, size, shm_name, barrier, capacity, timeout, args, queue):
+def _process_rank_main(entry, rank, size, shm_name, barrier, capacity, timeout, attempt, args, queue):
     """Module-level child body (spawn requires a picklable, importable target)."""
 
-    comm = SharedMemoryComm(rank, size, shm_name, barrier, capacity, timeout=timeout)
+    comm = SharedMemoryComm(
+        rank, size, shm_name, barrier, capacity, timeout=timeout, attempt=attempt
+    )
     try:
         payload = entry(comm, args)
         queue.put((rank, True, payload))
@@ -315,6 +305,7 @@ def _run_processes(
     rank_args: Sequence[Any],
     max_message_bytes: Optional[int],
     timeout: float,
+    attempt: int,
 ) -> List[Any]:
     import multiprocessing as mp
     from multiprocessing import shared_memory
@@ -332,7 +323,10 @@ def _run_processes(
     processes = [
         ctx.Process(
             target=_process_rank_main,
-            args=(entry, rank, num_ranks, segment.name, barrier, capacity, timeout, rank_args[rank], queue),
+            args=(
+                entry, rank, num_ranks, segment.name, barrier, capacity, timeout, attempt,
+                rank_args[rank], queue,
+            ),
             name=f"spmd-rank-{rank}",
             daemon=True,
         )

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.config import RelaxConfig
+from repro.core.config import SIGMA_REGULARIZATION, RelaxConfig
 from repro.core.approx_relax import approx_relax
 from repro.core.exact_relax import exact_relax, exact_relax_gradient
 from repro.fisher.hessian import weighted_block_diagonal
@@ -212,7 +212,7 @@ class TestGradientOracle:
         weights = np.asarray(solver(dataset, self.BUDGET, config).weights)
         uniform = np.full(dataset.num_pool, self.BUDGET / dataset.num_pool)
         exact = _centered(
-            exact_relax_gradient(dataset, uniform, regularization=config.regularization)
+            exact_relax_gradient(dataset, uniform, regularization=SIGMA_REGULARIZATION)
         )
         estimate = _centered(-np.log(weights))
         return np.linalg.norm(estimate - exact) / np.linalg.norm(exact)
@@ -249,7 +249,7 @@ class TestObjectiveOracle:
     def _rms_relative_error(self, num_probes):
         dataset = make_fisher_dataset(seed=0)
         uniform = np.full(dataset.num_pool, self.BUDGET / dataset.num_pool)
-        exact = fisher_ratio_objective(dataset, uniform, regularization=RelaxConfig().regularization)
+        exact = fisher_ratio_objective(dataset, uniform, regularization=SIGMA_REGULARIZATION)
         errors = []
         for seed in range(8):
             config = RelaxConfig(

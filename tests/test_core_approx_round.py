@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import RoundConfig
+from repro.core.config import SIGMA_REGULARIZATION, RoundConfig
 from repro.core.approx_round import approx_round, selected_batch_min_eigenvalue
 from repro.fisher.operators import FisherDataset
 from tests.conftest import make_fisher_dataset, random_probabilities
@@ -101,14 +101,14 @@ class TestProposition4Equivalence:
         )
         z = np.full(n, budget / n)
 
-        approx = approx_round(dataset, z, budget=budget, eta=eta, config=RoundConfig(eta=eta, regularization=1e-8))
+        approx = approx_round(dataset, z, budget=budget, eta=eta, config=RoundConfig(eta=eta))
 
         # Brute-force the first selection of the *block-diagonalized* exact
         # objective: Trace[(B_t + eta B(H_i))^{-1} Sigma_*] (Eq. 18) with
         # B_t = sqrt(dc) Sigma_* + (eta/b) B(H_o).
         from repro.fisher.hessian import point_block_coefficients
 
-        sigma = dataset.sigma_block_diagonal(z).add_identity(1e-8)
+        sigma = dataset.sigma_block_diagonal(z).add_identity(SIGMA_REGULARIZATION)
         labeled = dataset.labeled_block_diagonal()
         bt = sigma * np.sqrt(d * c) + labeled * (eta / budget)
         gammas = point_block_coefficients(dataset.pool_probabilities)

@@ -26,6 +26,7 @@ from repro.baselines import FIRALStrategy
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
 from repro.engine.pool import DensePointStore
+from repro.engine.prefilter import DiversityFilter, RandomSubsampleFilter, TopKScoreFilter
 from repro.engine.session import ActiveSession, SessionConfig
 from repro.engine.stores import ShardedPointStore
 from repro.parallel import FaultPlan
@@ -195,6 +196,53 @@ class TestCheckpointValidation:
         ckpt.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format version"):
             ActiveSession.resume(ckpt, problem, STRATEGY_FACTORIES["random"]())
+
+    @pytest.mark.parametrize(
+        "written, resumed",
+        [
+            (RandomSubsampleFilter(0.5), RandomSubsampleFilter(0.9)),
+            (DiversityFilter(0.5), DiversityFilter(0.5, num_clusters=8)),
+            (DiversityFilter(0.5), DiversityFilter(0.5, max_iterations=5)),
+            (RandomSubsampleFilter(0.5), TopKScoreFilter(0.5)),
+        ],
+        ids=["keep_ratio", "num_clusters", "max_iterations", "kind"],
+    )
+    def test_prefilter_parameter_mismatch_rejected(self, problem, tmp_path, written, resumed):
+        """Every filter parameter changes the candidate set, so the
+        fingerprint holds them all, not only the kind."""
+
+        ckpt = self._checkpoint(problem, tmp_path, prefilter=written)
+        with pytest.raises(ValueError, match="prefilter"):
+            ActiveSession.resume(
+                ckpt,
+                problem,
+                STRATEGY_FACTORIES["random"](),
+                config=SessionConfig(prefilter=resumed),
+            )
+
+    def test_prefiltered_resume_is_bit_identical(self, problem, tmp_path):
+        factory = STRATEGY_FACTORIES["random"]
+        make_config = lambda: SessionConfig(prefilter=DiversityFilter(0.5, num_clusters=4))  # noqa: E731
+        full = _run_full(problem, factory, config=make_config())
+        resumed = _run_resumed(problem, factory, tmp_path, config_factory=make_config)
+        _assert_curves_identical(full.result, resumed.result)
+        np.testing.assert_array_equal(full.store.labeled_ids, resumed.store.labeled_ids)
+
+    @pytest.mark.parametrize("name", ["seed", "Generator", "nope"])
+    def test_corrupt_bit_generator_rejected_without_side_effect(self, problem, tmp_path, name):
+        """The name is checked against NumPy's bit generators before anything
+        is called: ``"seed"`` must not reseed NumPy's global RNG."""
+
+        ckpt = self._checkpoint(problem, tmp_path)
+        payload = json.loads(ckpt.read_text())
+        payload["rng_state"]["bit_generator"] = name
+        ckpt.write_text(json.dumps(payload))
+        before = np.random.get_state(legacy=False)
+        with pytest.raises(ValueError, match="rng_state.bit_generator"):
+            ActiveSession.resume(ckpt, problem, STRATEGY_FACTORIES["random"]())
+        after = np.random.get_state(legacy=False)
+        np.testing.assert_array_equal(after["state"]["key"], before["state"]["key"])
+        assert after["state"]["pos"] == before["state"]["pos"]
 
 
 #: A format-1 checkpoint written by the code at commit 63a5cd8, never by

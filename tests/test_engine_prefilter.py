@@ -356,23 +356,6 @@ class TestFilteredSessions:
         assert len(curve) == 4  # initial + 3 rounds
         assert np.unique(ids).size == ids.size
 
-    def test_session_info_advertises_prefilter(self, problem):
-        captured = {}
-
-        class Probe(RandomStrategy):
-            def begin_session(self, info):
-                captured["prefilter"] = info.prefilter
-
-        ActiveSession(
-            problem,
-            Probe(),
-            budget_per_round=4,
-            num_rounds=2,
-            seed=0,
-            config=SessionConfig(prefilter=TopKScoreFilter(0.5)),
-        )
-        assert captured["prefilter"] == "topk"
-
     def test_prefilter_config_validated(self, problem):
         with pytest.raises(ValueError, match="select_candidates"):
             ActiveSession(

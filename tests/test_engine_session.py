@@ -9,8 +9,8 @@ only to track stable global ids) and is the reference the session is pinned
 against.
 
 Also covered here: the strategy lifecycle protocol (``begin_session`` /
-``observe_labels``, the stateless adapter), the ``DensePointStore`` bookkeeping,
-and multi-rank sessions.
+``observe_labels``, and the refusal of non-``SelectionStrategy`` objects), the
+``DensePointStore`` bookkeeping, and multi-rank sessions.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from repro.baselines.base import (
     SelectionContext,
     SelectionStrategy,
     SessionInfo,
-    StatelessStrategyAdapter,
-    ensure_lifecycle,
 )
 from repro.baselines.entropy import EntropyStrategy
 from repro.baselines.kmeans import KMeansStrategy
@@ -274,7 +272,7 @@ class _RecordingStrategy(SelectionStrategy):
 
 
 class _BareSelector:
-    """Duck-typed strategy without the lifecycle protocol."""
+    """Duck-typed strategy that does not subclass ``SelectionStrategy``."""
 
     name = "bare"
 
@@ -286,12 +284,7 @@ class TestLifecycleProtocol:
     def test_hooks_called_in_order(self, problem):
         strategy = _RecordingStrategy()
         ActiveSession(problem, strategy, budget_per_round=3, num_rounds=2, seed=0).run(2)
-        assert len(strategy.infos) == 1
-        info = strategy.infos[0]
-        assert info.num_classes == problem.num_classes
-        assert info.dimension == problem.dimension
-        assert info.budget_per_round == 3
-        assert info.num_rounds == 2
+        assert strategy.infos == [SessionInfo()]
         assert len(strategy.observations) == 2
         first = strategy.observations[0]
         assert first.round_index == 0
@@ -302,19 +295,9 @@ class TestLifecycleProtocol:
             first.labels, np.asarray(problem.pool_labels)[:3]
         )
 
-    def test_bare_object_wrapped_by_adapter(self, problem):
-        adapted = ensure_lifecycle(_BareSelector())
-        assert isinstance(adapted, StatelessStrategyAdapter)
-        assert adapted.name == "bare"
-        result = ActiveSession(
-            problem, _BareSelector(), budget_per_round=3, num_rounds=1, seed=0
-        ).run(1)
-        assert result.strategy_name == "bare"
-        assert len(result.records) == 2
-
-    def test_lifecycle_strategy_passes_through(self):
-        strategy = RandomStrategy()
-        assert ensure_lifecycle(strategy) is strategy
+    def test_non_strategy_rejected(self, problem):
+        with pytest.raises(ValueError, match="strategy must be a SelectionStrategy"):
+            ActiveSession(problem, _BareSelector(), budget_per_round=3, num_rounds=1, seed=0)
 
 
 class TestEtaReuse:

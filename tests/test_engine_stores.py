@@ -245,15 +245,7 @@ class TestShardedPointStore:
                 RoundConfig(eta=1.0),
             )
         )
-        strategy.begin_session(
-            SessionInfo(
-                num_classes=problem.num_classes,
-                dimension=problem.dimension,
-                budget_per_round=2,
-                pool_size=8,
-                parallel_ranks=2,
-            )
-        )
+        strategy.begin_session(SessionInfo(parallel_ranks=2))
         rng = np.random.default_rng(0)
         n = 8
         pool_probabilities = rng.dirichlet(np.ones(problem.num_classes), size=n)

@@ -227,19 +227,6 @@ class TestExplicitOffsetsMatchSerial:
         np.testing.assert_allclose(score, serial_score, rtol=1e-10)
 
 
-class TestDistributedRelaxWarmStart:
-    def test_initial_weights_match_serial(self, dataset):
-        """The driver slices the warm-start iterate exactly as the serial solver."""
-
-        rng = np.random.default_rng(3)
-        z0 = rng.uniform(0.1, 1.0, size=dataset.num_pool)
-        serial = approx_relax(dataset, budget=6, config=relax_config(), initial_weights=z0)
-        distributed = distributed_relax(
-            dataset, 6, num_ranks=1, config=relax_config(), initial_weights=z0
-        )
-        np.testing.assert_array_equal(distributed.weights, serial.weights)
-
-
 class TestDistributedApproxFIRAL:
     """The full RELAX → η → ROUND selector over distributed solvers."""
 

@@ -15,7 +15,6 @@ from repro.parallel.faults import (
     FaultInjectingEntry,
     FaultPlan,
     InjectedFaultError,
-    current_attempt,
 )
 from repro.parallel.launcher import RankFailedError, run_spmd
 
@@ -43,7 +42,7 @@ def roundtrip_rank(comm, arg):
 
 def attempt_echo_rank(comm, arg):
     comm.allreduce(np.asarray([1.0]))
-    return (comm.rank, current_attempt())
+    return (comm.rank, comm.attempt)
 
 
 class TestFaultPlan:
@@ -170,14 +169,47 @@ class TestSimulatedInjection:
                 retry_backoff=0.0,
             )
 
-    def test_attempt_env_restored_after_launch(self):
+    def test_overlapping_launches_leave_environ_unchanged(self):
+        """Launch A starts, launch B starts on another thread, A ends, then B
+        ends: each rank reads its launch's attempt off its communicator, and
+        neither launch writes the environment."""
+
         import os
+        import threading
 
-        from repro.parallel.launcher import SPMD_ATTEMPT_ENV
+        before = dict(os.environ)
+        a_running, b_running, a_done = threading.Event(), threading.Event(), threading.Event()
 
-        assert os.environ.get(SPMD_ATTEMPT_ENV) is None
-        run_spmd(attempt_echo_rank, [None, None])
-        assert os.environ.get(SPMD_ATTEMPT_ENV) is None
+        def launch_a(comm, arg):
+            a_running.set()
+            assert b_running.wait(10.0)
+            return comm.attempt
+
+        def launch_b(comm, arg):
+            b_running.set()
+            assert a_done.wait(10.0)
+            return comm.attempt
+
+        outputs = {}
+
+        def run_a():
+            outputs["a"] = run_spmd(launch_a, [None])
+
+        def run_b():
+            outputs["b"] = run_spmd(launch_b, [None])
+
+        thread_a = threading.Thread(target=run_a)
+        thread_a.start()
+        assert a_running.wait(10.0)
+        thread_b = threading.Thread(target=run_b)
+        thread_b.start()
+        thread_a.join(10.0)
+        assert not thread_a.is_alive()
+        a_done.set()
+        thread_b.join(10.0)
+        assert not thread_b.is_alive()
+        assert outputs == {"a": [0], "b": [0]}
+        assert dict(os.environ) == before
 
 
 @pytest.mark.chaos

@@ -57,7 +57,7 @@ def reference_scores(bt_inv, sigma_star, X, gammas, eta):
 
 class TestFusedScoring:
     def _state(self, dataset, z_relaxed):
-        pre = RoundPrecompute.build(dataset, z_relaxed, RoundConfig(eta=1.0))
+        pre = RoundPrecompute.build(dataset, z_relaxed)
         bt_inv = (pre.sigma_star * np.sqrt(dataset.joint_dimension)).inverse()
         return pre, bt_inv
 
@@ -155,7 +155,7 @@ class TestPrecomputeThreading:
 
     def test_explicit_precompute_reuse(self, dataset, z_relaxed):
         cfg = RoundConfig()
-        pre = RoundPrecompute.build(dataset, z_relaxed, cfg)
+        pre = RoundPrecompute.build(dataset, z_relaxed)
         direct = approx_round(dataset, z_relaxed, 4, 1.0, cfg)
         threaded = approx_round(dataset, z_relaxed, 4, 1.0, cfg, precompute=pre)
         threaded_again = approx_round(dataset, z_relaxed, 4, 1.0, cfg, precompute=pre)
@@ -164,7 +164,7 @@ class TestPrecomputeThreading:
 
     def test_mismatched_precompute_rejected(self, dataset, z_relaxed):
         other = make_fisher_dataset(seed=9, num_pool=13, num_labeled=6, dimension=5, num_classes=4)
-        pre = RoundPrecompute.build(other, np.full(13, 0.3), RoundConfig())
+        pre = RoundPrecompute.build(other, np.full(13, 0.3))
         with pytest.raises(ValueError):
             approx_round(dataset, z_relaxed, 3, 1.0, RoundConfig(), precompute=pre)
 
@@ -172,11 +172,11 @@ class TestPrecomputeThreading:
         """Same pool, different RELAX output: the context must not be silently
         reused (sigma_star would correspond to the stale weights)."""
 
-        pre = RoundPrecompute.build(dataset, z_relaxed, RoundConfig())
+        pre = RoundPrecompute.build(dataset, z_relaxed)
         other_z = np.roll(np.asarray(z_relaxed), 1)
         with pytest.raises(ValueError):
             approx_round(dataset, other_z, 3, 1.0, RoundConfig(), precompute=pre)
-        exact_pre = ExactRoundPrecompute.build(dataset, z_relaxed, RoundConfig())
+        exact_pre = ExactRoundPrecompute.build(dataset, z_relaxed)
         with pytest.raises(ValueError):
             exact_round(dataset, other_z, 3, 1.0, RoundConfig(), precompute=exact_pre)
 
@@ -186,7 +186,7 @@ class TestPrecomputeThreading:
         z = rng.uniform(0, 1, size=14)
         z = 4.0 * z / z.sum()
         cfg = RoundConfig()
-        pre = ExactRoundPrecompute.build(tiny, z, cfg)
+        pre = ExactRoundPrecompute.build(tiny, z)
         direct = exact_round(tiny, z, 3, 1.0, cfg)
         threaded = exact_round(tiny, z, 3, 1.0, cfg, precompute=pre)
         np.testing.assert_array_equal(direct.selected_indices, threaded.selected_indices)

@@ -15,7 +15,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.baselines.base import SelectionContext
+from repro.baselines.base import SelectionContext, SessionInfo
+from repro.core.config import RelaxConfig, RoundConfig
 from repro.engine import ActiveSession, SessionConfig
 from repro.engine.session import VALID_TRANSPORTS
 
@@ -171,3 +172,21 @@ class TestOptionSurface:
             "shard_offsets",
             "candidate_ids",
         ]
+
+    def test_session_info_fields(self):
+        """Only what a strategy reads: shapes and the budget come with each
+        round's context."""
+
+        assert [f.name for f in dataclasses.fields(SessionInfo)] == [
+            "reuse_eta",
+            "parallel_ranks",
+            "parallel_transport",
+            "on_rank_failure",
+            "fault_plan",
+        ]
+
+    def test_solver_configs_carry_no_regularization(self):
+        """RELAX and ROUND share one Tikhonov constant for Sigma."""
+
+        assert "regularization" not in {f.name for f in dataclasses.fields(RelaxConfig)}
+        assert "regularization" not in {f.name for f in dataclasses.fields(RoundConfig)}
