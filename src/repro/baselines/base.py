@@ -95,8 +95,9 @@ class LabelObservation:
     round_index:
         0-based index of the round that just finished.
     pool_indices:
-        The selected indices *as returned by the strategy* — positions in the
-        pool view that round's :class:`SelectionContext` exposed.
+        The selected points' positions in the session's full pool view of
+        that round (a prefiltered round's candidate-local answer already
+        mapped back).
     global_ids:
         Stable point ids of the same selection (ids never shift as the pool
         shrinks; see :class:`repro.engine.PoolStore`).  Empty when the
@@ -115,6 +116,11 @@ class LabelObservation:
 class SelectionContext:
     """Everything a selection strategy may consult in one round.
 
+    The pool side is the strategy's whole world: under a prefiltered
+    session (``SessionConfig.prefilter``) the session hands over only the
+    round's candidate rows and maps the returned indices back to the full
+    pool itself, so a strategy never sees the filter.
+
     Attributes
     ----------
     pool_features:
@@ -129,11 +135,6 @@ class SelectionContext:
         Number of points ``b`` to pick this round.
     rng:
         Generator for stochastic strategies (Random, K-Means init).
-    pool_ids:
-        Optional stable global ids of the pool rows (session engine only).
-        ``pool_ids[i]`` identifies ``pool_features[i]`` across rounds even as
-        the pool shrinks; stateful strategies use it to carry per-point state
-        forward.
     round_index:
         Optional 0-based round counter (session engine only).
     shard_offsets:
@@ -142,15 +143,6 @@ class SelectionContext:
         Rows ``shard_offsets[r] : shard_offsets[r + 1]`` of the pool view
         belong to shard ``r``; multi-rank FIRAL selection scatters along
         these boundaries instead of re-balancing the pool every round.
-    candidate_ids:
-        Optional sorted stable ids of this round's **candidate set** — the
-        subset of ``pool_ids`` that survived the session's
-        :class:`~repro.engine.prefilter.CandidateFilter`.  When present,
-        strategies must score only the candidate rows
-        (:meth:`candidate_positions` gives their pool-view positions) and
-        still return *pool-view* indices, mapping candidate-local results
-        back through those positions.  ``None`` means every pool row is a
-        candidate (the exact path).
     """
 
     pool_features: np.ndarray
@@ -159,10 +151,8 @@ class SelectionContext:
     labeled_probabilities: np.ndarray
     budget: int
     rng: np.random.Generator
-    pool_ids: Optional[np.ndarray] = None
     round_index: Optional[int] = None
     shard_offsets: Optional[np.ndarray] = None
-    candidate_ids: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.pool_features = check_features(self.pool_features, "pool_features")
@@ -177,12 +167,6 @@ class SelectionContext:
             "budget exceeds the number of pool points",
         )
         self.rng = as_generator(self.rng)
-        if self.pool_ids is not None:
-            self.pool_ids = np.asarray(self.pool_ids, dtype=np.int64).ravel()
-            require(
-                self.pool_ids.shape[0] == self.pool_features.shape[0],
-                "pool_ids must have one id per pool point",
-            )
         if self.shard_offsets is not None:
             self.shard_offsets = np.asarray(self.shard_offsets, dtype=np.int64).ravel()
             require(self.shard_offsets.shape[0] >= 2, "shard_offsets needs at least one shard")
@@ -192,73 +176,20 @@ class SelectionContext:
                 and bool(np.all(np.diff(self.shard_offsets) >= 0)),
                 "shard_offsets must partition the pool view",
             )
-        self._candidate_positions: Optional[np.ndarray] = None
-        if self.candidate_ids is not None:
-            require(
-                self.pool_ids is not None,
-                "candidate_ids requires pool_ids (session-engine contexts)",
-            )
-            require(
-                bool(np.all(np.diff(self.pool_ids) > 0)),
-                "candidate_ids requires sorted pool_ids (the position mapping "
-                "uses binary search)",
-            )
-            self.candidate_ids = np.asarray(self.candidate_ids, dtype=np.int64).ravel()
-            require(
-                self.candidate_ids.size >= self.budget,
-                "candidate set is smaller than the budget",
-            )
-            require(
-                self.candidate_ids.size <= self.pool_ids.size,
-                "candidate set is larger than the pool",
-            )
-            require(
-                bool(np.all(np.diff(self.candidate_ids) > 0)),
-                "candidate_ids must be sorted and unique",
-            )
-            positions = np.searchsorted(self.pool_ids, self.candidate_ids)
-            require(
-                bool(np.all(positions < self.pool_ids.size))
-                and bool(np.all(self.pool_ids[positions] == self.candidate_ids)),
-                "candidate_ids must be a subset of pool_ids",
-            )
-            self._candidate_positions = positions
-
-    def candidate_positions(self) -> Optional[np.ndarray]:
-        """Pool-view row positions of the candidate set (``None`` when unfiltered).
-
-        Positions are sorted ascending (candidate ids are sorted and pool ids
-        are kept sorted by the session engine), so for any candidate-local
-        index array ``local``, ``positions[local]`` maps it back to pool-view
-        indices while preserving relative order.
-        """
-
-        return self._candidate_positions
 
     def fisher_dataset(self) -> FisherDataset:
         """Bundle the context into the Fisher container FIRAL consumes.
 
         The full ``(n, c)`` probability matrices are converted to the
         paper's reduced ``(n, c-1)`` parameterization (Eq. 1), which removes
-        the softmax null space and keeps ``Sigma_z`` well conditioned; when
-        :attr:`candidate_ids` is present, only the candidate rows enter the
-        pool side, so RELAX, the η grid search and ROUND all run on the
-        restricted dataset and their indices are candidate-local.
+        the softmax null space and keeps ``Sigma_z`` well conditioned.
         """
 
         from repro.models.softmax import reduced_probabilities
 
-        pool_features = self.pool_features
-        pool_probabilities = self.pool_probabilities
-        if self._candidate_positions is not None:
-            from repro.backend import get_backend
-
-            idx = get_backend().from_host(self._candidate_positions)
-            pool_features = pool_features[idx]
-            pool_probabilities = pool_probabilities[idx]
         return FisherDataset(
-            pool_features=pool_features,
-            pool_probabilities=reduced_probabilities(pool_probabilities),
+            pool_features=self.pool_features,
+            pool_probabilities=reduced_probabilities(self.pool_probabilities),
             labeled_features=self.labeled_features,
             labeled_probabilities=reduced_probabilities(self.labeled_probabilities),
         )
@@ -302,14 +233,36 @@ class SelectionStrategy(abc.ABC):
         """Restore cross-round state saved by :meth:`state_dict` (no-op default)."""
 
     def _validate_selection(self, indices: np.ndarray, context: SelectionContext) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64).ravel()
-        require(indices.size == context.budget, "strategy returned the wrong number of indices")
-        require(np.unique(indices).size == indices.size, "strategy returned duplicate indices")
-        require(
-            bool(np.all((indices >= 0) & (indices < context.pool_features.shape[0]))),
-            "strategy returned out-of-range indices",
+        return check_selection(
+            indices, context.budget, context.pool_features.shape[0], f"strategy {self.name!r}"
         )
-        return indices
+
+
+def check_selection(indices, budget: int, pool_size: int, who: str) -> np.ndarray:
+    """Return a selection as ``int64`` if it is ``budget`` distinct integer
+    positions in ``[0, pool_size)``; otherwise raise a ``ValueError`` naming
+    ``who``.
+
+    Floats are refused, not truncated, and a short or duplicated answer is
+    refused rather than committed as a smaller round.
+    """
+
+    indices = np.asarray(indices)
+    require(
+        indices.ndim == 1 and np.issubdtype(indices.dtype, np.integer),
+        f"{who} must return a 1-D integer index array "
+        f"(got dtype {indices.dtype}, shape {indices.shape})",
+    )
+    require(
+        indices.size == budget,
+        f"{who} returned the wrong number of indices ({indices.size} for a budget of {budget})",
+    )
+    require(np.unique(indices).size == indices.size, f"{who} returned duplicate indices")
+    require(
+        bool(np.all((indices >= 0) & (indices < pool_size))),
+        f"{who} returned out-of-range indices (the view has {pool_size} points)",
+    )
+    return indices.astype(np.int64, copy=False)
 
 
 class FIRALStrategy(SelectionStrategy):
@@ -346,13 +299,6 @@ class FIRALStrategy(SelectionStrategy):
     recovered round selects exactly what the failed one would have.
     Subsequent rounds stay at the reduced rank count (the dead rank does not
     come back); each recovery is appended to :attr:`recovery_events`.
-
-    Under a **prefiltered session** (``SessionConfig.prefilter``) the round's
-    :attr:`SelectionContext.candidate_ids` restricts the Fisher dataset to
-    the candidate rows, so RELAX, the η grid search and ROUND all run at
-    candidate scale; the solver's candidate-local selection is mapped back to
-    pool-view indices, and shard scatter boundaries are translated to the
-    candidate view.
 
     Parameters
     ----------
@@ -468,7 +414,6 @@ class FIRALStrategy(SelectionStrategy):
     # ------------------------------------------------------------------ #
     def select(self, context: SelectionContext) -> np.ndarray:
         dataset = context.fisher_dataset()
-        candidate_positions = context.candidate_positions()
         reuse_eta = self._info is not None and self._info.reuse_eta
         kwargs = {}
         if reuse_eta and self._previous_eta is not None:
@@ -483,12 +428,6 @@ class FIRALStrategy(SelectionStrategy):
             # at least one candidate for the local argmax), so the round
             # falls back to the balanced split until the pool is replenished.
             offsets = context.shard_offsets
-            if offsets is not None and candidate_positions is not None:
-                # The solvers see the candidate view, so the scatter
-                # boundaries must be candidate-local.  Prefilters keep
-                # candidates grouped by owning shard, so each pool-view
-                # boundary maps to the count of candidates before it.
-                offsets = np.searchsorted(candidate_positions, offsets)
             if offsets is not None and bool(np.any(np.diff(offsets) == 0)):
                 offsets = None
             selector.partition_offsets = offsets
@@ -497,10 +436,6 @@ class FIRALStrategy(SelectionStrategy):
         if reuse_eta:
             self._previous_eta = float(result.round.eta)
         selected = np.asarray(result.selected_indices, dtype=np.int64).ravel()
-        if candidate_positions is not None:
-            # The solvers returned candidate-local indices; map them back to
-            # pool-view positions before validating against the full pool.
-            selected = candidate_positions[selected]
         return self._validate_selection(selected, context)
 
     # ------------------------------------------------------------------ #

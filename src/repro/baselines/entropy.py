@@ -27,24 +27,12 @@ def predictive_entropy(probabilities: np.ndarray) -> np.ndarray:
 
 
 class EntropyStrategy(SelectionStrategy):
-    """Top-``b`` predictive-entropy selection.
-
-    Under a prefiltered session (``SelectionContext.candidate_ids``) the
-    entropy ranking runs on the candidate rows only and the winners are
-    mapped back to pool-view indices, so prefiltering speeds up this baseline
-    exactly as it does FIRAL.
-    """
+    """Top-``b`` predictive-entropy selection."""
 
     name = "entropy"
     is_stochastic = False
 
     def select(self, context: SelectionContext) -> np.ndarray:
-        positions = context.candidate_positions()
-        probabilities = context.pool_probabilities
-        if positions is not None:
-            probabilities = probabilities[positions]
-        entropy = predictive_entropy(probabilities)
+        entropy = predictive_entropy(context.pool_probabilities)
         order = np.argsort(-entropy, kind="stable")[: context.budget]
-        if positions is not None:
-            order = positions[order]
         return self._validate_selection(order, context)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.baselines.base import SelectionContext, SelectionStrategy
 from repro.utils.random import as_generator
-from repro.utils.validation import check_features, require
+from repro.utils.validation import check_features, check_positive_int, require
 
 __all__ = ["kmeans_plus_plus_init", "kmeans", "KMeansResult", "KMeansStrategy"]
 
@@ -146,17 +146,10 @@ class KMeansStrategy(SelectionStrategy):
     is_stochastic = True
 
     def __init__(self, max_iterations: int = 100):
-        require(max_iterations > 0, "max_iterations must be positive")
-        self.max_iterations = int(max_iterations)
+        self.max_iterations = check_positive_int(max_iterations, "KMeansStrategy.max_iterations")
 
     def select(self, context: SelectionContext) -> np.ndarray:
-        # Under a prefiltered session, cluster only the candidate rows and map
-        # the representatives back to pool-view indices.
-        positions = context.candidate_positions()
-        X = context.pool_features
-        if positions is not None:
-            X = X[positions]
-        X = X.astype(np.float64)
+        X = context.pool_features.astype(np.float64)
         result = kmeans(X, context.budget, rng=context.rng, max_iterations=self.max_iterations)
         distances = _pairwise_sq_distances(X, result.centroids)
         selected: list = []
@@ -169,7 +162,4 @@ class KMeansStrategy(SelectionStrategy):
                     selected.append(int(idx))
                     taken[idx] = True
                     break
-        selected_arr = np.asarray(selected, dtype=np.int64)
-        if positions is not None:
-            selected_arr = positions[selected_arr]
-        return self._validate_selection(selected_arr, context)
+        return self._validate_selection(np.asarray(selected, dtype=np.int64), context)

@@ -22,13 +22,6 @@ class RandomStrategy(SelectionStrategy):
     is_stochastic = True
 
     def select(self, context: SelectionContext) -> np.ndarray:
-        positions = context.candidate_positions()
-        if positions is None:
-            n = context.pool_features.shape[0]
-            indices = context.rng.choice(n, size=context.budget, replace=False)
-            return self._validate_selection(np.sort(indices), context)
-        # Prefiltered session: draw from the candidate set and map back to
-        # pool-view indices (positions are sorted, so sorting candidate-local
-        # draws first keeps the mapped result sorted too).
-        local = context.rng.choice(positions.size, size=context.budget, replace=False)
-        return self._validate_selection(positions[np.sort(local)], context)
+        n = context.pool_features.shape[0]
+        indices = context.rng.choice(n, size=context.budget, replace=False)
+        return self._validate_selection(np.sort(indices), context)

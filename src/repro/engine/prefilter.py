@@ -5,12 +5,12 @@ kernel, and RELAX mirror descent carries all ``n`` pool points through its
 CG solves — at million-point pools that O(n)-per-step cost is the binding
 one.  A **candidate prefilter** cuts it by mapping each round's pool to a
 restricted candidate set *before* the exact solvers run: the session engine
-evaluates the filter once per round, threads the surviving ids through
-:attr:`repro.baselines.SelectionContext.candidate_ids`, and every strategy —
-FIRAL (RELAX, the § IV-A η grid and ROUND all operate on the restricted
-:class:`~repro.fisher.FisherDataset`) as well as the entropy / k-means /
-random baselines — scores only the candidates, mapping its selection back to
-stable pool ids.
+evaluates the filter once per round on the full pool view, hands the
+strategy a :class:`~repro.baselines.SelectionContext` that holds only the
+candidate rows, and maps the strategy's answer back to the full view
+itself.  No strategy knows about filtering: FIRAL's RELAX, § IV-A η grid and
+ROUND, and the entropy / k-means / random baselines, simply see a smaller
+pool.
 
 Three filters ship here:
 
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -59,7 +60,7 @@ import numpy as np
 from repro.baselines.kmeans import _pairwise_sq_distances, kmeans
 from repro.models.softmax import reduced_probabilities
 from repro.utils.random import as_generator
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 
 __all__ = [
     "CandidateFilter",
@@ -77,8 +78,8 @@ class CandidateFilter(abc.ABC):
     Subclasses implement :meth:`_filter_segment` over one contiguous segment
     of the pool view; the base class owns everything shape-related — the
     keep-count floors, the per-shard segmentation, keep-everything
-    short-circuiting, output validation and the mapping to stable global
-    ids — so every implementation automatically honors the session contract.
+    short-circuiting and output validation — so every implementation
+    automatically honors the session contract.
 
     Parameters
     ----------
@@ -93,6 +94,10 @@ class CandidateFilter(abc.ABC):
     name: str = "prefilter"
 
     def __init__(self, keep_ratio: float):
+        require(
+            isinstance(keep_ratio, numbers.Real) and not isinstance(keep_ratio, bool),
+            f"keep_ratio must be a real number (got {keep_ratio!r})",
+        )
         require(0.0 < keep_ratio <= 1.0, "keep_ratio must be in (0, 1]")
         self.keep_ratio = float(keep_ratio)
 
@@ -116,19 +121,15 @@ class CandidateFilter(abc.ABC):
         return min(max(keep, min(segment_size, budget), 1), segment_size)
 
     def select_candidates(self, context, rng) -> np.ndarray:
-        """Map one round's :class:`~repro.baselines.SelectionContext` to
-        candidate pool ids.
+        """Map one round's full-view :class:`~repro.baselines.SelectionContext`
+        to its candidates.
 
-        Returns the sorted stable global ids of the surviving candidates (a
-        subset of ``context.pool_ids``).  When ``context.shard_offsets`` is
-        present the filter runs per shard segment, so each shard keeps its
-        own quota and the candidate view stays grouped by owner.
+        Returns the sorted positions of the surviving candidates in the pool
+        view.  When ``context.shard_offsets`` is present the filter runs per
+        shard segment, so each shard keeps its own quota and the candidate
+        view stays grouped by owner.
         """
 
-        require(
-            context.pool_ids is not None,
-            "candidate prefilters need stable pool ids (session-engine contexts)",
-        )
         gen = as_generator(rng)
         n = int(context.pool_features.shape[0])
         bounds = (
@@ -171,11 +172,7 @@ class CandidateFilter(abc.ABC):
                 )
                 local = np.sort(local)
             pieces.append(lo + local)
-        positions = (
-            np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-        )
-        require(positions.size >= context.budget, "prefilter kept fewer candidates than the budget")
-        return np.asarray(context.pool_ids, dtype=np.int64)[positions]
+        return np.concatenate(pieces)
 
     @abc.abstractmethod
     def _filter_segment(self, features, probabilities, keep: int, rng) -> np.ndarray:
@@ -229,10 +226,8 @@ class DiversityFilter(CandidateFilter):
 
     def __init__(self, keep_ratio: float, *, num_clusters: int = 16, max_iterations: int = 10):
         super().__init__(keep_ratio)
-        require(num_clusters > 0, "num_clusters must be positive")
-        require(max_iterations > 0, "max_iterations must be positive")
-        self.num_clusters = int(num_clusters)
-        self.max_iterations = int(max_iterations)
+        self.num_clusters = check_positive_int(num_clusters, "DiversityFilter.num_clusters")
+        self.max_iterations = check_positive_int(max_iterations, "DiversityFilter.max_iterations")
 
     def fingerprint(self) -> dict:
         return {

@@ -101,14 +101,20 @@ import copy
 import pathlib
 import time
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from repro.active.problem import ActiveLearningProblem
 from repro.active.results import ExperimentResult, RoundRecord
-from repro.baselines.base import LabelObservation, SelectionContext, SelectionStrategy, SessionInfo
+from repro.baselines.base import (
+    LabelObservation,
+    SelectionContext,
+    SelectionStrategy,
+    SessionInfo,
+    check_selection,
+)
 from repro.engine.pool import DensePointStore, PoolStore
 from repro.engine.prefilter import CandidateFilter
 from repro.models.logistic_regression import LogisticRegressionClassifier
@@ -139,8 +145,9 @@ class QueryProposal:
         0-based index of the round this proposal belongs to (the round is
         not counted complete until ``observe``).
     pool_indices:
-        The strategy's selection as positions in the round's pool view, in
-        selection order.
+        The strategy's selection as positions in the round's full pool view,
+        in selection order (under a prefilter, the strategy's
+        candidate-local answer mapped back).
     global_ids:
         Stable point ids of the same selection (what an external labeler
         should key its labels by).
@@ -203,14 +210,15 @@ class SessionConfig:
         grow through :meth:`ActiveSession.extend_pool`.
     prefilter:
         Optional :class:`~repro.engine.prefilter.CandidateFilter` evaluated
-        once per round *before* the strategy: the pool view is restricted to
-        the filter's surviving candidate set
-        (``SelectionContext.candidate_ids``), so FIRAL's RELAX / η grid /
-        ROUND — and the routed baselines — score ``keep_ratio · n`` points
-        instead of ``n``.  The filter's RNG draws come off the session's
-        single stream, first in each round, so runs stay reproducible; with
-        keep-everything settings (``keep_ratio=1.0``) no draws are consumed
-        and the session is bit-identical to an unfiltered one (test-pinned).
+        once per round on the full pool view *before* the strategy.  The
+        session hands the strategy a context holding only the surviving
+        candidate rows and maps its answer back to the full view, so FIRAL's
+        RELAX / η grid / ROUND — and every baseline — score
+        ``keep_ratio · n`` points instead of ``n`` without knowing a filter
+        ran.  The filter's RNG draws come off the session's single stream,
+        first in each round, so runs stay reproducible; with keep-everything
+        settings (``keep_ratio=1.0``) no draws are consumed and the session
+        is bit-identical to an unfiltered one (test-pinned).
         Any ``keep_ratio < 1`` is an approximation — the frontier is measured
         in ``benchmarks/bench_prefilter.py``.  ``None`` (default) scores the
         whole pool.
@@ -301,6 +309,42 @@ def _json_safe(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
+def _bit_generator_types() -> dict:
+    return {kind.__name__: kind for kind in np.random.BitGenerator.__subclasses__()}
+
+
+_REQUIRED = object()
+
+
+def _checkpoint_field(section: dict, key: str, path: str, kinds: tuple, default=_REQUIRED):
+    """``section[key]``, refused with a ``ValueError`` naming ``path`` unless
+    it is an instance of ``kinds`` (a ``bool`` passes only where ``kinds``
+    lists it).  A missing key returns ``default`` when one is given."""
+
+    if key not in section:
+        require(default is not _REQUIRED, f"corrupt session checkpoint: {path} is missing")
+        return default
+    value = section[key]
+    require(
+        isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)),
+        f"corrupt session checkpoint: {path} must be "
+        f"{' or '.join(kind.__name__ for kind in kinds)} (got {type(value).__name__})",
+    )
+    return value
+
+
+def _checkpoint_ids(section: dict, key: str, path: str) -> np.ndarray:
+    """A checkpointed id list as ``int64``; anything but a list of integers
+    is a ``ValueError`` naming ``path``."""
+
+    ids = _checkpoint_field(section, key, path, (list,))
+    require(
+        all(isinstance(i, int) and not isinstance(i, bool) for i in ids),
+        f"corrupt session checkpoint: {path} must hold integers",
+    )
+    return np.asarray(ids, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class RoundState:
     """What :meth:`ActiveSession.propose` changes before the round commits.
@@ -327,19 +371,13 @@ class RoundState:
         The RNG state is set in place, so a caller-supplied ``Generator``
         follows the session; only a state saved from a different
         bit-generator type gets a fresh generator of that type.  A state
-        naming anything but a NumPy bit generator is refused before anything
-        is called.
+        read from a checkpoint was checked by :meth:`from_json`.
         """
 
-        bit_generators = {kind.__name__: kind for kind in np.random.BitGenerator.__subclasses__()}
-        name = self.rng_state.get("bit_generator")
-        require(
-            isinstance(name, str) and name in bit_generators,
-            f"rng_state.bit_generator must name a numpy.random.BitGenerator subclass (got {name!r})",
-        )
+        name = self.rng_state["bit_generator"]
         bit_generator = session.rng.bit_generator
         if type(bit_generator).__name__ != name:
-            bit_generator = bit_generators[name]()
+            bit_generator = _bit_generator_types()[name]()
             session.rng = np.random.Generator(bit_generator)
         bit_generator.state = self.rng_state
         session.strategy.load_state_dict(self.strategy_state)
@@ -354,11 +392,31 @@ class RoundState:
 
     @classmethod
     def from_json(cls, payload: dict) -> "RoundState":
-        """Read the :meth:`to_json` sections back out of a checkpoint payload."""
+        """Read the :meth:`to_json` sections back out of a checkpoint payload.
 
+        Each section is checked before anything is called: a missing or
+        mistyped field, a name that is not a NumPy bit generator, or a state
+        that bit generator refuses is a ``ValueError`` naming the field.
+        """
+
+        rng_state = _checkpoint_field(payload, "rng_state", "rng_state", (dict,))
+        name = rng_state.get("bit_generator")
+        bit_generators = _bit_generator_types()
+        require(
+            isinstance(name, str) and name in bit_generators,
+            f"rng_state.bit_generator must name a numpy.random.BitGenerator subclass (got {name!r})",
+        )
+        _checkpoint_field(rng_state, "state", "rng_state.state", (dict,))
+        try:
+            bit_generators[name]().state = rng_state
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"corrupt session checkpoint: rng_state is not a {name} state ({exc!r})"
+            ) from exc
+        strategy = _checkpoint_field(payload, "strategy", "strategy", (dict,), default={})
         return cls(
-            rng_state=payload["rng_state"],
-            strategy_state=payload.get("strategy", {}).get("state", {}),
+            rng_state=rng_state,
+            strategy_state=_checkpoint_field(strategy, "state", "strategy.state", (dict,), default={}),
         )
 
 
@@ -746,9 +804,13 @@ class ActiveSession:
         return proposal
 
     def _select_round(self) -> QueryProposal:
-        """Assemble the round view and select."""
+        """Assemble the round view, restrict it to the candidates, select.
 
-        cfg = self.config
+        Under a prefilter the strategy sees only the candidate rows, and its
+        answer is mapped back to full-view positions here, so no strategy
+        handles filtering.
+        """
+
         setup_start = time.perf_counter()
         pool_ids = self.store.pool_ids
         pool_features = self.store.pool_features_host()
@@ -758,26 +820,6 @@ class ActiveSession:
         # A sharded store publishes the round's ownership boundaries so
         # multi-rank selection scatters along them; other stores answer None.
         shard_offsets = self.store.pool_shard_offsets()
-        candidate_ids = None
-        if cfg.prefilter is not None:
-            # The prefilter sees the same round view a strategy would; its
-            # RNG draws come first on the session's single stream, before the
-            # strategy's, so runs stay reproducible (keep-everything settings
-            # consume no draws at all — the bit-identity contract).
-            filter_context = SelectionContext(
-                pool_features=pool_features,
-                pool_probabilities=pool_probabilities,
-                labeled_features=labeled_features,
-                labeled_probabilities=labeled_probabilities,
-                budget=self.budget_per_round,
-                rng=self.rng,
-                pool_ids=pool_ids,
-                round_index=self.round_index,
-                shard_offsets=shard_offsets,
-            )
-            candidate_ids = np.asarray(
-                cfg.prefilter.select_candidates(filter_context, self.rng), dtype=np.int64
-            )
         context = SelectionContext(
             pool_features=pool_features,
             pool_probabilities=pool_probabilities,
@@ -785,21 +827,36 @@ class ActiveSession:
             labeled_probabilities=labeled_probabilities,
             budget=self.budget_per_round,
             rng=self.rng,
-            pool_ids=pool_ids,
             round_index=self.round_index,
             shard_offsets=shard_offsets,
-            candidate_ids=candidate_ids,
         )
+        positions = None
+        if self.config.prefilter is not None:
+            positions = self._run_prefilter(context)
+            context = replace(
+                context,
+                pool_features=pool_features[positions],
+                pool_probabilities=pool_probabilities[positions],
+                # Filters keep candidates grouped by owning shard, so each
+                # boundary maps to the count of candidates before it.
+                shard_offsets=(
+                    None if shard_offsets is None else np.searchsorted(positions, shard_offsets)
+                ),
+            )
         setup_seconds = time.perf_counter() - setup_start
 
         start = time.perf_counter()
-        selected = np.asarray(self.strategy.select(context), dtype=np.int64).ravel()
+        answer = self.strategy.select(context)
         selection_seconds = time.perf_counter() - start
 
-        require(
-            bool(np.all((selected >= 0) & (selected < pool_ids.size))),
-            "strategy returned out-of-range pool indices",
+        selected = check_selection(
+            answer,
+            self.budget_per_round,
+            context.pool_features.shape[0],
+            f"strategy {self.strategy.name!r}",
         )
+        if positions is not None:
+            selected = positions[selected]
         return QueryProposal(
             round_index=self.round_index,
             pool_indices=selected,
@@ -809,6 +866,38 @@ class ActiveSession:
             setup_seconds=setup_seconds,
             selection_seconds=selection_seconds,
         )
+
+    def _run_prefilter(self, context: SelectionContext) -> np.ndarray:
+        """Run the prefilter on the full view and check its answer.
+
+        Its RNG draws come first on the session's single stream, before the
+        strategy's, so runs stay reproducible (keep-everything settings
+        consume no draws at all — the bit-identity contract).
+        """
+
+        prefilter = self.config.prefilter
+        positions = np.asarray(prefilter.select_candidates(context, self.rng))
+        who = f"prefilter {prefilter.name!r}"
+        require(
+            positions.ndim == 1 and np.issubdtype(positions.dtype, np.integer),
+            f"{who} must return a 1-D integer position array "
+            f"(got dtype {positions.dtype}, shape {positions.shape})",
+        )
+        require(
+            positions.size >= self.budget_per_round,
+            f"{who} kept {positions.size} candidates, fewer than the budget "
+            f"of {self.budget_per_round}",
+        )
+        require(
+            bool(np.all(np.diff(positions) > 0)),
+            f"{who} must return sorted, unique positions",
+        )
+        size = context.pool_features.shape[0]
+        require(
+            0 <= positions[0] and positions[-1] < size,
+            f"{who} returned positions outside the pool view [0, {size})",
+        )
+        return positions
 
     def observe(self, labels=None) -> RoundRecord:
         """Complete the pending round: reveal labels, retrain, record.
@@ -1031,19 +1120,59 @@ class ActiveSession:
         """
 
         payload = read_json(path, description="session checkpoint")
+        require(isinstance(payload, dict), "corrupt session checkpoint: not a JSON object")
         require(
             payload.get("format_version") == cls.CHECKPOINT_FORMAT_VERSION,
             f"unsupported checkpoint format version {payload.get('format_version')!r}",
         )
+        # Every section is read and checked before the session exists, so a
+        # corrupt file calls no strategy hook.
+        budget_per_round = _checkpoint_field(payload, "budget_per_round", "budget_per_round", (int,))
+        planned_rounds = _checkpoint_field(
+            payload, "planned_rounds", "planned_rounds", (int, type(None))
+        )
+        round_index = _checkpoint_field(payload, "round_index", "round_index", (int,))
+        initial_recorded = _checkpoint_field(payload, "initial_recorded", "initial_recorded", (bool,))
+        saved_config = _checkpoint_field(payload, "config", "config", (dict,))
+        store_section = _checkpoint_field(payload, "store", "store", (dict,))
+        # Format-1 checkpoints of a grown in-RAM pool may say "streaming";
+        # that pool is held by the dense store.
+        saved_kind = _checkpoint_field(store_section, "kind", "store.kind", (str,))
+        saved_kind = "dense" if saved_kind == "streaming" else saved_kind
+        total_points = _checkpoint_field(store_section, "total_points", "store.total_points", (int,))
+        labeled_ids = _checkpoint_ids(store_section, "labeled_ids", "store.labeled_ids")
+        extension_features, extension_labels = (
+            _checkpoint_field(store_section, key, f"store.{key}", (list,), default=None)
+            for key in ("extension_features", "extension_labels")
+        )
+        try:
+            result = ExperimentResult.from_dict(
+                _checkpoint_field(payload, "result", "result", (dict,))
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt session checkpoint: result is malformed ({exc!r})") from exc
+        round_state = RoundState.from_json(payload)
+        pending_section = _checkpoint_field(
+            payload, "pending_proposal", "pending_proposal", (dict, type(None)), default=None
+        )
+        invalidated = None
+        if pending_section is not None:
+            invalidated = {
+                key: _checkpoint_field(pending_section, key, f"pending_proposal.{key}", (int,))
+                for key in ("round_index", "num_labeled")
+            }
+            invalidated["global_ids"] = _checkpoint_ids(
+                pending_section, "global_ids", "pending_proposal.global_ids"
+            )
+
         session = cls(
             problem,
             strategy,
-            budget_per_round=int(payload["budget_per_round"]),
-            num_rounds=payload["planned_rounds"],
+            budget_per_round=budget_per_round,
+            num_rounds=planned_rounds,
             classifier=classifier,
             config=config,
         )
-        saved_config = payload["config"]
         current_config = session._config_fingerprint()
         for key, value in current_config.items():
             require(
@@ -1051,52 +1180,40 @@ class ActiveSession:
                 f"checkpoint was written with {key}={saved_config.get(key)!r}, "
                 f"but this session has {key}={value!r}",
             )
-        store_section = payload["store"]
-        # Format-1 checkpoints of a grown in-RAM pool may say "streaming";
-        # that pool is held by the dense store.
-        saved_kind = "dense" if store_section["kind"] == "streaming" else store_section["kind"]
         require(
             session.store.kind == saved_kind,
             f"checkpoint was written with a '{saved_kind}' store, "
             f"but this session has a '{session.store.kind}' store",
         )
-        if int(store_section["total_points"]) > session.store.total_points:
+        if total_points > session.store.total_points:
             require(
-                "extension_features" in store_section,
+                extension_features is not None and extension_labels is not None,
                 "checkpoint grew the pool but carries no extension rows",
             )
             session.extend_pool(
-                np.asarray(store_section["extension_features"], dtype=np.float64),
-                np.asarray(store_section["extension_labels"], dtype=np.int64),
+                np.asarray(extension_features, dtype=np.float64),
+                np.asarray(extension_labels, dtype=np.int64),
             )
         require(
-            session.store.total_points == int(store_section["total_points"]),
+            session.store.total_points == total_points,
             "store size mismatch after replaying checkpointed pool growth",
         )
-        session.store.restore_membership(
-            np.asarray(store_section["labeled_ids"], dtype=np.int64)
-        )
-        session.round_index = int(payload["round_index"])
-        session._initial_recorded = bool(payload["initial_recorded"])
-        session.result = ExperimentResult.from_dict(payload["result"])
+        session.store.restore_membership(labeled_ids)
+        session.round_index = round_index
+        session._initial_recorded = initial_recorded
+        session.result = result
         session._fit()
-        strategy_section = payload.get("strategy", {})
+        strategy_name = payload.get("strategy", {}).get("name")
         require(
-            strategy_section.get("name") == session.strategy.name,
-            f"checkpoint was written by strategy {strategy_section.get('name')!r}, "
+            strategy_name == session.strategy.name,
+            f"checkpoint was written by strategy {strategy_name!r}, "
             f"but this session runs {session.strategy.name!r}",
         )
-        RoundState.from_json(payload).restore(session)
-        pending_section = payload.get("pending_proposal")
-        if pending_section is not None:
-            # The checkpoint was taken mid-proposal.  The checkpointed state
-            # is the proposal's round state, so the proposal is *invalidated*
-            # — surfaced here, never silently dropped — and the caller
-            # re-proposes: bit-identical to the original when the pool is
-            # unchanged, legitimately different after extend_pool.
-            session.invalidated_proposal = {
-                "round_index": int(pending_section["round_index"]),
-                "global_ids": np.asarray(pending_section["global_ids"], dtype=np.int64),
-                "num_labeled": int(pending_section["num_labeled"]),
-            }
+        round_state.restore(session)
+        # A checkpoint taken mid-proposal holds the proposal's round state,
+        # so the proposal is *invalidated* — surfaced here, never silently
+        # dropped — and the caller re-proposes: bit-identical to the original
+        # when the pool is unchanged, legitimately different after
+        # extend_pool.
+        session.invalidated_proposal = invalidated
         return session

@@ -109,6 +109,16 @@ class TestKMeansStrategy:
     def test_is_stochastic_flag(self):
         assert KMeansStrategy.is_stochastic is True
 
+    @pytest.mark.parametrize("value", [2.5, True, "3", 0])
+    def test_max_iterations_validated(self, value):
+        """Checked, not truncated: 2.5 and True used to become 2 and 1."""
+
+        with pytest.raises(ValueError, match="KMeansStrategy.max_iterations"):
+            KMeansStrategy(max_iterations=value)
+
+    def test_max_iterations_accepts_numpy_integers(self):
+        assert KMeansStrategy(max_iterations=np.int64(7)).max_iterations == 7
+
 
 @settings(max_examples=10, deadline=None)
 @given(

@@ -22,7 +22,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.baselines import FIRALStrategy
+from repro.baselines import FIRALStrategy, RandomStrategy
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import ApproxFIRAL
 from repro.engine.pool import DensePointStore
@@ -143,6 +143,19 @@ class TestCheckpointResume:
             )
 
 
+class _HookCountingRandom(RandomStrategy):
+    """Random selection that counts the lifecycle hooks the session calls."""
+
+    def __init__(self):
+        self.hooks = 0
+
+    def begin_session(self, info):
+        self.hooks += 1
+
+    def load_state_dict(self, state):
+        self.hooks += 1
+
+
 class TestCheckpointValidation:
     def _checkpoint(self, problem, tmp_path, **config_kwargs):
         session = ActiveSession(
@@ -227,6 +240,82 @@ class TestCheckpointValidation:
         resumed = _run_resumed(problem, factory, tmp_path, config_factory=make_config)
         _assert_curves_identical(full.result, resumed.result)
         np.testing.assert_array_equal(full.store.labeled_ids, resumed.store.labeled_ids)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "store",
+            "config",
+            "rng_state",
+            "budget_per_round",
+            "planned_rounds",
+            "round_index",
+            "initial_recorded",
+            "result",
+            "rng_state.state",
+            "store.kind",
+            "store.labeled_ids",
+        ],
+    )
+    def test_missing_section_rejected_before_any_hook(self, problem, tmp_path, path):
+        """A checkpoint missing a section is a ``ValueError`` naming it, raised
+        before the session (and so any strategy hook) exists."""
+
+        ckpt = self._checkpoint(problem, tmp_path)
+        payload = json.loads(ckpt.read_text())
+        *parents, key = path.split(".")
+        section = payload
+        for parent in parents:
+            section = section[parent]
+        del section[key]
+        ckpt.write_text(json.dumps(payload))
+        strategy = _HookCountingRandom()
+        with pytest.raises(ValueError, match=f"{path} is missing"):
+            ActiveSession.resume(ckpt, problem, strategy)
+        assert strategy.hooks == 0
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("store", []),
+            ("config", None),
+            ("budget_per_round", "4"),
+            ("round_index", True),
+            ("initial_recorded", 1),
+            ("result", {"records": []}),
+            ("rng_state.state", [1, 2]),
+            ("rng_state", {"bit_generator": "PCG64", "state": {"state": 1}}),
+            ("store.labeled_ids", [0, 1.5]),
+            ("strategy", "random"),
+            ("pending_proposal", {"round_index": 1, "num_labeled": 10}),
+        ],
+        ids=[
+            "store-list",
+            "config-null",
+            "budget-str",
+            "round-bool",
+            "recorded-int",
+            "result-no-name",
+            "rng-state-list",
+            "rng-state-incomplete",
+            "labeled-float",
+            "strategy-str",
+            "pending-no-ids",
+        ],
+    )
+    def test_mistyped_section_rejected_before_any_hook(self, problem, tmp_path, path, value):
+        ckpt = self._checkpoint(problem, tmp_path)
+        payload = json.loads(ckpt.read_text())
+        *parents, key = path.split(".")
+        section = payload
+        for parent in parents:
+            section = section[parent]
+        section[key] = value
+        ckpt.write_text(json.dumps(payload))
+        strategy = _HookCountingRandom()
+        with pytest.raises(ValueError, match=path):
+            ActiveSession.resume(ckpt, problem, strategy)
+        assert strategy.hooks == 0
 
     @pytest.mark.parametrize("name", ["seed", "Generator", "nope"])
     def test_corrupt_bit_generator_rejected_without_side_effect(self, problem, tmp_path, name):

@@ -9,7 +9,11 @@ The contract of the prefilter stage (``SessionConfig.prefilter``):
 * **determinism** — the same seed yields the same candidate set;
 * **sharded pools filter per shard** — each shard keeps its own quota and
   candidates stay grouped by owning shard, preserving the multi-rank
-  offsets contract.
+  offsets contract;
+* **strategies see only their candidates** — the session hands every
+  strategy a context holding just the round's candidate rows and maps the
+  answer back itself, so even a strategy that ignores filtering cannot
+  propose a point outside the candidate set.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.base import FIRALStrategy, SelectionContext
+from repro.baselines.base import FIRALStrategy, SelectionContext, SelectionStrategy
 from repro.baselines.entropy import EntropyStrategy, predictive_entropy
 from repro.baselines.kmeans import KMeansStrategy
 from repro.baselines.random_sampling import RandomStrategy
@@ -93,8 +97,8 @@ def _run(problem, strategy, config, *, seed=7, rounds=3, budget=4):
     )
 
 
-def _context(problem, *, budget=4, seed=3, shard_offsets=None, candidate_ids=None):
-    """A standalone selection context over the problem's pool."""
+def _context(problem, *, budget=4, seed=3, shard_offsets=None):
+    """A standalone full-view selection context over the problem's pool."""
 
     rng = np.random.default_rng(seed)
     n = problem.pool_features.shape[0]
@@ -108,9 +112,54 @@ def _context(problem, *, budget=4, seed=3, shard_offsets=None, candidate_ids=Non
         labeled_probabilities=labeled_probs,
         budget=budget,
         rng=rng,
-        pool_ids=np.arange(100, 100 + n, dtype=np.int64),
         shard_offsets=shard_offsets,
-        candidate_ids=candidate_ids,
+    )
+
+
+class _CandidateBlind(SelectionStrategy):
+    """Always answers the first ``budget`` rows of whatever view it gets."""
+
+    name = "candidate-blind"
+
+    def select(self, context):
+        return np.arange(context.budget)
+
+
+class _FixedCandidates(RandomSubsampleFilter):
+    """Answers every round with the same positions."""
+
+    name = "fixed"
+
+    def __init__(self, positions):
+        super().__init__(0.5)
+        self.positions = np.asarray(positions)
+
+    def select_candidates(self, context, rng):
+        return self.positions
+
+
+def _record_contexts(strategy):
+    """Keep every context the session hands ``strategy``."""
+
+    contexts = []
+    select = strategy.select
+
+    def recording(context):
+        contexts.append(context)
+        return select(context)
+
+    strategy.select = recording
+    return contexts
+
+
+def _session(problem, strategy, prefilter, *, budget=4, seed=3):
+    return ActiveSession(
+        problem,
+        strategy,
+        budget_per_round=budget,
+        num_rounds=1,
+        seed=seed,
+        config=SessionConfig(prefilter=prefilter),
     )
 
 
@@ -118,10 +167,26 @@ def _context(problem, *, budget=4, seed=3, shard_offsets=None, candidate_ids=Non
 # Filter units
 # --------------------------------------------------------------------- #
 class TestFilterUnits:
-    @pytest.mark.parametrize("ratio", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("ratio", [0.0, -0.1, 1.5, True, np.True_, "0.5"])
     def test_keep_ratio_validated(self, ratio):
         with pytest.raises(ValueError, match="keep_ratio"):
             RandomSubsampleFilter(ratio)
+
+    @pytest.mark.parametrize("ratio", [np.float32(0.5), np.float64(1.0), 1])
+    def test_keep_ratio_accepts_numbers(self, ratio):
+        assert RandomSubsampleFilter(ratio).keep_ratio == float(ratio)
+
+    @pytest.mark.parametrize("field", ["num_clusters", "max_iterations"])
+    @pytest.mark.parametrize("value", [1.5, True, "2", 0])
+    def test_diversity_counts_validated(self, field, value):
+        """Counts are checked, not truncated: 1.5 and True used to become 1."""
+
+        with pytest.raises(ValueError, match=f"DiversityFilter.{field}"):
+            DiversityFilter(0.5, **{field: value})
+
+    def test_diversity_counts_accept_numpy_integers(self):
+        f = DiversityFilter(0.5, num_clusters=np.int64(4), max_iterations=np.int32(3))
+        assert (f.num_clusters, f.max_iterations) == (4, 3)
 
     def test_keep_count_floors(self):
         f = RandomSubsampleFilter(0.1)
@@ -135,10 +200,10 @@ class TestFilterUnits:
     @pytest.mark.parametrize("kind", ["random", "diversity", "topk"])
     def test_candidates_sorted_unique_subset(self, problem, kind):
         context = _context(problem)
-        ids = make_prefilter(kind, 0.3).select_candidates(context, np.random.default_rng(0))
-        assert ids.size >= context.budget
-        assert bool(np.all(np.diff(ids) > 0))
-        assert np.isin(ids, context.pool_ids).all()
+        positions = make_prefilter(kind, 0.3).select_candidates(context, np.random.default_rng(0))
+        assert positions.size >= context.budget
+        assert bool(np.all(np.diff(positions) > 0))
+        assert 0 <= positions[0] and positions[-1] < context.pool_features.shape[0]
 
     @pytest.mark.parametrize("kind", ["random", "diversity", "topk"])
     def test_same_seed_same_candidates(self, problem, kind):
@@ -163,9 +228,9 @@ class TestFilterUnits:
         context = _context(problem)
         rng = as_generator(5)
         before = rng.bit_generator.state
-        ids = IDENTITY_FILTERS[name]().select_candidates(context, rng)
+        positions = IDENTITY_FILTERS[name]().select_candidates(context, rng)
         assert rng.bit_generator.state == before
-        np.testing.assert_array_equal(ids, context.pool_ids)
+        np.testing.assert_array_equal(positions, np.arange(context.pool_features.shape[0]))
 
     def test_topk_ranks_by_gamma_leverage(self):
         """Big-norm uncertain points outrank small-norm confident ones."""
@@ -223,48 +288,88 @@ class TestFilterUnits:
 
 
 # --------------------------------------------------------------------- #
-# SelectionContext candidate plumbing
+# The session's candidate view
 # --------------------------------------------------------------------- #
 class TestContextCandidates:
     def test_positions_map_back_to_ids(self, problem):
-        context = _context(problem)
-        ids = context.pool_ids[np.asarray([0, 3, 17, 41])]
-        restricted = _context(problem, candidate_ids=ids)
-        positions = restricted.candidate_positions()
-        np.testing.assert_array_equal(restricted.pool_ids[positions], ids)
-        assert context.candidate_positions() is None
+        positions = np.asarray([0, 3, 17, 41])
+        session = _session(problem, _CandidateBlind(), _FixedCandidates(positions))
+        pool_ids = session.store.pool_ids
+        proposal = session.propose()
+        # The blind strategy answers local rows 0..3: every candidate.
+        np.testing.assert_array_equal(proposal.pool_indices, positions)
+        np.testing.assert_array_equal(proposal.global_ids, pool_ids[positions])
 
     def test_fisher_dataset_is_candidate_scale(self, problem):
-        ids = _context(problem).pool_ids[:10]
-        restricted = _context(problem, candidate_ids=ids)
-        dataset = restricted.fisher_dataset()
+        strategy = _approx_firal_strategy()
+        contexts = _record_contexts(strategy)
+        _session(problem, strategy, _FixedCandidates(np.arange(10))).propose()
+        dataset = contexts[0].fisher_dataset()
         assert dataset.pool_features.shape[0] == 10
         assert dataset.pool_probabilities.shape == (10, problem.num_classes - 1)
 
     def test_candidate_ids_validated(self, problem):
-        ids = _context(problem).pool_ids
-        with pytest.raises(ValueError, match="sorted"):
-            _context(problem, candidate_ids=ids[[5, 3, 8, 9]])
-        with pytest.raises(ValueError, match="subset"):
-            _context(problem, candidate_ids=np.asarray([1, 2, 3, 999999]))
-        with pytest.raises(ValueError, match="budget"):
-            _context(problem, candidate_ids=ids[:3], budget=4)
+        """A filter's bad answer is refused at propose(), naming the filter,
+        and the session stays at the round boundary."""
 
-    def test_candidate_ids_require_pool_ids(self, problem):
-        rng = np.random.default_rng(0)
         n = problem.pool_features.shape[0]
-        with pytest.raises(ValueError, match="pool_ids"):
-            SelectionContext(
-                pool_features=problem.pool_features,
-                pool_probabilities=rng.dirichlet(np.ones(problem.num_classes), size=n),
-                labeled_features=problem.initial_features,
-                labeled_probabilities=rng.dirichlet(
-                    np.ones(problem.num_classes), size=problem.initial_size
-                ),
-                budget=4,
-                rng=rng,
-                candidate_ids=np.arange(10, dtype=np.int64),
-            )
+        cases = [
+            ([5, 3, 8, 9], "sorted"),
+            ([0, 1, 1, 2], "unique"),
+            ([1, 2, 3, n], "outside the pool view"),
+            ([-1, 2, 3, 4], "outside the pool view"),
+            ([1, 2, 3], "fewer than the budget"),
+            ([0.0, 1.0, 2.0, 3.0], "integer"),
+        ]
+        for positions, match in cases:
+            session = _session(problem, RandomStrategy(), _FixedCandidates(positions))
+            before = session.rng.bit_generator.state
+            with pytest.raises(ValueError, match=match) as raised:
+                session.propose()
+            assert "prefilter 'fixed'" in str(raised.value)
+            assert session.pending_proposal is None
+            assert session.rng.bit_generator.state == before
+
+
+class TestStrategiesSeeOnlyCandidates:
+    """Every shipped strategy, and one that ignores filtering, sees a context
+    of exactly the round's candidates and proposes only among them."""
+
+    @pytest.mark.parametrize("store", ["dense", "sharded-2"])
+    @pytest.mark.parametrize("kind", ["random", "diversity", "topk"])
+    @pytest.mark.parametrize("strategy_name", [*sorted(STRATEGY_FACTORIES), "candidate-blind"])
+    def test_proposals_inside_round_candidates(self, problem, strategy_name, kind, store):
+        candidates = []
+        base = type(make_prefilter(kind, 0.4))
+
+        class Recording(base):
+            def select_candidates(self, context, rng):
+                positions = super().select_candidates(context, rng)
+                candidates.append(positions)
+                return positions
+
+        strategy = (
+            _CandidateBlind()
+            if strategy_name == "candidate-blind"
+            else STRATEGY_FACTORIES[strategy_name]()
+        )
+        contexts = _record_contexts(strategy)
+        config = SessionConfig(prefilter=Recording(0.4))
+        if store == "sharded-2":
+            config.store = ShardedPointStore.factory(num_shards=2)
+            # Exact-FIRAL has no distributed formulation.
+            config.parallel_ranks = None if strategy_name == "exact-firal" else 2
+        session = ActiveSession(
+            problem, strategy, budget_per_round=4, num_rounds=2, seed=7, config=config
+        )
+        for round_index in range(2):
+            pool_size = session.pool_size
+            proposal = session.propose()
+            round_candidates = candidates[round_index]
+            assert round_candidates.size < pool_size
+            assert contexts[round_index].pool_features.shape[0] == round_candidates.size
+            assert np.isin(proposal.pool_indices, round_candidates).all()
+            session.observe()
 
 
 # --------------------------------------------------------------------- #
@@ -369,36 +474,30 @@ class TestFilteredSessions:
 
 
 # --------------------------------------------------------------------- #
-# Baseline routing through candidate_ids
+# Baselines under a prefiltered session
 # --------------------------------------------------------------------- #
 class TestBaselineRouting:
     def test_entropy_scores_candidates_only(self, problem):
-        context = _context(problem)
-        ids = context.pool_ids[np.asarray([2, 9, 21, 33, 47, 55])]
-        restricted = _context(problem, candidate_ids=ids)
-        selected = EntropyStrategy().select(restricted)
-        positions = restricted.candidate_positions()
-        assert np.isin(selected, positions).all()
-        # and they are exactly the top-entropy candidates, mapped back
-        entropy = predictive_entropy(restricted.pool_probabilities[positions])
-        expected = positions[np.argsort(-entropy, kind="stable")[: restricted.budget]]
-        np.testing.assert_array_equal(selected, expected)
+        positions = np.asarray([2, 9, 21, 33, 47, 55])
+        session = _session(problem, EntropyStrategy(), _FixedCandidates(positions))
+        probabilities = session.classifier.predict_proba(session.store.pool_features_host())
+        proposal = session.propose()
+        # exactly the top-entropy candidates, mapped back to the pool view
+        entropy = predictive_entropy(probabilities[positions])
+        expected = positions[np.argsort(-entropy, kind="stable")[: proposal.budget]]
+        np.testing.assert_array_equal(proposal.pool_indices, expected)
 
     @pytest.mark.parametrize("factory", [RandomStrategy, KMeansStrategy])
     def test_stochastic_baselines_stay_inside_candidates(self, problem, factory):
-        context = _context(problem)
-        ids = context.pool_ids[np.asarray([1, 4, 8, 15, 16, 23, 42, 52])]
-        restricted = _context(problem, candidate_ids=ids)
-        selected = factory().select(restricted)
-        assert np.isin(selected, restricted.candidate_positions()).all()
-        assert np.unique(selected).size == restricted.budget
+        positions = np.asarray([1, 4, 8, 15, 16, 23, 42, 52])
+        proposal = _session(problem, factory(), _FixedCandidates(positions)).propose()
+        assert np.isin(proposal.pool_indices, positions).all()
+        assert np.unique(proposal.pool_indices).size == proposal.budget
 
     def test_firal_selects_inside_candidates(self, problem):
-        context = _context(problem)
-        ids = context.pool_ids[np.arange(0, 60, 3)]
-        restricted = _context(problem, candidate_ids=ids)
-        selected = _approx_firal_strategy().select(restricted)
-        assert np.isin(selected, restricted.candidate_positions()).all()
+        positions = np.arange(0, 60, 3)
+        proposal = _session(problem, _approx_firal_strategy(), _FixedCandidates(positions)).propose()
+        assert np.isin(proposal.pool_indices, positions).all()
 
 
 # --------------------------------------------------------------------- #
@@ -410,8 +509,7 @@ class TestShardedFiltering:
         offsets = np.asarray([0, n // 3, n], dtype=np.int64)
         context = _context(problem, shard_offsets=offsets)
         f = RandomSubsampleFilter(0.5)
-        ids = f.select_candidates(context, np.random.default_rng(0))
-        positions = np.searchsorted(context.pool_ids, ids)
+        positions = f.select_candidates(context, np.random.default_rng(0))
         for lo, hi in zip(offsets[:-1], offsets[1:]):
             in_shard = int(np.count_nonzero((positions >= lo) & (positions < hi)))
             assert in_shard == f.keep_count(int(hi - lo), context.budget)
@@ -420,8 +518,8 @@ class TestShardedFiltering:
         n = problem.pool_features.shape[0]
         offsets = np.asarray([0, 0, n], dtype=np.int64)  # first shard ran dry
         context = _context(problem, shard_offsets=offsets)
-        ids = RandomSubsampleFilter(0.5).select_candidates(context, np.random.default_rng(0))
-        assert ids.size == RandomSubsampleFilter(0.5).keep_count(n, context.budget)
+        positions = RandomSubsampleFilter(0.5).select_candidates(context, np.random.default_rng(0))
+        assert positions.size == RandomSubsampleFilter(0.5).keep_count(n, context.budget)
 
     def test_sharded_session_keep_everything_matches_dense_serial(self, problem):
         base = _run(problem, _parallel_capable_strategy(), SessionConfig(), seed=0)
@@ -446,10 +544,9 @@ class TestShardedFiltering:
 
         class Recording(RandomSubsampleFilter):
             def select_candidates(self, context, rng):
-                ids = super().select_candidates(context, rng)
-                positions = np.searchsorted(context.pool_ids, ids)
+                positions = super().select_candidates(context, rng)
                 captured.append((context.shard_offsets.copy(), positions))
-                return ids
+                return positions
 
         curve, labeled = _run(
             problem,

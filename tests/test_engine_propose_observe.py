@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.baselines.base import SelectionStrategy
 from repro.baselines.entropy import EntropyStrategy
 from repro.engine import (
     ActiveSession,
@@ -249,6 +250,33 @@ class TestProtocolErrors:
         session = _session(problem, "random")
         with pytest.raises(ValueError, match="no pending proposal"):
             session.invalidate_proposal()
+
+    @pytest.mark.parametrize(
+        "answer, match",
+        [
+            ([0, 1], "wrong number of indices"),
+            ([0.7, 1.2, 2, 3], "integer"),
+            ([0, 0, 1, 2], "duplicate"),
+        ],
+        ids=["short", "float", "duplicate"],
+    )
+    def test_bad_strategy_answer_refused_at_propose(self, problem, answer, match):
+        """The session checks every strategy's answer, not only the ones that
+        call ``_validate_selection``: a short answer is not committed as a
+        smaller round, floats are not truncated, and duplicates never reach
+        a proposal."""
+
+        class Answers(SelectionStrategy):
+            name = "fixed-answer"
+
+            def select(self, context):
+                return answer
+
+        session = ActiveSession(problem, Answers(), budget_per_round=4, num_rounds=3, seed=7)
+        with pytest.raises(ValueError, match=match) as raised:
+            session.propose()
+        assert "strategy 'fixed-answer'" in str(raised.value)
+        assert session.pending_proposal is None
 
 
 # --------------------------------------------------------------------- #

@@ -264,7 +264,7 @@ class _RecordingStrategy(SelectionStrategy):
         self.infos.append(info)
 
     def select(self, context: SelectionContext) -> np.ndarray:
-        assert context.pool_ids is not None and context.round_index is not None
+        assert context.round_index is not None
         return self._validate_selection(np.arange(context.budget), context)
 
     def observe_labels(self, observation: LabelObservation) -> None:

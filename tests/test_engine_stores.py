@@ -261,7 +261,6 @@ class TestShardedPointStore:
                 labeled_probabilities=labeled_probabilities,
                 budget=2,
                 rng=rng,
-                pool_ids=np.arange(n, dtype=np.int64),
                 shard_offsets=shard_offsets,
             )
             return strategy.select(context)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import get_backend
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.linalg.sherman_morrison import (
     block_rank_one_inverse_update,
     block_rank_one_quadratic_forms,
+    fused_round_scores,
 )
 
 
@@ -120,3 +122,50 @@ def test_property_sherman_morrison_matches_dense(c, d, seed):
     np.testing.assert_allclose(
         updated_inv.to_dense(), np.linalg.inv(dense_update), rtol=1e-6, atol=1e-8
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    c=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=5),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    eta=st.sampled_from([0.1, 0.5, 1.0, 2.0, 8.0]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_property_fused_scores_match_dense_ftrl_objective(n, c, d, dtype, eta, seed, data):
+    """Prop. 4 against Eq. 18 with no Sherman–Morrison: each fused score is
+    ``(Tr[B⁻¹Σ*] − Tr[(B + η·diag(γ_i)⊗x_i x_iᵀ)⁻¹Σ*]) / η``, evaluated with a
+    dense ``dc × dc`` inverse per candidate."""
+
+    chunk_size = data.draw(st.one_of(st.none(), st.integers(1, n)), label="chunk_size")
+    rng = np.random.default_rng(seed)
+    B = BlockDiagonalMatrix(random_spd_blocks(rng, c, d))
+    sigma = BlockDiagonalMatrix(random_spd_blocks(rng, c, d))
+    X = rng.standard_normal((n, d)).astype(dtype)
+    gammas = rng.uniform(0.0, 0.25, size=(n, c)).astype(dtype)
+    backend = get_backend()
+    scores = backend.to_numpy(
+        fused_round_scores(
+            B.inverse(),
+            sigma,
+            backend.ascompute(X),
+            backend.ascompute(gammas),
+            eta,
+            chunk_size=chunk_size,
+        )
+    )
+
+    B_dense, sigma_dense = B.to_dense(), sigma.to_dense()
+    before = np.trace(np.linalg.inv(B_dense) @ sigma_dense)
+    eps = np.finfo(scores.dtype).eps
+    for i in range(n):
+        x, gamma = X[i].astype(np.float64), gammas[i].astype(np.float64)
+        updated = B_dense + eta * np.kron(np.diag(gamma), np.outer(x, x))
+        after = np.trace(np.linalg.inv(updated) @ sigma_dense)
+        # The reference is a difference of two traces, each off by about
+        # cond · eps of its own magnitude through the dense inverse.
+        cond = max(np.linalg.cond(B_dense), np.linalg.cond(updated))
+        tolerance = 8 * cond * eps * (abs(before) + abs(after)) / eta
+        assert abs(scores[i] - (before - after) / eta) <= tolerance

@@ -2,11 +2,11 @@
 
 For all three filters, over drawn shard layouts (dry shards included), keep
 ratios and budgets, :meth:`CandidateFilter.select_candidates` must return
-sorted, unique ids from ``pool_ids``, at least ``budget`` of them, and keep
-exactly ``keep_count(size, budget)`` ids in every non-empty shard, each
-from that shard's own segment of the pool view.  When every shard's keep
-count covers the whole shard (keep-everything), the result is every pool id
-and the generator's state is untouched.
+sorted, unique positions in ``[0, n)``, at least ``budget`` of them, and
+keep exactly ``keep_count(size, budget)`` positions in every non-empty
+shard, each from that shard's own segment of the pool view.  When every
+shard's keep count covers the whole shard (keep-everything), the result is
+every position and the generator's state is untouched.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ def layouts(draw):
         "sizes": sizes,
         "offsets": offsets,
         "budget": draw(st.integers(1, n)),
-        "gaps": draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)),
         "seed": draw(st.integers(0, 2**16)),
         "keep_ratio": draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))),
         "kind": draw(st.sampled_from(["random", "diversity", "topk"])),
@@ -59,7 +58,6 @@ def _filter(p):
 def test_select_candidates_contract(p):
     rng = np.random.default_rng(p["seed"])
     n = sum(p["sizes"])
-    pool_ids = 100 + np.cumsum(p["gaps"]).astype(np.int64)
     context = SelectionContext(
         pool_features=rng.standard_normal((n, DIMENSION)),
         pool_probabilities=rng.dirichlet(np.ones(NUM_CLASSES), size=n),
@@ -67,22 +65,20 @@ def test_select_candidates_contract(p):
         labeled_probabilities=rng.dirichlet(np.ones(NUM_CLASSES), size=3),
         budget=p["budget"],
         rng=rng,
-        pool_ids=pool_ids,
         shard_offsets=p["offsets"],
     )
     prefilter = _filter(p)
     before = copy.deepcopy(rng.bit_generator.state)
 
-    ids = prefilter.select_candidates(context, rng)
+    positions = prefilter.select_candidates(context, rng)
 
-    assert bool(np.all(np.diff(ids) > 0))
-    assert bool(np.all(np.isin(ids, pool_ids)))
-    assert ids.size >= p["budget"]
-    positions = np.searchsorted(pool_ids, ids)
+    assert bool(np.all(np.diff(positions) > 0))
+    assert bool(np.all((positions >= 0) & (positions < n)))
+    assert positions.size >= p["budget"]
     bounds = np.concatenate([[0], np.cumsum(p["sizes"])])
     for size, lo, hi in zip(p["sizes"], bounds[:-1], bounds[1:]):
         kept = int(np.count_nonzero((positions >= lo) & (positions < hi)))
         assert kept == (prefilter.keep_count(size, p["budget"]) if size else 0)
     if all(prefilter.keep_count(size, p["budget"]) == size for size in p["sizes"] if size):
-        np.testing.assert_array_equal(ids, pool_ids)
+        np.testing.assert_array_equal(positions, np.arange(n))
         assert rng.bit_generator.state == before

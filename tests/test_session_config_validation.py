@@ -167,10 +167,8 @@ class TestOptionSurface:
             "labeled_probabilities",
             "budget",
             "rng",
-            "pool_ids",
             "round_index",
             "shard_offsets",
-            "candidate_ids",
         ]
 
     def test_session_info_fields(self):
