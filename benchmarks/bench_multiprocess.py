@@ -56,7 +56,8 @@ def _measure_round(dataset, z_relaxed, shape, rank_counts):
         for transport in TRANSPORTS:
             start = time.perf_counter()
             result = distributed_round(
-                dataset, z_relaxed, shape["budget"], 1.0, num_ranks=num_ranks, transport=transport
+                dataset, z_relaxed, shape["budget"], eta_grid=(1.0,), num_ranks=num_ranks,
+                transport=transport,
             )
             seconds = time.perf_counter() - start
             indices = [int(i) for i in result.selected_indices]

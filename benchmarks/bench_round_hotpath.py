@@ -1,7 +1,7 @@
 """ROUND hot-path reference benchmark: full η-grid solve at a fixed shape.
 
 The ISSUE-2 acceptance shape — ``n=5000, c=10, d=64, b=50`` with the full
-default η grid — exercises exactly the path the fused-scoring /
+seven-value η grid of :func:`run` — exercises exactly the path the fused-scoring /
 hoisted-precompute work targets: 7 η trials × 50 selection steps, each step
 dominated by the ``O(n c d^2)`` Proposition-4 scoring contraction.
 
@@ -22,12 +22,13 @@ shape for CI smoke runs.
 from __future__ import annotations
 
 import argparse
+import math
 import time
 
 from repro.backend import get_backend
 from repro.core.approx_round import approx_round
 from repro.core.config import RoundConfig
-from repro.core.eta_selection import default_eta_grid, select_eta
+from repro.core.eta_selection import select_eta
 
 from _utils import bench_payload, make_random_fisher_dataset, write_bench_json
 
@@ -45,13 +46,14 @@ def run(shape: dict, *, seed: int = 0, chunk_size: int | None = None) -> dict:
     # The benchmark isolates the ROUND phase, so z* is a fixed uniform vector
     # (sum z = b) rather than the output of a RELAX solve.
     z_relaxed = backend.full((shape["n"],), budget / shape["n"])
-    grid = default_eta_grid(dataset.joint_dimension)
+    # O(1) values plus multiples of Theorem 1's sqrt(dc) scale: the grid every
+    # committed BENCH_round_hotpath payload was measured with.
+    scale = math.sqrt(dataset.joint_dimension)
+    grid = (0.1, 0.5, 1.0, 2.0, 0.5 * scale, scale, 8.0 * scale)
     config = RoundConfig(score_chunk_size=chunk_size) if chunk_size is not None else None
 
     start = time.perf_counter()
-    result, score = select_eta(
-        approx_round, dataset, z_relaxed, budget, eta_grid=grid, config=config
-    )
+    result = select_eta(approx_round, dataset, z_relaxed, budget, eta_grid=grid, config=config)
     round_seconds = time.perf_counter() - start
 
     return bench_payload(
@@ -62,7 +64,7 @@ def run(shape: dict, *, seed: int = 0, chunk_size: int | None = None) -> dict:
         round_seconds=round_seconds,
         selected_indices=[int(i) for i in backend.to_numpy(result.selected_indices)],
         selected_eta=float(result.eta),
-        eta_score=float(score),
+        eta_score=float(result.eta_score),
         score_chunk_size=chunk_size,
         # Every trial's regions plus the batch scoring (select_eta sums the grid).
         grid_timings=result.timings.as_dict(),

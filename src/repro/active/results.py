@@ -7,11 +7,14 @@ over 10 trials in § IV-A).
 
 Both containers round-trip through plain JSON-compatible dictionaries
 (``to_dict``/``from_dict``) and files (``save``/``load``) so long multi-round
-runs can be checkpointed and plotted offline.
+runs can be checkpointed and plotted offline.  ``from_dict`` refuses a
+missing or mistyped key with a ``ValueError`` naming its path in the file
+(e.g. ``records[0].pool_accuracy``).
 """
 
 from __future__ import annotations
 
+import numbers
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
@@ -22,6 +25,31 @@ from repro.utils.io import atomic_write_json, read_json
 from repro.utils.validation import require
 
 __all__ = ["RoundRecord", "ExperimentResult", "AggregateResult"]
+
+_REQUIRED = object()
+_KIND_NAMES = {numbers.Real: "a number", str: "a string", list: "a list"}
+
+
+def _entry(data: Any, key: str, path: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``data[key]``, refused with a ``ValueError`` naming ``path + key`` when
+    it is missing (and has no ``default``) or not a ``kind`` (one of
+    ``_KIND_NAMES``; a ``bool`` is never a number).  ``data`` itself must be
+    an object (``path`` names it)."""
+
+    require(
+        isinstance(data, dict),
+        f"malformed result: {path.rstrip('.') or 'the top level'} must be an object "
+        f"(got {type(data).__name__})",
+    )
+    if key not in data:
+        require(default is not _REQUIRED, f"malformed result: {path}{key} is missing")
+        return default
+    value = data[key]
+    require(
+        isinstance(value, kind) and not isinstance(value, bool),
+        f"malformed result: {path}{key} must be {_KIND_NAMES[kind]} (got {type(value).__name__})",
+    )
+    return value
 
 
 @dataclass
@@ -57,14 +85,24 @@ class RoundRecord:
     to_dict = as_dict
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RoundRecord":
+    def from_dict(cls, data: Dict[str, Any], *, path: str = "") -> "RoundRecord":
+        """Inverse of :meth:`as_dict`; ``path`` prefixes the key an error names."""
+
+        def number(key: str, default: Any = _REQUIRED) -> float:
+            return float(_entry(data, key, path, numbers.Real, default))
+
+        num_labeled = number("num_labeled")
+        require(
+            num_labeled.is_integer(),
+            f"malformed result: {path}num_labeled must be a whole number (got {num_labeled!r})",
+        )
         return cls(
-            num_labeled=int(data["num_labeled"]),
-            pool_accuracy=float(data["pool_accuracy"]),
-            eval_accuracy=float(data["eval_accuracy"]),
-            balanced_eval_accuracy=float(data["balanced_eval_accuracy"]),
-            selection_seconds=float(data.get("selection_seconds", 0.0)),
-            setup_seconds=float(data.get("setup_seconds", 0.0)),
+            num_labeled=int(num_labeled),
+            pool_accuracy=number("pool_accuracy"),
+            eval_accuracy=number("eval_accuracy"),
+            balanced_eval_accuracy=number("balanced_eval_accuracy"),
+            selection_seconds=number("selection_seconds", 0.0),
+            setup_seconds=number("setup_seconds", 0.0),
         )
 
 
@@ -109,11 +147,16 @@ class ExperimentResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentResult":
+    def from_dict(cls, data: Dict[str, Any], *, path: str = "") -> "ExperimentResult":
+        """Inverse of :meth:`to_dict`; ``path`` prefixes the key an error names."""
+
         return cls(
-            strategy_name=str(data["strategy_name"]),
-            dataset_name=str(data["dataset_name"]),
-            records=[RoundRecord.from_dict(r) for r in data.get("records", [])],
+            strategy_name=_entry(data, "strategy_name", path, str),
+            dataset_name=_entry(data, "dataset_name", path, str),
+            records=[
+                RoundRecord.from_dict(record, path=f"{path}records[{i}].")
+                for i, record in enumerate(_entry(data, "records", path, list, []))
+            ],
         )
 
     def save(self, path) -> pathlib.Path:
@@ -196,10 +239,15 @@ class AggregateResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AggregateResult":
+        """Inverse of :meth:`to_dict`; an error names the bad key's path."""
+
         return cls(
-            strategy_name=str(data["strategy_name"]),
-            dataset_name=str(data["dataset_name"]),
-            trials=[ExperimentResult.from_dict(t) for t in data.get("trials", [])],
+            strategy_name=_entry(data, "strategy_name", "", str),
+            dataset_name=_entry(data, "dataset_name", "", str),
+            trials=[
+                ExperimentResult.from_dict(trial, path=f"trials[{i}].")
+                for i, trial in enumerate(_entry(data, "trials", "", list, []))
+            ],
         )
 
     def save(self, path) -> pathlib.Path:

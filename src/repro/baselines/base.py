@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.fisher.operators import FisherDataset
 from repro.utils.random import as_generator
-from repro.utils.validation import check_features, check_probabilities, require
+from repro.utils.validation import check_features, check_positive_int, check_probabilities, require
 
 __all__ = [
     "SelectionContext",
@@ -161,7 +161,7 @@ class SelectionContext:
         self.labeled_probabilities = check_probabilities(
             self.labeled_probabilities, name="labeled_probabilities"
         )
-        require(self.budget > 0, "budget must be positive")
+        self.budget = check_positive_int(self.budget, "budget")
         require(
             self.budget <= self.pool_features.shape[0],
             "budget exceeds the number of pool points",

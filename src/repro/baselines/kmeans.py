@@ -94,7 +94,9 @@ def kmeans(
     """
 
     X = check_features(X).astype(np.float64)
-    require(1 <= k <= X.shape[0], "k must be between 1 and the number of points")
+    k = check_positive_int(k, "k")
+    max_iterations = check_positive_int(max_iterations, "max_iterations")
+    require(k <= X.shape[0], "k must be between 1 and the number of points")
     gen = as_generator(rng)
     if initial_centroids is not None:
         centroids = np.asarray(initial_centroids, dtype=np.float64).copy()

@@ -128,11 +128,12 @@ class RoundConfig:
     Parameters
     ----------
     eta:
-        FTRL learning rate η.  ``None`` triggers the grid search of
-        :func:`repro.core.eta_selection.select_eta` (the paper's rule:
+        A fixed FTRL learning rate η: ROUND runs the one-entry grid
+        ``(eta,)``, one solve with no score.  ``None`` searches ``eta_grid``
+        with :func:`repro.core.eta_selection.select_eta` (the paper's rule:
         maximize ``min_k lambda_min(H_k)`` over the selected batch).
     eta_grid:
-        Candidate values used when ``eta is None``.
+        The η grid searched when ``eta is None``, and the only grid.
     allow_repeats:
         Whether a point may be selected more than once.  The paper's regret
         analysis permits repeats; practical active learning does not, so the

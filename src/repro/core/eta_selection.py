@@ -1,12 +1,11 @@
-"""FTRL learning-rate (η) selection.
+"""FTRL learning-rate (η) selection: the one ROUND entry point.
 
 § IV-A of the paper: "we execute the ROUND step with different η values, and
 then select the one that maximizes ``min_k lambda_min(H_k)``, where ``H``
 represents the summation of Hessians of the selected b points".  The same
 rule is inherited from Exact-FIRAL, so both solvers share this module.
-
-Theorem 1 suggests the theoretical scale η = 8 sqrt(dc) / ε; the default grid
-therefore mixes O(1) values with multiples of sqrt(dc).
+Sessions search ``RoundConfig.eta_grid``; a fixed η is the one-entry grid
+``(η,)``, whose one trial is the plain ROUND solve and is not scored.
 
 The grid search is where the ROUND solvers' η-independent setup would
 otherwise be paid once **per trial**: ``Sigma_*`` assembly and the pool
@@ -16,7 +15,7 @@ assembles the solver's precompute context once and threads it through every
 grid trial; the context also scores each trial's batch.
 
 :func:`select_eta` is the one grid loop for every rank count: the SPMD
-program of :func:`repro.parallel.distributed_round.distributed_round_search`
+program of :func:`repro.parallel.distributed_round.distributed_round`
 calls it on its shard with a precompute built over its communicator, so a
 batch's score is the allreduce of the ranks' owned-row partials.
 """
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from repro.backend import Array
 from repro.core.approx_round import RoundPrecompute
@@ -35,17 +34,9 @@ from repro.core.result import RoundResult
 from repro.fisher.operators import FisherDataset
 from repro.utils.validation import require
 
-__all__ = ["default_eta_grid", "select_eta"]
+__all__ = ["select_eta"]
 
 RoundSolver = Callable[[FisherDataset, Array, int, float, Optional[RoundConfig]], RoundResult]
-
-
-def default_eta_grid(joint_dimension: int) -> Tuple[float, ...]:
-    """Grid of candidate η values mixing O(1) and sqrt(dc)-scaled entries."""
-
-    require(joint_dimension > 0, "joint_dimension must be positive")
-    scale = math.sqrt(joint_dimension)
-    return (0.1, 0.5, 1.0, 2.0, 0.5 * scale, scale, 8.0 * scale)
 
 
 def select_eta(
@@ -54,10 +45,10 @@ def select_eta(
     z_relaxed: Array,
     budget: int,
     *,
-    eta_grid: Optional[Sequence[float]] = None,
+    eta_grid: Sequence[float],
     config: Optional[RoundConfig] = None,
     precompute=None,
-) -> Tuple[RoundResult, float]:
+) -> RoundResult:
     """Run the ROUND solver for each candidate η and keep the best batch.
 
     Parameters
@@ -68,7 +59,8 @@ def select_eta(
     dataset, z_relaxed, budget:
         Round-solve inputs.
     eta_grid:
-        Candidate η values; defaults to :func:`default_eta_grid`.
+        Candidate η values, e.g. ``RoundConfig.eta_grid``.  A one-entry grid
+        ``(η,)`` runs its one trial and scores nothing: the fixed-η solve.
     config:
         Round options forwarded to every trial solve.
     precompute:
@@ -78,16 +70,16 @@ def select_eta(
 
     Returns
     -------
-    (RoundResult, float)
-        The winning round result (with ``eta_score`` filled in) and its score
-        ``min_k lambda_min(H_k)``; ties keep the earliest grid entry.  Its
-        ``timings`` are the precompute's tally, so they cover the whole
-        grid: the precompute build (``"setup"``), every trial's components
-        summed and every batch score (``"eta_scoring"``), collectives
-        excluded.
+    RoundResult
+        The winning round result; its ``eta_score`` is the winner's
+        ``min_k lambda_min(H_k)`` (``None`` for a one-entry grid), and ties
+        keep the earliest grid entry.  Its ``timings`` are the precompute's
+        tally, so they cover the whole grid: the precompute build
+        (``"setup"``), every trial's components summed and every batch
+        score (``"eta_scoring"``), collectives excluded.
     """
 
-    grid = tuple(eta_grid) if eta_grid is not None else default_eta_grid(dataset.joint_dimension)
+    grid = tuple(eta_grid)
     require(len(grid) > 0, "eta grid must not be empty")
     require(all(e > 0 for e in grid), "eta values must be positive")
 
@@ -95,16 +87,16 @@ def select_eta(
         build = ExactRoundPrecompute.build if solver is exact_round else RoundPrecompute.build
         precompute = build(dataset, z_relaxed)
 
-    best_result: Optional[RoundResult] = None
-    best_score = -math.inf
+    def trial(eta: float) -> RoundResult:
+        return solver(dataset, z_relaxed, budget, float(eta), config, precompute=precompute)
+
+    if len(grid) == 1:
+        # A fixed η: its one trial is the answer, with nothing to compare.
+        return replace(trial(grid[0]), timings=precompute.timings)
+    best, best_score = None, -math.inf
     for eta in grid:
-        result = solver(dataset, z_relaxed, budget, float(eta), config, precompute=precompute)
+        result = trial(eta)
         score = precompute.score(result.selected_indices)
         if score > best_score:
-            best_score = score
-            best_result = result
-    assert best_result is not None
-    return (
-        replace(best_result, eta_score=float(best_score), timings=precompute.timings),
-        float(best_score),
-    )
+            best, best_score = result, score
+    return replace(best, eta_score=float(best_score), timings=precompute.timings)

@@ -13,7 +13,7 @@ returned as host integer arrays regardless of backend.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.backend import Array, get_backend
 from repro.core.approx_relax import approx_relax
@@ -50,20 +50,15 @@ class _FIRALBase:
 
         return type(self)._relax_solver(dataset, budget, self.relax_config)
 
-    def _round(self, dataset: FisherDataset, weights: Array, budget: int, eta: float):
-        """Run the bound ROUND solver at one fixed η (subclass hook)."""
-
-        return type(self)._round_solver(dataset, weights, budget, float(eta), self.round_config)
-
-    def _round_search(self, dataset: FisherDataset, weights: Array, budget: int):
-        """Run the § IV-A η grid search over the bound ROUND solver (subclass hook)."""
+    def _round(self, dataset: FisherDataset, weights: Array, budget: int, grid: Sequence[float]):
+        """Run the § IV-A η search over the bound ROUND solver (subclass hook)."""
 
         return select_eta(
             type(self)._round_solver,
             dataset,
             weights,
             budget,
-            eta_grid=self.round_config.eta_grid,
+            eta_grid=grid,
             config=self.round_config,
         )
 
@@ -76,13 +71,12 @@ class _FIRALBase:
     ) -> SelectionResult:
         """Select ``budget`` pool indices for labeling.
 
-        Runs the RELAX step, then either uses the configured η directly or
-        grid-searches it with the paper's min-eigenvalue rule, then runs the
-        ROUND step.  RELAX always starts from the uniform point.  ``eta``
-        overrides the grid search for this call — the session engine passes
-        the previous round's winning η (``SessionConfig.reuse_eta``), turning
-        the § IV-A grid's ROUND solves per round, one per entry of
-        ``RoundConfig.eta_grid`` (5 by default), into 1 after the first.
+        Runs the RELAX step from the uniform point, then the ROUND step over
+        an η grid with the paper's min-eigenvalue rule: ``RoundConfig.eta_grid``
+        (one ROUND solve per entry, 5 by default), or the one-entry grid of
+        a fixed η (one solve, no score).  The fixed η is ``eta`` when given
+        — the session engine passes the previous round's winning η
+        (``SessionConfig.reuse_eta``) — else ``RoundConfig.eta``.
         """
 
         require(budget > 0, "budget must be positive")
@@ -92,11 +86,9 @@ class _FIRALBase:
         )
         relax_result = self._relax(dataset, budget)
 
-        fixed_eta = eta if eta is not None else self.round_config.eta
-        if fixed_eta is not None:
-            round_result = self._round(dataset, relax_result.weights, budget, float(fixed_eta))
-        else:
-            round_result, _ = self._round_search(dataset, relax_result.weights, budget)
+        eta = eta if eta is not None else self.round_config.eta
+        grid = self.round_config.eta_grid if eta is None else (float(eta),)
+        round_result = self._round(dataset, relax_result.weights, budget, grid)
 
         return SelectionResult(
             selected_indices=get_backend().index_array(round_result.selected_indices),

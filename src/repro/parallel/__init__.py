@@ -11,17 +11,21 @@ inter-GPU communication (§ III-C).  This package provides:
   segment with a barrier/sequence-number protocol).  Both record message
   counts and volumes identically, so the analytic cost model of
   :mod:`repro.perfmodel` applies to simulated and real runs alike.
-* :mod:`repro.parallel.launcher` — :func:`run_spmd`, which executes one
-  per-rank entry point per rank over either transport.
+* :mod:`repro.parallel.launcher` — the one launch path of the distributed
+  solvers: ``launch_shards`` partitions the pool, ships each rank its shard
+  in a ``RankSpec`` and calls :func:`run_spmd`, which executes one per-rank
+  entry point per rank over either transport (wrapping it for fault
+  injection when given a plan).
 * :mod:`repro.parallel.partition` — block partitioning of pool points and of
   class blocks across ranks.
 * :mod:`repro.parallel.distributed_relax` / ``distributed_round`` — the
-  rank programs (``relax_rank_main`` / ``round_rank_main`` /
-  ``round_search_rank_main``) and transport-agnostic drivers for Algorithms
-  2 and 3 and the η grid search.  Each rank program builds its shard, runs
-  the serial solver's loop from :mod:`repro.core` with its communicator and
-  reports: there is one SPMD loop per algorithm, and the serial solvers are
-  its one-rank case (:data:`repro.core.spmd.ONE_RANK`).
+  rank programs (``relax_rank_main`` / ``round_rank_main``) and
+  transport-agnostic drivers for Algorithm 2 and for Algorithm 3 over an η
+  grid (a fixed η is a one-entry grid).  Each rank program builds its
+  shard, runs the serial solver's loop from :mod:`repro.core` with its
+  communicator and returns a ``RankOutput`` holding the loop's result:
+  there is one SPMD loop per algorithm, and the serial solvers are its
+  one-rank case (:data:`repro.core.spmd.ONE_RANK`).
 * :mod:`repro.parallel.firal` — :class:`DistributedApproxFIRAL`, the full
   RELAX → η → ROUND selector over distributed solvers (what a session with
   ``SessionConfig.parallel_ranks`` runs).
@@ -53,12 +57,7 @@ from repro.parallel.faults import (
 )
 from repro.parallel.partition import block_partition, partition_indices, partition_pool, pool_offsets
 from repro.parallel.distributed_relax import distributed_relax, relax_rank_main
-from repro.parallel.distributed_round import (
-    distributed_round,
-    distributed_round_search,
-    round_rank_main,
-    round_search_rank_main,
-)
+from repro.parallel.distributed_round import distributed_round, round_rank_main
 from repro.parallel.firal import DistributedApproxFIRAL
 from repro.parallel.cluster import SimulatedCluster, ScalingMeasurement
 
@@ -86,9 +85,7 @@ __all__ = [
     "distributed_relax",
     "relax_rank_main",
     "distributed_round",
-    "distributed_round_search",
     "round_rank_main",
-    "round_search_rank_main",
     "SimulatedCluster",
     "ScalingMeasurement",
 ]

@@ -134,7 +134,7 @@ class SimulatedCluster:
         """Time the selection of ``budget`` points (per-point time is reported)."""
 
         result = distributed_round(
-            dataset, z_relaxed, budget, eta, num_ranks=num_ranks, config=config,
+            dataset, z_relaxed, budget, eta_grid=(eta,), num_ranks=num_ranks, config=config,
             transport=self.transport,
         )
         compute = {

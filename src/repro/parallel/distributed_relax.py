@@ -19,20 +19,20 @@ one-rank communicator — and follows the communication pattern of § III-C:
   normalization (allreduces of scalars).
 
 :func:`relax_rank_main` builds the rank's shard, runs the loop and reports.
-:func:`distributed_relax` is the driver: it partitions the dataset, launches
-the rank program over the requested transport — threads
-(``transport="simulated"``) or real spawned processes
-(``transport="shared_memory"``) via :func:`repro.parallel.launcher.run_spmd`
-— and merges the per-rank outputs.  Per-rank compute seconds are measured
-for each component (collectives excluded) so the strong/weak scaling
-figures can combine ``max``-over-ranks compute with the analytic
-communication model; the communication log records every collective with
-its message size, with identical accounting on both transports.
+:func:`distributed_relax` is the driver: it launches the rank program
+through :func:`repro.parallel.launcher.launch_shards` — the one launch path
+of the distributed solvers, over threads (``transport="simulated"``) or real
+spawned processes (``transport="shared_memory"``) — and merges the per-rank
+outputs.  Per-rank compute seconds are measured for each component
+(collectives excluded) so the strong/weak scaling figures can combine
+``max``-over-ranks compute with the analytic communication model; the
+communication log records every collective with its message size, with
+identical accounting on both transports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np  # host-side timing/bookkeeping only; array math uses the backend
@@ -42,99 +42,41 @@ from repro.core.approx_relax import relax_loop
 from repro.core.config import RelaxConfig
 from repro.fisher.operators import FisherDataset
 from repro.parallel.comm import Comm, CommunicationLog
-from repro.parallel.launcher import (
-    collective_log,
-    merge_component_seconds,
-    rank_shard,
-    run_spmd,
-    ship_array,
-)
-from repro.parallel.partition import partition_pool
+from repro.parallel.launcher import RankAccounting, RankOutput, RankSpec, launch_shards
 from repro.utils.validation import check_positive_int, require
 
 __all__ = [
     "DistributedRelaxResult",
-    "RelaxRankSpec",
-    "RelaxRankOutput",
     "distributed_relax",
     "relax_rank_main",
 ]
 
 
 @dataclass
-class DistributedRelaxResult:
+class DistributedRelaxResult(RankAccounting):
     """Output of a distributed RELAX solve.
 
     ``per_rank_seconds`` maps a component name (``"setup_preconditioner"``,
     ``"cg"``, ``"gradient"``, ``"other"``, and ``"objective"`` under
-    ``track_objective="estimate"``) to an array of per-rank compute seconds,
-    collectives excluded; the parallel compute estimate for a component is
-    its max over ranks.  ``comm_log`` records every collective with its
-    message size.
+    ``track_objective="estimate"``) to an array of per-rank compute seconds;
+    see :class:`~repro.parallel.launcher.RankAccounting`.
     """
 
     weights: Array
     iterations: int
     cg_iterations: int
     num_ranks: int
-    transport: str = "simulated"
-    per_rank_seconds: Dict[str, np.ndarray] = field(default_factory=dict)
-    comm_log: CommunicationLog = field(default_factory=CommunicationLog)
-
-    def max_rank_seconds(self, component: str) -> float:
-        values = self.per_rank_seconds.get(component)
-        return float(values.max()) if values is not None and values.size else 0.0
-
-    def compute_seconds(self) -> float:
-        """Modeled parallel compute time: sum over components of max over ranks."""
-
-        return float(sum(self.max_rank_seconds(name) for name in self.per_rank_seconds))
+    transport: str
+    per_rank_seconds: Dict[str, np.ndarray]
+    comm_log: CommunicationLog
 
 
-@dataclass
-class RelaxRankSpec:
-    """Picklable per-rank inputs of :func:`relax_rank_main`.
-
-    Arrays are the rank's pool shard plus the replicated labeled set; under
-    the simulated transport they may be backend-resident (threads share
-    memory), under the shared-memory transport the driver ships host arrays.
-    ``pool_size`` is the whole pool's size, which fixes the uniform start.
-    """
-
-    pool_features: Array
-    pool_probabilities: Array
-    labeled_features: Array
-    labeled_probabilities: Array
-    pool_size: int
-    budget: int
-    config: RelaxConfig
-
-
-@dataclass
-class RelaxRankOutput:
-    """What one rank reports back to the driver."""
-
-    rank: int
-    weights: Array
-    iterations: int
-    cg_iterations: int
-    seconds: Dict[str, float]
-    log: CommunicationLog
-
-
-def relax_rank_main(comm: Comm, spec: RelaxRankSpec) -> RelaxRankOutput:
+def relax_rank_main(comm: Comm, spec: RankSpec) -> RankOutput:
     """SPMD body of Algorithm 2 for one rank."""
 
-    shard = rank_shard(spec)
-    result = relax_loop(comm, shard, spec.pool_size, int(spec.budget), spec.config)
-    return RelaxRankOutput(
-        rank=comm.rank,
-        weights=result.weights,
-        iterations=result.iterations,
-        cg_iterations=result.cg_iterations,
-        seconds=result.timings.as_dict(),
-        log=comm.log,
-    )
+    pool_size = int(spec.offsets[-1])
+    result = relax_loop(comm, spec.shard(), pool_size, spec.budget, spec.config)
+    return RankOutput(rank=comm.rank, result=result, log=comm.log)
 
 
 def relax_message_bytes(num_pool: int, joint_dimension: int, num_classes: int,
@@ -194,30 +136,16 @@ def distributed_relax(
         cfg.track_objective != "exact",
         "distributed_relax cannot track the exact objective; use 'estimate' or 'none'",
     )
-    backend = get_backend()
-
-    specs = [
-        RelaxRankSpec(
-            pool_features=ship_array(backend, shard.pool_features, transport),
-            pool_probabilities=ship_array(backend, shard.pool_probabilities, transport),
-            labeled_features=ship_array(backend, shard.labeled_features, transport),
-            labeled_probabilities=ship_array(backend, shard.labeled_probabilities, transport),
-            pool_size=dataset.num_pool,
-            budget=int(budget),
-            config=cfg,
-        )
-        for shard in partition_pool(dataset, num_ranks, offsets=offsets)
-    ]
-
-    entry = relax_rank_main
-    if fault_plan is not None:
-        from repro.parallel.faults import FaultInjectingEntry
-
-        entry = FaultInjectingEntry(relax_rank_main, fault_plan)
-    outputs = run_spmd(
-        entry,
-        specs,
+    outputs = launch_shards(
+        relax_rank_main,
+        dataset,
+        num_ranks=num_ranks,
+        budget=budget,
+        config=cfg,
         transport=transport,
+        timeout=timeout,
+        offsets=offsets,
+        fault_plan=fault_plan,
         max_message_bytes=relax_message_bytes(
             dataset.num_pool,
             dataset.joint_dimension,
@@ -225,18 +153,16 @@ def distributed_relax(
             dataset.dimension,
             cfg.num_probes,
         ),
-        timeout=timeout,
     )
+    results = [output.result for output in outputs]
     require(
-        len({(output.iterations, output.cg_iterations) for output in outputs}) == 1,
+        len({(result.iterations, result.cg_iterations) for result in results}) == 1,
         "ranks diverged: unequal mirror-descent or CG iteration counts",
     )
-    return DistributedRelaxResult(
-        weights=backend.asarray(outputs[0].weights),
-        iterations=outputs[0].iterations,
-        cg_iterations=outputs[0].cg_iterations,
-        num_ranks=num_ranks,
-        transport=transport,
-        per_rank_seconds=merge_component_seconds(outputs),
-        comm_log=collective_log(outputs),
+    return DistributedRelaxResult.from_outputs(
+        outputs,
+        transport,
+        weights=get_backend().asarray(results[0].weights),
+        iterations=results[0].iterations,
+        cg_iterations=results[0].cg_iterations,
     )

@@ -159,16 +159,6 @@ class FaultInjectingComm:
     def log(self) -> CommunicationLog:
         return self._inner.log
 
-    def abort(self) -> None:
-        aborter = getattr(self._inner, "abort", None)
-        if aborter is not None:
-            aborter()
-
-    def close(self) -> None:
-        closer = getattr(self._inner, "close", None)
-        if closer is not None:
-            closer()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultInjectingComm({self._inner!r}, plan={self._plan})"
 

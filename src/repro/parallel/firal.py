@@ -28,11 +28,12 @@ the engine test suite pins.
 
 The § IV-A η grid search runs **in-rank**: one ``run_spmd`` launch executes
 the whole grid plus the min-eigenvalue scoring
-(:func:`repro.parallel.distributed_round.distributed_round_search`, whose
-ranks each run ``select_eta`` over one ``RoundPrecompute``), so the spawn
-cost and the η-independent ``Sigma_*`` setup are paid once per grid —
-under ``transport="shared_memory"`` one process spawn per round instead of
-one per grid trial.
+(:func:`repro.parallel.distributed_round.distributed_round`, whose ranks
+each run ``select_eta`` over one ``RoundPrecompute``), so the spawn cost and
+the η-independent ``Sigma_*`` setup are paid once per grid — under
+``transport="shared_memory"`` one process spawn per round instead of one per
+grid trial.  A fixed η (``eta=`` or ``RoundConfig.eta``) is the one-entry
+grid of the same launch.
 
 When the driving session stores its pool in a
 :class:`~repro.engine.ShardedPointStore`, the per-round shard boundaries are
@@ -44,7 +45,7 @@ follows the store's per-rank ownership instead of re-balancing the pool.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.firal import _FIRALBase
 from repro.fisher.operators import FisherDataset
 from repro.parallel.distributed_relax import distributed_relax
-from repro.parallel.distributed_round import distributed_round, distributed_round_search
+from repro.parallel.distributed_round import distributed_round
 from repro.parallel.launcher import TRANSPORTS
 from repro.utils.validation import check_positive_int, require
 
@@ -128,31 +129,12 @@ class DistributedApproxFIRAL(_FIRALBase):
             fault_plan=self.fault_plan,
         )
 
-    def _round_solver_call(self, dataset, z_relaxed, budget, eta, config):
-        """ROUND-solver adapter with the serial solvers' call signature."""
-
+    def _round(self, dataset: FisherDataset, weights: Array, budget: int, grid: Sequence[float]):
         return distributed_round(
-            dataset,
-            z_relaxed,
-            int(budget),
-            float(eta),
-            num_ranks=self.num_ranks,
-            config=config,
-            transport=self.transport,
-            timeout=self.timeout,
-            offsets=self.partition_offsets,
-            fault_plan=self.fault_plan,
-        )
-
-    def _round(self, dataset: FisherDataset, weights: Array, budget: int, eta: float):
-        return self._round_solver_call(dataset, weights, budget, eta, self.round_config)
-
-    def _round_search(self, dataset: FisherDataset, weights: Array, budget: int):
-        return distributed_round_search(
             dataset,
             weights,
             budget,
-            eta_grid=self.round_config.eta_grid,
+            eta_grid=grid,
             num_ranks=self.num_ranks,
             config=self.round_config,
             transport=self.transport,

@@ -1,10 +1,13 @@
-"""SPMD launcher: run one rank entry point per rank over a chosen transport.
+"""SPMD launcher: the one launch path of every distributed solve.
 
-The distributed solvers are written as *per-rank* functions
+The distributed solvers are written as *per-rank* programs
 (``relax_rank_main`` / ``round_rank_main``) taking a
-:class:`~repro.parallel.comm.Comm` handle plus a picklable per-rank argument
-object.  :func:`run_spmd` executes ``len(rank_args)`` such ranks and returns
-their outputs in rank order, over either transport:
+:class:`~repro.parallel.comm.Comm` handle plus a picklable
+:class:`RankSpec`.  :func:`launch_shards` launches either of them: it
+partitions the pool (balanced, or along explicit shard offsets), ships each
+rank its shard, builds one spec per rank and calls :func:`run_spmd`, which
+executes ``len(rank_args)`` ranks and returns their outputs in rank order,
+over either transport:
 
 * ``transport="simulated"`` — ranks are threads of this process over
   :class:`~repro.parallel.comm.SimulatedComm`.  Collectives rendezvous at a
@@ -18,11 +21,11 @@ their outputs in rank order, over either transport:
   entry point must be a module-level function); results come back over a
   queue and are re-ordered by rank.
 
-Both transports produce per-rank outputs the drivers in
-``distributed_relax`` / ``distributed_round`` merge into one result;
-``collective_log`` picks the canonical communication log of a run (the
-shared log for threads, rank 0's log for processes — all ranks' logs are
-identical by construction).
+Each rank program returns a :class:`RankOutput` holding its loop's own
+result; :meth:`RankAccounting.from_outputs` merges a launch's outputs into
+the per-rank compute seconds and the communication log that both
+distributed results report (rank 0's log is the run's log: the shared log
+for threads, and for processes a private log identical on every rank).
 """
 
 from __future__ import annotations
@@ -30,10 +33,14 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Any, Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.backend import Array, get_backend
+from repro.core.config import RelaxConfig, RoundConfig
+from repro.core.result import RelaxResult, RoundResult
 from repro.fisher.operators import FisherDataset
 from repro.parallel.comm import (
     Comm,
@@ -45,16 +52,17 @@ from repro.parallel.comm import (
     _HEADER_BYTES,
     create_communicators,
 )
+from repro.parallel.partition import partition_pool, pool_offsets
 from repro.utils.validation import require
 
 __all__ = [
+    "RankAccounting",
     "RankFailedError",
+    "RankOutput",
+    "RankSpec",
     "TRANSPORTS",
-    "collective_log",
-    "merge_component_seconds",
-    "rank_shard",
+    "launch_shards",
     "run_spmd",
-    "ship_array",
 ]
 
 TRANSPORTS = ("simulated", "shared_memory")
@@ -95,63 +103,153 @@ class RankFailedError(CommError):
         self.cause_type = cause_type
 
 
-def ship_array(backend, array, transport: str):
-    """Prepare an array for a rank spec.
+@dataclass
+class RankSpec:
+    """Picklable per-rank inputs of a rank program.
 
-    The shared-memory transport pickles specs into spawned processes, so
-    backend arrays are converted to contiguous host arrays; the simulated
-    transport shares memory with its rank threads, so (possibly
-    device-resident) arrays pass through untouched.
+    The arrays are the rank's pool shard plus the replicated labeled set;
+    under the shared-memory transport they are contiguous host copies (the
+    spec is pickled into a spawned process), under the simulated transport
+    the rank threads share the driver's arrays.  ``offsets`` is the global
+    shard table, so ``offsets[-1]`` is the whole pool's size.  ROUND ranks
+    also get their slice ``z`` of the relaxed weights and the η grid.
     """
 
-    if transport == "shared_memory":
-        return np.ascontiguousarray(backend.to_numpy(array))
-    return array
+    pool_features: Array
+    pool_probabilities: Array
+    labeled_features: Array
+    labeled_probabilities: Array
+    offsets: np.ndarray
+    budget: int
+    config: Union[RelaxConfig, RoundConfig]
+    z: Optional[Array] = None
+    eta_grid: Tuple[float, ...] = ()
+
+    def shard(self) -> FisherDataset:
+        """The rank's pool shard plus the replicated labeled set.
+
+        Each rank assembles ``B(H_o)`` once from its replicated labeled arrays.
+        """
+
+        return FisherDataset(
+            pool_features=self.pool_features,
+            pool_probabilities=self.pool_probabilities,
+            labeled_features=self.labeled_features,
+            labeled_probabilities=self.labeled_probabilities,
+        )
 
 
-def rank_shard(spec) -> FisherDataset:
-    """The rank's pool shard plus the replicated labeled set, from its spec.
+@dataclass
+class RankOutput:
+    """What one rank reports: its loop's own result and the run's log.
 
-    Each rank assembles ``B(H_o)`` once from its replicated labeled arrays.
+    ``result.timings`` are the rank's compute seconds per component,
+    collectives excluded.
     """
 
-    return FisherDataset(
-        pool_features=spec.pool_features,
-        pool_probabilities=spec.pool_probabilities,
-        labeled_features=spec.labeled_features,
-        labeled_probabilities=spec.labeled_probabilities,
+    rank: int
+    result: Union[RelaxResult, RoundResult]
+    log: CommunicationLog
+
+
+class RankAccounting:
+    """Per-rank accounting shared by the distributed results.
+
+    A subclass is a dataclass with the fields ``num_ranks``, ``transport``,
+    ``per_rank_seconds`` (component name → array of per-rank compute
+    seconds, collectives excluded) and ``comm_log`` (every collective with
+    its message size).  The parallel compute estimate of a component is its
+    max over ranks.
+    """
+
+    @classmethod
+    def from_outputs(cls, outputs: Sequence[RankOutput], transport: str, **fields):
+        """The result of a finished launch: ``fields`` plus its accounting.
+
+        Component order follows first appearance across ranks, so rank 0's
+        ordering (the canonical SPMD program order) leads.
+        """
+
+        seconds = [output.result.timings.as_dict() for output in outputs]
+        components = dict.fromkeys(name for rank_seconds in seconds for name in rank_seconds)
+        return cls(
+            num_ranks=len(outputs),
+            transport=transport,
+            per_rank_seconds={
+                name: np.asarray([s.get(name, 0.0) for s in seconds], dtype=np.float64)
+                for name in components
+            },
+            comm_log=outputs[0].log,
+            **fields,
+        )
+
+    def max_rank_seconds(self, component: str) -> float:
+        values = self.per_rank_seconds.get(component)
+        return float(values.max()) if values is not None and values.size else 0.0
+
+    def compute_seconds(self) -> float:
+        """Modeled parallel compute time: sum over components of max over ranks."""
+
+        return float(sum(self.max_rank_seconds(name) for name in self.per_rank_seconds))
+
+
+def launch_shards(
+    entry: RankMain,
+    dataset: FisherDataset,
+    *,
+    num_ranks: int,
+    budget: int,
+    config: Union[RelaxConfig, RoundConfig],
+    transport: str,
+    timeout: float,
+    offsets: Optional[np.ndarray],
+    fault_plan,
+    max_message_bytes: int,
+    z: Optional[Array] = None,
+    eta_grid: Sequence[float] = (),
+) -> List[RankOutput]:
+    """Launch ``entry`` over the pool of ``dataset`` split across ``num_ranks`` ranks.
+
+    The pool is partitioned along ``offsets`` (a sharded pool store's
+    ownership table) or, when ``None``, evenly; every rank gets its shard,
+    the replicated labeled set, the global offsets table, and for ROUND its
+    slice of ``z`` and the η grid.  The shared-memory transport pickles the
+    specs into spawned processes, so its arrays are shipped as contiguous
+    host copies; the simulated transport's rank threads share the arrays
+    untouched.
+    """
+
+    backend = get_backend()
+
+    def ship(array):
+        if transport == "shared_memory":
+            return np.ascontiguousarray(backend.to_numpy(array))
+        return array
+
+    shards = partition_pool(dataset, num_ranks, offsets=offsets)
+    offsets = pool_offsets(dataset.num_pool, num_ranks, offsets)
+    specs = [
+        RankSpec(
+            pool_features=ship(shard.pool_features),
+            pool_probabilities=ship(shard.pool_probabilities),
+            labeled_features=ship(shard.labeled_features),
+            labeled_probabilities=ship(shard.labeled_probabilities),
+            offsets=offsets,
+            budget=int(budget),
+            config=config,
+            z=None if z is None else ship(z[int(offsets[rank]) : int(offsets[rank + 1])]),
+            eta_grid=tuple(eta_grid),
+        )
+        for rank, shard in enumerate(shards)
+    ]
+    return run_spmd(
+        entry,
+        specs,
+        transport=transport,
+        max_message_bytes=max_message_bytes,
+        timeout=timeout,
+        fault_plan=fault_plan,
     )
-
-
-def merge_component_seconds(outputs: Sequence[Any]) -> dict:
-    """Per-rank ``seconds`` dicts → component name → array of per-rank seconds.
-
-    Component order follows first appearance across ranks, so rank 0's
-    ordering (the canonical SPMD program order) leads.
-    """
-
-    components: List[str] = []
-    for output in outputs:
-        for name in output.seconds:
-            if name not in components:
-                components.append(name)
-    return {
-        name: np.asarray([output.seconds.get(name, 0.0) for output in outputs], dtype=np.float64)
-        for name in components
-    }
-
-
-def collective_log(outputs: Sequence[Any]) -> CommunicationLog:
-    """The canonical :class:`CommunicationLog` of a finished SPMD run.
-
-    Every rank output is expected to expose a ``log`` attribute.  Under the
-    simulated transport all ranks share one log object and rank 0 records;
-    under the shared-memory transport each rank records privately but the
-    logs are identical — either way rank 0's log *is* the run's log.
-    """
-
-    require(len(outputs) > 0, "no rank outputs")
-    return outputs[0].log
 
 
 def run_spmd(
@@ -163,6 +261,7 @@ def run_spmd(
     timeout: float = 120.0,
     max_retries: int = 0,
     retry_backoff: float = 0.05,
+    fault_plan=None,
 ) -> List[Any]:
     """Run ``entry(comm, rank_args[rank])`` on every rank; return outputs in rank order.
 
@@ -203,12 +302,23 @@ def run_spmd(
     retry_backoff:
         Base of the exponential backoff between attempts:
         ``retry_backoff * 2**attempt`` seconds after attempt ``attempt``.
+    fault_plan:
+        Optional :class:`~repro.parallel.faults.FaultPlan`: every rank's
+        communicator is wrapped in a
+        :class:`~repro.parallel.faults.FaultInjectingComm` firing it (the
+        entry runs inside a picklable
+        :class:`~repro.parallel.faults.FaultInjectingEntry`) — the
+        chaos-testing hook the recovery tests and benchmarks use.
     """
 
     require(len(rank_args) > 0, "at least one rank is required")
     require(transport in TRANSPORTS, f"unknown transport '{transport}'; use one of {TRANSPORTS}")
     require(max_retries >= 0, "max_retries must be non-negative")
     require(retry_backoff >= 0, "retry_backoff must be non-negative")
+    if fault_plan is not None:
+        from repro.parallel.faults import FaultInjectingEntry  # faults imports this module
+
+        entry = FaultInjectingEntry(entry, fault_plan)
 
     attempt = 0
     while True:

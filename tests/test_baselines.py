@@ -37,6 +37,17 @@ class TestSelectionContext:
     def test_rng_is_generator(self):
         assert isinstance(make_context().rng, np.random.Generator)
 
+    @pytest.mark.parametrize("budget", [2.5, True, "3"])
+    def test_non_integer_budget_rejected(self, budget):
+        """Checked, not kept as given: 2.5 and True used to pass."""
+
+        with pytest.raises(ValueError, match="budget"):
+            make_context(budget=budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        context = make_context(budget=np.int64(4))
+        assert context.budget == 4 and type(context.budget) is int
+
 
 class TestRandomStrategy:
     def test_returns_budget_unique_indices(self):

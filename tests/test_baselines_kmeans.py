@@ -120,6 +120,29 @@ class TestKMeansStrategy:
         assert KMeansStrategy(max_iterations=np.int64(7)).max_iterations == 7
 
 
+class TestKMeansCounts:
+    """``kmeans`` checks its counts instead of truncating them."""
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", 0])
+    def test_max_iterations_validated(self, value):
+        X, _, _ = make_blobs(per_cluster=7)
+        with pytest.raises(ValueError, match="max_iterations"):
+            kmeans(X, 3, rng=0, max_iterations=value)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_k_validated(self, value):
+        X, _, _ = make_blobs(per_cluster=7)
+        with pytest.raises(ValueError, match="k must be"):
+            kmeans(X, value, rng=0)
+
+    def test_numpy_integers_accepted(self):
+        X, _, _ = make_blobs(per_cluster=7)
+        result = kmeans(X, np.int64(3), rng=0, max_iterations=np.int32(5))
+        reference = kmeans(X, 3, rng=0, max_iterations=5)
+        np.testing.assert_array_equal(result.centroids, reference.centroids)
+        assert result.iterations == reference.iterations
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     n=st.integers(min_value=5, max_value=40),

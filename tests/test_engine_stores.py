@@ -16,7 +16,7 @@ The contract of the store refactor:
 * every flavor (dense, sharded, mmap) answers host views, ``label()``,
   ``provide_labels()`` and ``restore_membership()`` from the arrays it was
   built from;
-* the in-rank η grid search (``distributed_round_search``) matches the
+* the in-rank η grid search (``distributed_round``) matches the
   serial ``select_eta`` winner inside a single SPMD launch.
 """
 
@@ -37,7 +37,7 @@ from repro.engine import ActiveSession, SessionConfig
 from repro.engine.pool import DensePointStore
 from repro.engine.stores import MmapPointStore, ShardedPointStore
 from repro.models.softmax import reduced_probabilities
-from repro.parallel.distributed_round import distributed_round_search
+from repro.parallel.distributed_round import distributed_round
 from repro.parallel.firal import DistributedApproxFIRAL
 
 from test_engine_session import (
@@ -551,8 +551,8 @@ class TestInRankEtaGridSearch:
     @pytest.mark.parametrize("num_ranks", [1, 2, 3])
     def test_matches_serial_select_eta(self, eta_search_inputs, num_ranks):
         dataset, weights = eta_search_inputs
-        serial_result, serial_score = self._serial(dataset, weights)
-        result, score = distributed_round_search(
+        serial_result = self._serial(dataset, weights)
+        result = distributed_round(
             dataset,
             weights,
             6,
@@ -565,14 +565,14 @@ class TestInRankEtaGridSearch:
             result.selected_indices, backend.to_numpy(serial_result.selected_indices)
         )
         assert result.eta == serial_result.eta
-        np.testing.assert_allclose(score, serial_score, rtol=1e-10)
         assert result.eta_score is not None
+        np.testing.assert_allclose(result.eta_score, serial_result.eta_score, rtol=1e-10)
 
     @pytest.mark.multiprocess
     def test_matches_serial_over_processes(self, eta_search_inputs):
         dataset, weights = eta_search_inputs
-        serial_result, _ = self._serial(dataset, weights)
-        result, _ = distributed_round_search(
+        serial_result = self._serial(dataset, weights)
+        result = distributed_round(
             dataset,
             weights,
             6,
@@ -590,24 +590,21 @@ class TestInRankEtaGridSearch:
     def test_single_launch_for_whole_grid(self, eta_search_inputs, monkeypatch):
         """The grid must not spawn one SPMD launch per trial any more."""
 
-        import sys
+        from repro.parallel import launcher
 
-        # The package __init__ re-exports the driver *function* under the
-        # submodule's name, so reach the module through sys.modules.
-        distributed_round_module = sys.modules["repro.parallel.distributed_round"]
         dataset, weights = eta_search_inputs
         calls = []
-        real_run_spmd = distributed_round_module.run_spmd
+        real_run_spmd = launcher.run_spmd
 
         def counting_run_spmd(entry, rank_args, **kwargs):
             calls.append(entry.__name__)
             return real_run_spmd(entry, rank_args, **kwargs)
 
-        monkeypatch.setattr(distributed_round_module, "run_spmd", counting_run_spmd)
+        monkeypatch.setattr(launcher, "run_spmd", counting_run_spmd)
         selector = DistributedApproxFIRAL(
             RelaxConfig(max_iterations=3, seed=0),
             RoundConfig(eta_grid=self.GRID),
             num_ranks=2,
         )
-        selector._round_search(dataset, get_backend().ascompute(weights), 6)
-        assert calls == ["round_search_rank_main"]
+        selector._round(dataset, get_backend().ascompute(weights), 6, self.GRID)
+        assert calls == ["round_rank_main"]

@@ -1,7 +1,8 @@
 """One rank of the SPMD programs is the serial solver, bit for bit.
 
 ``approx_relax``, ``approx_round`` and ``select_eta`` run the same loops as
-``relax_rank_main``, ``round_rank_main`` and ``round_search_rank_main``; the
+``relax_rank_main`` and ``round_rank_main`` (``select_eta`` over
+``approx_round``, a fixed η being a one-entry grid); the
 serial solvers pass a communicator whose collectives return their input.  So
 a one-rank launch over the simulated transport must reproduce the serial
 result exactly, for any problem shape, seed and chunk size.
@@ -18,7 +19,7 @@ from repro.core.approx_round import approx_round
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.eta_selection import select_eta
 from repro.parallel.distributed_relax import distributed_relax
-from repro.parallel.distributed_round import distributed_round, distributed_round_search
+from repro.parallel.distributed_round import distributed_round
 from tests.conftest import make_fisher_dataset
 
 problems = st.fixed_dictionaries(
@@ -63,13 +64,15 @@ def test_one_rank_equals_serial(p):
     round_config = RoundConfig(score_chunk_size=p["chunk"])
     eta = float(rng.uniform(0.1, 8.0))
     single = approx_round(dataset, z, budget, eta, round_config)
-    ranked_single = distributed_round(dataset, z, budget, eta, num_ranks=1, config=round_config)
+    ranked_single = distributed_round(
+        dataset, z, budget, eta_grid=(eta,), num_ranks=1, config=round_config
+    )
     np.testing.assert_array_equal(ranked_single.selected_indices, single.selected_indices)
 
     grid = (0.1, 1.0, 8.0)
-    searched, score = select_eta(approx_round, dataset, z, budget, eta_grid=grid, config=round_config)
-    ranked_search, ranked_score = distributed_round_search(
+    searched = select_eta(approx_round, dataset, z, budget, eta_grid=grid, config=round_config)
+    ranked_search = distributed_round(
         dataset, z, budget, eta_grid=grid, num_ranks=1, config=round_config
     )
     np.testing.assert_array_equal(ranked_search.selected_indices, searched.selected_indices)
-    assert (ranked_search.eta, ranked_score) == (searched.eta, score)
+    assert (ranked_search.eta, ranked_search.eta_score) == (searched.eta, searched.eta_score)

@@ -5,8 +5,6 @@ or Algorithm 3 over p simulated ranks produces the same results as the serial
 implementation (up to floating-point reduction order), for any rank count.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -15,9 +13,10 @@ from repro.core.approx_round import approx_round
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.eta_selection import select_eta
 from repro.core.firal import ApproxFIRAL
+from repro.parallel import launcher
 from repro.parallel.cluster import ScalingMeasurement, SimulatedCluster
 from repro.parallel.distributed_relax import distributed_relax
-from repro.parallel.distributed_round import distributed_round, distributed_round_search
+from repro.parallel.distributed_round import distributed_round
 from repro.parallel.firal import DistributedApproxFIRAL
 from repro.parallel.partition import partition_pool
 from tests.conftest import make_fisher_dataset
@@ -114,7 +113,7 @@ class TestDistributedRound:
     @pytest.mark.parametrize("num_ranks", [1, 2, 3, 6])
     def test_selects_same_points_as_serial(self, dataset, z_relaxed, num_ranks):
         serial = approx_round(dataset, z_relaxed, budget=5, eta=1.0)
-        distributed = distributed_round(dataset, z_relaxed, 5, 1.0, num_ranks=num_ranks)
+        distributed = distributed_round(dataset, z_relaxed, 5, eta_grid=(1.0,), num_ranks=num_ranks)
         np.testing.assert_array_equal(distributed.selected_indices, serial.selected_indices)
 
     def test_comm_pattern_matches_paper(self, dataset, z_relaxed):
@@ -122,7 +121,7 @@ class TestDistributedRound:
         of the eigenvalues — plus the single Sigma_* assembly allreduce."""
 
         budget = 4
-        result = distributed_round(dataset, z_relaxed, budget, 1.0, num_ranks=3)
+        result = distributed_round(dataset, z_relaxed, budget, eta_grid=(1.0,), num_ranks=3)
         calls = result.comm_log.calls
         assert calls["allgather"] == budget
         assert calls["allreduce"] == budget + 1
@@ -133,9 +132,7 @@ class TestDistributedRound:
         scoring allreduce of the selected batch's block-Hessian partials."""
 
         budget, grid = 4, (0.5, 1.0, 2.0)
-        result, _ = distributed_round_search(
-            dataset, z_relaxed, budget, eta_grid=grid, num_ranks=3
-        )
+        result = distributed_round(dataset, z_relaxed, budget, eta_grid=grid, num_ranks=3)
         calls = result.comm_log.calls
         trials = len(grid)
         assert calls["allreduce"] == 1 + trials * (budget + 1)
@@ -143,15 +140,15 @@ class TestDistributedRound:
         assert calls["bcast"] == 2 * trials * budget
 
     def test_per_rank_timings_populated(self, dataset, z_relaxed):
-        result = distributed_round(dataset, z_relaxed, 3, 1.0, num_ranks=2)
+        result = distributed_round(dataset, z_relaxed, 3, eta_grid=(1.0,), num_ranks=2)
         assert result.per_rank_seconds["score"].shape == (2,)
         assert result.compute_seconds() > 0
 
     def test_invalid_inputs_rejected(self, dataset, z_relaxed):
         with pytest.raises(ValueError):
-            distributed_round(dataset, z_relaxed, 0, 1.0, num_ranks=2)
+            distributed_round(dataset, z_relaxed, 0, eta_grid=(1.0,), num_ranks=2)
         with pytest.raises(ValueError):
-            distributed_round(dataset, np.ones(3), 2, 1.0, num_ranks=2)
+            distributed_round(dataset, np.ones(3), 2, eta_grid=(1.0,), num_ranks=2)
 
 
 UNEVEN_OFFSETS = pytest.mark.parametrize(
@@ -161,13 +158,10 @@ UNEVEN_OFFSETS = pytest.mark.parametrize(
 )
 
 
-def _record_shard_sizes(monkeypatch, module_name):
-    """Wrap the driver module's ``partition_pool``; return the shard sizes it scatters."""
+def _record_shard_sizes(monkeypatch):
+    """Wrap the launcher's ``partition_pool``; return the shard sizes it scatters."""
 
-    # The package re-exports each driver function under its submodule's
-    # name, so reach the module through importlib.
-    module = importlib.import_module(module_name)
-    real = module.partition_pool
+    real = launcher.partition_pool
     sizes = []
 
     def recording(dataset, num_ranks, offsets=None):
@@ -175,7 +169,7 @@ def _record_shard_sizes(monkeypatch, module_name):
         sizes.append([shard.num_pool for shard in shards])
         return shards
 
-    monkeypatch.setattr(module, "partition_pool", recording)
+    monkeypatch.setattr(launcher, "partition_pool", recording)
     return sizes
 
 
@@ -185,7 +179,7 @@ class TestExplicitOffsetsMatchSerial:
 
     @UNEVEN_OFFSETS
     def test_relax(self, dataset, offsets, monkeypatch):
-        sizes = _record_shard_sizes(monkeypatch, "repro.parallel.distributed_relax")
+        sizes = _record_shard_sizes(monkeypatch)
         serial = approx_relax(dataset, budget=6, config=relax_config())
         distributed = distributed_relax(
             dataset, 6, num_ranks=offsets.size - 1, config=relax_config(), offsets=offsets
@@ -196,23 +190,21 @@ class TestExplicitOffsetsMatchSerial:
 
     @UNEVEN_OFFSETS
     def test_round(self, dataset, z_relaxed, offsets, monkeypatch):
-        sizes = _record_shard_sizes(monkeypatch, "repro.parallel.distributed_round")
+        sizes = _record_shard_sizes(monkeypatch)
         serial = approx_round(dataset, z_relaxed, budget=5, eta=1.0)
         distributed = distributed_round(
-            dataset, z_relaxed, 5, 1.0, num_ranks=offsets.size - 1, offsets=offsets
+            dataset, z_relaxed, 5, eta_grid=(1.0,), num_ranks=offsets.size - 1, offsets=offsets
         )
         assert sizes == [np.diff(offsets).tolist()]
         np.testing.assert_array_equal(distributed.selected_indices, serial.selected_indices)
 
     @UNEVEN_OFFSETS
     def test_round_search(self, dataset, z_relaxed, offsets, monkeypatch):
-        sizes = _record_shard_sizes(monkeypatch, "repro.parallel.distributed_round")
+        sizes = _record_shard_sizes(monkeypatch)
         grid = (0.5, 1.0, 2.0)
         config = RoundConfig(eta_grid=grid)
-        serial, serial_score = select_eta(
-            approx_round, dataset, z_relaxed, 5, eta_grid=grid, config=config
-        )
-        distributed, score = distributed_round_search(
+        serial = select_eta(approx_round, dataset, z_relaxed, 5, eta_grid=grid, config=config)
+        distributed = distributed_round(
             dataset,
             z_relaxed,
             5,
@@ -224,7 +216,7 @@ class TestExplicitOffsetsMatchSerial:
         assert sizes == [np.diff(offsets).tolist()]
         np.testing.assert_array_equal(distributed.selected_indices, serial.selected_indices)
         assert distributed.eta == serial.eta
-        np.testing.assert_allclose(score, serial_score, rtol=1e-10)
+        np.testing.assert_allclose(distributed.eta_score, serial.eta_score, rtol=1e-10)
 
 
 class TestDistributedApproxFIRAL:
@@ -281,9 +273,11 @@ class TestDistributedApproxFIRAL:
             "relax": lambda: distributed_relax(
                 dataset, 6, num_ranks=num_ranks, config=relax_config()
             ),
-            "round": lambda: distributed_round(dataset, z_relaxed, 3, 1.0, num_ranks=num_ranks),
-            "round_search": lambda: distributed_round_search(
+            "round": lambda: distributed_round(
                 dataset, z_relaxed, 3, eta_grid=(1.0,), num_ranks=num_ranks
+            ),
+            "round_search": lambda: distributed_round(
+                dataset, z_relaxed, 3, eta_grid=(0.5, 1.0), num_ranks=num_ranks
             ),
             "partition": lambda: partition_pool(dataset, num_ranks),
         }

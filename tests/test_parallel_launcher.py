@@ -138,15 +138,15 @@ class TestDistributedSolversOverProcesses:
     def test_round_selects_serial_points_across_processes(self, dataset, z_relaxed):
         serial = approx_round(dataset, z_relaxed, budget=5, eta=1.0)
         real = distributed_round(
-            dataset, z_relaxed, 5, 1.0, num_ranks=2, transport="shared_memory"
+            dataset, z_relaxed, 5, eta_grid=(1.0,), num_ranks=2, transport="shared_memory"
         )
         np.testing.assert_array_equal(real.selected_indices, serial.selected_indices)
         assert real.transport == "shared_memory"
 
     def test_round_bytes_match_simulated(self, dataset, z_relaxed):
-        simulated = distributed_round(dataset, z_relaxed, 4, 1.0, num_ranks=2)
+        simulated = distributed_round(dataset, z_relaxed, 4, eta_grid=(1.0,), num_ranks=2)
         real = distributed_round(
-            dataset, z_relaxed, 4, 1.0, num_ranks=2, transport="shared_memory"
+            dataset, z_relaxed, 4, eta_grid=(1.0,), num_ranks=2, transport="shared_memory"
         )
         assert real.comm_log.as_dict() == simulated.comm_log.as_dict()
 

@@ -1,5 +1,8 @@
 """JSON round-trip tests for the result containers (checkpointing support)."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -118,3 +121,77 @@ class TestAtomicSaves:
         path.write_text(path.read_text()[:10])
         with pytest.raises(ValueError, match="corrupt or truncated"):
             AggregateResult.load(path)
+
+
+MISSING = object()
+
+
+def _aggregate():
+    return AggregateResult("random", "cifar10", trials=[_experiment("random"), _experiment("random")])
+
+
+@pytest.mark.parametrize(
+    "container, keys, value, name",
+    [
+        (ExperimentResult, ("strategy_name",), MISSING, "strategy_name is missing"),
+        (ExperimentResult, ("dataset_name",), MISSING, "dataset_name is missing"),
+        (ExperimentResult, ("records", 0, "num_labeled"), MISSING, "records[0].num_labeled is missing"),
+        (ExperimentResult, ("records", 2, "pool_accuracy"), MISSING, "records[2].pool_accuracy is missing"),
+        (ExperimentResult, ("records", 0, "eval_accuracy"), MISSING, "records[0].eval_accuracy is missing"),
+        (
+            ExperimentResult,
+            ("records", 1, "balanced_eval_accuracy"),
+            MISSING,
+            "records[1].balanced_eval_accuracy is missing",
+        ),
+        (ExperimentResult, ("strategy_name",), 3, "strategy_name must be a string"),
+        (ExperimentResult, ("records",), {}, "records must be a list"),
+        (ExperimentResult, ("records", 0), 3, "records[0] must be an object"),
+        (ExperimentResult, ("records", 0, "pool_accuracy"), "0.5", "records[0].pool_accuracy must be a number"),
+        (ExperimentResult, ("records", 0, "num_labeled"), True, "records[0].num_labeled must be a number"),
+        (ExperimentResult, ("records", 0, "num_labeled"), 2.5, "records[0].num_labeled must be a whole number"),
+        (ExperimentResult, ("records", 1, "selection_seconds"), None, "records[1].selection_seconds must be"),
+        (AggregateResult, ("strategy_name",), MISSING, "strategy_name is missing"),
+        (AggregateResult, ("trials", 0, "dataset_name"), MISSING, "trials[0].dataset_name is missing"),
+        (
+            AggregateResult,
+            ("trials", 1, "records", 0, "pool_accuracy"),
+            MISSING,
+            "trials[1].records[0].pool_accuracy is missing",
+        ),
+        (AggregateResult, ("trials",), "x", "trials must be a list"),
+        (AggregateResult, ("trials", 0), None, "trials[0] must be an object"),
+        (
+            AggregateResult,
+            ("trials", 0, "records", 0, "eval_accuracy"),
+            [],
+            "trials[0].records[0].eval_accuracy must be a number",
+        ),
+    ],
+)
+def test_malformed_file_names_the_field(tmp_path, container, keys, value, name):
+    """A missing or mistyped key is a ``ValueError`` naming its path, not a
+    bare ``KeyError``/``TypeError`` and not a silent coercion."""
+
+    result = _experiment() if container is ExperimentResult else _aggregate()
+    payload = result.to_dict()
+    *parents, key = keys
+    section = payload
+    for parent in parents:
+        section = section[parent]
+    if value is MISSING:
+        del section[key]
+    else:
+        section[key] = value
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(name)):
+        container.load(path)
+
+
+@pytest.mark.parametrize("container", [ExperimentResult, AggregateResult])
+def test_non_object_file_rejected(tmp_path, container):
+    path = tmp_path / "result.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="top level must be an object"):
+        container.load(path)

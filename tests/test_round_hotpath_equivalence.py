@@ -131,7 +131,7 @@ class TestPrecomputeThreading:
 
         grid = (0.5, 1.0, 4.0)
         cfg = RoundConfig()
-        hoisted, hoisted_score = select_eta(
+        hoisted = select_eta(
             approx_round, dataset, z_relaxed, budget=5, eta_grid=grid, config=cfg
         )
         # Per-trial rebuild: call the solver directly for each η (each call
@@ -149,7 +149,7 @@ class TestPrecomputeThreading:
             hoisted.selected_indices, per_trial[best_eta].selected_indices
         )
         assert hoisted.eta == best_eta
-        assert hoisted_score == pytest.approx(
+        assert hoisted.eta_score == pytest.approx(
             selected_batch_min_eigenvalue(dataset, per_trial[best_eta].selected_indices)
         )
 
@@ -196,9 +196,9 @@ class TestPrecomputeThreading:
         rng = np.random.default_rng(2)
         z = rng.uniform(0, 1, size=12)
         z = 3.0 * z / z.sum()
-        result, score = select_eta(exact_round, tiny, z, budget=3, eta_grid=(0.5, 2.0))
+        result = select_eta(exact_round, tiny, z, budget=3, eta_grid=(0.5, 2.0))
         assert result.eta in (0.5, 2.0)
-        assert np.isfinite(score)
+        assert np.isfinite(result.eta_score)
 
 
 class TestWarmStartCG:
