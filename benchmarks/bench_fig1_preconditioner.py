@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.registry import DatasetSpec, build_problem
-from repro.fisher.operators import FisherDataset
+from repro.fisher.operators import FisherDataset, SigmaOperator
 from repro.linalg.cg import conjugate_gradient
 from repro.models.logistic_regression import LogisticRegressionClassifier
 from repro.models.softmax import reduced_probabilities
@@ -48,9 +48,10 @@ def _first_iteration_system(spec: DatasetSpec, seed: int = 0):
     )
     budget = spec.budget_per_round
     z = np.full(dataset.num_pool, budget / dataset.num_pool)
+    sigma_z = SigmaOperator(dataset).prepare(z)
 
     def matvec(V):
-        return dataset.sigma_matvec(V, z) + REGULARIZATION * V
+        return sigma_z.matvec(V) + REGULARIZATION * V
 
     inverse = dataset.sigma_block_diagonal(z).add_identity(REGULARIZATION).inverse()
     probes = rademacher((dataset.joint_dimension, NUM_PROBES), rng=0, dtype=np.float64)

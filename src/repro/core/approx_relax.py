@@ -18,16 +18,28 @@ The objective for the stopping rule is read off steps 3–4:
 shard: probes are broadcast from rank 0, ``B(Sigma_z)``, every ``Sigma_z``
 matvec and ``H_p W`` are a local partial plus an allreduce, the update
 allreduces three scalars.  Probes, CG state and ``H_p W`` are replicated, so
-the estimate and the stopping rule run on every rank alike.  Every matvec
-and the Line-9 gradient run through the shard's prepared Lemma-2 operators
-(:attr:`~repro.fisher.FisherDataset.pool_operator` and
-:attr:`~repro.fisher.FisherDataset.labeled_operator`), which validate
-nothing and plan nothing per call.
+the estimate and the stopping rule run on every rank alike.
+
+Every ``Sigma_z`` matvec is one Lemma-2 pass over one
+:class:`~repro.fisher.SigmaOperator`, built once per RELAX solve: the
+rank's pool rows followed by its ``block_partition`` share of the labeled
+rows, so the labeled term is split across ranks instead of recomputed by
+each.  Each mirror-descent step prepares it once with that step's ``z``
+(:meth:`~repro.fisher.matvec.HessianSumOperator.prepare`), and both of the
+step's CG solves apply that preparation, whose weights are already folded
+in and whose scratch every iteration of a CG solve reuses.  ``H_p W`` and
+the Line-9 gradient run on the operator over the pool rows of the same
+arrays.  The solve holds one compute-dtype copy of the rank's rows,
+``(n_r + m_r)(d + c)`` values, from its start to its end.  The prepared
+scratch, ``(2 c + 1) s (n_r + m_r)`` values, lives only while a CG solve
+runs, so it never adds to the scratch of ``H_p W`` or the gradient, and
+RELAX's scratch peak stays the gradient's, about ``3 c s n_r`` values.
 :func:`approx_relax` is the one-rank case (:data:`~repro.core.spmd.ONE_RANK`,
 whose collectives return their input); ``track_objective="exact"`` needs
 the whole pool, so it runs at one rank only.
 
-The per-iteration cost is ``O(n c d (d + n_CG s) / p + c d^3)`` (Table IV);
+The per-iteration cost is ``O(c d (n d + (n + m) n_CG s) / p + c d^3)``
+(Table IV, with the labeled rows of the CG matvecs split like the pool's);
 the timing breakdown records the components of Fig. 5(A)/(B) and Fig. 6,
 collectives excluded.
 
@@ -41,9 +53,9 @@ from typing import Optional
 from repro.backend import COMPUTE_DTYPE, Array, get_backend
 from repro.core.config import SIGMA_REGULARIZATION, RelaxConfig
 from repro.core.result import RelaxResult
-from repro.core.spmd import ONE_RANK
+from repro.core.spmd import ONE_RANK, block_partition
 from repro.fisher.objective import fisher_ratio_objective
-from repro.fisher.operators import FisherDataset
+from repro.fisher.operators import FisherDataset, SigmaOperator
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.linalg.cg import conjugate_gradient
 from repro.utils.random import as_generator
@@ -99,7 +111,8 @@ def relax_loop(comm, dataset: FisherDataset, pool_size: int, budget: int, cfg: R
     xp = backend.xp
     dc = dataset.joint_dimension
     timings = TimingBreakdown()
-    pool, labeled = dataset.pool_operator, dataset.labeled_operator
+    sigma = SigmaOperator(dataset, block_partition(dataset.num_labeled, comm.size)[comm.rank])
+    pool = sigma.pool
     local_z = backend.full((dataset.num_pool,), 1.0 / pool_size, dtype=COMPUTE_DTYPE)
 
     # Rank 0 owns the probe RNG stream (Line 4); peers receive via bcast.
@@ -135,15 +148,17 @@ def relax_loop(comm, dataset: FisherDataset, pool_size: int, budget: int, cfg: R
             preconditioner = sigma_blocks.inverse()
 
         def sigma_matvec(V: Array) -> Array:
-            """``Sigma_z V``: local ``H_z`` partial, allreduced, plus ``H_o V``."""
+            """``Sigma_z V``: the local ``H_z + H_o`` partial, allreduced, regularized."""
 
-            partial = pool.matvec(V, weights)
+            partial = sigma_z.matvec(V)
             with timings.excluded():
                 reduced = comm.allreduce(partial)
-            return reduced + labeled.matvec(V) + SIGMA_REGULARIZATION * xp.asarray(V)
+            reduced += SIGMA_REGULARIZATION * V
+            return reduced
 
         # Line 6: W = Sigma^{-1} V by PCG started from zero.
         with timings.region("cg"):
+            sigma_z = sigma.prepare(weights)
             first_solve = conjugate_gradient(
                 sigma_matvec,
                 probes,
@@ -155,6 +170,8 @@ def relax_loop(comm, dataset: FisherDataset, pool_size: int, budget: int, cfg: R
             total_cg_iterations += first_solve.iterations
             if t == 1:
                 first_cg_history = list(first_solve.residual_history)
+            # Free the scratch while Line 7 lays out its own; Line 8 lays it out again.
+            sigma_z.release()
         # Line 7: H_p W.
         with timings.region("other"):
             partial = pool.matvec(first_solve.solution)
@@ -183,6 +200,8 @@ def relax_loop(comm, dataset: FisherDataset, pool_size: int, budget: int, cfg: R
             )
             total_cg_iterations += second_solve.iterations
             cg_iteration_history.append(first_solve.iterations + second_solve.iterations)
+            # The step's preparation is spent: free it, scratch and all, before the gradient.
+            sigma_z = None
 
         # Line 9: gradient estimate for every point of the shard.
         with timings.region("gradient"):

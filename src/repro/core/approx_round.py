@@ -47,7 +47,7 @@ from repro.linalg.bisection import find_ftrl_nu
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.linalg.sherman_morrison import fused_round_scores
 from repro.utils.timing import TimingBreakdown
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_real, require
 
 __all__ = [
     "RoundPrecompute",
@@ -248,7 +248,7 @@ def approx_round(
     budget:
         Number of points ``b`` to select.
     eta:
-        FTRL learning rate η.
+        FTRL learning rate η, a finite positive real.
     config:
         Round options.
     precompute:
@@ -262,7 +262,7 @@ def approx_round(
     """
 
     require(budget > 0, "budget must be positive")
-    require(eta > 0, "eta must be positive")
+    eta = check_positive_real(eta, "eta")
     cfg = config or RoundConfig(eta=eta)
     backend = get_backend()
     xp = backend.xp

@@ -14,15 +14,24 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.utils.validation import check_positive_int, require
+from repro.utils.validation import check_positive_int, check_positive_real, require
 
-__all__ = ["RelaxConfig", "RoundConfig", "SIGMA_REGULARIZATION"]
+__all__ = ["RelaxConfig", "RoundConfig", "SIGMA_REGULARIZATION", "check_eta_grid"]
 
 #: Tikhonov term added to ``Sigma_z`` by RELAX and to ``Sigma_*`` by ROUND.
 #: A tiny labeled set (one point per class in the first rounds) makes Sigma
 #: near-singular.  One constant for both solvers, so ROUND rounds against
 #: exactly the matrix RELAX optimized.
 SIGMA_REGULARIZATION = 1e-6
+
+
+def check_eta_grid(eta_grid: Sequence[float]) -> tuple:
+    """Return a non-empty η grid as a tuple of floats, each entry checked by
+    :func:`~repro.utils.validation.check_positive_real` as ``eta_grid[i]``."""
+
+    grid = tuple(check_positive_real(eta, f"eta_grid[{i}]") for i, eta in enumerate(eta_grid))
+    require(len(grid) > 0, "eta_grid must not be empty")
+    return grid
 
 
 @dataclass
@@ -128,7 +137,8 @@ class RoundConfig:
     Parameters
     ----------
     eta:
-        A fixed FTRL learning rate η: ROUND runs the one-entry grid
+        A fixed FTRL learning rate η, a finite positive real (as is every
+        ``eta_grid`` entry): ROUND runs the one-entry grid
         ``(eta,)``, one solve with no score.  ``None`` searches ``eta_grid``
         with :func:`repro.core.eta_selection.select_eta` (the paper's rule:
         maximize ``min_k lambda_min(H_k)`` over the selected batch).
@@ -161,9 +171,8 @@ class RoundConfig:
 
     def __post_init__(self) -> None:
         if self.eta is not None:
-            require(self.eta > 0, "eta must be positive")
-        require(len(tuple(self.eta_grid)) > 0, "eta_grid must not be empty")
-        require(all(e > 0 for e in self.eta_grid), "eta_grid values must be positive")
+            check_positive_real(self.eta, "eta")
+        check_eta_grid(self.eta_grid)
         chunk = self.score_chunk_size
         require(
             chunk is None

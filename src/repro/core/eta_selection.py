@@ -28,11 +28,10 @@ from typing import Callable, Optional, Sequence
 
 from repro.backend import Array
 from repro.core.approx_round import RoundPrecompute
-from repro.core.config import RoundConfig
+from repro.core.config import RoundConfig, check_eta_grid
 from repro.core.exact_round import ExactRoundPrecompute, exact_round
 from repro.core.result import RoundResult
 from repro.fisher.operators import FisherDataset
-from repro.utils.validation import require
 
 __all__ = ["select_eta"]
 
@@ -59,8 +58,9 @@ def select_eta(
     dataset, z_relaxed, budget:
         Round-solve inputs.
     eta_grid:
-        Candidate η values, e.g. ``RoundConfig.eta_grid``.  A one-entry grid
-        ``(η,)`` runs its one trial and scores nothing: the fixed-η solve.
+        Candidate η values, e.g. ``RoundConfig.eta_grid``, each a finite
+        positive real.  A one-entry grid ``(η,)`` runs its one trial and
+        scores nothing: the fixed-η solve.
     config:
         Round options forwarded to every trial solve.
     precompute:
@@ -79,9 +79,7 @@ def select_eta(
         score (``"eta_scoring"``), collectives excluded.
     """
 
-    grid = tuple(eta_grid)
-    require(len(grid) > 0, "eta grid must not be empty")
-    require(all(e > 0 for e in grid), "eta values must be positive")
+    grid = check_eta_grid(eta_grid)
 
     if precompute is None:
         build = ExactRoundPrecompute.build if solver is exact_round else RoundPrecompute.build

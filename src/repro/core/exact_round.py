@@ -23,7 +23,7 @@ from repro.fisher.operators import FisherDataset
 from repro.linalg.bisection import find_ftrl_nu
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.utils.timing import TimingBreakdown
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_real, require
 
 __all__ = ["ExactRoundPrecompute", "exact_round"]
 
@@ -132,8 +132,8 @@ def exact_round(
     budget:
         Number of points ``b`` to select.
     eta:
-        FTRL learning rate η (Eq. 9/10); the η grid search lives in
-        :mod:`repro.core.eta_selection`.
+        FTRL learning rate η (Eq. 9/10), a finite positive real; the η
+        grid search lives in :mod:`repro.core.eta_selection`.
     config:
         Round options (``allow_repeats``).
     precompute:
@@ -144,7 +144,7 @@ def exact_round(
     """
 
     require(budget > 0, "budget must be positive")
-    require(eta > 0, "eta must be positive")
+    eta = check_positive_real(eta, "eta")
     cfg = config or RoundConfig(eta=eta)
     backend = get_backend()
     xp = backend.xp

@@ -25,11 +25,12 @@ from repro.fisher.hessian import (
 )
 from repro.fisher.matvec import (
     HessianSumOperator,
+    PreparedHessianSum,
     hessian_sum_matvec,
     single_point_hessian_matvec,
     probe_hessian_quadratic_forms,
 )
-from repro.fisher.operators import FisherDataset
+from repro.fisher.operators import FisherDataset, SigmaOperator
 from repro.fisher.objective import fisher_ratio_objective
 
 __all__ = [
@@ -38,9 +39,11 @@ __all__ = [
     "block_diagonal_of_sum",
     "point_block_coefficients",
     "HessianSumOperator",
+    "PreparedHessianSum",
     "hessian_sum_matvec",
     "single_point_hessian_matvec",
     "probe_hessian_quadratic_forms",
     "FisherDataset",
+    "SigmaOperator",
     "fisher_ratio_objective",
 ]

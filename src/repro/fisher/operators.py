@@ -3,7 +3,9 @@
 :class:`FisherDataset` bundles the quantities every FIRAL variant consumes —
 pool features/probabilities and initially-labeled features/probabilities —
 and exposes both dense (Exact-FIRAL) and matrix-free (Approx-FIRAL) views of
-``H_o``, ``H_p`` and ``Sigma_z = H_o + H_z``.
+``H_o``, ``H_p`` and ``Sigma_z = H_o + H_z``.  :class:`SigmaOperator` holds
+the rows one rank's ``Sigma_z`` partial runs over: its pool rows and the
+labeled rows it is given.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from repro.backend import Array
+from repro.backend import COMPUTE_DTYPE, Array, get_backend
 from repro.fisher.hessian import sum_hessian_dense, weighted_block_diagonal
-from repro.fisher.matvec import HessianSumOperator
+from repro.fisher.matvec import HessianSumOperator, PreparedHessianSum
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.utils.validation import check_features, check_probabilities, require
 
-__all__ = ["FisherDataset"]
+__all__ = ["FisherDataset", "SigmaOperator"]
 
 
 @dataclass(frozen=True)
@@ -26,11 +28,9 @@ class FisherDataset:
     """Pool + labeled-point Fisher data for one active-learning round.
 
     The dataset is frozen: its arrays are validated once, when it is built,
-    and the solvers' kernels are prepared from them on first use and kept —
-    the Lemma-2 operators :attr:`pool_operator` and :attr:`labeled_operator`,
-    and ``B(H_o)``.  A strategy that never runs a matvec (Exact-FIRAL, the
-    prefilters) never builds them.  Treat the arrays as read-only: a
-    prepared operator holds them (or their compute-dtype copies).
+    and ``B(H_o)`` is assembled from them on first use and kept.  The
+    Lemma-2 rows of ``Sigma_z`` are a :class:`SigmaOperator`, built by each
+    RELAX solve and dropped with it.  Treat the arrays as read-only.
 
     Attributes
     ----------
@@ -106,36 +106,6 @@ class FisherDataset:
         return self.dimension * self.num_classes
 
     # ------------------------------------------------------------------ #
-    # matrix-free matvecs
-    # ------------------------------------------------------------------ #
-    @cached_property
-    def pool_operator(self) -> HessianSumOperator:
-        """Lemma 2 over the pool (``H_p``, ``H_z``), prepared on first use."""
-
-        return HessianSumOperator(self.pool_features, self.pool_probabilities)
-
-    @cached_property
-    def labeled_operator(self) -> HessianSumOperator:
-        """Lemma 2 over the labeled set (``H_o``), prepared on first use."""
-
-        return HessianSumOperator(self.labeled_features, self.labeled_probabilities)
-
-    def labeled_hessian_matvec(self, V: Array) -> Array:
-        """``H_o V`` via Lemma 2."""
-
-        return self.labeled_operator.matvec(V)
-
-    def pool_hessian_matvec(self, V: Array, weights: Optional[Array] = None) -> Array:
-        """``H_p V`` (``weights=None``) or ``H_z V`` (``weights=z``) via Lemma 2."""
-
-        return self.pool_operator.matvec(V, weights)
-
-    def sigma_matvec(self, V: Array, z: Array) -> Array:
-        """``Sigma_z V = H_o V + H_z V``."""
-
-        return self.labeled_hessian_matvec(V) + self.pool_hessian_matvec(V, weights=z)
-
-    # ------------------------------------------------------------------ #
     # block diagonals
     # ------------------------------------------------------------------ #
     @cached_property
@@ -177,3 +147,46 @@ class FisherDataset:
         """Dense ``Sigma_z``."""
 
         return self.labeled_hessian_dense() + self.pool_hessian_dense(weights=z)
+
+
+class SigmaOperator:
+    """The Lemma-2 rows of one rank's ``Sigma_z`` partial (§ III-C).
+
+    Its rows are ``dataset``'s pool rows followed by the labeled rows in
+    ``labeled_rows``, so one kernel pass gives ``H_z V`` plus those rows'
+    part of ``H_o V``.  The default is every labeled row, the whole
+    ``Sigma_z``; RELAX gives each rank its ``block_partition`` share, so the
+    partials summed over ranks count every labeled row once.  A share may
+    be empty.
+
+    The rows are copied once into one compute-dtype array pair of
+    ``(n_r + m_r) (d + c)`` values, held as long as the operator is.
+    :attr:`pool` is the operator over the first ``n_r`` of those rows
+    (views): ``H_p`` (Line 7 of Algorithm 2) and the Line-9 gradient.
+    """
+
+    def __init__(self, dataset: FisherDataset, labeled_rows: slice = slice(None)):
+        backend = get_backend()
+        labeled_features = dataset.labeled_features[labeled_rows]
+        n = dataset.num_pool
+        rows = n + int(labeled_features.shape[0])
+        X = backend.empty((rows, dataset.dimension), dtype=COMPUTE_DTYPE)
+        H = backend.empty((rows, dataset.num_classes), dtype=COMPUTE_DTYPE)
+        X[:n] = dataset.pool_features
+        X[n:] = labeled_features
+        H[:n] = dataset.pool_probabilities
+        H[n:] = dataset.labeled_probabilities[labeled_rows]
+        self.rows = HessianSumOperator(X, H)
+        self.pool = HessianSumOperator(X[:n], H[:n])
+        self._labeled_weights = backend.ones((rows - n,), dtype=COMPUTE_DTYPE)
+
+    def prepare(self, z: Array) -> PreparedHessianSum:
+        """``V -> H_z V + (the labeled rows' part of H_o) V``, for the pool weights ``z``.
+
+        ``z`` weights the pool rows and the labeled rows keep weight one; the
+        weights are folded in once, for every apply of the result.
+        """
+
+        backend = get_backend()
+        weights = backend.xp.concatenate([backend.ascompute(z).ravel(), self._labeled_weights])
+        return self.rows.prepare(weights)

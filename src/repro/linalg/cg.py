@@ -13,10 +13,14 @@ implementation strategy, where the matvec cost is amortized over the probe
 vectors (Table II lists the CG term as ``n_CG * s`` matvecs).
 
 All arithmetic goes through the active array backend.  The iteration runs in
-the backend's compute dtype (float64 per the § III-C policy) and the search
-direction / iterate updates are performed in place, so a solve allocates a
-fixed set of ``(dim, s)`` work arrays up front instead of reallocating them
-every iteration.
+the backend's compute dtype (float64 per the § III-C policy) and updates its
+state in place: ``alpha p`` and ``alpha A p`` are written into one work
+buffer before they update the iterate and the residual, and the search
+direction is scaled and shifted where it lies.  None of this changes the
+arithmetic: for a given matvec the solution, the iteration count and the
+history are bit-identical to the textbook loop (column norms are
+``sqrt(sum(r * r, axis=0))``, the operations ``numpy.linalg.norm(r,
+axis=0)`` runs).
 """
 
 from __future__ import annotations
@@ -74,14 +78,15 @@ def conjugate_gradient(
     Parameters
     ----------
     matvec:
-        Callable evaluating ``A @ X`` for an array ``X`` of shape
-        ``(dim,)`` or ``(dim, s)``.  ``A`` must be symmetric positive
-        definite.
+        Callable returning ``A @ X`` as an array, for an array ``X`` of
+        shape ``(dim,)`` or ``(dim, s)`` that it must not modify.  ``A``
+        must be symmetric positive definite.
     rhs:
         Right-hand side(s), shape ``(dim,)`` or ``(dim, s)``.
     preconditioner:
         Optional callable applying ``M^{-1}`` (e.g. the block-diagonal
-        ``B(Sigma_z)^{-1}`` solve).  If omitted, plain CG is used.
+        ``B(Sigma_z)^{-1}`` solve), under the same contract as ``matvec``.
+        If omitted, plain CG is used.
     rtol:
         Relative residual tolerance; the paper's default is 0.1 for the
         RELAX solves (§ IV-A) and Fig. 4 studies values from 0.5 to 1e-3.
@@ -113,66 +118,69 @@ def conjugate_gradient(
     # the iterates back to them would truncate every search direction.
     rhs_dtype = b.dtype if backend.is_floating(b) else backend.compute_dtype
 
+    def apply(operator: MatVec, vectors: Array) -> Array:
+        out = xp.asarray(operator(backend.astype(vectors, rhs_dtype)))
+        return backend.ascompute(out.reshape(dim, num_rhs))
+
+    def column_norms(vectors: Array) -> Array:
+        return xp.sqrt(xp.sum(vectors * vectors, axis=0))
+
     # Iterate in the compute dtype (float64); cast the solution back at the end.
     b64 = backend.ascompute(b)
 
     # The iteration starts from x = 0, so the initial residual is b.
     x = xp.zeros_like(b64)
     r = backend.copy(b64)
+    work = xp.empty_like(b64)
 
-    def apply_precond(res: Array) -> Array:
-        if preconditioner is None:
-            # No copy: callers below never mutate z, and r is rebuilt in place
-            # before z is recomputed, so aliasing the residual is safe.
-            return res
-        out = xp.asarray(preconditioner(backend.astype(res, rhs_dtype)))
-        return backend.ascompute(out.reshape(dim, num_rhs))
-
-    b_norm = backend.norm(b64, axis=0)
+    b_norm = column_norms(b64)
     # Columns with a zero RHS are trivially solved by x = 0.
     safe_b_norm = xp.where(b_norm > 0, b_norm, 1.0)
     tol = xp.maximum(rtol * b_norm, atol)
 
-    z = apply_precond(r)
+    # Without a preconditioner z aliases r: nothing below mutates z, and r is
+    # updated in place only after z's last read.
+    z = r if preconditioner is None else apply(preconditioner, r)
     p = backend.copy(z)
     rz = backend.einsum("ij,ij->j", r, z)
 
     history: List[float] = []
-    rel_res = backend.norm(r, axis=0) / safe_b_norm
+    res_norm = column_norms(r)
     if record_history:
-        history.append(float(rel_res.max()))
+        history.append(float((res_norm / safe_b_norm).max()))
 
-    active = backend.norm(r, axis=0) > tol
+    active = res_norm > tol
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         if not bool(active.any()):
             iterations -= 1
             break
-        Ap = backend.ascompute(
-            xp.asarray(matvec(backend.astype(p, rhs_dtype))).reshape(dim, num_rhs)
-        )
+        Ap = apply(matvec, p)
         pAp = backend.einsum("ij,ij->j", p, Ap)
         # Guard against numerically dead search directions on converged columns.
-        alpha = xp.where(pAp > 0, rz / xp.where(pAp > 0, pAp, 1.0), 0.0)
+        curved = pAp > 0
+        alpha = xp.where(curved, rz / xp.where(curved, pAp, 1.0), 0.0)
         alpha = xp.where(active, alpha, 0.0)
-        x += alpha * p
-        r -= alpha * Ap
-        z = apply_precond(r)
+        xp.multiply(alpha, p, out=work)
+        x += work
+        xp.multiply(alpha, Ap, out=work)
+        r -= work
+        z = r if preconditioner is None else apply(preconditioner, r)
         rz_new = backend.einsum("ij,ij->j", r, z)
-        beta = xp.where(rz > 0, rz_new / xp.where(rz > 0, rz, 1.0), 0.0)
+        positive = rz > 0
+        beta = xp.where(positive, rz_new / xp.where(positive, rz, 1.0), 0.0)
         beta = xp.where(active, beta, 0.0)
-        # In-place direction update p <- z + beta * p (no per-iteration alloc).
         p *= beta
         p += z
         rz = rz_new
 
-        res_norm = backend.norm(r, axis=0)
-        rel_res = res_norm / safe_b_norm
+        res_norm = column_norms(r)
         if record_history:
-            history.append(float(rel_res.max()))
+            history.append(float((res_norm / safe_b_norm).max()))
         active = res_norm > tol
 
     converged = not bool(active.any())
+    rel_res = res_norm / safe_b_norm
     solution = backend.astype(x, rhs_dtype)
     if single:
         solution = solution[:, 0]
@@ -181,6 +189,6 @@ def conjugate_gradient(
         solution=solution,
         iterations=iterations,
         converged=converged,
-        residual_norms=backend.copy(rel_res),
+        residual_norms=rel_res,
         residual_history=history,
     )

@@ -1,6 +1,8 @@
 """Distributed (SPMD) RELAX (Algorithm 2): the rank program and its driver.
 
-The pool is partitioned across ``p`` ranks; the labeled set is replicated.
+The pool is partitioned across ``p`` ranks; the labeled set is replicated,
+but each rank's ``Sigma_z`` matvecs cover only its ``block_partition`` share
+of the labeled rows, so the labeled term is computed once, not ``p`` times.
 The loop itself is :func:`repro.core.approx_relax.relax_loop` — the same
 code the serial :func:`~repro.core.approx_relax.approx_relax` runs with its
 one-rank communicator — and follows the communication pattern of § III-C:
@@ -10,7 +12,8 @@ one-rank communicator — and follows the communication pattern of § III-C:
   (``MPI_Allreduce`` of ``c d^2`` floats), with the labeled term and the
   ``O(c d^3)`` inversion replicated on every rank exactly as in the real
   code,
-* every CG iteration allreduces the per-rank partial matvecs
+* every CG iteration allreduces the per-rank partial matvecs, each one
+  Lemma-2 pass over the rank's pool rows and labeled share
   (``MPI_Allreduce`` of ``c d s`` floats), and so does ``H_p W``; the CG
   vector arithmetic operates on replicated ``dc``-dimensional state and is
   therefore identical on every rank, as are the objective estimate and the

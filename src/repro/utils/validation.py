@@ -15,6 +15,7 @@ needed here either.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Optional
 
@@ -27,6 +28,7 @@ __all__ = [
     "check_probabilities",
     "check_square_blocks",
     "check_positive_int",
+    "check_positive_real",
 ]
 
 
@@ -51,6 +53,26 @@ def check_positive_int(value, name: str) -> int:
     )
     require(value > 0, f"{name} must be positive (got {value!r})")
     return int(value)
+
+
+def check_positive_real(value, name: str) -> float:
+    """Return a rate argument as a ``float``, rejecting anything but a finite positive real.
+
+    NumPy floats and integers are accepted; ``bool`` and strings are not, so
+    ``True`` does not run as ``1.0`` and ``"1"`` fails here with the
+    argument's name, and neither do NaN or an infinity, which would
+    otherwise fail only deep inside a solver.
+    """
+
+    require(
+        isinstance(value, numbers.Real) and not isinstance(value, bool),
+        f"{name} must be a real number (got {value!r})",
+    )
+    require(
+        math.isfinite(value) and value > 0,
+        f"{name} must be finite and positive (got {value!r})",
+    )
+    return float(value)
 
 
 def check_features(X, name: str = "X") -> Array:

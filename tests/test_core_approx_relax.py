@@ -1,6 +1,7 @@
 """Tests for the fast RELAX solver (Algorithm 2)."""
 
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from repro.core.config import SIGMA_REGULARIZATION, RelaxConfig
 from repro.core.approx_relax import approx_relax
 from repro.core.exact_relax import exact_relax, exact_relax_gradient
+from repro.core.spmd import block_partition
 from repro.fisher.hessian import weighted_block_diagonal
-from repro.fisher.matvec import HessianSumOperator
+from repro.fisher.matvec import HessianSumOperator, PreparedHessianSum
 from repro.fisher.objective import fisher_ratio_objective
+from repro.fisher.operators import SigmaOperator
 from repro.parallel.distributed_relax import distributed_relax
 from repro.utils.validation import check_features, check_probabilities
 from tests.conftest import make_fisher_dataset
@@ -124,23 +127,96 @@ class TestApproxRelax:
             approx_relax(dataset, budget=-1)
 
     def test_estimate_runs_no_extra_solve(self, dataset, monkeypatch):
-        """The estimate is read off Lines 6-7: every Sigma_z matvec is a counted CG step."""
+        """The estimate is read off Lines 6-7: every Sigma_z matvec is one apply
+        of the step's prepared Sigma_z, and every apply is a counted CG step."""
 
-        calls = []
-        matvec = HessianSumOperator.matvec
+        prepared, applies = [], Counter()
+        prepare, apply = SigmaOperator.prepare, PreparedHessianSum.matvec
 
-        def counting(operator, V, weights=None):
-            if weights is not None:  # the z-weighted H_z of a Sigma_z matvec
-                assert operator is dataset.pool_operator
-                calls.append(1)
-            return matvec(operator, V, weights)
+        def preparing(sigma, z):
+            prepared.append(prepare(sigma, z))
+            return prepared[-1]
 
-        monkeypatch.setattr(HessianSumOperator, "matvec", counting)
+        def applying(operator, V):
+            if any(operator is sigma_z for sigma_z in prepared):
+                applies[id(operator)] += 1
+            return apply(operator, V)
+
+        monkeypatch.setattr(SigmaOperator, "prepare", preparing)
+        monkeypatch.setattr(PreparedHessianSum, "matvec", applying)
         result = approx_relax(
             dataset, budget=5, config=RelaxConfig(max_iterations=4, objective_tolerance=0.0)
         )
-        assert len(calls) == result.cg_iterations
+        per_step = [applies[id(operator)] for operator in prepared]
+        assert sum(per_step) == result.cg_iterations
+        assert per_step == result.cg_iteration_history
         assert len(result.objective_trace) == 4
+
+    @pytest.mark.parametrize("num_ranks", [1, 2])
+    def test_one_sigma_build_per_solve_one_preparation_per_step(self, dataset, monkeypatch, num_ranks):
+        """Each rank copies its Sigma_z rows once per solve, the pool rows and its
+        share of the labeled rows, and prepares them once per mirror-descent step."""
+
+        built, preparations = {}, Counter()
+        init, prepare = SigmaOperator.__init__, SigmaOperator.prepare
+
+        def building(sigma, data, labeled_rows=slice(None)):
+            init(sigma, data, labeled_rows)
+            built[id(sigma)] = (data.num_pool, labeled_rows, sigma.rows.num_points)
+
+        def preparing(sigma, z):
+            preparations[id(sigma)] += 1
+            return prepare(sigma, z)
+
+        monkeypatch.setattr(SigmaOperator, "__init__", building)
+        monkeypatch.setattr(SigmaOperator, "prepare", preparing)
+        config = RelaxConfig(max_iterations=3, track_objective="none")
+        if num_ranks == 1:
+            approx_relax(dataset, budget=5, config=config)
+        else:
+            distributed_relax(dataset, 5, num_ranks=num_ranks, config=config)
+        assert len(built) == num_ranks
+        assert preparations == {key: 3 for key in built}
+        shares = block_partition(dataset.num_labeled, num_ranks)
+        assert sorted((rows.start, rows.stop) for _, rows, _ in built.values()) == [
+            (share.start, share.stop) for share in shares
+        ]
+        for pool_rows, labeled_rows, num_points in built.values():
+            assert pool_rows == dataset.num_pool // num_ranks
+            assert num_points == pool_rows + labeled_rows.stop - labeled_rows.start
+
+    def test_prepared_scratch_lives_only_in_cg(self, dataset, monkeypatch):
+        """No prepared Sigma_z holds scratch while ``H_p W`` (Line 7) or the
+        gradient (Line 9) lay out their own, so neither adds to the other."""
+
+        prepared, calls = [], Counter()
+        prepare = SigmaOperator.prepare
+        matvec, forms = HessianSumOperator.matvec, HessianSumOperator.probe_quadratic_forms
+
+        def preparing(sigma, z):
+            sigma_z = prepare(sigma, z)
+            prepared.append(weakref.ref(sigma_z))
+            return sigma_z
+
+        def check(line):
+            calls[line] += 1
+            live = [ref() for ref in prepared if ref() is not None]
+            assert all(sigma_z._buffer is None for sigma_z in live), line
+
+        def checked_matvec(operator, V, weights=None):
+            check("H_p W")
+            return matvec(operator, V, weights)
+
+        def checked_forms(operator, V, W):
+            check("gradient")
+            return forms(operator, V, W)
+
+        monkeypatch.setattr(SigmaOperator, "prepare", preparing)
+        monkeypatch.setattr(HessianSumOperator, "matvec", checked_matvec)
+        monkeypatch.setattr(HessianSumOperator, "probe_quadratic_forms", checked_forms)
+        approx_relax(dataset, budget=5, config=RelaxConfig(max_iterations=3, objective_tolerance=0.0))
+        assert len(prepared) == 3
+        assert calls == {"H_p W": 3, "gradient": 3}
 
     def test_solve_validates_and_assembles_labeled_blocks_once(self, monkeypatch):
         """Inputs are checked when the dataset is built, never during a solve,

@@ -103,3 +103,43 @@ class TestGridTimings:
         if precompute is not None:
             # One tally: the returned timings are the precompute's.
             assert result.timings.as_dict() == precompute.timings.as_dict()
+
+
+#: η values every entry point refuses, by the name of the argument (and
+#: ``None``, which only ``RoundConfig.eta`` takes: "search the grid").
+BAD_ETAS = [True, np.bool_(True), "1", float("inf"), -float("inf"), float("nan"), 0.0, -1.0]
+
+
+class TestEtaValidation:
+    """η is a finite positive real wherever it enters: ``RoundConfig.eta``,
+    each ``eta_grid`` entry, and ``select_eta``/``approx_round``/``exact_round``."""
+
+    @pytest.mark.parametrize("eta", BAD_ETAS, ids=repr)
+    def test_config_eta_rejected_by_name(self, eta):
+        with pytest.raises(ValueError, match=r"^eta must be "):
+            RoundConfig(eta=eta)
+
+    @pytest.mark.parametrize("eta", BAD_ETAS + [None], ids=repr)
+    def test_config_grid_entry_rejected_by_name(self, eta):
+        with pytest.raises(ValueError, match=r"^eta_grid\[1\] must be "):
+            RoundConfig(eta_grid=(0.5, eta, 2.0))
+
+    @pytest.mark.parametrize("eta", BAD_ETAS + [None], ids=repr)
+    def test_select_eta_grid_entry_rejected_by_name(self, dataset, z_relaxed, eta):
+        with pytest.raises(ValueError, match=r"^eta_grid\[0\] must be "):
+            select_eta(approx_round, dataset, z_relaxed, budget=3, eta_grid=(eta,))
+
+    @pytest.mark.parametrize("solver", [approx_round, exact_round], ids=["approx", "exact"])
+    @pytest.mark.parametrize("eta", BAD_ETAS + [None], ids=repr)
+    def test_round_eta_rejected_by_name(self, dataset, z_relaxed, solver, eta):
+        with pytest.raises(ValueError, match=r"^eta must be "):
+            solver(dataset, z_relaxed, 3, eta, RoundConfig())
+
+    def test_numpy_reals_accepted_and_identical(self, dataset, z_relaxed):
+        assert RoundConfig(eta=np.float32(0.5), eta_grid=(np.float64(1.0), 2)).eta == 0.5
+        plain = select_eta(approx_round, dataset, z_relaxed, budget=3, eta_grid=(1.0, 2.0))
+        numpy = select_eta(
+            approx_round, dataset, z_relaxed, budget=3, eta_grid=(np.float64(1.0), np.int64(2))
+        )
+        np.testing.assert_array_equal(numpy.selected_indices, plain.selected_indices)
+        assert (numpy.eta, numpy.eta_score) == (plain.eta, plain.eta_score)

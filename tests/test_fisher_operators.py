@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fisher.hessian import block_diagonal_of_sum
-from repro.fisher.operators import FisherDataset
+from repro.fisher.operators import FisherDataset, SigmaOperator
 from tests.conftest import make_fisher_dataset, random_probabilities
 
 
@@ -26,8 +26,24 @@ class TestFisherDataset:
         z = rng.uniform(0, 1, size=dataset.num_pool)
         v = rng.standard_normal(dataset.joint_dimension)
         np.testing.assert_allclose(
-            dataset.sigma_matvec(v, z), dataset.sigma_dense(z) @ v, rtol=1e-7, atol=1e-8
+            SigmaOperator(dataset).prepare(z).matvec(v),
+            dataset.sigma_dense(z) @ v,
+            rtol=1e-7,
+            atol=1e-8,
         )
+
+    def test_prepared_apply_repeats_across_release(self, dataset):
+        """A prepared ``Sigma_z`` gives the same bits on every apply, whether it
+        reuses its scratch or lays it out again after ``release``."""
+
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0, 1, size=dataset.num_pool)
+        V = rng.standard_normal((dataset.joint_dimension, 3))
+        sigma_z = SigmaOperator(dataset).prepare(z)
+        first = sigma_z.matvec(V)
+        np.testing.assert_array_equal(sigma_z.matvec(V), first)
+        sigma_z.release()
+        np.testing.assert_array_equal(sigma_z.matvec(V), first)
 
     def test_pool_block_diagonal_matches_dense(self, dataset):
         rng = np.random.default_rng(1)
@@ -48,10 +64,12 @@ class TestFisherDataset:
         assert dataset.labeled_block_diagonal() is blocks
 
     def test_labeled_matvec_matches_dense(self, dataset):
+        """With ``z = 0`` the Sigma_z rows apply ``H_o`` alone."""
+
         rng = np.random.default_rng(2)
         v = rng.standard_normal(dataset.joint_dimension)
         np.testing.assert_allclose(
-            dataset.labeled_hessian_matvec(v),
+            SigmaOperator(dataset).prepare(np.zeros(dataset.num_pool)).matvec(v),
             dataset.labeled_hessian_dense() @ v,
             rtol=1e-7,
             atol=1e-8,

@@ -140,3 +140,96 @@ def test_property_cg_solves_spd_systems(dim, num_rhs, seed):
     B = rng.standard_normal((dim, num_rhs))
     result = conjugate_gradient(lambda v: A @ v, B, rtol=1e-12, max_iterations=10 * dim)
     np.testing.assert_allclose(result.solution, np.linalg.solve(A, B), rtol=1e-5, atol=1e-6)
+
+
+def textbook_pcg(matvec, rhs, preconditioner, rtol, max_iterations):
+    """Blocked PCG written plainly: fresh arrays every step, the per-column
+    masks applied every step, ``numpy.linalg.norm`` for the residuals."""
+
+    b = np.asarray(rhs)
+    single = b.ndim == 1
+    b = (b[:, None] if single else b).astype(np.float64)
+    apply_m = (lambda v: v) if preconditioner is None else preconditioner
+    x, r = np.zeros_like(b), b.copy()
+    b_norm = np.linalg.norm(b, axis=0)
+    safe_b_norm = np.where(b_norm > 0, b_norm, 1.0)
+    tol = rtol * b_norm
+    z = apply_m(r)
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
+    history = [float((np.linalg.norm(r, axis=0) / safe_b_norm).max())]
+    active = np.linalg.norm(r, axis=0) > tol
+    iterations = 0
+    while iterations < max_iterations and active.any():
+        iterations += 1
+        Ap = matvec(p)
+        pAp = np.einsum("ij,ij->j", p, Ap)
+        alpha = np.where(active & (pAp > 0), rz / np.where(pAp > 0, pAp, 1.0), 0.0)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        z = apply_m(r)
+        rz_new = np.einsum("ij,ij->j", r, z)
+        beta = np.where(active & (rz > 0), rz_new / np.where(rz > 0, rz, 1.0), 0.0)
+        p = z + beta * p
+        rz = rz_new
+        history.append(float((np.linalg.norm(r, axis=0) / safe_b_norm).max()))
+        active = np.linalg.norm(r, axis=0) > tol
+    rel_res = np.linalg.norm(r, axis=0) / safe_b_norm
+    if single:
+        return x[:, 0], iterations, rel_res[:1], history
+    return x, iterations, rel_res, history
+
+
+class TestInPlaceRecurrence:
+    """The in-place solver runs the textbook recurrence bit for bit."""
+
+    C, D = 3, 4
+
+    def system(self, rng):
+        """Block-diagonal SPD plus coupling between blocks 1 and 2 only, so the
+        block-diagonal preconditioner is exact on block 0."""
+
+        c, d = self.C, self.D
+        blocks = np.stack([random_spd(rng, d, condition=10.0 ** k) for k in range(c)])
+        A = BlockDiagonalMatrix(blocks).to_dense()
+        coupling = 0.3 * rng.standard_normal((d, d))
+        A[d : 2 * d, 2 * d :] += coupling
+        A[2 * d :, d : 2 * d] += coupling.T
+        A += 0.5 * np.eye(c * d) * np.abs(coupling).sum()
+        return A, BlockDiagonalMatrix.from_dense(A, num_blocks=c).inverse().matvec
+
+    @pytest.mark.parametrize("preconditioned", [True, False])
+    @pytest.mark.parametrize("rhs_kind", ["vector", "columns", "early", "integer"])
+    def test_matches_textbook_loop(self, rng, preconditioned, rhs_kind):
+        A, block_inverse = self.system(rng)
+        dim = A.shape[0]
+        preconditioner = block_inverse if preconditioned else None
+        if rhs_kind == "vector":
+            rhs = rng.standard_normal(dim)
+        elif rhs_kind == "columns":
+            rhs = rng.standard_normal((dim, 4))
+        elif rhs_kind == "integer":
+            rhs = rng.integers(-3, 4, size=(dim, 3))
+        else:
+            # Column 0 converges at the first step (block 0 with the exact block
+            # preconditioner, an eigenvector of A without one); the others go on.
+            rhs = rng.standard_normal((dim, 3))
+            rhs[:, 0] = 0.0
+            if preconditioned:
+                rhs[: self.D, 0] = rng.standard_normal(self.D)
+            else:
+                rhs[:, 0] = np.linalg.eigh(A)[1][:, 0]
+
+        result = conjugate_gradient(
+            lambda v: A @ v, rhs, preconditioner=preconditioner, rtol=1e-10, max_iterations=200
+        )
+        x, iterations, rel_res, history = textbook_pcg(
+            lambda v: A @ v, rhs, preconditioner, rtol=1e-10, max_iterations=200
+        )
+        assert result.converged
+        if rhs_kind == "early":
+            assert iterations > 2
+        np.testing.assert_array_equal(result.solution, x)
+        assert result.iterations == iterations
+        np.testing.assert_array_equal(result.residual_norms, rel_res)
+        assert result.residual_history == history
