@@ -277,25 +277,6 @@ class ArrayBackend:
 
         return self.xp.linalg.eigvalsh(self.ascompute(a))
 
-    def eigh_generalized(self, a: Array, b: Array) -> Array:
-        """Eigenvalues of the symmetric-definite pencil ``A v = λ B v``.
-
-        Batched over leading dimensions; equivalently the eigenvalues of
-        ``B^{-1/2} A B^{-1/2}`` — Line 9 of Algorithm 3 evaluates this per
-        class block.  The generic implementation reduces to a standard
-        problem via the Cholesky factor of ``B``; backends may override with
-        a library-native generalized solver.
-        """
-
-        xp = self.xp
-        a64 = self.ascompute(a)
-        b64 = self.ascompute(b)
-        chol = xp.linalg.cholesky(b64)
-        # L^{-1} A: solve L Y = A, then (L^{-1} A) L^{-T} = (L^{-1} (L^{-1} A)^T)^T
-        y = xp.linalg.solve(chol, a64)
-        reduced = xp.linalg.solve(chol, self.transpose_last(y))
-        return xp.linalg.eigvalsh(0.5 * (reduced + self.transpose_last(reduced)))
-
     def transpose_last(self, a: Array) -> Array:
         """Swap the last two axes (batched matrix transpose)."""
 

@@ -7,18 +7,25 @@ block-diagonal algebra:
 * candidate scoring uses the closed form of Proposition 4 (Eq. 17) — a batch
   of quadratic forms per class block plus the Sherman–Morrison denominator,
 * the FTRL matrix update needs only per-block generalized eigenvalues of the
-  accumulated Hessian with respect to ``Sigma_*`` (Line 9) and a bisection
-  for ν (Line 10),
+  accumulated Hessian with respect to ``Sigma_*`` (Line 9) and the scalar ν
+  (Line 10),
 * ``B_{t+1}^{-1}`` is a batch of ``c`` dense ``d x d`` inverses (Line 11).
 
+``Sigma_*`` is fixed for the whole solve, so Line 9 whitens with it: the
+precompute factors ``Sigma_*,k = L_k L_k^T`` once and keeps ``W_k = L_k^{-1}``,
+and each step takes the eigenvalues of ``W_k A_k W_k^T`` in one batched
+``eigvalsh`` — the eigenvalues of ``A_k v = lambda Sigma_*,k v``.  Line 10
+solves for ν by Newton's method (:func:`repro.linalg.bisection.find_ftrl_nu`).
+
 Total cost ``O(b c d^2 (n/p + d))`` — the ROUND column of Table IV.  The
-generalized eigensolve and the batched inverses run through the active
+whitener, the eigensolve and the batched inverses run through the active
 backend's promoted (float64) linear algebra.
 
 One loop serves every rank count (§ III-C).  A :class:`RoundPrecompute`
 holds one rank's η-independent state: ``Sigma_*`` summed over ranks, the
-promoted shard rows, scoring scratch, the communicator and the global shard
-offsets; built without a communicator it is the one-rank case
+whitener of the rank's share of its class blocks, the promoted shard rows,
+scoring buffers, the communicator and the global shard offsets; built
+without a communicator it is the one-rank case
 (:data:`~repro.core.spmd.ONE_RANK`).  Per step :func:`approx_round` scores
 its shard with the fused kernel
 (:func:`repro.linalg.sherman_morrison.fused_round_scores`, optionally in
@@ -52,6 +59,7 @@ from repro.utils.validation import check_positive_real, require
 __all__ = [
     "RoundPrecompute",
     "approx_round",
+    "block_whitener",
     "generalized_block_eigenvalues",
     "selected_batch_min_eigenvalue",
 ]
@@ -64,15 +72,21 @@ class RoundPrecompute:
     Everything here depends only on ``(dataset, z_relaxed)`` — not on the
     FTRL learning rate η — so the § IV-A grid search assembles
     one instance and threads it through all trials instead of letting each
-    :func:`approx_round` call rebuild it: the ``Sigma_*`` assembly, the
-    compute-dtype promotion of the pool features / rank-one coefficients, and
-    the scoring scratch buffers are paid once per grid, not once per trial.
+    :func:`approx_round` call rebuild it: the ``Sigma_*`` assembly and the
+    Cholesky whitening of its blocks, the compute-dtype promotion of the pool
+    features / rank-one coefficients, and the scoring buffers are paid once
+    per grid, not once per trial.
 
     Attributes
     ----------
     sigma_star:
         ``B(Sigma_*)`` over the whole pool, with
         :data:`~repro.core.config.SIGMA_REGULARIZATION` already added.
+    whitener:
+        :func:`block_whitener` of the rank's own class blocks of ``Sigma_*``
+        (``block_partition(c, comm.size)[comm.rank]``, the blocks its Line-9
+        eigensolve reads), in the compute dtype: ``L_k^{-1}`` for
+        ``Sigma_*,k = L_k L_k^T``, shape ``(c_r, d, d)``.
     labeled_blocks:
         ``B(H_o)``.
     labeled_blocks64:
@@ -100,6 +114,7 @@ class RoundPrecompute:
     """
 
     sigma_star: BlockDiagonalMatrix
+    whitener: Array
     labeled_blocks: BlockDiagonalMatrix
     labeled_blocks64: Array
     X: Array
@@ -125,7 +140,8 @@ class RoundPrecompute:
         ``z*``; ``offsets`` is the global shard table (default: one rank
         owning the whole pool).  ``Sigma_*`` is the allreduce of the ranks'
         partial block diagonals plus the replicated ``B(H_o)`` and
-        :data:`~repro.core.config.SIGMA_REGULARIZATION`.
+        :data:`~repro.core.config.SIGMA_REGULARIZATION`; each rank whitens its
+        own share of the class blocks.
         """
 
         backend = get_backend()
@@ -148,8 +164,10 @@ class RoundPrecompute:
             labeled_blocks = dataset.labeled_block_diagonal()
             sigma_star = BlockDiagonalMatrix(summed, copy=False) + labeled_blocks
             sigma_star = sigma_star.add_identity(SIGMA_REGULARIZATION)
+            own_classes = block_partition(dataset.num_classes, comm.size)[comm.rank]
             precompute = cls(
                 sigma_star=sigma_star,
+                whitener=block_whitener(sigma_star.blocks[own_classes]),
                 labeled_blocks=labeled_blocks,
                 labeled_blocks64=backend.ascompute(labeled_blocks.blocks),
                 X=backend.ascompute(dataset.pool_features),
@@ -184,21 +202,40 @@ class RoundPrecompute:
             return BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
 
 
-def generalized_block_eigenvalues(a_blocks: Array, s_blocks: Array) -> Array:
-    """Eigenvalues of ``S^{-1/2} A S^{-1/2}`` for stacked ``(c, d, d)`` blocks.
+def block_whitener(s_blocks: Array) -> Array:
+    """``L_k^{-1}`` for ``S_k = L_k L_k^T``, per stacked ``(c, d, d)`` block.
 
-    Equivalent to the generalized eigenproblem ``A v = lambda S v`` per class
-    block, which is how Line 9 of Algorithm 3 is evaluated without forming
-    ``S^{-1/2}`` explicitly.  Inputs are promoted to the compute dtype and
-    symmetrized.  Returns an array of shape ``(c, d)``.
+    ``S`` must be symmetric positive definite; it is promoted to the compute
+    dtype and symmetrized before the batched Cholesky factorization, and the
+    result stays in the compute dtype.  This is the whitener
+    :func:`generalized_block_eigenvalues` takes.
     """
 
     backend = get_backend()
-    a = backend.ascompute(a_blocks)
     s = backend.ascompute(s_blocks)
-    a_sym = 0.5 * (a + backend.transpose_last(a))
-    s_sym = 0.5 * (s + backend.transpose_last(s))
-    return backend.eigh_generalized(a_sym, s_sym)
+    return backend.inv(backend.cholesky(0.5 * (s + backend.transpose_last(s))))
+
+
+def generalized_block_eigenvalues(a_blocks: Array, whitener: Array) -> Array:
+    """Eigenvalues of ``A_k v = lambda S_k v`` for stacked ``(c, d, d)`` blocks.
+
+    ``whitener`` is :func:`block_whitener` of ``S``, ``W_k = L_k^{-1}``.  The
+    result is ``eigvalsh(W_k A_k W_k^T)`` for all blocks in one batched
+    call: the eigenvalues of ``S_k^{-1/2} A_k S_k^{-1/2}``, to which
+    ``W_k A_k W_k^T`` is similar.  That is Line 9 of Algorithm 3 with
+    ``S = Sigma_*``, factored once per solve.  ``A`` is promoted to the
+    compute dtype and symmetrized.  Returns an array of shape ``(c, d)``,
+    ascending per block.
+    """
+
+    backend = get_backend()
+    xp = backend.xp
+    a = backend.ascompute(a_blocks)
+    whitened = a + backend.transpose_last(a)
+    whitened *= 0.5
+    # Rebinding frees the symmetrized copy before the second product exists.
+    whitened = xp.matmul(whitener, whitened)
+    return backend.eigvalsh(xp.matmul(whitened, backend.transpose_last(whitener)))
 
 
 def selected_batch_min_eigenvalue(
@@ -355,11 +392,12 @@ def approx_round(
             accumulated += rank_one
 
         # Lines 9-10: each rank's share of the class blocks' generalized
-        # eigenvalues, allgathered, and the FTRL constant nu.
+        # eigenvalues, whitened by the precompute, allgathered, and the FTRL
+        # constant nu.
         with timings.region("compute_eigenvalues"):
             if own_classes.stop > own_classes.start:
                 local_eigenvalues = generalized_block_eigenvalues(
-                    accumulated[own_classes], sigma_star.blocks[own_classes]
+                    accumulated[own_classes], precompute.whitener
                 )
             else:
                 local_eigenvalues = backend.zeros((0, d), dtype=COMPUTE_DTYPE)

@@ -9,8 +9,8 @@ make FIRAL scalable:
   with multiple right-hand sides, used in Lines 6 and 8 of Algorithm 2.
 * :mod:`repro.linalg.sherman_morrison` — the block-wise rank-one update of
   Lemma 3 powering the ROUND objective of Proposition 4.
-* :mod:`repro.linalg.bisection` — the scalar root find for the FTRL constant
-  ν (Line 17 of Algorithm 1 / Line 10 of Algorithm 3).
+* :mod:`repro.linalg.bisection` — Newton's method for the FTRL constant ν
+  (Line 17 of Algorithm 1 / Line 10 of Algorithm 3).
 """
 
 from repro.linalg.block_diag import BlockDiagonalMatrix
@@ -20,7 +20,7 @@ from repro.linalg.sherman_morrison import (
     block_rank_one_quadratic_forms,
     fused_round_scores,
 )
-from repro.linalg.bisection import find_ftrl_nu, bisect_scalar
+from repro.linalg.bisection import find_ftrl_nu
 
 __all__ = [
     "BlockDiagonalMatrix",
@@ -30,5 +30,4 @@ __all__ = [
     "block_rank_one_quadratic_forms",
     "fused_round_scores",
     "find_ftrl_nu",
-    "bisect_scalar",
 ]

@@ -15,12 +15,10 @@ import re
 
 import numpy as np
 import pytest
-from scipy import linalg as sla
 
 from repro import backend as backend_pkg
 from repro.backend import (
     COMPUTE_DTYPE,
-    ArrayBackend,
     NumpyBackend,
     Workspace,
     available_backends,
@@ -55,7 +53,7 @@ class TestNumpyImportGuard:
         assert offenders == [], f"direct numpy imports in guarded layers: {offenders}"
 
     def test_guarded_layers_have_no_direct_scipy_imports(self):
-        """SciPy access is a backend implementation detail (eigh_generalized)."""
+        """SciPy access, if any, is a backend implementation detail."""
 
         pattern = re.compile(r"^\s*(import scipy|from scipy\b)", re.MULTILINE)
         offenders = []
@@ -153,35 +151,6 @@ class TestDtypePolicy:
         np.testing.assert_array_equal(backend.eigvalsh(spd), np.linalg.eigvalsh(spd))
         b = rng.standard_normal((5, 4, 2))
         np.testing.assert_array_equal(backend.solve(spd, b), np.linalg.solve(spd, b))
-
-    def test_eigh_generalized_matches_scipy(self, rng):
-        backend = get_backend()
-        a = rng.standard_normal((3, 5, 5))
-        a = 0.5 * (a + a.transpose(0, 2, 1))
-        b = rng.standard_normal((3, 5, 5))
-        b = np.einsum("kij,klj->kil", b, b) + 5.0 * np.eye(5)
-        got = backend.eigh_generalized(a, b)
-        for k in range(3):
-            np.testing.assert_array_equal(got[k], sla.eigh(a[k], b[k], eigvals_only=True))
-
-    def test_eigh_generalized_rejects_indefinite_b(self):
-        backend = get_backend()
-        a = np.stack([np.eye(4), np.eye(4)])
-        b = np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, 1.0])])
-        with pytest.raises(np.linalg.LinAlgError):
-            backend.eigh_generalized(a, b)
-        with pytest.raises(ValueError):
-            backend.eigh_generalized(a, np.full_like(b, np.nan))
-
-    def test_generic_eigh_generalized_fallback_is_close(self, rng):
-        backend = get_backend()
-        a = rng.standard_normal((2, 4, 4))
-        a = 0.5 * (a + a.transpose(0, 2, 1))
-        b = rng.standard_normal((2, 4, 4))
-        b = np.einsum("kij,klj->kil", b, b) + 4.0 * np.eye(4)
-        fast = backend.eigh_generalized(a, b)
-        generic = ArrayBackend.eigh_generalized(backend, a, b)
-        np.testing.assert_allclose(generic, fast, rtol=1e-10, atol=1e-10)
 
 
 class TestRngBridge:
