@@ -25,7 +25,6 @@ from repro.backend import (
     default_dtype,
     get_backend,
     set_backend,
-    set_default_dtype,
     use_backend,
 )
 from repro.core import (
@@ -71,7 +70,6 @@ __all__ = [
     "default_dtype",
     "get_backend",
     "set_backend",
-    "set_default_dtype",
     "use_backend",
     "ApproxFIRAL",
     "ExactFIRAL",

@@ -35,8 +35,6 @@ from repro.backend.base import (
     COMPUTE_DTYPE,
     DEFAULT_DTYPE,
     default_dtype,
-    dtype_policy,
-    set_default_dtype,
 )
 from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.registry import (
@@ -62,12 +60,10 @@ __all__ = [
     "available_backends",
     "backend_from_spec",
     "default_dtype",
-    "dtype_policy",
     "get_array_module",
     "get_backend",
     "register_backend",
     "set_backend",
-    "set_default_dtype",
     "torch_available",
     "use_backend",
 ]

@@ -26,8 +26,7 @@ cycle so individual solvers never hand-roll ``astype(float64)`` chains.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -37,8 +36,6 @@ __all__ = [
     "COMPUTE_DTYPE",
     "DEFAULT_DTYPE",
     "default_dtype",
-    "dtype_policy",
-    "set_default_dtype",
 ]
 
 #: Generic alias for a backend-native array (``numpy.ndarray``,
@@ -46,55 +43,19 @@ __all__ = [
 #: they stay import-free of any concrete array library.
 Array = Any
 
-#: Default floating-point *storage* dtype, matching the paper's
-#: single-precision policy (§ III-C).
+#: Floating-point *storage* dtype, the paper's single-precision policy
+#: (§ III-C).  Fixed: every session in a process stores float32.
 DEFAULT_DTYPE = np.float32
 
 #: Promotion target for numerically delicate computations (eigensolves,
 #: dense inverses, CG iterations).  Fixed: every backend must support it.
 COMPUTE_DTYPE = np.float64
 
-_current_dtype = DEFAULT_DTYPE
-
 
 def default_dtype() -> np.dtype:
-    """Return the current default floating-point storage dtype."""
+    """Return the floating-point storage dtype, :data:`DEFAULT_DTYPE`."""
 
-    return np.dtype(_current_dtype)
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the library-wide default floating point storage dtype.
-
-    Parameters
-    ----------
-    dtype:
-        Either ``numpy.float32`` or ``numpy.float64`` (or their string
-        names).  Other dtypes are rejected because the algorithms assume real
-        floating-point arithmetic.
-    """
-
-    global _current_dtype
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported default dtype {dt}; use float32 or float64")
-    _current_dtype = dt.type
-
-
-@contextmanager
-def dtype_policy(dtype) -> Iterator[None]:
-    """Context manager that temporarily changes the default storage dtype.
-
-    Useful in tests that want float64 reference computations while the
-    library default stays float32 as in the paper.
-    """
-
-    previous = _current_dtype
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)
+    return np.dtype(DEFAULT_DTYPE)
 
 
 class ArrayBackend:
@@ -136,12 +97,6 @@ class ArrayBackend:
         """Backend-native dtype object for :data:`COMPUTE_DTYPE`."""
 
         return self.native_dtype(COMPUTE_DTYPE)
-
-    @property
-    def storage_dtype(self):
-        """Backend-native dtype object for the current default dtype."""
-
-        return self.native_dtype(default_dtype())
 
     def native_dtype(self, dtype):
         """Translate a NumPy-style dtype spec into the backend's dtype."""

@@ -83,7 +83,7 @@ def approx_relax(
     budget:
         Number of points ``b`` to be selected (the simplex scale).
     config:
-        Solver options (probes, CG tolerance, schedule, objective tracking).
+        Solver options (probes, CG tolerance, objective tracking).
     """
 
     return relax_loop(ONE_RANK, dataset, dataset.num_pool, budget, config or RelaxConfig())
@@ -209,11 +209,8 @@ def relax_loop(comm, dataset: FisherDataset, pool_size: int, budget: int, cfg: R
 
         # Lines 10-11: exponentiated-gradient update, normalized over all ranks.
         with timings.region("other"):
-            scale = 1.0
-            if cfg.normalize_gradient:
-                local_max = float(xp.abs(grad).max()) if int(grad.shape[0]) else 0.0
-                scale = allreduce_scalar(local_max, "max")
-            beta = cfg.step_size(t, scale)
+            local_max = float(xp.abs(grad).max()) if int(grad.shape[0]) else 0.0
+            beta = cfg.step_size(t, allreduce_scalar(local_max, "max"))
             log_z = xp.log(xp.clip(local_z, 1e-300, None)) - beta * grad
             local_log_max = float(log_z.max()) if int(log_z.shape[0]) else -float("inf")
             expd = xp.exp(log_z - allreduce_scalar(local_log_max, "max"))

@@ -61,7 +61,6 @@ __all__ = [
     "approx_round",
     "block_whitener",
     "generalized_block_eigenvalues",
-    "selected_batch_min_eigenvalue",
 ]
 
 
@@ -88,9 +87,7 @@ class RoundPrecompute:
         eigensolve reads), in the compute dtype: ``L_k^{-1}`` for
         ``Sigma_*,k = L_k L_k^T``, shape ``(c_r, d, d)``.
     labeled_blocks:
-        ``B(H_o)``.
-    labeled_blocks64:
-        ``B(H_o)`` blocks promoted to the compute dtype.
+        ``B(H_o)``, in the compute dtype.
     X:
         The shard's pool features promoted to the compute dtype, ``(n, d)``.
     gammas:
@@ -116,7 +113,6 @@ class RoundPrecompute:
     sigma_star: BlockDiagonalMatrix
     whitener: Array
     labeled_blocks: BlockDiagonalMatrix
-    labeled_blocks64: Array
     X: Array
     gammas: Array
     z: Array
@@ -169,7 +165,6 @@ class RoundPrecompute:
                 sigma_star=sigma_star,
                 whitener=block_whitener(sigma_star.blocks[own_classes]),
                 labeled_blocks=labeled_blocks,
-                labeled_blocks64=backend.ascompute(labeled_blocks.blocks),
                 X=backend.ascompute(dataset.pool_features),
                 gammas=point_block_coefficients(dataset.pool_probabilities),
                 z=z,
@@ -238,33 +233,6 @@ def generalized_block_eigenvalues(a_blocks: Array, whitener: Array) -> Array:
     return backend.eigvalsh(xp.matmul(whitened, backend.transpose_last(whitener)))
 
 
-def selected_batch_min_eigenvalue(
-    dataset: FisherDataset,
-    selected_indices: Array,
-    *,
-    precompute: Optional[RoundPrecompute] = None,
-) -> float:
-    """``min_k lambda_min(H_k)`` of the selected batch's block Hessian sum.
-
-    This is the score the paper maximizes when grid-searching η (§ IV-A):
-    "select the [η] that maximizes ``min_k lambda_min(H_k)`` where ``H`` is
-    the summation of Hessians of the selected b points".  When a precompute
-    context is supplied, its :meth:`~RoundPrecompute.score` is used instead
-    of re-promoting the selected rows.
-    """
-
-    if precompute is not None:
-        return precompute.score(selected_indices)
-    backend = get_backend()
-    selected = backend.index_array(selected_indices)
-    require(selected.size > 0, "selection must not be empty")
-    blocks = coefficient_blocks(
-        backend.ascompute(dataset.pool_features[selected]),
-        point_block_coefficients(dataset.pool_probabilities[selected]),
-    )
-    return BlockDiagonalMatrix(blocks, copy=False).min_eigenvalue()
-
-
 def approx_round(
     dataset: FisherDataset,
     z_relaxed: Array,
@@ -317,10 +285,7 @@ def approx_round(
         if precompute is None:
             precompute = RoundPrecompute.build(dataset, z_relaxed)
         require(precompute.num_pool == n, "precompute does not match the dataset pool")
-        require(
-            precompute.offsets[-1] >= budget or cfg.allow_repeats,
-            "pool smaller than budget with allow_repeats=False",
-        )
+        require(precompute.offsets[-1] >= budget, "pool smaller than budget")
         require(
             bool(xp.all(precompute.z == z_relaxed)),
             "precompute was built from different relaxed weights",
@@ -340,8 +305,8 @@ def approx_round(
 
         # Line 5: accumulated H starts at zero; hoisted per-step constants.
         accumulated = workspace.get("round_accumulated", (c, d, d), COMPUTE_DTYPE, zero=True)
-        labeled_over_budget = precompute.labeled_blocks64 / budget
-        labeled_eta_blocks = precompute.labeled_blocks64 * (eta / budget)
+        labeled_over_budget = labeled_blocks.blocks / budget
+        labeled_eta_blocks = labeled_blocks.blocks * (eta / budget)
         scores_buf = workspace.get("round_scores", (n,), COMPUTE_DTYPE)
 
     selected = []
@@ -350,8 +315,8 @@ def approx_round(
 
     for t in range(1, budget + 1):
         # Line 7: candidate scoring via Proposition 4 (Eq. 17, with Sigma_* as
-        # the middle matrix — see the note in block_rank_one_quadratic_forms),
-        # then the global MAXLOC argmax.
+        # the middle matrix — see the note in fused_round_scores), over the
+        # points not yet selected, then the global MAXLOC argmax.
         with timings.region("score"):
             scores = fused_round_scores(
                 bt_inv,
@@ -363,14 +328,18 @@ def approx_round(
                 workspace=workspace,
                 out=scores_buf,
             )
-            if not cfg.allow_repeats:
-                scores = xp.where(available, scores, -xp.inf)
+            scores = xp.where(available, scores, -xp.inf)
             best_local = int(xp.argmax(scores))
             with timings.excluded():
                 owner, best_local, best_value = comm.argmax_allreduce(
                     float(scores[best_local]), best_local
                 )
-            require(math.isfinite(best_value), "no candidate available for selection")
+            # Proposition 4's score is positive while B_t is positive definite.
+            require(
+                0.0 < best_value < math.inf,
+                f"ROUND step {t}: best score {best_value!r} is not finite and positive, "
+                f"so B_t lost definiteness in floating point at eta={eta!r}",
+            )
             selected.append(offsets[owner] + best_local)
             objective_trace.append(best_value)
             if comm.rank == owner:

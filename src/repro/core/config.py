@@ -39,23 +39,13 @@ class RelaxConfig:
     """Options for the RELAX (continuous relaxation) solver.
 
     ``Sigma_z`` carries the fixed :data:`SIGMA_REGULARIZATION` term, the
-    same one ROUND adds to ``Sigma_*``; it is not an option.
+    same one ROUND adds to ``Sigma_*``, and the step size is the fixed
+    :meth:`step_size` schedule; neither is an option.
 
     Parameters
     ----------
     max_iterations:
         Mirror-descent iteration cap ``T``.
-    learning_rate:
-        Base step size ``beta_0`` of the entropic mirror descent update
-        ``z_i <- z_i * exp(-beta_t g_i)``.
-    learning_rate_schedule:
-        ``"sqrt"`` uses ``beta_t = beta_0 / sqrt(t)`` (the classical mirror
-        descent schedule), ``"constant"`` keeps ``beta_0``.
-    normalize_gradient:
-        When true (default), gradients are scaled by their infinity norm
-        before the exponential update; this makes the step size insensitive
-        to the absolute Fisher scale, mirroring the robustness the paper
-        reports across datasets.
     objective_tolerance:
         Relative-change stopping criterion on the objective (1e-4 in § IV-A).
     num_probes:
@@ -76,9 +66,6 @@ class RelaxConfig:
     """
 
     max_iterations: int = 100
-    learning_rate: float = 1.0
-    learning_rate_schedule: str = "sqrt"
-    normalize_gradient: bool = True
     objective_tolerance: float = 1e-4
     num_probes: int = 10
     cg_tolerance: float = 0.1
@@ -89,11 +76,6 @@ class RelaxConfig:
     def __post_init__(self) -> None:
         for name in ("max_iterations", "num_probes", "cg_max_iterations"):
             check_positive_int(getattr(self, name), name)
-        require(self.learning_rate > 0, "learning_rate must be positive")
-        require(
-            self.learning_rate_schedule in ("sqrt", "constant"),
-            "learning_rate_schedule must be 'sqrt' or 'constant'",
-        )
         require(self.objective_tolerance >= 0, "objective_tolerance must be non-negative")
         require(self.cg_tolerance > 0, "cg_tolerance must be positive")
         require(
@@ -102,17 +84,19 @@ class RelaxConfig:
         )
 
     def step_size(self, iteration: int, gradient_scale: float) -> float:
-        """Step size ``beta_t`` for 1-based ``iteration``.
+        """Step size ``beta_t = 1 / (sqrt(t) · ||g||_inf)`` of the entropic
+        mirror-descent update ``z_i <- z_i * exp(-beta_t g_i)``.
 
-        ``gradient_scale`` is the infinity norm of the current gradient when
-        ``normalize_gradient`` is enabled (1.0 otherwise).
+        ``iteration`` is the 1-based ``t`` and ``gradient_scale`` the infinity
+        norm of the current gradient; a zero gradient leaves ``1 / sqrt(t)``.
+        Normalizing by the gradient's scale makes the step insensitive to the
+        absolute Fisher scale, mirroring the robustness the paper reports
+        across datasets.
         """
 
         require(iteration >= 1, "iteration is 1-based")
-        beta = self.learning_rate
-        if self.learning_rate_schedule == "sqrt":
-            beta = beta / (iteration**0.5)
-        if self.normalize_gradient and gradient_scale > 0:
+        beta = 1.0 / (iteration**0.5)
+        if gradient_scale > 0:
             beta = beta / gradient_scale
         return beta
 
@@ -132,7 +116,9 @@ class RoundConfig:
 
     ``Sigma_*`` (and hence every ``B_t``) carries the fixed
     :data:`SIGMA_REGULARIZATION` term RELAX added to ``Sigma_z``, so ROUND
-    rounds against the matrix RELAX optimized.
+    rounds against the matrix RELAX optimized.  ROUND selects ``budget``
+    distinct points: the paper's regret analysis permits repeats, practical
+    active learning does not, so a selected point is masked from later steps.
 
     Parameters
     ----------
@@ -144,10 +130,6 @@ class RoundConfig:
         maximize ``min_k lambda_min(H_k)`` over the selected batch).
     eta_grid:
         The η grid searched when ``eta is None``, and the only grid.
-    allow_repeats:
-        Whether a point may be selected more than once.  The paper's regret
-        analysis permits repeats; practical active learning does not, so the
-        default removes selected points from later iterations.
     score_chunk_size:
         When set, the Proposition-4 candidate scoring streams the pool in
         chunks of this many points, bounding the scoring scratch memory at
@@ -166,7 +148,6 @@ class RoundConfig:
 
     eta: Optional[float] = None
     eta_grid: Sequence[float] = field(default_factory=lambda: (0.1, 0.5, 1.0, 2.0, 8.0))
-    allow_repeats: bool = False
     score_chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:

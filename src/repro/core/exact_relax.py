@@ -109,8 +109,7 @@ def exact_relax(
         with timings.region("gradient"):
             grad = exact_relax_gradient(dataset, budget * z, regularization=SIGMA_REGULARIZATION)
         with timings.region("other"):
-            scale = float(xp.abs(grad).max()) if cfg.normalize_gradient else 1.0
-            beta = cfg.step_size(t, scale)
+            beta = cfg.step_size(t, float(xp.abs(grad).max()))
             # Entropic mirror descent / exponentiated gradient update.
             log_z = xp.log(xp.clip(z, 1e-300, None)) - beta * grad
             log_z -= log_z.max()

@@ -135,7 +135,8 @@ def exact_round(
         FTRL learning rate η (Eq. 9/10), a finite positive real; the η
         grid search lives in :mod:`repro.core.eta_selection`.
     config:
-        Round options (``allow_repeats``).
+        Round options.  The dense solver reads none; the argument keeps the
+        signature :func:`repro.core.eta_selection.select_eta` calls.
     precompute:
         Optional η-independent state built with
         :meth:`ExactRoundPrecompute.build` for the same
@@ -145,11 +146,10 @@ def exact_round(
 
     require(budget > 0, "budget must be positive")
     eta = check_positive_real(eta, "eta")
-    cfg = config or RoundConfig(eta=eta)
     backend = get_backend()
     xp = backend.xp
     n = dataset.num_pool
-    require(n >= budget or cfg.allow_repeats, "pool smaller than budget with allow_repeats=False")
+    require(n >= budget, "pool smaller than budget")
 
     z_relaxed = backend.ascompute(z_relaxed).ravel()
     require(tuple(z_relaxed.shape) == (n,), "z_relaxed must have one weight per pool point")
@@ -183,14 +183,19 @@ def exact_round(
             best_index = -1
             best_value = xp.inf
             for i in range(n):
-                if not cfg.allow_repeats and not bool(available[i]):
+                if not bool(available[i]):
                     continue
                 trial = base + eta * candidate_tilde[i]
                 value = float(xp.trace(backend.inv(trial)))
                 if value < best_value:
                     best_value = value
                     best_index = i
-            require(best_index >= 0, "no candidate available for selection")
+            # Algorithm 1's objective is the trace of a positive-definite inverse.
+            require(
+                0.0 < best_value < math.inf,
+                f"ROUND step {t}: best objective {best_value!r} is not finite and positive, "
+                f"so B_t lost definiteness in floating point at eta={eta!r}",
+            )
             selected.append(best_index)
             objective_trace.append(best_value)
             available[best_index] = False

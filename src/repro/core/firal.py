@@ -24,7 +24,7 @@ from repro.core.exact_relax import exact_relax
 from repro.core.exact_round import exact_round
 from repro.core.result import SelectionResult
 from repro.fisher.operators import FisherDataset
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_real, require
 
 __all__ = ["ExactFIRAL", "ApproxFIRAL"]
 
@@ -76,7 +76,8 @@ class _FIRALBase:
         (one ROUND solve per entry, 5 by default), or the one-entry grid of
         a fixed η (one solve, no score).  The fixed η is ``eta`` when given
         — the session engine passes the previous round's winning η
-        (``SessionConfig.reuse_eta``) — else ``RoundConfig.eta``.
+        (``SessionConfig.reuse_eta``) — else ``RoundConfig.eta``.  A given
+        ``eta`` must be a finite positive real, checked before RELAX runs.
         """
 
         require(budget > 0, "budget must be positive")
@@ -84,10 +85,9 @@ class _FIRALBase:
             budget <= dataset.num_pool,
             f"budget {budget} exceeds pool size {dataset.num_pool}",
         )
+        eta = self.round_config.eta if eta is None else check_positive_real(eta, "eta")
+        grid = self.round_config.eta_grid if eta is None else (eta,)
         relax_result = self._relax(dataset, budget)
-
-        eta = eta if eta is not None else self.round_config.eta
-        grid = self.round_config.eta_grid if eta is None else (float(eta),)
         round_result = self._round(dataset, relax_result.weights, budget, grid)
 
         return SelectionResult(

@@ -14,16 +14,15 @@ preconditioner apply) is one ``matmul`` of the ``(c, d, d)`` blocks with the
 ``(c, d, s)`` right-hand sides, and :meth:`BlockDiagonalMatrix.apply_points`
 one broadcast ``matmul`` over the points; the assembly of ``B(·)`` itself is
 one GEMM per class (:func:`repro.fisher.hessian.coefficient_blocks`).
-Numerically delicate routines (inverse, Cholesky, eigensolves, solves) go
-through the backend's promoted linear algebra, which applies the
-library-wide float64 compute policy and casts back to the storage dtype.
+The inverse and the eigensolve go through the backend's promoted linear
+algebra, which applies the library-wide float64 compute policy.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import Array, default_dtype, get_backend
+from repro.backend import Array, get_backend
 from repro.utils.validation import check_square_blocks, require
 
 __all__ = ["BlockDiagonalMatrix"]
@@ -52,27 +51,6 @@ class BlockDiagonalMatrix:
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def identity(cls, num_blocks: int, block_size: int, scale: float = 1.0, dtype=None) -> "BlockDiagonalMatrix":
-        """Return ``scale * I`` with the given block structure."""
-
-        require(num_blocks > 0, "num_blocks must be positive")
-        require(block_size > 0, "block_size must be positive")
-        backend = get_backend()
-        xp = backend.xp
-        eye = backend.eye(block_size, dtype=dtype if dtype is not None else default_dtype())
-        eye = eye * scale
-        blocks = backend.copy(xp.broadcast_to(eye, (num_blocks, block_size, block_size)))
-        return cls(blocks, copy=False)
-
-    @classmethod
-    def zeros(cls, num_blocks: int, block_size: int, dtype=None) -> "BlockDiagonalMatrix":
-        """Return the zero matrix with the given block structure."""
-
-        backend = get_backend()
-        dt = dtype if dtype is not None else default_dtype()
-        return cls(backend.zeros((num_blocks, block_size, block_size), dtype=dt), copy=False)
-
-    @classmethod
     def from_dense(cls, dense: Array, num_blocks: int) -> "BlockDiagonalMatrix":
         """Extract the block diagonal ``B(H)`` of a dense ``dc x dc`` matrix.
 
@@ -97,19 +75,8 @@ class BlockDiagonalMatrix:
     # basic properties
     # ------------------------------------------------------------------ #
     @property
-    def shape(self) -> tuple:
-        dim = self.num_blocks * self.block_size
-        return (dim, dim)
-
-    @property
     def dtype(self):
         return self.blocks.dtype
-
-    def copy(self) -> "BlockDiagonalMatrix":
-        return BlockDiagonalMatrix(self.blocks, copy=True)
-
-    def astype(self, dtype) -> "BlockDiagonalMatrix":
-        return BlockDiagonalMatrix(get_backend().astype(self.blocks, dtype), copy=False)
 
     def to_dense(self) -> Array:
         """Materialize the full ``dc x dc`` matrix (test/diagnostic use only)."""
@@ -123,13 +90,6 @@ class BlockDiagonalMatrix:
             out[sl, sl] = self.blocks[k]
         return out
 
-    def symmetrize(self) -> "BlockDiagonalMatrix":
-        """Return ``(A + A^T) / 2`` applied block-wise."""
-
-        backend = get_backend()
-        sym = 0.5 * (self.blocks + backend.transpose_last(self.blocks))
-        return BlockDiagonalMatrix(sym, copy=False)
-
     # ------------------------------------------------------------------ #
     # algebra
     # ------------------------------------------------------------------ #
@@ -137,20 +97,10 @@ class BlockDiagonalMatrix:
         self._check_compatible(other)
         return BlockDiagonalMatrix(self.blocks + other.blocks, copy=False)
 
-    def __sub__(self, other: "BlockDiagonalMatrix") -> "BlockDiagonalMatrix":
-        self._check_compatible(other)
-        return BlockDiagonalMatrix(self.blocks - other.blocks, copy=False)
-
     def __mul__(self, scalar: float) -> "BlockDiagonalMatrix":
         return BlockDiagonalMatrix(self.blocks * scalar, copy=False)
 
     __rmul__ = __mul__
-
-    def add_scaled(self, other: "BlockDiagonalMatrix", scale: float) -> "BlockDiagonalMatrix":
-        """Return ``self + scale * other`` without an intermediate copy per op."""
-
-        self._check_compatible(other)
-        return BlockDiagonalMatrix(self.blocks + scale * other.blocks, copy=False)
 
     def add_identity(self, scale: float) -> "BlockDiagonalMatrix":
         """Return ``self + scale * I``."""
@@ -161,13 +111,6 @@ class BlockDiagonalMatrix:
         out[:, idx, idx] += scale
         return BlockDiagonalMatrix(out, copy=False)
 
-    def matmul(self, other: "BlockDiagonalMatrix") -> "BlockDiagonalMatrix":
-        """Block-wise matrix product ``self @ other``."""
-
-        self._check_compatible(other)
-        product = get_backend().einsum("kij,kjl->kil", self.blocks, other.blocks)
-        return BlockDiagonalMatrix(product, copy=False)
-
     def _check_compatible(self, other: "BlockDiagonalMatrix") -> None:
         require(isinstance(other, BlockDiagonalMatrix), "operand must be a BlockDiagonalMatrix")
         require(
@@ -176,7 +119,7 @@ class BlockDiagonalMatrix:
         )
 
     # ------------------------------------------------------------------ #
-    # matvec / solves
+    # matvec / inverse
     # ------------------------------------------------------------------ #
     def _reshape_vec(self, v: Array) -> tuple:
         """Reshape ``(dc,)`` or ``(dc, s)`` input into ``(c, d, s)``."""
@@ -201,57 +144,28 @@ class BlockDiagonalMatrix:
         out = out.reshape(self.num_blocks * self.block_size, -1)
         return out[:, 0] if single else out
 
-    __matmul__ = matvec
-
-    def solve(self, v: Array) -> Array:
-        """Solve ``A x = v`` block-by-block via the backend's promoted solve."""
-
-        vb, single = self._reshape_vec(v)
-        sol = get_backend().solve(self.blocks, vb, out_dtype=self.dtype)
-        sol = sol.reshape(self.num_blocks * self.block_size, -1)
-        return sol[:, 0] if single else sol
-
     def inverse(self) -> "BlockDiagonalMatrix":
         """Return the block-wise inverse ``A^{-1}``.
 
         This is the batched ``linalg.inv`` call in Line 5 of Algorithm 2 and
-        Lines 4/11 of Algorithm 3.  The inverse is computed in float64 (the
-        backend's compute dtype) and cast back to the storage dtype for
-        robustness in single precision.
+        Line 4 of Algorithm 3 (Line 11 makes the same call on its workspace
+        buffer).  The inverse is computed in float64 (the backend's compute
+        dtype) and cast back to the blocks' dtype.
         """
 
         inv = get_backend().inv(self.blocks, out_dtype=self.dtype)
         return BlockDiagonalMatrix(inv, copy=False)
 
-    def cholesky(self) -> "BlockDiagonalMatrix":
-        """Return the block-wise lower Cholesky factor (requires SPD blocks)."""
-
-        chol = get_backend().cholesky(self.blocks, out_dtype=self.dtype)
-        return BlockDiagonalMatrix(chol, copy=False)
-
-    def sqrt(self) -> "BlockDiagonalMatrix":
-        """Return the symmetric positive-definite square root ``A^{1/2}``.
-
-        Needed for the similarity transform of Eq. (8): the ROUND step works
-        with ``Sigma_*^{1/2} A_t Sigma_*^{1/2}``.
-        """
-
-        backend = get_backend()
-        xp = backend.xp
-        w, V = backend.eigh(self.blocks)
-        require(bool(xp.all(w > -1e-10)), "matrix must be PSD for sqrt")
-        w = xp.clip(w, 0.0, None)
-        sqrt_blocks = backend.einsum("kij,kj,klj->kil", V, xp.sqrt(w), V)
-        return BlockDiagonalMatrix(backend.demote(sqrt_blocks, self.dtype), copy=False)
-
     # ------------------------------------------------------------------ #
-    # spectra / scalar reductions
+    # spectra / point contractions
     # ------------------------------------------------------------------ #
     def eigenvalues(self) -> Array:
         """Eigenvalues of every block, shape ``(c, d)`` (ascending per block).
 
-        Mirrors the batched ``cupy.linalg.eigvalsh`` call of Line 9 in
-        Algorithm 3.
+        One batched ``eigvalsh`` of the symmetrized blocks, behind the § IV-A
+        η score.  Line 9 of Algorithm 3 is a generalized eigenproblem and
+        does not come here: it is the whitened ``eigvalsh`` of
+        :func:`repro.core.approx_round.generalized_block_eigenvalues`.
         """
 
         backend = get_backend()
@@ -262,12 +176,6 @@ class BlockDiagonalMatrix:
         """Smallest eigenvalue over all blocks (used by the η selection rule)."""
 
         return float(self.eigenvalues().min())
-
-    def trace(self) -> float:
-        """Trace of the full matrix (sum of block traces)."""
-
-        backend = get_backend()
-        return float(backend.einsum("kii->", backend.ascompute(self.blocks)))
 
     def apply_points(self, X: Array, *, out: Optional[Array] = None) -> Array:
         """Batched contraction ``U[k, i] = A_k x_i`` for a batch of points.
@@ -302,42 +210,6 @@ class BlockDiagonalMatrix:
         if out is not None:
             return xp.matmul(X[None, :, :], at, out=out)
         return xp.matmul(X[None, :, :], at)
-
-    def quadratic_form(self, X: Array) -> Array:
-        """Batched quadratic forms ``x_i^T A_k x_i`` for every point and block.
-
-        Parameters
-        ----------
-        X:
-            Array of shape ``(n, d)``.
-
-        Returns
-        -------
-        Array of shape ``(n, c)`` with entry ``[i, k] = x_i^T A_k x_i``.
-        This is the core einsum of the ROUND objective (Eq. 17).
-        """
-
-        backend = get_backend()
-        X = backend.xp.asarray(X)
-        require(X.ndim == 2 and X.shape[1] == self.block_size, "X must have shape (n, d)")
-        # (n, c, d) intermediate avoided: contract in one einsum call
-        return backend.einsum("nd,kde,ne->nk", X, self.blocks, X, optimize=True)
-
-    def bilinear_form(self, X: Array, other: "BlockDiagonalMatrix") -> Array:
-        """Batched forms ``x_i^T A_k M_k A_k x_i`` with ``M = other``.
-
-        The ROUND objective of Proposition 4 needs
-        ``x^T B_t^{-1} Sigma_*^{-1} B_t^{-1} x`` which is exactly this pattern
-        with ``A = B_t^{-1}`` and ``M = Sigma_*^{-1}``.
-        """
-
-        self._check_compatible(other)
-        backend = get_backend()
-        X = backend.xp.asarray(X)
-        require(X.ndim == 2 and X.shape[1] == self.block_size, "X must have shape (n, d)")
-        # y_{n,k,d} = A_k x_n; result = y^T M y
-        Y = backend.einsum("kde,ne->nkd", self.blocks, X, optimize=True)
-        return backend.einsum("nkd,kde,nke->nk", Y, other.blocks, Y, optimize=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

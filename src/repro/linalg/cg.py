@@ -69,7 +69,6 @@ def conjugate_gradient(
     *,
     preconditioner: Optional[MatVec] = None,
     rtol: float = 0.1,
-    atol: float = 0.0,
     max_iterations: int = 1000,
     record_history: bool = True,
 ) -> CGResult:
@@ -88,10 +87,9 @@ def conjugate_gradient(
         ``B(Sigma_z)^{-1}`` solve), under the same contract as ``matvec``.
         If omitted, plain CG is used.
     rtol:
-        Relative residual tolerance; the paper's default is 0.1 for the
+        Relative residual tolerance: a column stops once its residual norm
+        is at most ``rtol * ||b||``.  The paper's default is 0.1 for the
         RELAX solves (§ IV-A) and Fig. 4 studies values from 0.5 to 1e-3.
-    atol:
-        Absolute residual floor added to the tolerance test.
     max_iterations:
         Hard iteration cap.
     record_history:
@@ -102,7 +100,7 @@ def conjugate_gradient(
     CGResult
     """
 
-    require(rtol >= 0.0 and atol >= 0.0, "tolerances must be non-negative")
+    require(rtol >= 0.0, "rtol must be non-negative")
     require(max_iterations >= 0, "max_iterations must be non-negative")
 
     backend = get_backend()
@@ -136,7 +134,7 @@ def conjugate_gradient(
     b_norm = column_norms(b64)
     # Columns with a zero RHS are trivially solved by x = 0.
     safe_b_norm = xp.where(b_norm > 0, b_norm, 1.0)
-    tol = xp.maximum(rtol * b_norm, atol)
+    tol = rtol * b_norm
 
     # Without a preconditioner z aliases r: nothing below mutates z, and r is
     # updated in place only after z's last read.

@@ -1,18 +1,17 @@
-"""Block-wise Sherman–Morrison updates (Lemma 3 of the paper).
+"""Proposition 4's closed-form ROUND score, through Lemma 3 of the paper.
 
-The diagonal ROUND step repeatedly needs the inverse of
+Lemma 3 (block-wise Sherman–Morrison) states that for ``A`` block diagonal
+with blocks ``A_k`` and ``gamma in R^c`` the inverse of
+``A + diag(gamma) ⊗ (x x^T)`` is again block diagonal, with blocks
 
-    A + diag(gamma) ⊗ (x x^T)
+    A_k^{-1} - gamma_k A_k^{-1} x x^T A_k^{-1} / (1 + gamma_k x^T A_k^{-1} x).
 
-where ``A`` is block diagonal with blocks ``A_k`` and ``gamma in R^c``.
-Lemma 3 states the inverse is again block diagonal with blocks
-
-    (A + diag(gamma) ⊗ xx^T)^{-1}_k
-        = A_k^{-1} - gamma_k A_k^{-1} x x^T A_k^{-1} / (1 + gamma_k x^T A_k^{-1} x).
-
-This module implements that update and the quadratic-form shortcut used by
-the ROUND objective of Proposition 4, where only ``x^T (B_t + eta H_i)^{-1}
-x``-style scalars are required rather than the full inverse.
+Nothing here applies that update: ROUND refreshes ``B_{t+1}^{-1}`` with one
+batched inverse per step (Line 11 of Algorithm 3).  The identity is what
+turns the FTRL score of every candidate, ``Trace[(B_t + eta H_i)^{-1}
+Sigma_*]``, into the closed form of Proposition 4 (Eq. 17), which needs only
+the scalars ``x^T B_k^{-1} x`` and ``x^T B_k^{-1} Sigma_*,k B_k^{-1} x``:
+:func:`fused_round_scores` evaluates it for a whole pool at once.
 """
 
 from __future__ import annotations
@@ -23,57 +22,7 @@ from repro.backend import Array, COMPUTE_DTYPE, Workspace, get_backend
 from repro.linalg.block_diag import BlockDiagonalMatrix
 from repro.utils.validation import require
 
-__all__ = [
-    "block_rank_one_inverse_update",
-    "block_rank_one_quadratic_forms",
-    "fused_round_scores",
-]
-
-
-def block_rank_one_inverse_update(
-    a_inverse: BlockDiagonalMatrix,
-    x: Array,
-    gamma: Array,
-) -> BlockDiagonalMatrix:
-    """Return ``(A + diag(gamma) ⊗ xx^T)^{-1}`` given ``A^{-1}``.
-
-    Parameters
-    ----------
-    a_inverse:
-        Block-diagonal inverse ``A^{-1}`` with ``c`` blocks of size ``d``.
-    x:
-        Vector of length ``d``.
-    gamma:
-        Vector of length ``c``; entry ``k`` scales the rank-one term in block
-        ``k``.  For a Fisher Hessian block update ``gamma_k = h_k (1 - h_k)``
-        (Eq. 15), possibly multiplied by the FTRL learning rate ``eta``.
-
-    Raises
-    ------
-    ValueError
-        If the update would make a block singular (``1 + gamma_k x^T A_k^{-1}
-        x`` numerically zero), i.e. the updated matrix is not positive
-        definite as Lemma 3 requires.
-    """
-
-    backend = get_backend()
-    xp = backend.xp
-    x = backend.ascompute(x).ravel()
-    gamma = backend.ascompute(gamma).ravel()
-    require(int(x.shape[0]) == a_inverse.block_size, "x must have length d (block size)")
-    require(int(gamma.shape[0]) == a_inverse.num_blocks, "gamma must have length c (num blocks)")
-
-    inv_blocks = backend.ascompute(a_inverse.blocks)
-    # u_k = A_k^{-1} x  -> shape (c, d)
-    u = backend.einsum("kde,e->kd", inv_blocks, x)
-    # q_k = x^T A_k^{-1} x -> shape (c,)
-    q = u @ x
-    denom = 1.0 + gamma * q
-    require(bool(xp.all(xp.abs(denom) > 1e-14)), "rank-one update makes a block singular")
-
-    scale = (gamma / denom)[:, None, None]
-    updated = inv_blocks - scale * backend.einsum("kd,ke->kde", u, u)
-    return BlockDiagonalMatrix(backend.demote(updated, a_inverse.dtype), copy=False)
+__all__ = ["fused_round_scores"]
 
 
 def fused_round_scores(
@@ -100,11 +49,19 @@ def fused_round_scores(
     ``einsum(U, X)`` derive from it, halving the dominant ``O(n c d^2)``
     contraction relative to evaluating the two quadratic forms independently.
 
+    Note on the paper: Eq. (17) prints the middle matrix as
+    ``(Sigma_*)^{-1}_k``, but expanding the trace identity of Eq. (18),
+    ``r_i = Trace[(B_t + eta H_i)^{-1} Sigma_*]``, with Lemma 3 yields
+    ``M_k = (Sigma_*)_k`` (no inverse).  The solver follows the derivation
+    and passes ``Sigma_*``, which is also what reproduces the exact-round
+    selections when Hessians are block diagonal — see
+    ``tests/test_core_approx_round.py::TestProposition4Equivalence``.
+
     Parameters
     ----------
     a_inverse, middle:
-        ``B_t^{-1}`` and the middle matrix ``M`` (``Sigma_*`` — see the note
-        in :func:`block_rank_one_quadratic_forms`).
+        ``B_t^{-1}`` and the middle matrix ``M`` (``Sigma_*``, per the note
+        above).
     X:
         Candidate features ``(n, d)``, **already promoted** to the compute
         dtype.  Promotion belongs to the caller (one promotion per ROUND
@@ -166,39 +123,3 @@ def fused_round_scores(
         denominator = 1.0 + eta * Gc * quad
         scores[start:stop] = backend.einsum("ik,ik->i", Gc, numerator / denominator)
     return scores
-
-
-def block_rank_one_quadratic_forms(
-    a_inverse: BlockDiagonalMatrix,
-    middle: BlockDiagonalMatrix,
-    X: Array,
-    gammas: Array,
-    eta: float,
-) -> Array:
-    """Evaluate the ROUND objective of Proposition 4 for every candidate point.
-
-    Thin backward-compatible wrapper over :func:`fused_round_scores`: it
-    promotes ``X``/``gammas`` to the compute dtype and evaluates the fused
-    kernel in one shot.  Hot loops should promote once and call
-    :func:`fused_round_scores` directly (optionally chunked / with a
-    workspace); this entry point keeps the historical signature for callers
-    that score a single batch.
-
-    Note on the paper: Eq. (17) prints the middle matrix as ``(Sigma_*)^{-1}_k``,
-    but expanding the trace identity of Eq. (18),
-    ``r_i = Trace[(B_t + eta H_i)^{-1} Sigma_*]``, with Lemma 3 yields
-    ``M_k = (Sigma_*)_k`` (no inverse).  This implementation follows the
-    derivation (callers pass ``Sigma_*``), which is also what reproduces the
-    exact-round selections when Hessians are block diagonal — see
-    ``tests/test_core_approx_round.py::TestProposition4Equivalence``.
-
-    Returns
-    -------
-    Array of shape ``(n,)`` with the per-point objective values.
-    """
-
-    backend = get_backend()
-    X = backend.ascompute(X)
-    gammas = backend.ascompute(gammas)
-    require(X.ndim == 2, "X must be 2-D (n, d)")
-    return fused_round_scores(a_inverse, middle, X, gammas, eta)

@@ -92,7 +92,6 @@ class SimulatedCluster:
         *,
         num_ranks: int,
         config: Optional[RelaxConfig] = None,
-        cg_iterations_hint: int = 50,
     ) -> ScalingMeasurement:
         """Time one mirror-descent iteration of the distributed RELAX solver."""
 
@@ -109,7 +108,7 @@ class SimulatedCluster:
             dimension=dataset.dimension,
             num_classes=dataset.num_classes,
             num_probes=cfg.num_probes,
-            cg_iterations=max(result.cg_iterations, 1) or cg_iterations_hint,
+            cg_iterations=max(result.cg_iterations, 1),
             num_ranks=num_ranks,
         )
         return ScalingMeasurement(

@@ -39,7 +39,7 @@ import numpy as np  # host-side timing/offset bookkeeping only
 
 from repro.backend import Array, get_backend
 from repro.core.approx_round import RoundPrecompute, approx_round
-from repro.core.config import RoundConfig
+from repro.core.config import RoundConfig, check_eta_grid
 from repro.core.eta_selection import select_eta
 from repro.fisher.operators import FisherDataset
 from repro.parallel.comm import Comm, CommunicationLog
@@ -134,9 +134,7 @@ def distributed_round(
 
     require(budget > 0, "budget must be positive")
     num_ranks = check_positive_int(num_ranks, "num_ranks")
-    grid = tuple(float(e) for e in eta_grid)
-    require(len(grid) > 0, "eta grid must not be empty")
-    require(all(e > 0 for e in grid), "eta values must be positive")
+    grid = check_eta_grid(eta_grid)
     z_relaxed = get_backend().ascompute(z_relaxed).ravel()
     require(tuple(z_relaxed.shape) == (dataset.num_pool,), "z_relaxed must match the pool size")
 

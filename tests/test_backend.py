@@ -1,7 +1,6 @@
 """Tests for the array backend abstraction."""
 
 import numpy as np
-import pytest
 
 from repro import backend
 
@@ -14,33 +13,6 @@ def test_get_array_module_returns_numpy():
 def test_default_dtype_is_float32():
     assert backend.default_dtype() == np.dtype(np.float32)
     assert backend.DEFAULT_DTYPE is np.float32
-
-
-def test_set_default_dtype_roundtrip():
-    backend.set_default_dtype(np.float64)
-    try:
-        assert backend.default_dtype() == np.dtype(np.float64)
-    finally:
-        backend.set_default_dtype(np.float32)
-    assert backend.default_dtype() == np.dtype(np.float32)
-
-
-def test_set_default_dtype_rejects_integers():
-    with pytest.raises(ValueError):
-        backend.set_default_dtype(np.int32)
-
-
-def test_dtype_policy_context_manager_restores():
-    with backend.dtype_policy(np.float64):
-        assert backend.default_dtype() == np.dtype(np.float64)
-    assert backend.default_dtype() == np.dtype(np.float32)
-
-
-def test_dtype_policy_restores_on_exception():
-    with pytest.raises(RuntimeError):
-        with backend.dtype_policy(np.float64):
-            raise RuntimeError("boom")
-    assert backend.default_dtype() == np.dtype(np.float32)
 
 
 def test_asarray_uses_default_dtype():

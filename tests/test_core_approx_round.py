@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SIGMA_REGULARIZATION, RoundConfig
-from repro.core.approx_round import approx_round, selected_batch_min_eigenvalue
+from repro.core.approx_round import RoundPrecompute, approx_round
 from repro.fisher.operators import FisherDataset
 from tests.conftest import make_fisher_dataset, random_probabilities
 
@@ -65,18 +65,21 @@ class TestApproxRound:
 
 
 class TestBatchMinEigenvalue:
-    def test_positive_for_reasonable_batch(self, dataset):
-        score = selected_batch_min_eigenvalue(dataset, np.arange(10))
+    """The § IV-A η score, ``RoundPrecompute.score``."""
+
+    def test_positive_for_reasonable_batch(self, dataset, z_relaxed):
+        score = RoundPrecompute.build(dataset, z_relaxed).score(np.arange(10))
         assert np.isfinite(score)
 
-    def test_more_points_do_not_decrease_min_eigenvalue(self, dataset):
-        small = selected_batch_min_eigenvalue(dataset, np.arange(5))
-        large = selected_batch_min_eigenvalue(dataset, np.arange(25))
+    def test_more_points_do_not_decrease_min_eigenvalue(self, dataset, z_relaxed):
+        precompute = RoundPrecompute.build(dataset, z_relaxed)
+        small = precompute.score(np.arange(5))
+        large = precompute.score(np.arange(25))
         assert large >= small - 1e-10
 
-    def test_empty_selection_rejected(self, dataset):
+    def test_empty_selection_rejected(self, dataset, z_relaxed):
         with pytest.raises(ValueError):
-            selected_batch_min_eigenvalue(dataset, np.array([], dtype=np.int64))
+            RoundPrecompute.build(dataset, z_relaxed).score(np.array([], dtype=np.int64))
 
 
 class TestProposition4Equivalence:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.config import RoundConfig
 from repro.core.exact_round import exact_round
 from tests.conftest import make_fisher_dataset
 
@@ -33,11 +32,6 @@ class TestExactRound:
         result = exact_round(dataset, z_relaxed, budget=4, eta=1.0)
         assert np.all(result.selected_indices >= 0)
         assert np.all(result.selected_indices < dataset.num_pool)
-
-    def test_allow_repeats_can_reselect(self, dataset, z_relaxed):
-        cfg = RoundConfig(eta=1.0, allow_repeats=True)
-        result = exact_round(dataset, z_relaxed, budget=4, eta=1.0, config=cfg)
-        assert len(result.selected_indices) == 4  # may contain repeats; only length guaranteed
 
     def test_deterministic(self, dataset, z_relaxed):
         a = exact_round(dataset, z_relaxed, budget=4, eta=1.0)

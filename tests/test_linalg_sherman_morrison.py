@@ -1,4 +1,4 @@
-"""Tests for the block-wise Sherman–Morrison update (Lemma 3)."""
+"""Tests for Proposition 4's closed-form ROUND score (Lemma 3, Eq. 17)."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from repro.backend import get_backend
 from repro.linalg.block_diag import BlockDiagonalMatrix
-from repro.linalg.sherman_morrison import (
-    block_rank_one_inverse_update,
-    block_rank_one_quadratic_forms,
-    fused_round_scores,
-)
+from repro.linalg.sherman_morrison import fused_round_scores
 
 
 def random_spd_blocks(rng, c, d):
@@ -24,52 +20,18 @@ def rng():
     return np.random.default_rng(3)
 
 
-class TestInverseUpdate:
-    def test_matches_dense_inverse(self, rng):
-        """Lemma 3: the updated inverse equals inverting A + diag(gamma) ⊗ xx^T."""
+def promoted_scores(a_inverse, middle, X, gammas, eta):
+    """:func:`fused_round_scores` on inputs promoted to the compute dtype."""
 
-        c, d = 3, 5
-        A = BlockDiagonalMatrix(random_spd_blocks(rng, c, d))
-        x = rng.standard_normal(d)
-        gamma = rng.uniform(0.1, 2.0, size=c)
-        updated_inv = block_rank_one_inverse_update(A.inverse(), x, gamma)
-
-        dense_update = A.to_dense() + np.kron(np.diag(gamma), np.outer(x, x))
-        np.testing.assert_allclose(
-            updated_inv.to_dense(), np.linalg.inv(dense_update), rtol=1e-8, atol=1e-10
-        )
-
-    def test_zero_gamma_is_identity_update(self, rng):
-        c, d = 2, 4
-        A = BlockDiagonalMatrix(random_spd_blocks(rng, c, d))
-        a_inv = A.inverse()
-        updated = block_rank_one_inverse_update(a_inv, rng.standard_normal(d), np.zeros(c))
-        np.testing.assert_allclose(updated.blocks, a_inv.blocks, rtol=1e-12)
-
-    def test_negative_gamma_preserving_definiteness(self, rng):
-        """Lemma 3 also covers negative gamma as long as the result stays PD."""
-
-        c, d = 2, 3
-        A = BlockDiagonalMatrix(random_spd_blocks(rng, c, d))
-        x = 0.1 * rng.standard_normal(d)
-        gamma = np.array([-0.1, -0.05])
-        updated = block_rank_one_inverse_update(A.inverse(), x, gamma)
-        dense_update = A.to_dense() + np.kron(np.diag(gamma), np.outer(x, x))
-        np.testing.assert_allclose(
-            updated.to_dense(), np.linalg.inv(dense_update), rtol=1e-6, atol=1e-9
-        )
-
-    def test_wrong_shapes_rejected(self, rng):
-        A = BlockDiagonalMatrix(random_spd_blocks(rng, 2, 3))
-        with pytest.raises(ValueError):
-            block_rank_one_inverse_update(A.inverse(), np.zeros(4), np.zeros(2))
-        with pytest.raises(ValueError):
-            block_rank_one_inverse_update(A.inverse(), np.zeros(3), np.zeros(3))
+    backend = get_backend()
+    return fused_round_scores(
+        a_inverse, middle, backend.ascompute(X), backend.ascompute(gammas), eta
+    )
 
 
 class TestQuadraticForms:
     def test_matches_explicit_formula(self, rng):
-        """Eq. 17 objective computed via the helper equals an explicit loop."""
+        """Eq. 17 objective computed by the fused kernel equals an explicit loop."""
 
         c, d, n = 3, 4, 6
         eta = 0.7
@@ -79,7 +41,7 @@ class TestQuadraticForms:
         X = rng.standard_normal((n, d))
         gammas = rng.uniform(0.0, 0.25, size=(n, c))
 
-        scores = block_rank_one_quadratic_forms(bt_inv, sigma_inv, X, gammas, eta)
+        scores = promoted_scores(bt_inv, sigma_inv, X, gammas, eta)
 
         expected = np.zeros(n)
         for i in range(n):
@@ -95,33 +57,13 @@ class TestQuadraticForms:
         bt = BlockDiagonalMatrix(random_spd_blocks(rng, 2, 3)).inverse()
         sigma = BlockDiagonalMatrix(random_spd_blocks(rng, 2, 3)).inverse()
         with pytest.raises(ValueError):
-            block_rank_one_quadratic_forms(bt, sigma, np.zeros((2, 3)), np.zeros((2, 2)), eta=0.0)
+            promoted_scores(bt, sigma, np.zeros((2, 3)), np.zeros((2, 2)), eta=0.0)
 
     def test_gamma_shape_mismatch_rejected(self, rng):
         bt = BlockDiagonalMatrix(random_spd_blocks(rng, 2, 3)).inverse()
         sigma = BlockDiagonalMatrix(random_spd_blocks(rng, 2, 3)).inverse()
         with pytest.raises(ValueError):
-            block_rank_one_quadratic_forms(bt, sigma, np.zeros((2, 3)), np.zeros((2, 3)), eta=1.0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    c=st.integers(min_value=1, max_value=3),
-    d=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_property_sherman_morrison_matches_dense(c, d, seed):
-    """Lemma 3 equals the dense inverse for random SPD blocks and updates."""
-
-    rng = np.random.default_rng(seed)
-    A = BlockDiagonalMatrix(random_spd_blocks(rng, c, d))
-    x = rng.standard_normal(d)
-    gamma = rng.uniform(0.0, 1.0, size=c)
-    updated_inv = block_rank_one_inverse_update(A.inverse(), x, gamma)
-    dense_update = A.to_dense() + np.kron(np.diag(gamma), np.outer(x, x))
-    np.testing.assert_allclose(
-        updated_inv.to_dense(), np.linalg.inv(dense_update), rtol=1e-6, atol=1e-8
-    )
+            promoted_scores(bt, sigma, np.zeros((2, 3)), np.zeros((2, 3)), eta=1.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -99,9 +99,7 @@ class TestDistributedRelax:
         every Sigma_z matvec, H_p W and the three update scalars; one final
         allgather of the weights."""
 
-        config = RelaxConfig(
-            max_iterations=iterations, normalize_gradient=True, track_objective="none", seed=11
-        )
+        config = RelaxConfig(max_iterations=iterations, track_objective="none", seed=11)
         result = distributed_relax(dataset, 6, num_ranks=3, config=config)
         calls = result.comm_log.calls
         assert calls["bcast"] == iterations

@@ -108,3 +108,59 @@ def test_property_block_partition_is_a_partition(total, parts):
         assert 0 <= s.start <= s.stop <= total
         covered.extend(range(s.start, s.stop))
     assert covered == list(range(total))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    sizes=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6),
+    corruption=st.sampled_from(["none", "first", "last", "decrease", "length"]),
+    data=st.data(),
+)
+def test_property_shard_tables(sizes, corruption, data):
+    """``check_pool_offsets`` accepts exactly the strictly increasing tables
+    that run from 0 to n with ``p + 1`` entries, and ``partition_pool`` splits
+    the pool along an accepted table, in order.
+
+    The table is the running sum of drawn per-rank sizes (an empty shard
+    included), then perhaps corrupted: a wrong first or last entry, a
+    decrease, or a wrong length.
+    """
+
+    num_ranks, total = len(sizes), sum(sizes)
+    table = [0, *np.cumsum(sizes).tolist()]
+    if corruption == "first":
+        table[0] = data.draw(st.sampled_from([-2, -1, 1, 2]), label="first")
+    elif corruption == "last":
+        table[-1] += data.draw(st.sampled_from([-2, -1, 1, 2]), label="last")
+    elif corruption == "decrease":
+        at = data.draw(st.integers(1, num_ranks), label="at")
+        table[at] = table[at - 1] - data.draw(st.integers(1, 3), label="drop")
+    elif corruption == "length":
+        at = data.draw(st.integers(0, len(table)), label="at")
+        if data.draw(st.booleans(), label="insert"):
+            table.insert(at, data.draw(st.integers(0, total), label="entry"))
+        else:
+            del table[min(at, len(table) - 1)]
+
+    valid = (
+        len(table) == num_ranks + 1
+        and table[0] == 0
+        and table[-1] == total
+        and all(later > earlier for earlier, later in zip(table, table[1:]))
+    )
+    if not valid:
+        with pytest.raises(ValueError):
+            check_pool_offsets(np.asarray(table), total, num_ranks)
+        return
+
+    assert check_pool_offsets(np.asarray(table), total, num_ranks).tolist() == table
+    dataset = make_fisher_dataset(seed=total, num_pool=total, num_labeled=2, dimension=2, num_classes=2)
+    shards = partition_pool(dataset, num_ranks, offsets=np.asarray(table))
+    assert [shard.num_pool for shard in shards] == sizes
+    np.testing.assert_array_equal(
+        np.concatenate([shard.pool_features for shard in shards]), dataset.pool_features
+    )
+    np.testing.assert_array_equal(
+        np.concatenate([shard.pool_probabilities for shard in shards]),
+        dataset.pool_probabilities,
+    )

@@ -6,7 +6,7 @@ the NumPy backend the *selected indices* must be bit-identical to the
 pre-optimization formulation.  These tests pin that:
 
 * the fused kernel against a straight re-implementation of the original
-  two-pass einsum scoring (``bilinear_form`` + ``quadratic_form``),
+  two-pass einsum scoring (a bilinear and a quadratic form per block),
 * chunked scoring and precompute-threaded grid search against their
   unchunked / per-trial-rebuild counterparts,
 * the RELAX CG solves, which start cold, against a repeat of the same run.
@@ -23,6 +23,7 @@ from repro.core.approx_round import RoundPrecompute, approx_round
 from repro.core.config import RelaxConfig, RoundConfig
 from repro.core.eta_selection import select_eta
 from repro.core.exact_round import ExactRoundPrecompute, exact_round
+from repro.fisher.hessian import weighted_block_diagonal
 from repro.linalg.sherman_morrison import fused_round_scores
 from tests.conftest import make_fisher_dataset
 
@@ -42,15 +43,18 @@ def z_relaxed(dataset):
 def reference_scores(bt_inv, sigma_star, X, gammas, eta):
     """The pre-fusion two-pass formulation of the Proposition-4 objective.
 
-    Verbatim re-implementation of the original ``block_rank_one_quadratic_forms``
-    body: one ``bilinear_form`` pass for the numerator and an independent
-    ``quadratic_form`` pass for the Sherman–Morrison denominator (the
-    ``X B^{-1}`` contraction evaluated twice).
+    The original two-pass scoring, its einsums inlined: one pass for the
+    bilinear numerator ``x^T B_k^{-1} Sigma_*,k B_k^{-1} x`` and an
+    independent pass for the Sherman–Morrison denominator's quadratic form
+    ``x^T B_k^{-1} x`` (the ``X B^{-1}`` contraction evaluated twice).
     """
 
     backend = get_backend()
-    numerator = backend.ascompute(bt_inv.bilinear_form(X, sigma_star))
-    quad = backend.ascompute(bt_inv.quadratic_form(X))
+    Y = backend.einsum("kde,ne->nkd", bt_inv.blocks, X, optimize=True)
+    numerator = backend.ascompute(
+        backend.einsum("nkd,kde,nke->nk", Y, sigma_star.blocks, Y, optimize=True)
+    )
+    quad = backend.ascompute(backend.einsum("nd,kde,ne->nk", X, bt_inv.blocks, X, optimize=True))
     denominator = 1.0 + eta * gammas * quad
     return backend.einsum("nk,nk->n", gammas, numerator / denominator)
 
@@ -135,22 +139,23 @@ class TestPrecomputeThreading:
             approx_round, dataset, z_relaxed, budget=5, eta_grid=grid, config=cfg
         )
         # Per-trial rebuild: call the solver directly for each η (each call
-        # builds and discards its own precompute), then apply the same rule.
-        from repro.core.approx_round import selected_batch_min_eigenvalue
+        # builds and discards its own precompute), then apply the same rule,
+        # scoring each batch from the dataset's rows.
+        def batch_score(selected):
+            return weighted_block_diagonal(
+                dataset.pool_features[selected], dataset.pool_probabilities[selected]
+            ).min_eigenvalue()
 
         per_trial = {
             eta: approx_round(dataset, z_relaxed, 5, eta, cfg) for eta in grid
         }
-        best_eta = max(
-            grid,
-            key=lambda e: selected_batch_min_eigenvalue(dataset, per_trial[e].selected_indices),
-        )
+        best_eta = max(grid, key=lambda e: batch_score(per_trial[e].selected_indices))
         np.testing.assert_array_equal(
             hoisted.selected_indices, per_trial[best_eta].selected_indices
         )
         assert hoisted.eta == best_eta
         assert hoisted.eta_score == pytest.approx(
-            selected_batch_min_eigenvalue(dataset, per_trial[best_eta].selected_indices)
+            batch_score(per_trial[best_eta].selected_indices)
         )
 
     def test_explicit_precompute_reuse(self, dataset, z_relaxed):
